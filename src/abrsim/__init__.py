@@ -5,22 +5,7 @@ per-chunk, per-level SSIM table, runs one of four adaptation policies, and
 reports rebuffering, switching instability, mean SSIM, and mean bitrate.
 """
 
-from .abr import (
-    BbaState,
-    Decision,
-    FestiveState,
-    Observation,
-    OsmfState,
-    POLICY_IDS,
-    PolicyState,
-    SbaState,
-    bba_decide,
-    decide,
-    festive_decide,
-    make_policy_state,
-    osmf_decide,
-    sba_decide,
-)
+from .abr import POLICIES, Decision, Observation, decide, make_policy
 from .batch import (
     BatchResult,
     RunSpec,
@@ -62,7 +47,6 @@ from .simulator import (
     LogFormatError,
     SessionConfig,
     SessionEventLog,
-    replay_check,
     replay_diff,
     run_session,
 )
@@ -84,22 +68,17 @@ __all__ = [
     "AggregateReport",
     "BandwidthTrace",
     "BatchResult",
-    "BbaState",
     "BitrateLadder",
     "Decision",
-    "FestiveState",
     "LogFormatError",
     "ManifestError",
     "NETFLIX_LADDER_KBPS",
     "Observation",
-    "OsmfState",
-    "POLICY_IDS",
-    "PolicyState",
+    "POLICIES",
     "RunSpec",
     "RunSpecError",
     "SESSION_CSV_COLUMNS",
     "SaturationProfile",
-    "SbaState",
     "SessionConfig",
     "SessionEventLog",
     "SessionReport",
@@ -110,26 +89,21 @@ __all__ = [
     "VideoManifest",
     "aggregate",
     "aggregates_csv",
-    "bba_decide",
     "decide",
     "download_finish_time",
     "emit_comparison_table",
     "estimated_bandwidth_kbps",
-    "festive_decide",
     "load_manifest",
     "load_runspec",
     "load_trace",
-    "make_policy_state",
+    "make_policy",
     "manifest_from_dict",
     "mean_ssim_delta",
-    "osmf_decide",
     "record_display_transition",
     "record_download",
-    "replay_check",
     "replay_diff",
     "run_batch",
     "run_session",
-    "sba_decide",
     "save_manifest",
     "save_trace",
     "session_metrics",

@@ -1,11 +1,10 @@
-"""Adaptation policies: pure decision functions over one observation.
+"""Adaptation policies: one class per policy, one decision per fetch.
 
-Every policy maps (Observation, PolicyState) to a Decision without side
-effects; persistent per-policy state is updated separately by the engine
-through `observe_download`, so each decision stays recomputable from logs.
-
-Policies share two conventions: chunk 1 is always fetched at the lowest
-level (reason "startup"), and levels are 1-based ladder indices.
+Each policy takes its parameters in `__init__`, learns from completed
+downloads through `observe`, and maps an Observation to a Decision in
+`decide` without other side effects, so each decision stays recomputable
+from logs.  `decide(policy, obs)` fetches chunk 1 at the lowest level
+(reason "startup") for every policy; levels are 1-based ladder indices.
 
 * sba     - SSIM-gated: below the critical buffer threshold drop to the
             floor; otherwise pick the highest level priced under the
@@ -18,17 +17,17 @@ level (reason "startup"), and levels are 1-based ladder indices.
             no buffer input.
 * osmf    - ratio of chunk duration to last download time: fast downloads
             step one rung up, slow ones re-select under the implied rate.
+
+Adding a policy means one class here and one entry in POLICIES.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .manifest import VideoManifest
-
-POLICY_IDS = ("sba", "bba", "festive", "osmf")
 
 
 @dataclass(frozen=True)
@@ -69,19 +68,55 @@ class Decision:
     reason: str
 
 
-class PolicyState:
-    """Base for per-policy persistent state; default is stateless."""
+class Policy:
+    """Base of every policy; stateless unless a subclass overrides observe.
 
-    def observe_download(self, throughput_kbps: float, duration_s: float, level: int) -> None:
+    The engine calls `observe` once per completed download and `decide` for
+    chunks 2..N only, so every decision follows at least one observation.
+    """
+
+    def observe(self, throughput_kbps: float, duration_s: float) -> None:
         pass
 
+    def decide(self, obs: Observation) -> Decision:
+        raise NotImplementedError
 
-class SbaState(PolicyState):
+
+class Sba(Policy):
+    """SSIM-gated adaptation.
+
+    Buffer at or under the critical threshold forces the lowest level.
+    Otherwise the candidate is the highest level priced strictly under the
+    bandwidth estimate (floor of the ladder when none is); it is fetched
+    only when switching to it would change SSIM, relative to the previous
+    chunk as displayed, by more than the mean SSIM drift seen so far.
+    Anything else holds the previous level.  With upgrade_only, a candidate
+    below the previous level is never taken.
+    """
+
     def __init__(self, upgrade_only: bool = False):
         self.upgrade_only = upgrade_only
 
+    def decide(self, obs: Observation) -> Decision:
+        if obs.buffer_s <= obs.critical_threshold_s:
+            return Decision(1, "critical_drop")
+        candidate = obs.manifest.ladder.highest_level_below(obs.bandwidth_estimate_kbps)
+        if candidate is None:
+            candidate = 1
+        gain = obs.manifest.ssim_at(obs.chunk, candidate) - obs.manifest.ssim_at(
+            obs.chunk - 1, obs.prev_level
+        )
+        take = gain > obs.ssim_delta_mean
+        if self.upgrade_only:
+            take = take and candidate > obs.prev_level
+        if take:
+            return Decision(candidate, "upgrade")
+        return Decision(obs.prev_level, "hold")
 
-class BbaState(PolicyState):
+
+class Bba(Policy):
+    """Buffer-occupancy mapping between a reservoir and a cushion."""
+
     def __init__(self, reservoir_frac: float = 0.1, cushion_frac: float = 0.9):
         if not 0.0 < reservoir_frac < cushion_frac <= 1.0:
             raise ValueError(
@@ -90,18 +125,52 @@ class BbaState(PolicyState):
         self.reservoir_frac = reservoir_frac
         self.cushion_frac = cushion_frac
 
+    def decide(self, obs: Observation) -> Decision:
+        ladder = obs.manifest.ladder
+        reservoir = self.reservoir_frac * obs.buffer_capacity_s
+        cushion = self.cushion_frac * obs.buffer_capacity_s
+        if obs.buffer_s <= reservoir:
+            return Decision(1, "bba_reservoir")
+        if obs.buffer_s >= cushion:
+            return Decision(ladder.count, "bba_cushion")
+        r1 = ladder.levels_kbps[0]
+        top = ladder.levels_kbps[-1]
+        mapped = r1 + (top - r1) * (obs.buffer_s - reservoir) / (cushion - reservoir)
+        level = ladder.highest_level_at_or_below(mapped)
+        return Decision(level if level is not None else 1, "bba_interpolated")
 
-class FestiveState(PolicyState):
+
+class Festive(Policy):
+    """Harmonic-mean throughput target, approached one rung per decision."""
+
     def __init__(self, window: int = 5):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.samples_kbps: deque[float] = deque(maxlen=window)
 
-    def observe_download(self, throughput_kbps: float, duration_s: float, level: int) -> None:
+    def observe(self, throughput_kbps: float, duration_s: float) -> None:
         self.samples_kbps.append(throughput_kbps)
 
+    def decide(self, obs: Observation) -> Decision:
+        harmonic_mean = len(self.samples_kbps) / sum(1.0 / v for v in self.samples_kbps)
+        target = obs.manifest.ladder.highest_level_at_or_below(harmonic_mean)
+        if target is None:
+            target = 1
+        if target > obs.prev_level:
+            return Decision(obs.prev_level + 1, "festive_up")
+        if target < obs.prev_level:
+            return Decision(obs.prev_level - 1, "festive_down")
+        return Decision(obs.prev_level, "festive_hold")
 
-class OsmfState(PolicyState):
+
+class Osmf(Policy):
+    """Duration-ratio stepping, as in classic OSMF players.
+
+    ratio = chunk duration / last download time.  Clearly faster than real
+    time steps one rung up; clearly slower re-selects the highest level
+    sustainable at the previous level's bitrate scaled by the ratio.
+    """
+
     def __init__(self, up_ratio: float = 1.9, down_ratio: float = 0.9):
         if not 0.0 < down_ratio < up_ratio:
             raise ValueError(f"need 0 < down_ratio < up_ratio, got {down_ratio}, {up_ratio}")
@@ -109,128 +178,36 @@ class OsmfState(PolicyState):
         self.down_ratio = down_ratio
         self.last_download_s: float | None = None
 
-    def observe_download(self, throughput_kbps: float, duration_s: float, level: int) -> None:
+    def observe(self, throughput_kbps: float, duration_s: float) -> None:
         self.last_download_s = duration_s
 
+    def decide(self, obs: Observation) -> Decision:
+        ladder = obs.manifest.ladder
+        ratio = obs.manifest.chunk_duration_s / self.last_download_s
+        if ratio > self.up_ratio:
+            return Decision(min(obs.prev_level + 1, ladder.count), "osmf_up")
+        if ratio < self.down_ratio:
+            implied = ladder.rate_kbps(obs.prev_level) * ratio
+            level = ladder.highest_level_at_or_below(implied)
+            return Decision(level if level is not None else 1, "osmf_down")
+        return Decision(obs.prev_level, "osmf_hold")
 
-_STATE_FACTORIES = {
-    "sba": SbaState,
-    "bba": BbaState,
-    "festive": FestiveState,
-    "osmf": OsmfState,
-}
+
+POLICIES = {"sba": Sba, "bba": Bba, "festive": Festive, "osmf": Osmf}
 
 
-def make_policy_state(policy: str, params: dict | None = None) -> PolicyState:
-    """Build the persistent state object for one policy id."""
-    if policy not in _STATE_FACTORIES:
-        raise ValueError(f"unknown policy {policy!r}, expected one of {', '.join(POLICY_IDS)}")
+def make_policy(name: str, params: dict | None = None) -> Policy:
+    """Build the policy registered under `name` from its parameters."""
+    if not isinstance(name, str) or name not in POLICIES:
+        raise ValueError(f"unknown policy {name!r}, expected one of {', '.join(POLICIES)}")
     try:
-        return _STATE_FACTORIES[policy](**(params or {}))
+        return POLICIES[name](**(params or {}))
     except TypeError as exc:
-        raise ValueError(f"bad parameters for policy {policy!r}: {exc}") from exc
+        raise ValueError(f"bad parameters for policy {name!r}: {exc}") from exc
 
 
-def sba_decide(obs: Observation, state: SbaState | None = None) -> Decision:
-    """SSIM-gated adaptation.
-
-    Buffer at or under the critical threshold forces the lowest level.
-    Otherwise the candidate is the highest level priced strictly under the
-    bandwidth estimate (floor of the ladder when none is); it is fetched
-    only when switching to it would change SSIM, relative to the previous
-    chunk as displayed, by more than the mean SSIM drift seen so far.
-    Anything else holds the previous level.
-    """
+def decide(policy: Policy, obs: Observation) -> Decision:
+    """One fetch decision; chunk 1 is fetched at the lowest level by every policy."""
     if obs.chunk == 1:
         return Decision(1, "startup")
-    if obs.buffer_s <= obs.critical_threshold_s:
-        return Decision(1, "critical_drop")
-    candidate = obs.manifest.ladder.highest_level_below(obs.bandwidth_estimate_kbps)
-    if candidate is None:
-        candidate = 1
-    gain = obs.manifest.ssim_at(obs.chunk, candidate) - obs.manifest.ssim_at(
-        obs.chunk - 1, obs.prev_level
-    )
-    take = gain > obs.ssim_delta_mean
-    if state is not None and state.upgrade_only:
-        take = take and candidate > obs.prev_level
-    if take:
-        return Decision(candidate, "upgrade")
-    return Decision(obs.prev_level, "hold")
-
-
-def bba_decide(obs: Observation, state: BbaState | None = None) -> Decision:
-    """Buffer-occupancy mapping between a reservoir and a cushion."""
-    if obs.chunk == 1:
-        return Decision(1, "startup")
-    if state is None:
-        state = BbaState()
-    ladder = obs.manifest.ladder
-    reservoir = state.reservoir_frac * obs.buffer_capacity_s
-    cushion = state.cushion_frac * obs.buffer_capacity_s
-    if obs.buffer_s <= reservoir:
-        return Decision(1, "bba_reservoir")
-    if obs.buffer_s >= cushion:
-        return Decision(ladder.count, "bba_cushion")
-    r1 = ladder.levels_kbps[0]
-    top = ladder.levels_kbps[-1]
-    mapped = r1 + (top - r1) * (obs.buffer_s - reservoir) / (cushion - reservoir)
-    level = ladder.highest_level_at_or_below(mapped)
-    return Decision(level if level is not None else 1, "bba_interpolated")
-
-
-def _harmonic_mean(values) -> float:
-    return len(values) / sum(1.0 / v for v in values)
-
-
-def festive_decide(obs: Observation, state: FestiveState | None = None) -> Decision:
-    """Harmonic-mean throughput target, approached one rung per decision."""
-    if obs.chunk == 1:
-        return Decision(1, "startup")
-    if state is None or not state.samples_kbps:
-        return Decision(1, "startup")
-    target = obs.manifest.ladder.highest_level_at_or_below(_harmonic_mean(state.samples_kbps))
-    if target is None:
-        target = 1
-    if target > obs.prev_level:
-        return Decision(obs.prev_level + 1, "festive_up")
-    if target < obs.prev_level:
-        return Decision(obs.prev_level - 1, "festive_down")
-    return Decision(obs.prev_level, "festive_hold")
-
-
-def osmf_decide(obs: Observation, state: OsmfState | None = None) -> Decision:
-    """Duration-ratio stepping, as in classic OSMF players.
-
-    ratio = chunk duration / last download time.  Clearly faster than real
-    time steps one rung up; clearly slower re-selects the highest level
-    sustainable at the previous level's bitrate scaled by the ratio.
-    """
-    if obs.chunk == 1:
-        return Decision(1, "startup")
-    if state is None or state.last_download_s is None:
-        return Decision(1, "startup")
-    ladder = obs.manifest.ladder
-    ratio = obs.manifest.chunk_duration_s / state.last_download_s
-    if ratio > state.up_ratio:
-        return Decision(min(obs.prev_level + 1, ladder.count), "osmf_up")
-    if ratio < state.down_ratio:
-        implied = ladder.rate_kbps(obs.prev_level) * ratio
-        level = ladder.highest_level_at_or_below(implied)
-        return Decision(level if level is not None else 1, "osmf_down")
-    return Decision(obs.prev_level, "osmf_hold")
-
-
-_DECIDERS = {
-    "sba": sba_decide,
-    "bba": bba_decide,
-    "festive": festive_decide,
-    "osmf": osmf_decide,
-}
-
-
-def decide(policy: str, obs: Observation, state: PolicyState | None = None) -> Decision:
-    """Dispatch one decision to the named policy."""
-    if policy not in _DECIDERS:
-        raise ValueError(f"unknown policy {policy!r}, expected one of {', '.join(POLICY_IDS)}")
-    return _DECIDERS[policy](obs, state)
+    return policy.decide(obs)

@@ -3,10 +3,10 @@
 A run spec (JSON) names a manifest (or a synthesis recipe), trace files by
 glob, a list of policies and a list of (capacity, critical-threshold)
 scenarios.  Every policy x scenario x trace triple becomes one session whose
-event log and report land under the output directory:
+event log lands under the output directory; its full report is re-derived
+from that log by `session_metrics`:
 
     sessions/<policy>_bs<BS>_lc<Lc>_<trace>.jsonl   event logs
-    sessions/<policy>_bs<BS>_lc<Lc>_<trace>.report.json
     sessions.csv                                    one row per session
     aggregates.csv                                  one row per policy x scenario
     plots/<metric>.csv                              plot-ready bar-chart data
@@ -26,6 +26,7 @@ import os
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
+from .abr import POLICIES
 from .manifest import (
     NETFLIX_LADDER_KBPS,
     BitrateLadder,
@@ -35,16 +36,16 @@ from .manifest import (
     save_manifest,
     synthesize_manifest,
 )
-from .metrics import AggregateReport, SessionReport, aggregate, aggregates_csv, sessions_csv
+from .metrics import (
+    HEADLINE_METRICS,
+    AggregateReport,
+    SessionReport,
+    aggregate,
+    aggregates_csv,
+    sessions_csv,
+)
 from .simulator import SessionConfig, run_session
 from .trace import TraceError, load_trace
-
-PLOT_METRICS = (
-    ("rebuffering", "rebuffering_total_s", "rebuffering_s"),
-    ("instability", "instability", "instability"),
-    ("mean_ssim", "mean_ssim", "mean_ssim"),
-    ("mean_bitrate", "mean_bitrate_kbps", "mean_bitrate_kbps"),
-)
 
 
 class RunSpecError(ValueError):
@@ -68,22 +69,44 @@ class RunSpec:
     def __post_init__(self) -> None:
         if (self.manifest_path is None) == (self.synthesize is None):
             raise RunSpecError("spec needs exactly one of `manifest` or `synthesize`")
-        if not self.trace_globs:
-            raise RunSpecError("spec names no traces")
-        if not self.policies:
-            raise RunSpecError("spec names no policies")
-        if not self.scenarios:
-            raise RunSpecError("spec names no scenarios")
         scenarios = []
         for pair in self.scenarios:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise RunSpecError(f"scenario must be a [BS, Lc] pair, got {pair!r}")
             scenarios.append((float(pair[0]), float(pair[1])))
         self.scenarios = scenarios
-        if self.jobs is not None and self.jobs < 1:
-            raise RunSpecError(f"jobs must be >= 1, got {self.jobs}")
+        validate_runspec(self)
         if not self.output_dir:
             raise RunSpecError("spec names no output directory")
+
+
+def validate_runspec(spec: RunSpec) -> None:
+    """Reject a spec that names no work, or work no session could run.
+
+    Runs when a spec is built and again when a batch starts, because callers
+    (the CLI's overrides among them) may change fields in between.
+    """
+    if not spec.trace_globs:
+        raise RunSpecError("spec names no traces")
+    if not spec.policies:
+        raise RunSpecError("spec names no policies")
+    if not spec.scenarios:
+        raise RunSpecError("spec names no scenarios")
+    if spec.jobs is not None and (type(spec.jobs) is not int or spec.jobs < 1):
+        raise RunSpecError(f"jobs must be an integer >= 1, got {spec.jobs!r}")
+    params = spec.policy_params
+    if not isinstance(params, dict) or not all(isinstance(p, dict) for p in params.values()):
+        raise RunSpecError("policy_params must map policy ids to objects of parameters")
+    stray = sorted(set(params) - set(POLICIES))
+    if stray:
+        raise RunSpecError(f"policy_params names unknown policies: {', '.join(stray)}")
+    for policy in [*spec.policies, *params]:
+        for bs, lc in spec.scenarios:
+            try:
+                SessionConfig(policy=policy, buffer_capacity_s=bs, critical_threshold_s=lc,
+                              policy_params=params.get(policy, {}))
+            except ValueError as exc:
+                raise RunSpecError(str(exc)) from None
 
 
 def load_runspec(path: str) -> RunSpec:
@@ -117,7 +140,7 @@ def load_runspec(path: str) -> RunSpec:
             seed=int(doc.get("seed", 0)),
             jobs=doc.get("jobs"),
             loop_traces=bool(doc.get("loop_traces", False)),
-            policy_params=dict(doc.get("policy_params", {})),
+            policy_params=doc.get("policy_params", {}),
             base_dir=os.path.dirname(os.path.abspath(path)) or ".",
         )
     except RunSpecError as exc:
@@ -181,9 +204,6 @@ def _run_one(payload) -> dict:
         return {"name": name, "trace": trace_path, "report": None, "error": str(exc)}
     report = _with_label(report, os.path.splitext(os.path.basename(trace_path))[0])
     log.write(os.path.join(out_base, name + ".jsonl"))
-    with open(os.path.join(out_base, name + ".report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=1)
-        fh.write("\n")
     return {"name": name, "trace": trace_path, "report": report, "error": None}
 
 
@@ -198,8 +218,10 @@ def run_batch(spec: RunSpec) -> BatchResult:
 
     Per-session problems (unreadable trace, starved session) are collected
     into the failure list instead of aborting the batch; spec-level problems
-    (no manifest, no matching traces) raise.
+    (invalid spec, no manifest, no matching traces) raise before any output
+    directory is created.
     """
+    validate_runspec(spec)
     manifest = resolve_manifest(spec)
     trace_paths = resolve_trace_paths(spec)
     out_dir = os.path.join(spec.base_dir, spec.output_dir) if not os.path.isabs(spec.output_dir) else spec.output_dir
@@ -268,14 +290,14 @@ def run_batch(spec: RunSpec) -> BatchResult:
 
     _write_text(os.path.join(out_dir, "sessions.csv"), sessions_csv(reports))
     _write_text(os.path.join(out_dir, "aggregates.csv"), aggregates_csv(aggregates))
-    for file_stem, attr, column in PLOT_METRICS:
-        lines = [f"policy,BS,Lc,{column}"]
+    for metric in HEADLINE_METRICS:
+        lines = [f"policy,BS,Lc,{metric.column}"]
         for agg in aggregates:
             lines.append(
                 f"{agg.policy},{agg.buffer_capacity_s:g},{agg.critical_threshold_s:g},"
-                f"{getattr(agg, attr)!r}"
+                f"{getattr(agg, metric.attr)!r}"
             )
-        _write_text(os.path.join(plots_dir, file_stem + ".csv"), "\n".join(lines) + "\n")
+        _write_text(os.path.join(plots_dir, metric.plot + ".csv"), "\n".join(lines) + "\n")
     _write_text(os.path.join(out_dir, "comparison.txt"), emit_comparison_table(aggregates))
 
     echo = {
@@ -313,24 +335,18 @@ def emit_comparison_table(aggregates) -> str:
         key = (agg.buffer_capacity_s, agg.critical_threshold_s)
         if key not in scenarios:
             scenarios.append(key)
-    columns = (
-        ("rebuffering_s", "rebuffering_total_s", min, "{:.3f}"),
-        ("instability", "instability", min, "{:.3f}"),
-        ("mean_ssim", "mean_ssim", max, "{:.4f}"),
-        ("mean_bitrate_kbps", "mean_bitrate_kbps", max, "{:.3f}"),
-    )
     for bs, lc in scenarios:
         group = [a for a in aggregates if (a.buffer_capacity_s, a.critical_threshold_s) == (bs, lc)]
         counts = {a.session_count for a in group}
         count_note = f"sessions={counts.pop()}" if len(counts) == 1 else "sessions=mixed"
         lines.append(f"BS={bs:g}s Lc={lc:g}s loop={'on' if group[0].loop_trace else 'off'} {count_note}")
-        best = {title: pick(getattr(a, attr) for a in group) for title, attr, pick, _ in columns}
-        rows = [["policy"] + [title for title, *_ in columns]]
+        best = {m.attr: m.best(getattr(a, m.attr) for a in group) for m in HEADLINE_METRICS}
+        rows = [["policy"] + [m.column for m in HEADLINE_METRICS]]
         for agg in group:
             row = [agg.policy]
-            for title, attr, _, fmt in columns:
-                value = getattr(agg, attr)
-                row.append(fmt.format(value) + ("*" if value == best[title] else ""))
+            for m in HEADLINE_METRICS:
+                value = getattr(agg, m.attr)
+                row.append(m.fmt.format(value) + ("*" if value == best[m.attr] else ""))
             rows.append(row)
         widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
         for r in rows:

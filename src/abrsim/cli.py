@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .abr import POLICY_IDS
+from .abr import POLICIES
 from .batch import RunSpecError, load_runspec, run_batch
 from .manifest import (
     NETFLIX_LADDER_KBPS,
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one session, stream its event log to stdout")
     p_sim.add_argument("--manifest", required=True)
     p_sim.add_argument("--trace", required=True)
-    p_sim.add_argument("--policy", default="sba", choices=POLICY_IDS)
+    p_sim.add_argument("--policy", default="sba", choices=list(POLICIES))
     p_sim.add_argument("--bs", type=float, default=120.0, help="buffer capacity in seconds")
     p_sim.add_argument("--lc", type=float, default=12.0, help="critical buffer threshold in seconds")
     p_sim.add_argument("--loop", action="store_true", help="loop the trace")
@@ -218,7 +218,6 @@ def cmd_replay(args) -> int:
         policy=header["policy"],
         buffer_capacity_s=header["buffer_capacity_s"],
         critical_threshold_s=header["critical_threshold_s"],
-        startup_policy=header.get("startup_policy", "play_after_first_chunk"),
         loop_trace=header.get("loop_trace", False),
         policy_params=header.get("policy_params", {}),
         resume_threshold_s=header.get("resume_threshold_s", 0.0),

@@ -6,19 +6,22 @@ Four headline metrics per session:
   delay (first fetch to first displayed frame) is reported separately and
   never counted as rebuffering.
 * instability - number of level switches between consecutively displayed
-  chunks (a magnitude-weighted variant sums the rung distance instead).
+  chunks.
 * mean_ssim - mean SSIM over displayed chunks at their fetched levels.
 * mean_bitrate_kbps - mean ladder bitrate over displayed chunks.
 
 Aggregates are field-wise arithmetic means over sessions of one policy and
-scenario.  Truncated sessions are flagged partial and excluded by default.
+scenario.  Truncated sessions are flagged partial and excluded.
+HEADLINE_METRICS is the one list of the four that every CSV, plot file and
+comparison table is built from.
 """
 
 from __future__ import annotations
 
 import io
 import csv
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .manifest import VideoManifest
 
@@ -41,11 +44,6 @@ class SessionReport:
     partial: bool
     diagnostic: str
 
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["displayed"] = [list(entry) for entry in self.displayed]
-        return doc
-
 
 @dataclass(frozen=True)
 class AggregateReport:
@@ -62,14 +60,8 @@ class AggregateReport:
     startup_delay_s: float
 
 
-def session_metrics(log, manifest: VideoManifest, switch_weight: str = "count") -> SessionReport:
-    """Reduce one event log to a SessionReport.
-
-    switch_weight selects the instability flavor: "count" counts switches,
-    "level_steps" sums the absolute rung distance of each switch.
-    """
-    if switch_weight not in ("count", "level_steps"):
-        raise ValueError(f"switch_weight must be count or level_steps, got {switch_weight}")
+def session_metrics(log, manifest: VideoManifest) -> SessionReport:
+    """Reduce one event log to a SessionReport."""
     records = log.records
     if not records or records[0].get("event") != "session_start":
         raise ValueError("log does not start with a session_start record")
@@ -113,14 +105,9 @@ def session_metrics(log, manifest: VideoManifest, switch_weight: str = "count") 
 
     ssims = [manifest.ssim_at(i + 1, lvl) for i, lvl in enumerate(displayed_levels)]
     rates = [manifest.ladder.rate_kbps(lvl) for lvl in displayed_levels]
-    if switch_weight == "count":
-        instability = float(
-            sum(1 for a, b in zip(displayed_levels, displayed_levels[1:]) if a != b)
-        )
-    else:
-        instability = float(
-            sum(abs(b - a) for a, b in zip(displayed_levels, displayed_levels[1:]))
-        )
+    instability = float(
+        sum(1 for a, b in zip(displayed_levels, displayed_levels[1:]) if a != b)
+    )
     return SessionReport(
         policy=header["policy"],
         buffer_capacity_s=header["buffer_capacity_s"],
@@ -142,9 +129,9 @@ def session_metrics(log, manifest: VideoManifest, switch_weight: str = "count") 
     )
 
 
-def aggregate(reports, include_partial: bool = False) -> AggregateReport:
-    """Field-wise mean over sessions of one policy and scenario."""
-    pool = [r for r in reports if include_partial or not r.partial]
+def aggregate(reports) -> AggregateReport:
+    """Field-wise mean over the complete sessions of one policy and scenario."""
+    pool = [r for r in reports if not r.partial]
     if not pool:
         raise ValueError("no reports to aggregate")
     keys = {(r.policy, r.buffer_capacity_s, r.critical_threshold_s, r.loop_trace) for r in pool}
@@ -171,7 +158,21 @@ def aggregate(reports, include_partial: bool = False) -> AggregateReport:
     )
 
 
-AGGREGATE_CSV_COLUMNS = ("policy", "BS", "Lc", "rebuffering_s", "instability", "mean_ssim", "mean_bitrate_kbps")
+class Metric(NamedTuple):
+    column: str  # CSV column and comparison-table heading
+    attr: str  # SessionReport and AggregateReport field
+    plot: str  # plots/<plot>.csv
+    best: Callable  # min or max: which value the comparison table marks
+    fmt: str  # comparison-table format
+
+
+HEADLINE_METRICS = (
+    Metric("rebuffering_s", "rebuffering_total_s", "rebuffering", min, "{:.3f}"),
+    Metric("instability", "instability", "instability", min, "{:.3f}"),
+    Metric("mean_ssim", "mean_ssim", "mean_ssim", max, "{:.4f}"),
+    Metric("mean_bitrate_kbps", "mean_bitrate_kbps", "mean_bitrate", max, "{:.3f}"),
+)
+AGGREGATE_CSV_COLUMNS = ("policy", "BS", "Lc") + tuple(m.column for m in HEADLINE_METRICS)
 SESSION_CSV_COLUMNS = ("trace",) + AGGREGATE_CSV_COLUMNS + ("partial",)
 
 
@@ -181,19 +182,7 @@ def sessions_csv(reports) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SESSION_CSV_COLUMNS)
     for r in reports:
-        writer.writerow(
-            [
-                r.trace_label,
-                r.policy,
-                _num(r.buffer_capacity_s),
-                _num(r.critical_threshold_s),
-                _num(r.rebuffering_total_s),
-                _num(r.instability),
-                _num(r.mean_ssim),
-                _num(r.mean_bitrate_kbps),
-                int(r.partial),
-            ]
-        )
+        writer.writerow([r.trace_label, *_row(r), int(r.partial)])
     return out.getvalue()
 
 
@@ -203,18 +192,14 @@ def aggregates_csv(aggregates) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(AGGREGATE_CSV_COLUMNS)
     for a in aggregates:
-        writer.writerow(
-            [
-                a.policy,
-                _num(a.buffer_capacity_s),
-                _num(a.critical_threshold_s),
-                _num(a.rebuffering_total_s),
-                _num(a.instability),
-                _num(a.mean_ssim),
-                _num(a.mean_bitrate_kbps),
-            ]
-        )
+        writer.writerow(_row(a))
     return out.getvalue()
+
+
+def _row(report) -> list:
+    """Policy, scenario and headline metrics of one session or aggregate."""
+    head = [report.policy, _num(report.buffer_capacity_s), _num(report.critical_threshold_s)]
+    return head + [_num(getattr(report, m.attr)) for m in HEADLINE_METRICS]
 
 
 def _num(value: float) -> str:

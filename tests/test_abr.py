@@ -2,21 +2,8 @@ import random
 
 import pytest
 
-from abrsim import (
-    BbaState,
-    Decision,
-    FestiveState,
-    Observation,
-    OsmfState,
-    POLICY_IDS,
-    SbaState,
-    bba_decide,
-    decide,
-    festive_decide,
-    make_policy_state,
-    osmf_decide,
-    sba_decide,
-)
+from abrsim import POLICIES, Decision, Observation, decide, make_policy
+from abrsim.abr import Bba, Festive, Osmf, Sba
 from helpers import make_manifest, make_observation
 
 
@@ -81,16 +68,16 @@ def test_observation_rejects_bad_estimate():
 
 def test_sba_startup():
     obs = make_observation(dyadic_manifest(), chunk=1, buffer_s=0.0)
-    assert sba_decide(obs) == Decision(1, "startup")
+    assert decide(Sba(), obs) == Decision(1, "startup")
 
 
 def test_sba_critical_drop_inclusive():
     manifest = dyadic_manifest()
-    assert sba_decide(make_observation(manifest, buffer_s=10.0, prev_level=8)) == Decision(
+    assert decide(Sba(), make_observation(manifest, buffer_s=10.0, prev_level=8)) == Decision(
         1, "critical_drop"
     )
     # The threshold itself still counts as critical.
-    assert sba_decide(make_observation(manifest, buffer_s=12.0, prev_level=8)) == Decision(
+    assert decide(Sba(), make_observation(manifest, buffer_s=12.0, prev_level=8)) == Decision(
         1, "critical_drop"
     )
 
@@ -100,7 +87,7 @@ def test_sba_upgrade_when_gain_beats_drift():
     obs = make_observation(
         dyadic_manifest(), chunk=3, prev_level=4, estimate=2500.0, drift=59 / 1024
     )
-    assert sba_decide(obs) == Decision(7, "upgrade")
+    assert decide(Sba(), obs) == Decision(7, "upgrade")
 
 
 def test_sba_holds_when_gain_equals_drift():
@@ -108,24 +95,24 @@ def test_sba_holds_when_gain_equals_drift():
     obs = make_observation(
         dyadic_manifest(), chunk=3, prev_level=4, estimate=2500.0, drift=60 / 1024
     )
-    assert sba_decide(obs) == Decision(4, "hold")
+    assert decide(Sba(), obs) == Decision(4, "hold")
 
 
 def test_sba_holds_when_gain_small():
     obs = make_observation(
         dyadic_manifest(), chunk=3, prev_level=7, estimate=2500.0, drift=0.01
     )
-    assert sba_decide(obs) == Decision(7, "hold")
+    assert decide(Sba(), obs) == Decision(7, "hold")
 
 
 def test_sba_candidate_clamps_to_floor():
     # Estimate under the whole ladder: candidate is level 1.
     manifest = dyadic_manifest()
-    taken = sba_decide(
-        make_observation(manifest, prev_level=5, estimate=200.0, drift=-90 / 1024)
+    taken = decide(
+        Sba(), make_observation(manifest, prev_level=5, estimate=200.0, drift=-90 / 1024)
     )
     assert taken == Decision(1, "upgrade")
-    held = sba_decide(make_observation(manifest, prev_level=5, estimate=200.0, drift=0.0))
+    held = decide(Sba(), make_observation(manifest, prev_level=5, estimate=200.0, drift=0.0))
     assert held == Decision(5, "hold")
 
 
@@ -134,18 +121,18 @@ def test_sba_takes_literal_downgrade():
     obs = make_observation(
         dyadic_manifest(), chunk=4, prev_level=9, estimate=2500.0, drift=-50 / 1024
     )
-    assert sba_decide(obs) == Decision(7, "upgrade")
+    assert decide(Sba(), obs) == Decision(7, "upgrade")
 
 
 def test_sba_upgrade_only_blocks_downgrade():
     obs = make_observation(
         dyadic_manifest(), chunk=4, prev_level=9, estimate=2500.0, drift=-50 / 1024
     )
-    assert sba_decide(obs, SbaState(upgrade_only=True)) == Decision(9, "hold")
+    assert decide(Sba(upgrade_only=True), obs) == Decision(9, "hold")
     up = make_observation(
         dyadic_manifest(), chunk=4, prev_level=4, estimate=2500.0, drift=0.0
     )
-    assert sba_decide(up, SbaState(upgrade_only=True)) == Decision(7, "upgrade")
+    assert decide(Sba(upgrade_only=True), up) == Decision(7, "upgrade")
 
 
 def test_sba_invariant_under_constant_ssim_shift():
@@ -162,8 +149,8 @@ def test_sba_invariant_under_constant_ssim_shift():
             estimate=rng.uniform(100.0, 7000.0),
             drift=rng.randrange(-50, 51) / 1024,
         )
-        assert sba_decide(make_observation(plain, **kwargs)) == sba_decide(
-            make_observation(shifted, **kwargs)
+        assert decide(Sba(), make_observation(plain, **kwargs)) == decide(
+            Sba(), make_observation(shifted, **kwargs)
         )
 
 
@@ -171,52 +158,52 @@ def test_sba_invariant_under_constant_ssim_shift():
 
 
 def test_bba_startup():
-    assert bba_decide(make_observation(make_manifest(), chunk=1, buffer_s=0.0)) == Decision(
+    assert decide(Bba(), make_observation(make_manifest(), chunk=1, buffer_s=0.0)) == Decision(
         1, "startup"
     )
 
 
 def test_bba_reservoir_and_cushion():
     manifest = make_manifest()
-    assert bba_decide(make_observation(manifest, buffer_s=5.0)) == Decision(1, "bba_reservoir")
-    assert bba_decide(make_observation(manifest, buffer_s=12.0)) == Decision(1, "bba_reservoir")
-    assert bba_decide(make_observation(manifest, buffer_s=108.0)) == Decision(10, "bba_cushion")
-    assert bba_decide(make_observation(manifest, buffer_s=120.0)) == Decision(10, "bba_cushion")
+    assert decide(Bba(), make_observation(manifest, buffer_s=5.0)) == Decision(1, "bba_reservoir")
+    assert decide(Bba(), make_observation(manifest, buffer_s=12.0)) == Decision(1, "bba_reservoir")
+    assert decide(Bba(), make_observation(manifest, buffer_s=108.0)) == Decision(10, "bba_cushion")
+    assert decide(Bba(), make_observation(manifest, buffer_s=120.0)) == Decision(10, "bba_cushion")
 
 
 def test_bba_midpoint_maps_to_level_eight():
     # b=60 on a 120 s buffer: 235 + 5565 * 48/96 = 3017.5 -> level 8 (3000).
     obs = make_observation(make_manifest(), buffer_s=60.0, prev_level=3)
-    assert bba_decide(obs) == Decision(8, "bba_interpolated")
+    assert decide(Bba(), obs) == Decision(8, "bba_interpolated")
 
 
 def test_bba_just_above_reservoir_stays_on_floor():
     obs = make_observation(make_manifest(), buffer_s=12.5)
-    assert bba_decide(obs) == Decision(1, "bba_interpolated")
+    assert decide(Bba(), obs) == Decision(1, "bba_interpolated")
 
 
 def test_bba_monotone_in_buffer():
     manifest = make_manifest()
     prev = 0
     for i in range(0, 241):
-        level = bba_decide(make_observation(manifest, buffer_s=i * 0.5)).level
+        level = decide(Bba(), make_observation(manifest, buffer_s=i * 0.5)).level
         assert level >= prev
         prev = level
     assert prev == 10
 
 
 def test_bba_custom_fractions():
-    state = BbaState(reservoir_frac=0.2, cushion_frac=0.5)
+    policy = Bba(reservoir_frac=0.2, cushion_frac=0.5)
     manifest = make_manifest()
-    assert bba_decide(make_observation(manifest, buffer_s=20.0), state).reason == "bba_reservoir"
-    assert bba_decide(make_observation(manifest, buffer_s=60.0), state).reason == "bba_cushion"
+    assert decide(policy, make_observation(manifest, buffer_s=20.0)).reason == "bba_reservoir"
+    assert decide(policy, make_observation(manifest, buffer_s=60.0)).reason == "bba_cushion"
 
 
 def test_bba_state_validation():
     with pytest.raises(ValueError, match="reservoir_frac"):
-        BbaState(reservoir_frac=0.5, cushion_frac=0.4)
+        Bba(reservoir_frac=0.5, cushion_frac=0.4)
     with pytest.raises(ValueError, match="reservoir_frac"):
-        BbaState(reservoir_frac=0.0)
+        Bba(reservoir_frac=0.0)
 
 
 # --- festive ---
@@ -224,73 +211,70 @@ def test_bba_state_validation():
 
 def test_festive_startup_without_history():
     manifest = make_manifest()
-    assert festive_decide(make_observation(manifest, chunk=1, buffer_s=0.0)) == Decision(
-        1, "startup"
-    )
-    assert festive_decide(make_observation(manifest, chunk=3), FestiveState()) == Decision(
+    assert decide(Festive(), make_observation(manifest, chunk=1, buffer_s=0.0)) == Decision(
         1, "startup"
     )
 
 
-def fed_state(samples, window=5):
-    state = FestiveState(window=window)
+def fed_festive(samples, window=5):
+    policy = Festive(window=window)
     for s in samples:
-        state.observe_download(s, 1.0, 1)
-    return state
+        policy.observe(s, 1.0)
+    return policy
 
 
 def test_festive_steps_one_rung_toward_target():
     manifest = make_manifest()
     # Five 1000 kbps samples: harmonic mean ~1000 -> target level 4 (750).
-    state = fed_state([1000.0] * 5)
-    assert festive_decide(make_observation(manifest, prev_level=3), state) == Decision(
+    policy = fed_festive([1000.0] * 5)
+    assert decide(policy, make_observation(manifest, prev_level=3)) == Decision(
         4, "festive_up"
     )
-    assert festive_decide(make_observation(manifest, prev_level=6), state) == Decision(
+    assert decide(policy, make_observation(manifest, prev_level=6)) == Decision(
         5, "festive_down"
     )
-    assert festive_decide(make_observation(manifest, prev_level=4), state) == Decision(
+    assert decide(policy, make_observation(manifest, prev_level=4)) == Decision(
         4, "festive_hold"
     )
 
 
 def test_festive_far_target_still_one_rung():
     # Target level 7 (2350 under 2500) from prev 3 moves to 4 only.
-    state = fed_state([2500.0] * 3)
+    policy = fed_festive([2500.0] * 3)
     obs = make_observation(make_manifest(), prev_level=3)
-    assert festive_decide(obs, state) == Decision(4, "festive_up")
+    assert decide(policy, obs) == Decision(4, "festive_up")
 
 
 def test_festive_harmonic_mean_mixture():
     # HM(1000, 2000) = 1333.33 -> target level 5 (1050).
-    state = fed_state([1000.0, 2000.0])
+    policy = fed_festive([1000.0, 2000.0])
     obs = make_observation(make_manifest(), prev_level=5)
-    assert festive_decide(obs, state) == Decision(5, "festive_hold")
+    assert decide(policy, obs) == Decision(5, "festive_hold")
 
 
 def test_festive_window_evicts_old_samples():
-    state = fed_state([100.0] + [5000.0] * 5)
+    policy = fed_festive([100.0] + [5000.0] * 5)
     obs = make_observation(make_manifest(), prev_level=9)
-    assert festive_decide(obs, state) == Decision(9, "festive_hold")
+    assert decide(policy, obs) == Decision(9, "festive_hold")
 
 
 def test_festive_target_clamps_to_floor():
-    state = fed_state([50.0] * 5)
+    policy = fed_festive([50.0] * 5)
     obs = make_observation(make_manifest(), prev_level=2)
-    assert festive_decide(obs, state) == Decision(1, "festive_down")
+    assert decide(policy, obs) == Decision(1, "festive_down")
 
 
 def test_festive_ignores_buffer():
-    state = fed_state([1000.0] * 5)
+    policy = fed_festive([1000.0] * 5)
     manifest = make_manifest()
-    low = festive_decide(make_observation(manifest, buffer_s=1.0, prev_level=3), state)
-    high = festive_decide(make_observation(manifest, buffer_s=119.0, prev_level=3), state)
+    low = decide(policy, make_observation(manifest, buffer_s=1.0, prev_level=3))
+    high = decide(policy, make_observation(manifest, buffer_s=119.0, prev_level=3))
     assert low == high
 
 
 def test_festive_window_validation():
     with pytest.raises(ValueError, match="window"):
-        FestiveState(window=0)
+        Festive(window=0)
 
 
 # --- osmf ---
@@ -298,85 +282,81 @@ def test_festive_window_validation():
 
 def test_osmf_startup_without_last_download():
     manifest = make_manifest()
-    assert osmf_decide(make_observation(manifest, chunk=1, buffer_s=0.0)) == Decision(
-        1, "startup"
-    )
-    assert osmf_decide(make_observation(manifest, chunk=3), OsmfState()) == Decision(
+    assert decide(Osmf(), make_observation(manifest, chunk=1, buffer_s=0.0)) == Decision(
         1, "startup"
     )
 
 
-def osm_state(last_s, **kwargs):
-    state = OsmfState(**kwargs)
-    state.observe_download(1000.0, last_s, 1)
-    return state
+def fed_osmf(last_s, **kwargs):
+    policy = Osmf(**kwargs)
+    policy.observe(1000.0, last_s)
+    return policy
 
 
 def test_osmf_fast_download_steps_up():
     # 4 s chunk fetched in 2 s: ratio 2.0 > 1.9.
     obs = make_observation(make_manifest(), prev_level=3)
-    assert osmf_decide(obs, osm_state(2.0)) == Decision(4, "osmf_up")
+    assert decide(fed_osmf(2.0), obs) == Decision(4, "osmf_up")
 
 
 def test_osmf_up_capped_at_ladder_top():
     obs = make_observation(make_manifest(), prev_level=10)
-    assert osmf_decide(obs, osm_state(1.0)) == Decision(10, "osmf_up")
+    assert decide(fed_osmf(1.0), obs) == Decision(10, "osmf_up")
 
 
 def test_osmf_slow_download_reselects_under_implied_rate():
     # ratio = 4/4.5 = 0.889; implied = 1050 * 0.889 = 933.3 -> level 4 (750).
     obs = make_observation(make_manifest(), prev_level=5)
-    assert osmf_decide(obs, osm_state(4.5)) == Decision(4, "osmf_down")
+    assert decide(fed_osmf(4.5), obs) == Decision(4, "osmf_down")
 
 
 def test_osmf_down_clamps_to_floor():
     obs = make_observation(make_manifest(), prev_level=1)
-    assert osmf_decide(obs, osm_state(40.0)) == Decision(1, "osmf_down")
+    assert decide(fed_osmf(40.0), obs) == Decision(1, "osmf_down")
 
 
 def test_osmf_holds_in_dead_band():
     obs = make_observation(make_manifest(), prev_level=6)
-    assert osmf_decide(obs, osm_state(4.0)) == Decision(6, "osmf_hold")
-    assert osmf_decide(obs, osm_state(3.0)) == Decision(6, "osmf_hold")
+    assert decide(fed_osmf(4.0), obs) == Decision(6, "osmf_hold")
+    assert decide(fed_osmf(3.0), obs) == Decision(6, "osmf_hold")
 
 
 def test_osmf_custom_ratios():
     obs = make_observation(make_manifest(), prev_level=6)
-    assert osmf_decide(obs, osm_state(3.5, up_ratio=1.1)) == Decision(7, "osmf_up")
+    assert decide(fed_osmf(3.5, up_ratio=1.1), obs) == Decision(7, "osmf_up")
     with pytest.raises(ValueError, match="down_ratio"):
-        OsmfState(up_ratio=0.5, down_ratio=0.9)
+        Osmf(up_ratio=0.5, down_ratio=0.9)
 
 
-# --- dispatch and state construction ---
+# --- registry and dispatch ---
 
 
 def test_all_policies_start_on_floor():
     manifest = make_manifest()
     obs = make_observation(manifest, chunk=1, buffer_s=0.0)
-    for policy in POLICY_IDS:
-        assert decide(policy, obs, make_policy_state(policy)) == Decision(1, "startup")
+    for name in POLICIES:
+        assert decide(make_policy(name), obs) == Decision(1, "startup")
 
 
 def test_decide_rejects_unknown_policy():
-    obs = make_observation(make_manifest())
+    with pytest.raises(ValueError, match="unknown policy 'rate_hog'"):
+        make_policy("rate_hog")
     with pytest.raises(ValueError, match="sba, bba, festive, osmf"):
-        decide("rate_hog", obs)
-    with pytest.raises(ValueError, match="unknown policy"):
-        make_policy_state("rate_hog")
+        make_policy(["sba"])
 
 
-def test_make_policy_state_rejects_bad_params():
+def test_make_policy_rejects_bad_params():
     with pytest.raises(ValueError, match="bad parameters"):
-        make_policy_state("bba", {"bogus": 1})
-    state = make_policy_state("festive", {"window": 2})
-    state.observe_download(100.0, 1.0, 1)
-    state.observe_download(900.0, 1.0, 1)
-    state.observe_download(900.0, 1.0, 1)
-    assert list(state.samples_kbps) == [900.0, 900.0]
+        make_policy("bba", {"bogus": 1})
+    policy = make_policy("festive", {"window": 2})
+    policy.observe(100.0, 1.0)
+    policy.observe(900.0, 1.0)
+    policy.observe(900.0, 1.0)
+    assert list(policy.samples_kbps) == [900.0, 900.0]
 
 
 def test_decisions_are_repeatable():
     obs = make_observation(dyadic_manifest(), prev_level=4, estimate=2500.0)
-    state = SbaState()
-    first = sba_decide(obs, state)
-    assert all(sba_decide(obs, state) == first for _ in range(5))
+    policy = Sba()
+    first = decide(policy, obs)
+    assert all(decide(policy, obs) == first for _ in range(5))

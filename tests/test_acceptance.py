@@ -15,13 +15,14 @@ import time
 from fractions import Fraction
 
 from abrsim import (
-    POLICY_IDS,
+    POLICIES,
     BandwidthTrace,
     Observation,
     SessionConfig,
     SessionEventLog,
     SsimVariationHistory,
     ThroughputHistory,
+    decide,
     download_finish_time,
     estimated_bandwidth_kbps,
     load_manifest,
@@ -29,13 +30,13 @@ from abrsim import (
     mean_ssim_delta,
     record_display_transition,
     record_download,
-    replay_check,
+    replay_diff,
     run_batch,
     run_session,
-    sba_decide,
     session_metrics,
     transferred_kilobits,
 )
+from abrsim.abr import Sba
 from helpers import constant_trace, make_manifest, monotone_rows, random_trace
 
 SCENARIO_DIR = os.path.normpath(
@@ -63,7 +64,6 @@ def config_from_header(header):
         policy=header["policy"],
         buffer_capacity_s=header["buffer_capacity_s"],
         critical_threshold_s=header["critical_threshold_s"],
-        startup_policy=header["startup_policy"],
         loop_trace=header["loop_trace"],
         policy_params=header["policy_params"],
         resume_threshold_s=header["resume_threshold_s"],
@@ -162,7 +162,7 @@ def test_estimator_oracles_over_randomized_logs():
     for i in range(20):
         trace = random_trace(rng, segments=rng.randint(2, 6),
                              rate_range=(300.0, 7000.0), loop=True)
-        policy = POLICY_IDS[i % len(POLICY_IDS)]
+        policy = list(POLICIES)[i % len(POLICIES)]
         log, _ = run_session(manifest, trace, SessionConfig(policy=policy, loop_trace=True))
         dones = {r["chunk"]: r for r in log.events("download_complete")}
         samples, deltas, level_of, sent_at = [], [], {}, {}
@@ -263,7 +263,7 @@ def test_decision_oracle_over_random_observations():
             manifest=manifest,
         )
         want_level, want_reason = oracle_decision(obs)
-        got = sba_decide(obs)
+        got = decide(Sba(), obs)
         if (got.level, got.reason) != (want_level, want_reason):
             failures.append(
                 f"trial {trial}: got {(got.level, got.reason)} want {(want_level, want_reason)}"
@@ -506,7 +506,7 @@ def replay_pool():
     rng = random.Random(808)
     entries = []
     manifest = make_manifest(chunks=25, ssim=monotone_rows(25, 10))
-    for policy in POLICY_IDS * 3:
+    for policy in list(POLICIES) * 3:
         trace = random_trace(rng, segments=rng.randint(2, 6),
                              rate_range=(250.0, 7000.0), loop=True)
         log, _ = run_session(manifest, trace, SessionConfig(policy=policy, loop_trace=True))
@@ -527,7 +527,7 @@ def test_replay_verifies_and_detects_tampering():
     entries = replay_pool()
     failures = []
     for idx, (log, manifest) in enumerate(entries):
-        if not replay_check(log, manifest, config_from_header(log.header)):
+        if replay_diff(log, manifest, config_from_header(log.header)):
             failures.append(f"log {idx}: clean log failed verification")
 
     # The header is the replay contract (it configures the re-run) and the
@@ -558,7 +558,7 @@ def test_replay_verifies_and_detects_tampering():
         else:
             rec[key] = str(value) + "_tampered"
         trials += 1
-        if replay_check(tampered, manifest, config_from_header(log.header)):
+        if not replay_diff(tampered, manifest, config_from_header(log.header)):
             undetected.append(f"trial {trials}: {rec.get('event')}.{key} = {rec[key]!r}")
     failures.extend(undetected)
     conclude(

@@ -187,7 +187,7 @@ def test_run_batch_writes_all_artifacts(tmp_path):
         "bba_bs120_lc12_trace_0.jsonl", "bba_bs120_lc12_trace_1.jsonl",
         "sba_bs120_lc12_trace_0.jsonl", "sba_bs120_lc12_trace_1.jsonl",
     ]
-    assert len(list((out / "sessions").glob("*.report.json"))) == 4
+    assert sorted(p.name for p in (out / "sessions").iterdir()) == logs
 
     rows = (out / "sessions.csv").read_text().splitlines()
     assert len(rows) == 5
@@ -224,14 +224,17 @@ def test_run_batch_collects_starvation_failures(tmp_path):
 
 
 def test_run_batch_reports_bad_policy_params(tmp_path):
-    path = write_workspace(
-        tmp_path, policies=["sba"], jobs=1,
-        policy_params={"sba": {"bogus": True}},
-    )
-    result = run_batch(load_runspec(path))
-    assert not result.ok
-    assert all(f["kind"] in ("error", "no_complete_sessions") for f in result.failures)
-    assert any("bad parameters" in f["detail"] for f in result.failures if f["kind"] == "error")
+    # Parameters the policy rejects fail the whole spec, before any session
+    # runs or any output is written, both at load and when set afterwards.
+    bad = {"sba": {"bogus": True}}
+    path = write_workspace(tmp_path, policies=["sba"], jobs=1, policy_params=bad)
+    with pytest.raises(RunSpecError, match="bad parameters for policy 'sba'"):
+        load_runspec(path)
+    spec = load_runspec(write_workspace(tmp_path, policies=["sba"], jobs=1))
+    spec.policy_params = bad
+    with pytest.raises(RunSpecError, match="bad parameters for policy 'sba'"):
+        run_batch(spec)
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_batch_passes_policy_params_through(tmp_path):
@@ -270,7 +273,6 @@ def test_run_batch_is_deterministic(tmp_path):
         "sessions.csv", "aggregates.csv", "comparison.txt", "run_config.json",
         os.path.join("plots", "mean_ssim.csv"),
         os.path.join("sessions", "sba_bs120_lc12_trace_0.jsonl"),
-        os.path.join("sessions", "sba_bs120_lc12_trace_0.report.json"),
     ]
     for rel in compare:
         a = (tmp_path / "out1" / rel).read_bytes()

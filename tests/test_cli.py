@@ -2,8 +2,18 @@ import json
 
 import pytest
 
-from abrsim import SessionEventLog, load_manifest, save_manifest, save_trace
-from abrsim.cli import OUTPUT_DIR_ENV, main
+from abrsim import (
+    POLICIES,
+    RunSpecError,
+    SessionConfig,
+    SessionEventLog,
+    load_manifest,
+    load_runspec,
+    save_manifest,
+    save_trace,
+)
+from abrsim.batch import validate_runspec
+from abrsim.cli import OUTPUT_DIR_ENV, build_parser, main
 from helpers import constant_trace, make_manifest
 
 
@@ -30,6 +40,22 @@ def test_parser_requires_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_every_entry_point_accepts_exactly_the_registered_policies(workspace):
+    simulate = build_parser()._subparsers._group_actions[0].choices["simulate"]
+    choices = next(a.choices for a in simulate._actions if a.dest == "policy")
+    assert list(choices) == list(POLICIES)
+    spec = load_runspec(str(workspace / "spec.json"))
+    spec.policies = list(POLICIES)
+    validate_runspec(spec)
+    for name in POLICIES:
+        assert SessionConfig(policy=name).policy == name
+    spec.policies = ["rate_hog"]
+    with pytest.raises(RunSpecError, match="unknown policy"):
+        validate_runspec(spec)
+    with pytest.raises(ValueError, match="unknown policy"):
+        SessionConfig(policy="rate_hog")
 
 
 def test_parser_rejects_unknown_policy_choice(workspace):
@@ -288,3 +314,37 @@ def test_run_with_failures_exits_one(workspace, capsys):
     captured = capsys.readouterr()
     assert "failures recorded" in captured.err
     assert (workspace / "out" / "failures.json").is_file()
+
+
+# --- run spec validation: exit 2 before any session runs or output exists ---
+
+
+def rewrite_spec(workspace, **fields):
+    doc = json.loads((workspace / "spec.json").read_text())
+    doc.update(fields)
+    (workspace / "spec.json").write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"policies": ["sba", "rate_hog"]}, "unknown policy 'rate_hog'"),
+    ({"policy_params": {"bba": {"bogus": 1}}}, "bad parameters for policy 'bba'"),
+    ({"policy_params": {"rate_hog": {}}}, "policy_params names unknown policies: rate_hog"),
+    ({"scenarios": [[120, 12], [12, 12]]}, "critical threshold < buffer capacity"),
+    ({"jobs": "2"}, "jobs must be an integer >= 1, got '2'"),
+], ids=["unknown-policy", "bad-params", "params-of-unknown-policy", "lc-not-below-bs", "string-jobs"])
+def test_run_rejects_invalid_spec(workspace, capsys, fields, message):
+    rewrite_spec(workspace, **fields)
+    assert main(["run", "--spec", str(workspace / "spec.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--policies", "sba,rate_hog"], "unknown policy 'rate_hog'"),
+    (["--scenarios", "120:12,10:12"], "critical threshold < buffer capacity"),
+    (["--jobs", "0"], "jobs must be an integer >= 1, got 0"),
+], ids=["unknown-policy", "lc-not-below-bs", "zero-jobs"])
+def test_run_rejects_invalid_overrides(workspace, capsys, flags, message):
+    assert main(["run", "--spec", str(workspace / "spec.json"), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not (workspace / "out").exists()

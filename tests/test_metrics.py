@@ -72,17 +72,6 @@ def test_instability_counts_switches():
     assert report.mean_bitrate_kbps == (235.0 * 3 + 560.0 * 2) / 5
 
 
-def test_instability_level_steps_weighting():
-    log = log_of([1, 1, 3, 3, 1], end_s=21.0)
-    report = session_metrics(log, manifest3(5), switch_weight="level_steps")
-    assert report.instability == 4.0
-
-
-def test_switch_weight_validated():
-    with pytest.raises(ValueError, match="switch_weight"):
-        session_metrics(log_of([1], end_s=5.0), manifest3(1), switch_weight="sum")
-
-
 def test_mean_ssim_over_displayed_chunks():
     rows = ((0.9, 0.95), (0.95, 0.96), (1.0, 1.0))
     manifest = make_manifest(chunks=3, rates=(235, 375), ssim=rows)
@@ -185,7 +174,6 @@ def test_aggregate_excludes_partial_by_default():
     ok = report_of(rebuffering_total_s=2.0)
     broken = report_of(rebuffering_total_s=100.0, partial=True)
     assert aggregate([ok, broken]).rebuffering_total_s == 2.0
-    assert aggregate([ok, broken], include_partial=True).rebuffering_total_s == 51.0
 
 
 def test_aggregate_rejects_mixed_configurations():

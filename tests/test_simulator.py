@@ -8,7 +8,6 @@ from abrsim import (
     SessionConfig,
     SessionEventLog,
     download_finish_time,
-    replay_check,
     replay_diff,
     run_session,
 )
@@ -24,7 +23,6 @@ def config_from_header(header):
         policy=header["policy"],
         buffer_capacity_s=header["buffer_capacity_s"],
         critical_threshold_s=header["critical_threshold_s"],
-        startup_policy=header["startup_policy"],
         loop_trace=header["loop_trace"],
         policy_params=header["policy_params"],
         resume_threshold_s=header["resume_threshold_s"],
@@ -37,6 +35,8 @@ def config_from_header(header):
 def test_config_rejects_unknown_policy():
     with pytest.raises(ValueError, match="unknown policy"):
         SessionConfig(policy="rate_hog")
+    with pytest.raises(ValueError, match="bad parameters"):
+        SessionConfig(policy="bba", policy_params={"bogus": 1})
 
 
 def test_config_rejects_bad_threshold():
@@ -44,11 +44,9 @@ def test_config_rejects_bad_threshold():
         SessionConfig(critical_threshold_s=120.0, buffer_capacity_s=120.0)
 
 
-def test_config_rejects_bad_resume_and_tolerance():
+def test_config_rejects_bad_resume_threshold():
     with pytest.raises(ValueError, match="resume threshold"):
         SessionConfig(resume_threshold_s=-1.0)
-    with pytest.raises(ValueError, match="tolerance"):
-        SessionConfig(tolerance_s=0.0)
 
 
 def test_run_rejects_capacity_below_chunk():
@@ -56,6 +54,17 @@ def test_run_rejects_capacity_below_chunk():
     with pytest.raises(ValueError, match="cannot hold"):
         run_session(manifest, constant_trace(1000.0), sba_config(
             buffer_capacity_s=3.0, critical_threshold_s=1.0))
+
+
+def test_run_rejects_capacity_equal_to_chunk():
+    # At capacity == chunk duration the fetch gate opens only on an empty
+    # buffer, which round-off can leave a hair below zero; on this link it
+    # did, and the session crashed inside Observation.
+    manifest = make_manifest(chunks=20)
+    for lc in (1.0, 2.0, 3.0):
+        with pytest.raises(ValueError, match="cannot hold"):
+            run_session(manifest, constant_trace(1000.0), sba_config(
+                buffer_capacity_s=4.0, critical_threshold_s=lc))
 
 
 def test_run_rejects_unreachable_resume_threshold():
@@ -247,14 +256,14 @@ def replayable_log():
 
 def test_replay_accepts_faithful_log():
     manifest, log = replayable_log()
-    assert replay_check(log, manifest, config_from_header(log.header))
+    assert not replay_diff(log, manifest, config_from_header(log.header))
 
 
 def test_replay_accepts_truncated_log():
     manifest = make_manifest(chunks=2, rates=(235, 375))
     log, _ = run_session(manifest, constant_trace(100.0, until_s=10.0), sba_config())
     assert log.records[-1]["event"] == "session_truncated"
-    assert replay_check(log, manifest, config_from_header(log.header))
+    assert not replay_diff(log, manifest, config_from_header(log.header))
 
 
 def test_replay_flags_tampered_level():
@@ -270,7 +279,7 @@ def test_replay_flags_shifted_completion():
     manifest, log = replayable_log()
     tampered = SessionEventLog(copy.deepcopy(log.records))
     tampered.events("download_complete")[2]["time_s"] += 0.5
-    assert not replay_check(tampered, manifest, config_from_header(log.header))
+    assert replay_diff(tampered, manifest, config_from_header(log.header))
 
 
 def test_replay_tolerates_sub_tolerance_jitter():
@@ -278,7 +287,20 @@ def test_replay_tolerates_sub_tolerance_jitter():
     jittered = SessionEventLog(copy.deepcopy(log.records))
     rec = jittered.events("download_complete")[2]
     rec["time_s"] += 1e-12
-    assert replay_check(jittered, manifest, config_from_header(log.header))
+    assert not replay_diff(jittered, manifest, config_from_header(log.header))
+
+
+def test_replay_verifies_startup_policy_header():
+    # The field has one value and no config knob, but it is still written
+    # and still compared, so an edited header does not verify.
+    manifest, log = replayable_log()
+    edited = SessionEventLog(copy.deepcopy(log.records))
+    edited.records[0]["startup_policy"] = "play_after_two_chunks"
+    diffs = replay_diff(edited, manifest, config_from_header(log.header))
+    assert diffs == [
+        "record 0 (session_start): startup_policy logged 'play_after_two_chunks', "
+        "replay 'play_after_first_chunk'"
+    ]
 
 
 def test_replay_flags_dropped_record():
