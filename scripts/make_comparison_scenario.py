@@ -10,15 +10,14 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from abrsim import (
-    BitrateLadder,
+from abrsim.manifest import (
     NETFLIX_LADDER_KBPS,
+    BitrateLadder,
     SaturationProfile,
     save_manifest,
-    save_trace,
     synthesize_manifest,
-    synthesize_oscillating_trace,
 )
+from abrsim.trace import save_trace, synthesize_oscillating_trace
 
 CHUNKS = 150
 CHUNK_DURATION_S = 4.0

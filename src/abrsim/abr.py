@@ -27,6 +27,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+from .estimators import RunningMean
 from .manifest import VideoManifest
 
 
@@ -152,7 +153,10 @@ class Festive(Policy):
         self.samples_kbps.append(throughput_kbps)
 
     def decide(self, obs: Observation) -> Decision:
-        harmonic_mean = len(self.samples_kbps) / sum(1.0 / v for v in self.samples_kbps)
+        inverse = RunningMean()
+        for v in self.samples_kbps:
+            inverse.add(1.0 / v)
+        harmonic_mean = inverse.count / inverse.total  # not 1 / mean: that rounds twice
         target = obs.manifest.ladder.highest_level_at_or_below(harmonic_mean)
         if target is None:
             target = 1

@@ -73,7 +73,10 @@ class RunSpec:
         for pair in self.scenarios:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise RunSpecError(f"scenario must be a [BS, Lc] pair, got {pair!r}")
-            scenarios.append((float(pair[0]), float(pair[1])))
+            try:
+                scenarios.append((float(pair[0]), float(pair[1])))
+            except (TypeError, ValueError):
+                raise RunSpecError(f"scenario values must be numbers, got {pair!r}") from None
         self.scenarios = scenarios
         validate_runspec(self)
         if not self.output_dir:
@@ -223,6 +226,12 @@ def run_batch(spec: RunSpec) -> BatchResult:
     """
     validate_runspec(spec)
     manifest = resolve_manifest(spec)
+    for bs, _ in spec.scenarios:
+        if bs <= manifest.chunk_duration_s:
+            raise RunSpecError(
+                f"buffer capacity {bs:g}s must exceed the manifest's "
+                f"{manifest.chunk_duration_s:g}s chunk duration"
+            )
     trace_paths = resolve_trace_paths(spec)
     out_dir = os.path.join(spec.base_dir, spec.output_dir) if not os.path.isabs(spec.output_dir) else spec.output_dir
     sessions_dir = os.path.join(out_dir, "sessions")

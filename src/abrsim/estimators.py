@@ -1,98 +1,44 @@
-"""Causal session statistics consumed by adaptation policies.
+"""The one running mean behind every float average in abrsim.
 
-Two running histories are kept while a session plays out:
+The engine keeps two while a session plays out: the mean throughput of the
+downloads completed so far (the bandwidth estimate for the next decision,
+the lowest ladder rate before any download completes) and the mean signed
+SSIM change between consecutively displayed chunks (the drift a
+quality-gated policy compares candidate upgrades against).  Festive's
+harmonic mean and the session and aggregate metrics use it too.
 
-* ThroughputHistory records one consumed-throughput sample per completed
-  download (volume / wall time).  Its mean over the first l-1 downloads is
-  the bandwidth estimate used when deciding chunk l; before any download
-  completes the estimate falls back to the lowest ladder rate.
-
-* SsimVariationHistory records the signed SSIM change at each displayed
-  chunk transition.  Its mean is the adaptive threshold a quality-gated
-  policy compares candidate upgrades against.  Both quantities use only
-  data available strictly before the decision they feed.
+Values are added left to right onto a total that starts at 0.0.  Builtin
+`sum()` did the same up to Python 3.11, but from 3.12 on it uses compensated
+summation, which changes the last bits of some means and so the bytes of
+event logs and CSVs.  With the order fixed here, every supported interpreter
+writes the same output, and each decision costs O(1) however long the
+session.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-from .manifest import VideoManifest
+class RunningMean:
+    """Left-to-right total and count of the values added so far."""
 
+    __slots__ = ("total", "count")
 
-@dataclass
-class ThroughputHistory:
-    """Per-download throughput samples in kbps, in completion order."""
+    def __init__(self) -> None:
+        self.total = 0.0
+        self.count = 0
 
-    samples_kbps: list[float] = field(default_factory=list)
+    def add(self, value: float) -> None:
+        self.total += value
+        self.count += 1
 
-
-def record_download(
-    history: ThroughputHistory,
-    send_time_s: float,
-    finish_time_s: float,
-    volume_kilobits: float,
-) -> float:
-    """Append the throughput of one completed download and return it."""
-    if finish_time_s <= send_time_s:
-        raise ValueError(f"download must take positive time, got [{send_time_s}, {finish_time_s}]")
-    if volume_kilobits <= 0:
-        raise ValueError(f"volume must be > 0, got {volume_kilobits}")
-    sample = volume_kilobits / (finish_time_s - send_time_s)
-    history.samples_kbps.append(sample)
-    return sample
+    def mean(self, empty: float = 0.0) -> float:
+        """total / count, or `empty` before any value was added."""
+        return self.total / self.count if self.count else empty
 
 
-def estimated_bandwidth_kbps(history: ThroughputHistory, chunk: int, fallback_kbps: float) -> float:
-    """Arithmetic mean of the throughput seen before deciding `chunk`.
-
-    Only the first chunk-1 samples are eligible, so the estimate for a past
-    decision can be recomputed from a longer history.  With no eligible
-    samples (chunk 1) the fallback rate is returned.
-    """
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    eligible = history.samples_kbps[: chunk - 1]
-    if not eligible:
-        return fallback_kbps
-    return sum(eligible) / len(eligible)
-
-
-@dataclass
-class SsimVariationHistory:
-    """Signed SSIM deltas between consecutively displayed chunks.
-
-    deltas[k] is the change at the transition into chunk k+2: the SSIM of
-    chunk k+2 at its fetched level minus the SSIM of chunk k+1 at its own.
-    """
-
-    deltas: list[float] = field(default_factory=list)
-
-
-def record_display_transition(
-    history: SsimVariationHistory,
-    manifest: VideoManifest,
-    chunk: int,
-    prev_level: int,
-    level: int,
-) -> float:
-    """Append the SSIM delta of the transition into `chunk` and return it."""
-    if chunk < 2:
-        raise ValueError(f"transitions start at chunk 2, got {chunk}")
-    delta = manifest.ssim_at(chunk, level) - manifest.ssim_at(chunk - 1, prev_level)
-    history.deltas.append(delta)
-    return delta
-
-
-def mean_ssim_delta(history: SsimVariationHistory, chunk: int) -> float:
-    """Mean of the deltas known when deciding `chunk`; 0 with none yet.
-
-    Deltas for transitions into chunks 2..chunk-1 are eligible, i.e. the
-    first chunk-2 recorded entries.
-    """
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    eligible = history.deltas[: max(chunk - 2, 0)]
-    if not eligible:
-        return 0.0
-    return sum(eligible) / len(eligible)
+def mean(values) -> float:
+    """Left-to-right mean of `values`; 0.0 when there are none."""
+    acc = RunningMean()
+    for value in values:
+        acc.add(value)
+    return acc.mean()

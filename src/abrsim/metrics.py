@@ -23,6 +23,7 @@ import csv
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from .estimators import mean
 from .manifest import VideoManifest
 
 
@@ -118,8 +119,8 @@ def session_metrics(log, manifest: VideoManifest) -> SessionReport:
         rebuffering_total_s=stall_total,
         rebuffer_count=stall_count,
         instability=instability,
-        mean_ssim=sum(ssims) / len(ssims) if ssims else 0.0,
-        mean_bitrate_kbps=sum(rates) / len(rates) if rates else 0.0,
+        mean_ssim=mean(ssims),
+        mean_bitrate_kbps=mean(rates),
         displayed=tuple(
             (lvl, ssims[i], rates[i]) for i, lvl in enumerate(displayed_levels)
         ),
@@ -137,24 +138,19 @@ def aggregate(reports) -> AggregateReport:
     keys = {(r.policy, r.buffer_capacity_s, r.critical_threshold_s, r.loop_trace) for r in pool}
     if len(keys) > 1:
         raise ValueError(f"refusing to aggregate across mixed configurations: {sorted(keys)}")
-    n = len(pool)
-
-    def mean(values) -> float:
-        return sum(values) / n
-
     sample = pool[0]
     return AggregateReport(
         policy=sample.policy,
         buffer_capacity_s=sample.buffer_capacity_s,
         critical_threshold_s=sample.critical_threshold_s,
         loop_trace=sample.loop_trace,
-        session_count=n,
-        rebuffering_total_s=mean([r.rebuffering_total_s for r in pool]),
-        rebuffer_count=mean([r.rebuffer_count for r in pool]),
-        instability=mean([r.instability for r in pool]),
-        mean_ssim=mean([r.mean_ssim for r in pool]),
-        mean_bitrate_kbps=mean([r.mean_bitrate_kbps for r in pool]),
-        startup_delay_s=mean([r.startup_delay_s or 0.0 for r in pool]),
+        session_count=len(pool),
+        rebuffering_total_s=mean(r.rebuffering_total_s for r in pool),
+        rebuffer_count=mean(r.rebuffer_count for r in pool),
+        instability=mean(r.instability for r in pool),
+        mean_ssim=mean(r.mean_ssim for r in pool),
+        mean_bitrate_kbps=mean(r.mean_bitrate_kbps for r in pool),
+        startup_delay_s=mean(r.startup_delay_s or 0.0 for r in pool),
     )
 
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-from . import estimators
 from .abr import Observation, decide, make_policy
+from .estimators import RunningMean
 from .manifest import VideoManifest
 from .metrics import SessionReport, session_metrics
 from .trace import BandwidthTrace, TraceExhaustedError, download_finish_time
@@ -51,6 +51,8 @@ class SessionConfig:
     resume_threshold_s: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.policy_params, dict):
+            raise ValueError(f"policy_params must be an object, got {self.policy_params!r}")
         make_policy(self.policy, self.policy_params)  # raises on an unknown id or bad parameters
         if not 0.0 < self.critical_threshold_s < self.buffer_capacity_s:
             raise ValueError(
@@ -143,8 +145,10 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
         )
     floor_rate = manifest.ladder.rate_kbps(1)
 
-    tput_hist = estimators.ThroughputHistory()
-    ssim_hist = estimators.SsimVariationHistory()
+    # Deciding chunk l sees the throughput of downloads 1..l-1 and the SSIM
+    # deltas of the transitions into chunks 2..l-1.
+    throughput_mean = RunningMean()
+    drift_mean = RunningMean()
     policy = make_policy(config.policy, config.policy_params)
 
     log = SessionEventLog()
@@ -219,8 +223,8 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
         # Returns False when the trace cannot deliver the chunk (session
         # truncates); logs the attempt either way.
         nonlocal in_flight, last_level
-        estimate = estimators.estimated_bandwidth_kbps(tput_hist, chunk, floor_rate)
-        drift = estimators.mean_ssim_delta(ssim_hist, chunk)
+        estimate = throughput_mean.mean(floor_rate)
+        drift = drift_mean.mean()
         obs = Observation(
             chunk=chunk,
             buffer_s=buffer,
@@ -233,8 +237,8 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
         )
         decision = decide(policy, obs)
         if chunk >= 2:
-            estimators.record_display_transition(
-                ssim_hist, manifest, chunk, last_level, decision.level
+            drift_mean.add(
+                manifest.ssim_at(chunk, decision.level) - manifest.ssim_at(chunk - 1, last_level)
             )
         log.records.append(
             {
@@ -286,7 +290,7 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
                 {"event": "download_complete", "time_s": finish_t, "chunk": chunk,
                  "throughput_kbps": throughput}
             )
-            estimators.record_download(tput_hist, send_t, finish_t, volume)
+            throughput_mean.add(throughput)
             policy.observe(throughput, finish_t - send_t)
             if not started:
                 started = True

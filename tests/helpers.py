@@ -2,13 +2,9 @@
 
 import random
 
-from abrsim import (
-    BandwidthTrace,
-    BitrateLadder,
-    NETFLIX_LADDER_KBPS,
-    Observation,
-    VideoManifest,
-)
+from abrsim.abr import Observation
+from abrsim.manifest import NETFLIX_LADDER_KBPS, BitrateLadder, VideoManifest
+from abrsim.trace import BandwidthTrace
 
 
 def make_ladder(rates=NETFLIX_LADDER_KBPS) -> BitrateLadder:

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from abrsim import POLICIES, Decision, Observation, decide, make_policy
-from abrsim.abr import Bba, Festive, Osmf, Sba
+from abrsim import POLICIES, decide, make_policy
+from abrsim.abr import Bba, Decision, Festive, Observation, Osmf, Sba
 from helpers import make_manifest, make_observation
 
 

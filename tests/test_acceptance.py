@@ -9,6 +9,8 @@ system under test; nothing is copied from implementation output.
 import bisect
 import copy
 import glob
+import hashlib
+import json
 import os
 import random
 import time
@@ -16,27 +18,19 @@ from fractions import Fraction
 
 from abrsim import (
     POLICIES,
-    BandwidthTrace,
-    Observation,
     SessionConfig,
-    SessionEventLog,
-    SsimVariationHistory,
-    ThroughputHistory,
     decide,
-    download_finish_time,
-    estimated_bandwidth_kbps,
     load_manifest,
     load_runspec,
-    mean_ssim_delta,
-    record_display_transition,
-    record_download,
     replay_diff,
     run_batch,
     run_session,
     session_metrics,
-    transferred_kilobits,
 )
-from abrsim.abr import Sba
+from abrsim.abr import Observation, Sba
+from abrsim.estimators import RunningMean
+from abrsim.simulator import SessionEventLog
+from abrsim.trace import BandwidthTrace, download_finish_time, transferred_kilobits
 from helpers import constant_trace, make_manifest, monotone_rows, random_trace
 
 SCENARIO_DIR = os.path.normpath(
@@ -94,65 +88,30 @@ def test_estimator_oracles_over_randomized_logs():
             t += dur + rng.uniform(0.0, 2.0)
         manifest = make_manifest(chunks=chunks, ssim=random_rows(rng, chunks, 10))
 
-        tput = ThroughputHistory()
-        svh = SsimVariationHistory()
-        returned = [record_download(tput, s, f, v) for s, f, v in downloads]
-        for c in range(2, chunks + 1):
-            record_display_transition(svh, manifest, c, levels[c - 2], levels[c - 1])
-
-        # Consumed throughput: volume over wall time, exactly.
-        for (s, f, v), got in zip(downloads, returned):
-            if got != v / (f - s):
-                failures.append(f"trial {trial}: throughput {got} != {v / (f - s)}")
-            exact = Fraction(v) / (Fraction(f) - Fraction(s))
-            if abs(Fraction(got) - exact) > abs(exact) * rel:
-                failures.append(f"trial {trial}: throughput drifts from rational value")
-
-        # Bandwidth estimate: mean of the first chunk-1 samples.
-        prefix = [Fraction(0)]
-        for sample in tput.samples_kbps:
-            prefix.append(prefix[-1] + Fraction(sample))
-        for chunk in range(1, chunks + 2):
-            got = estimated_bandwidth_kbps(tput, chunk, 235.0)
-            eligible = tput.samples_kbps[: chunk - 1]
-            if not eligible:
-                if got != 235.0:
-                    failures.append(f"trial {trial}: fallback estimate {got}")
-                continue
-            acc = 0.0
-            for sample in eligible:
-                acc += sample
-            if got != acc / len(eligible):
-                failures.append(f"trial {trial}: estimate chunk {chunk}: {got}")
-            exact = prefix[len(eligible)] / len(eligible)
-            if abs(Fraction(got) - exact) > abs(exact) * rel:
-                failures.append(f"trial {trial}: estimate chunk {chunk} drifts from rational")
-
-        # SSIM drift: mean of deltas for transitions into chunks 2..l-1,
-        # with the deltas themselves recomputed from the manifest.
-        oracle_deltas = [
+        samples = [v / (f - s) for s, f, v in downloads]
+        deltas = [
             manifest.ssim_at(c, levels[c - 1]) - manifest.ssim_at(c - 1, levels[c - 2])
             for c in range(2, chunks + 1)
         ]
-        dprefix = [Fraction(0)]
-        for d in oracle_deltas:
-            dprefix.append(dprefix[-1] + Fraction(d))
-        for chunk in range(1, chunks + 2):
-            got = mean_ssim_delta(svh, chunk)
-            k = min(max(chunk - 2, 0), len(oracle_deltas))
-            if k == 0:
-                if got != 0.0:
-                    failures.append(f"trial {trial}: drift before data {got}")
-                continue
-            acc = 0.0
-            for d in oracle_deltas[:k]:
-                acc += d
-            if got != acc / k:
-                failures.append(f"trial {trial}: drift chunk {chunk}: {got}")
-            exact = dprefix[k] / k
-            bound = abs(exact) * rel if exact else rel
-            if abs(Fraction(got) - exact) > bound:
-                failures.append(f"trial {trial}: drift chunk {chunk} leaves rational bound")
+
+        # After each value, the running mean equals a left-to-right fold and
+        # stays within rational rounding of the exact mean; with no value yet
+        # it returns the caller's fallback (the floor rate, or 0 drift).
+        for label, values, empty in (("estimate", samples, 235.0), ("drift", deltas, 0.0)):
+            running = RunningMean()
+            if running.mean(empty) != empty:
+                failures.append(f"trial {trial}: {label} before data {running.mean(empty)}")
+            acc, exact = 0.0, Fraction(0)
+            for k, value in enumerate(values, start=1):
+                running.add(value)
+                acc += value
+                exact += Fraction(value)
+                got = running.mean(empty)
+                if got != acc / k:
+                    failures.append(f"trial {trial}: {label} after {k} values: {got}")
+                bound = abs(exact / k) * rel if exact else rel
+                if abs(Fraction(got) - exact / k) > bound:
+                    failures.append(f"trial {trial}: {label} after {k} values leaves rational bound")
         if failures:
             break
 
@@ -433,6 +392,26 @@ def test_time_conservation_and_batch_determinism(tmp_path):
         "startup + content + stalls equals wall clock (<=1e-6s) on all 192 "
         "sessions and the batch is byte-identical across runs", failures,
     )
+
+
+def test_bundled_logs_match_golden_digests(tmp_path):
+    # perfbench/golden.json pins the bundled batch's bytes; one trace under
+    # every policy and scenario must reproduce them on any supported Python.
+    with open(os.path.join(SCENARIO_DIR, "..", "..", "perfbench", "golden.json"), "rb") as fh:
+        golden = json.load(fh)["files"]
+    spec = load_runspec(os.path.join(SCENARIO_DIR, "runspec.json"))
+    spec.trace_globs = ["traces/trace_00.csv"]
+    spec.output_dir = str(tmp_path / "out")
+    spec.jobs = 1
+    result = run_batch(spec)
+    assert result.ok and len(result.session_reports) == 8
+    failures = []
+    for path in sorted(glob.glob(str(tmp_path / "out" / "sessions" / "*.jsonl"))):
+        rel = "sessions/" + os.path.basename(path)
+        with open(path, "rb") as fh:
+            if hashlib.sha256(fh.read()).hexdigest() != golden[rel]:
+                failures.append(f"{rel}: differs from perfbench/golden.json")
+    conclude("8 bundled trace_00 event logs match their golden sha256 digests", failures)
 
 
 # --- 7. finish-time integrator oracle ---

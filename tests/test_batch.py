@@ -3,22 +3,24 @@ import os
 
 import pytest
 
-from abrsim import (
-    AggregateReport,
-    BitrateLadder,
-    NETFLIX_LADDER_KBPS,
+from abrsim import load_runspec, run_batch
+from abrsim.batch import (
     RunSpec,
     RunSpecError,
-    SaturationProfile,
-    SessionEventLog,
     emit_comparison_table,
-    load_runspec,
-    run_batch,
+    resolve_manifest,
+    resolve_trace_paths,
+)
+from abrsim.manifest import (
+    NETFLIX_LADDER_KBPS,
+    BitrateLadder,
+    SaturationProfile,
     save_manifest,
-    save_trace,
     synthesize_manifest,
 )
-from abrsim.batch import resolve_manifest, resolve_trace_paths
+from abrsim.metrics import AggregateReport
+from abrsim.simulator import SessionEventLog
+from abrsim.trace import save_trace
 from helpers import constant_trace, make_manifest
 
 

@@ -2,18 +2,12 @@ import json
 
 import pytest
 
-from abrsim import (
-    POLICIES,
-    RunSpecError,
-    SessionConfig,
-    SessionEventLog,
-    load_manifest,
-    load_runspec,
-    save_manifest,
-    save_trace,
-)
-from abrsim.batch import validate_runspec
+from abrsim import POLICIES, SessionConfig, load_manifest, load_runspec
+from abrsim.batch import RunSpecError, validate_runspec
 from abrsim.cli import OUTPUT_DIR_ENV, build_parser, main
+from abrsim.manifest import save_manifest
+from abrsim.simulator import SessionEventLog
+from abrsim.trace import save_trace
 from helpers import constant_trace, make_manifest
 
 
@@ -168,6 +162,14 @@ def test_simulate_rejects_bad_policy_params(workspace, capsys):
                  "--trace", str(workspace / "trace_0.csv"), "--policy-params", "{nope"])
     assert code == 2
     assert "--policy-params" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", ["null", "[]"])
+def test_simulate_rejects_non_object_policy_params(workspace, capsys, params):
+    code = main(["simulate", "--manifest", str(workspace / "manifest.json"),
+                 "--trace", str(workspace / "trace_0.csv"), "--policy-params", params])
+    assert code == 2
+    assert f"policy_params must be an object, got {json.loads(params)!r}" in capsys.readouterr().err
 
 
 def test_simulate_rejects_bad_buffer_geometry(workspace, capsys):
@@ -331,7 +333,10 @@ def rewrite_spec(workspace, **fields):
     ({"policy_params": {"rate_hog": {}}}, "policy_params names unknown policies: rate_hog"),
     ({"scenarios": [[120, 12], [12, 12]]}, "critical threshold < buffer capacity"),
     ({"jobs": "2"}, "jobs must be an integer >= 1, got '2'"),
-], ids=["unknown-policy", "bad-params", "params-of-unknown-policy", "lc-not-below-bs", "string-jobs"])
+    ({"scenarios": [[None, 12]]}, "scenario values must be numbers, got [None, 12]"),
+    ({"scenarios": [[4, 1]]}, "buffer capacity 4s must exceed the manifest's 4s chunk duration"),
+], ids=["unknown-policy", "bad-params", "params-of-unknown-policy", "lc-not-below-bs", "string-jobs",
+        "null-capacity", "capacity-not-above-chunk"])
 def test_run_rejects_invalid_spec(workspace, capsys, fields, message):
     rewrite_spec(workspace, **fields)
     assert main(["run", "--spec", str(workspace / "spec.json")]) == 2

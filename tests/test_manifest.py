@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from abrsim import (
+from abrsim import load_manifest
+from abrsim.manifest import (
+    NETFLIX_LADDER_KBPS,
     BitrateLadder,
     ManifestError,
-    NETFLIX_LADDER_KBPS,
     SaturationProfile,
-    load_manifest,
     manifest_from_dict,
     save_manifest,
     synthesize_manifest,

@@ -3,16 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from abrsim import (
+from abrsim import aggregate, session_metrics
+from abrsim.metrics import (
     AGGREGATE_CSV_COLUMNS,
     SESSION_CSV_COLUMNS,
-    SessionEventLog,
     SessionReport,
-    aggregate,
     aggregates_csv,
-    session_metrics,
     sessions_csv,
 )
+from abrsim.simulator import SessionEventLog
 from helpers import make_manifest, monotone_rows
 
 LADDER3 = (235.0, 375.0, 560.0)

@@ -3,14 +3,9 @@ import json
 
 import pytest
 
-from abrsim import (
-    LogFormatError,
-    SessionConfig,
-    SessionEventLog,
-    download_finish_time,
-    replay_diff,
-    run_session,
-)
+from abrsim import SessionConfig, replay_diff, run_session
+from abrsim.simulator import LogFormatError, SessionEventLog
+from abrsim.trace import download_finish_time
 from helpers import constant_trace, make_manifest, monotone_rows
 
 

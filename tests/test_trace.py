@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from abrsim import (
+from abrsim import load_trace
+from abrsim.trace import (
     BandwidthTrace,
     TraceError,
     TraceExhaustedError,
     download_finish_time,
-    load_trace,
     save_trace,
     synthesize_oscillating_trace,
     transferred_kilobits,
