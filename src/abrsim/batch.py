@@ -112,6 +112,21 @@ def validate_runspec(spec: RunSpec) -> None:
                 raise RunSpecError(str(exc)) from None
 
 
+# JSON types a spec field may hold when present; the values themselves are
+# checked once the spec is built.  `jobs` and `policy_params` are checked
+# whole by `validate_runspec`, which also sees the CLI's overrides.
+_SPEC_FIELD_TYPES = {
+    "manifest": ((str, type(None)), "a path"),
+    "synthesize": ((dict, type(None)), "an object"),
+    "traces": ((str, list), "a glob or a list of globs"),
+    "policies": (list, "a list of policy ids"),
+    "scenarios": (list, "a list of [BS, Lc] pairs"),
+    "output_dir": ((str, type(None)), "a path"),
+    "seed": (int, "an integer"),
+    "loop_traces": (bool, "true or false"),
+}
+
+
 def load_runspec(path: str) -> RunSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -122,16 +137,17 @@ def load_runspec(path: str) -> RunSpec:
         raise RunSpecError(f"{path}: spec is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise RunSpecError(f"{path}: spec must be a JSON object")
-    known = {
-        "manifest", "synthesize", "traces", "policies", "scenarios",
-        "output_dir", "seed", "jobs", "loop_traces", "policy_params",
-    }
-    unknown = set(doc) - known
+    unknown = set(doc) - set(_SPEC_FIELD_TYPES) - {"jobs", "policy_params"}
     if unknown:
         raise RunSpecError(f"{path}: unknown spec fields: {', '.join(sorted(unknown))}")
+    for name, (types, what) in _SPEC_FIELD_TYPES.items():
+        if name in doc and not isinstance(doc[name], types):
+            raise RunSpecError(f"{path}: {name} must be {what}, got {doc[name]!r}")
     traces = doc.get("traces", [])
     if isinstance(traces, str):
         traces = [traces]
+    if not all(isinstance(t, str) for t in traces):
+        raise RunSpecError(f"{path}: traces must be a glob or a list of globs, got {traces!r}")
     try:
         return RunSpec(
             trace_globs=list(traces),
@@ -140,9 +156,9 @@ def load_runspec(path: str) -> RunSpec:
             output_dir=doc.get("output_dir", ""),
             manifest_path=doc.get("manifest"),
             synthesize=doc.get("synthesize"),
-            seed=int(doc.get("seed", 0)),
+            seed=doc.get("seed", 0),
             jobs=doc.get("jobs"),
-            loop_traces=bool(doc.get("loop_traces", False)),
+            loop_traces=doc.get("loop_traces", False),
             policy_params=doc.get("policy_params", {}),
             base_dir=os.path.dirname(os.path.abspath(path)) or ".",
         )
@@ -154,16 +170,16 @@ def resolve_manifest(spec: RunSpec) -> VideoManifest:
     if spec.manifest_path is not None:
         return load_manifest(os.path.join(spec.base_dir, spec.manifest_path))
     recipe = dict(spec.synthesize)
-    ladder = BitrateLadder(tuple(recipe.pop("ladder_kbps", NETFLIX_LADDER_KBPS)))
-    chunk_count = int(recipe.pop("chunk_count", 0))
-    chunk_duration = float(recipe.pop("chunk_duration_s", 0.0))
-    if chunk_count < 1 or chunk_duration <= 0:
-        raise RunSpecError("synthesize needs chunk_count >= 1 and chunk_duration_s > 0")
     recipe.setdefault("jitter_seed", spec.seed)
     try:
+        ladder = BitrateLadder(tuple(recipe.pop("ladder_kbps", NETFLIX_LADDER_KBPS)))
+        chunk_count = int(recipe.pop("chunk_count", 0))
+        chunk_duration = float(recipe.pop("chunk_duration_s", 0.0))
         profile = SaturationProfile(**recipe)
     except TypeError as exc:
         raise RunSpecError(f"bad synthesize fields: {exc}") from exc
+    if chunk_count < 1 or chunk_duration <= 0:
+        raise RunSpecError("synthesize needs chunk_count >= 1 and chunk_duration_s > 0")
     return synthesize_manifest(ladder, chunk_count, chunk_duration, profile)
 
 

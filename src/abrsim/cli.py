@@ -214,6 +214,9 @@ def cmd_replay(args) -> int:
     log = SessionEventLog.read(args.log)
     manifest = load_manifest(args.manifest)
     header = log.header
+    missing = [k for k in ("policy", "buffer_capacity_s", "critical_threshold_s") if k not in header]
+    if missing:
+        raise LogFormatError(f"session_start record lacks {', '.join(missing)}")
     config = SessionConfig(
         policy=header["policy"],
         buffer_capacity_s=header["buffer_capacity_s"],

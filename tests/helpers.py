@@ -2,8 +2,9 @@
 
 import random
 
-from abrsim.abr import Observation
+from abrsim.abr import POLICIES, Observation
 from abrsim.manifest import NETFLIX_LADDER_KBPS, BitrateLadder, VideoManifest
+from abrsim.simulator import SessionConfig, run_session
 from abrsim.trace import BandwidthTrace
 
 
@@ -61,3 +62,37 @@ def make_observation(manifest, chunk=2, buffer_s=60.0, capacity=120.0, critical=
         ssim_delta_mean=drift,
         manifest=manifest,
     )
+
+
+def config_from_header(header):
+    """The session config a log header records."""
+    return SessionConfig(
+        policy=header["policy"],
+        buffer_capacity_s=header["buffer_capacity_s"],
+        critical_threshold_s=header["critical_threshold_s"],
+        loop_trace=header["loop_trace"],
+        policy_params=header["policy_params"],
+        resume_threshold_s=header["resume_threshold_s"],
+    )
+
+
+def replay_pool():
+    """(log, manifest) pairs: every policy on random looping traces, one stall, one truncation."""
+    rng = random.Random(808)
+    entries = []
+    manifest = make_manifest(chunks=25, ssim=monotone_rows(25, 10))
+    for policy in list(POLICIES) * 3:
+        trace = random_trace(rng, segments=rng.randint(2, 6),
+                             rate_range=(250.0, 7000.0), loop=True)
+        log, _ = run_session(manifest, trace, SessionConfig(policy=policy, loop_trace=True))
+        entries.append((log, manifest))
+    sizes = tuple(
+        (50000.0, 60000.0) if c == 1 else (940.0, 1500.0) for c in range(3)
+    )
+    stall_manifest = make_manifest(chunks=3, rates=(235, 375), sizes=sizes)
+    stall_log, _ = run_session(stall_manifest, constant_trace(10000.0), SessionConfig())
+    entries.append((stall_log, stall_manifest))
+    short_manifest = make_manifest(chunks=2, rates=(235, 375))
+    cut_log, _ = run_session(short_manifest, constant_trace(100.0, until_s=10.0), SessionConfig())
+    entries.append((cut_log, short_manifest))
+    return entries

@@ -31,7 +31,14 @@ from abrsim.abr import Observation, Sba
 from abrsim.estimators import RunningMean
 from abrsim.simulator import SessionEventLog
 from abrsim.trace import BandwidthTrace, download_finish_time, transferred_kilobits
-from helpers import constant_trace, make_manifest, monotone_rows, random_trace
+from helpers import (
+    config_from_header,
+    constant_trace,
+    make_manifest,
+    monotone_rows,
+    random_trace,
+    replay_pool,
+)
 
 SCENARIO_DIR = os.path.normpath(
     os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios", "comparison")
@@ -50,17 +57,6 @@ def conclude(label, failures, elapsed_s=None, budget_s=None):
 def random_rows(rng, chunks, levels):
     return tuple(
         tuple(rng.uniform(0.05, 1.0) for _ in range(levels)) for _ in range(chunks)
-    )
-
-
-def config_from_header(header):
-    return SessionConfig(
-        policy=header["policy"],
-        buffer_capacity_s=header["buffer_capacity_s"],
-        critical_threshold_s=header["critical_threshold_s"],
-        loop_trace=header["loop_trace"],
-        policy_params=header["policy_params"],
-        resume_threshold_s=header["resume_threshold_s"],
     )
 
 
@@ -479,27 +475,6 @@ def test_finish_time_matches_fixed_step_integrator():
 
 
 # --- 8. replay verification and tamper detection ---
-
-
-def replay_pool():
-    rng = random.Random(808)
-    entries = []
-    manifest = make_manifest(chunks=25, ssim=monotone_rows(25, 10))
-    for policy in list(POLICIES) * 3:
-        trace = random_trace(rng, segments=rng.randint(2, 6),
-                             rate_range=(250.0, 7000.0), loop=True)
-        log, _ = run_session(manifest, trace, SessionConfig(policy=policy, loop_trace=True))
-        entries.append((log, manifest))
-    sizes = tuple(
-        (50000.0, 60000.0) if c == 1 else (940.0, 1500.0) for c in range(3)
-    )
-    stall_manifest = make_manifest(chunks=3, rates=(235, 375), sizes=sizes)
-    stall_log, _ = run_session(stall_manifest, constant_trace(10000.0), SessionConfig())
-    entries.append((stall_log, stall_manifest))
-    short_manifest = make_manifest(chunks=2, rates=(235, 375))
-    cut_log, _ = run_session(short_manifest, constant_trace(100.0, until_s=10.0), SessionConfig())
-    entries.append((cut_log, short_manifest))
-    return entries
 
 
 def test_replay_verifies_and_detects_tampering():

@@ -179,6 +179,16 @@ def test_simulate_rejects_bad_buffer_geometry(workspace, capsys):
     assert "critical threshold" in capsys.readouterr().err
 
 
+def test_simulate_rejects_infinite_capacity(workspace, capsys):
+    # Infinity is no JSON token, and the log header would have to carry it.
+    code = main(["simulate", "--manifest", str(workspace / "manifest.json"),
+                 "--trace", str(workspace / "trace_0.csv"), "--bs", "inf"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "buffer_capacity_s must be a finite number, got inf" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_policy_params_reach_the_session(workspace, capsys):
     code = main(["simulate", "--manifest", str(workspace / "manifest.json"),
                  "--trace", str(workspace / "trace_0.csv"), "--policy", "bba",
@@ -225,6 +235,21 @@ def test_replay_garbage_log_exits_two(workspace, capsys):
                  "--manifest", str(workspace / "manifest.json")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["policy", "buffer_capacity_s", "critical_threshold_s"])
+def test_replay_header_missing_field_exits_two(workspace, capsys, field):
+    log_path = workspace / "session.jsonl"
+    main(["simulate", "--manifest", str(workspace / "manifest.json"),
+          "--trace", str(workspace / "trace_0.csv"), "--log", str(log_path)])
+    capsys.readouterr()
+    log = SessionEventLog.read(str(log_path))
+    del log.header[field]
+    log.write(str(log_path))
+    code = main(["replay", "--log", str(log_path),
+                 "--manifest", str(workspace / "manifest.json")])
+    assert code == 2
+    assert f"error: session_start record lacks {field}" in capsys.readouterr().err
 
 
 def test_replay_missing_log_exits_two(workspace, capsys):
@@ -335,8 +360,26 @@ def rewrite_spec(workspace, **fields):
     ({"jobs": "2"}, "jobs must be an integer >= 1, got '2'"),
     ({"scenarios": [[None, 12]]}, "scenario values must be numbers, got [None, 12]"),
     ({"scenarios": [[4, 1]]}, "buffer capacity 4s must exceed the manifest's 4s chunk duration"),
+    ({"scenarios": [[float("inf"), 12]]}, "buffer_capacity_s must be a finite number, got inf"),
+    ({"seed": None}, "seed must be an integer, got None"),
+    ({"traces": 5}, "traces must be a glob or a list of globs, got 5"),
+    ({"traces": ["trace_*.csv", 5]}, "traces must be a glob or a list of globs, got ['trace_*.csv', 5]"),
+    ({"manifest": 7}, "manifest must be a path, got 7"),
+    ({"manifest": None, "synthesize": [1]}, "synthesize must be an object, got [1]"),
+    ({"policies": "sba"}, "policies must be a list of policy ids, got 'sba'"),
+    ({"scenarios": 5}, "scenarios must be a list of [BS, Lc] pairs, got 5"),
+    ({"output_dir": 5}, "output_dir must be a path, got 5"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"loop_traces": "false"}, "loop_traces must be true or false, got 'false'"),
+    ({"manifest": None, "synthesize": {"chunk_count": None, "chunk_duration_s": 4}},
+     "bad synthesize fields: int() argument must be"),
+    ({"manifest": None, "synthesize": {"chunk_count": 8, "chunk_duration_s": 4, "ladder_kbps": 5}},
+     "bad synthesize fields: 'int' object is not iterable"),
 ], ids=["unknown-policy", "bad-params", "params-of-unknown-policy", "lc-not-below-bs", "string-jobs",
-        "null-capacity", "capacity-not-above-chunk"])
+        "null-capacity", "capacity-not-above-chunk", "infinite-capacity", "null-seed", "number-traces",
+        "number-in-traces", "number-manifest", "list-synthesize", "string-policies", "number-scenarios",
+        "number-output-dir", "fractional-seed", "string-loop-traces",
+        "null-synthesized-chunk-count", "number-synthesized-ladder"])
 def test_run_rejects_invalid_spec(workspace, capsys, fields, message):
     rewrite_spec(workspace, **fields)
     assert main(["run", "--spec", str(workspace / "spec.json")]) == 2

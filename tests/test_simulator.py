@@ -6,22 +6,11 @@ import pytest
 from abrsim import SessionConfig, replay_diff, run_session
 from abrsim.simulator import LogFormatError, SessionEventLog
 from abrsim.trace import download_finish_time
-from helpers import constant_trace, make_manifest, monotone_rows
+from helpers import config_from_header, constant_trace, make_manifest, monotone_rows
 
 
 def sba_config(**kwargs):
     return SessionConfig(policy="sba", **kwargs)
-
-
-def config_from_header(header):
-    return SessionConfig(
-        policy=header["policy"],
-        buffer_capacity_s=header["buffer_capacity_s"],
-        critical_threshold_s=header["critical_threshold_s"],
-        loop_trace=header["loop_trace"],
-        policy_params=header["policy_params"],
-        resume_threshold_s=header["resume_threshold_s"],
-    )
 
 
 # --- config validation ---
@@ -42,6 +31,13 @@ def test_config_rejects_bad_threshold():
 def test_config_rejects_bad_resume_threshold():
     with pytest.raises(ValueError, match="resume threshold"):
         SessionConfig(resume_threshold_s=-1.0)
+
+
+@pytest.mark.parametrize("field", ["buffer_capacity_s", "critical_threshold_s", "resume_threshold_s"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10**400, "120", None])
+def test_config_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        SessionConfig(**{field: value})
 
 
 def test_run_rejects_capacity_below_chunk():
