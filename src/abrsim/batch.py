@@ -23,10 +23,10 @@ from __future__ import annotations
 import glob
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import Pool
 
-from .abr import POLICIES
+from .abr import POLICIES, make_policy
 from .manifest import (
     NETFLIX_LADDER_KBPS,
     BitrateLadder,
@@ -83,9 +83,10 @@ class RunSpec:
             raise RunSpecError("spec names no output directory")
 
 
-def validate_runspec(spec: RunSpec) -> None:
+def validate_runspec(spec: RunSpec) -> list[SessionConfig]:
     """Reject a spec that names no work, or work no session could run.
 
+    Returns one config per scenario x policy, scenario-major, in spec order.
     Runs when a spec is built and again when a batch starts, because callers
     (the CLI's overrides among them) may change fields in between.
     """
@@ -103,13 +104,17 @@ def validate_runspec(spec: RunSpec) -> None:
     stray = sorted(set(params) - set(POLICIES))
     if stray:
         raise RunSpecError(f"policy_params names unknown policies: {', '.join(stray)}")
-    for policy in [*spec.policies, *params]:
-        for bs, lc in spec.scenarios:
-            try:
-                SessionConfig(policy=policy, buffer_capacity_s=bs, critical_threshold_s=lc,
-                              policy_params=params.get(policy, {}))
-            except ValueError as exc:
-                raise RunSpecError(str(exc)) from None
+    try:
+        for policy, kwargs in params.items():  # also the parameters of policies the spec does not run
+            make_policy(policy, kwargs)
+        return [
+            SessionConfig(policy=policy, buffer_capacity_s=bs, critical_threshold_s=lc,
+                          loop_trace=spec.loop_traces, policy_params=params.get(policy, {}))
+            for bs, lc in spec.scenarios
+            for policy in spec.policies
+        ]
+    except ValueError as exc:
+        raise RunSpecError(str(exc)) from None
 
 
 # JSON types a spec field may hold when present; the values themselves are
@@ -206,30 +211,14 @@ class BatchResult:
         return not self.failures
 
 
-def _session_name(policy: str, bs: float, lc: float, trace_path: str) -> str:
-    stem = os.path.splitext(os.path.basename(trace_path))[0]
-    return f"{policy}_bs{bs:g}_lc{lc:g}_{stem}"
-
-
-def _run_one(payload) -> dict:
-    manifest, config_fields, trace_path, out_base = payload
-    name = _session_name(config_fields["policy"], config_fields["buffer_capacity_s"],
-                         config_fields["critical_threshold_s"], trace_path)
+def _run_one(task) -> tuple[SessionReport | None, str | None]:
+    manifest, config, trace_path, label, log_path = task
     try:
-        trace = load_trace(trace_path)
-        config = SessionConfig(**config_fields)
-        log, report = run_session(manifest, trace, config)
+        log, report = run_session(manifest, load_trace(trace_path), config)
     except (TraceError, ValueError) as exc:
-        return {"name": name, "trace": trace_path, "report": None, "error": str(exc)}
-    report = _with_label(report, os.path.splitext(os.path.basename(trace_path))[0])
-    log.write(os.path.join(out_base, name + ".jsonl"))
-    return {"name": name, "trace": trace_path, "report": report, "error": None}
-
-
-def _with_label(report: SessionReport, label: str) -> SessionReport:
-    from dataclasses import replace
-
-    return replace(report, trace_label=label)
+        return None, str(exc)
+    log.write(log_path)
+    return replace(report, trace_label=label), None
 
 
 def run_batch(spec: RunSpec) -> BatchResult:
@@ -237,10 +226,10 @@ def run_batch(spec: RunSpec) -> BatchResult:
 
     Per-session problems (unreadable trace, starved session) are collected
     into the failure list instead of aborting the batch; spec-level problems
-    (invalid spec, no manifest, no matching traces) raise before any output
-    directory is created.
+    (invalid spec, no manifest, no matching traces, two sessions sharing a
+    log name) raise before any output directory is created.
     """
-    validate_runspec(spec)
+    configs = validate_runspec(spec)
     manifest = resolve_manifest(spec)
     for bs, _ in spec.scenarios:
         if bs <= manifest.chunk_duration_s:
@@ -252,24 +241,26 @@ def run_batch(spec: RunSpec) -> BatchResult:
     out_dir = os.path.join(spec.base_dir, spec.output_dir) if not os.path.isabs(spec.output_dir) else spec.output_dir
     sessions_dir = os.path.join(out_dir, "sessions")
     plots_dir = os.path.join(out_dir, "plots")
-    os.makedirs(sessions_dir, exist_ok=True)
-    os.makedirs(plots_dir, exist_ok=True)
-
-    if spec.synthesize is not None:
-        save_manifest(manifest, os.path.join(out_dir, "manifest.json"))
 
     tasks = []
-    for bs, lc in spec.scenarios:
-        for policy in spec.policies:
-            config_fields = {
-                "policy": policy,
-                "buffer_capacity_s": bs,
-                "critical_threshold_s": lc,
-                "loop_trace": spec.loop_traces,
-                "policy_params": dict(spec.policy_params.get(policy, {})),
-            }
-            for trace_path in trace_paths:
-                tasks.append((manifest, config_fields, trace_path, sessions_dir))
+    log_names = set()
+    for config in configs:
+        for trace_path in trace_paths:
+            label = os.path.splitext(os.path.basename(trace_path))[0]
+            name = (f"{config.policy}_bs{config.buffer_capacity_s:g}_"
+                    f"lc{config.critical_threshold_s:g}_{label}.jsonl")
+            if name in log_names:
+                raise RunSpecError(
+                    f"two sessions would write sessions/{name}: policies, scenarios "
+                    f"(as printed with %g) and trace file names must be unique"
+                )
+            log_names.add(name)
+            tasks.append((manifest, config, trace_path, label, os.path.join(sessions_dir, name)))
+
+    os.makedirs(sessions_dir, exist_ok=True)
+    os.makedirs(plots_dir, exist_ok=True)
+    if spec.synthesize is not None:
+        save_manifest(manifest, os.path.join(out_dir, "manifest.json"))
 
     jobs = spec.jobs if spec.jobs is not None else (os.cpu_count() or 1)
     jobs = max(1, min(jobs, len(tasks)))
@@ -279,39 +270,34 @@ def run_batch(spec: RunSpec) -> BatchResult:
         with Pool(processes=jobs) as pool:
             outcomes = pool.map(_run_one, tasks)
 
+    # Tasks run config by config, one per trace: each config's sessions are
+    # one run of consecutive outcomes.
     reports: list[SessionReport] = []
-    failures: list[dict] = []
-    for task, outcome in zip(tasks, outcomes):
-        _, config_fields, trace_path, _ = task
-        base = {
-            "policy": config_fields["policy"],
-            "BS": config_fields["buffer_capacity_s"],
-            "Lc": config_fields["critical_threshold_s"],
-            "trace": trace_path,
-        }
-        if outcome["error"] is not None:
-            failures.append({**base, "kind": "error", "detail": outcome["error"]})
-            continue
-        report = outcome["report"]
-        reports.append(report)
-        if report.partial:
-            failures.append({**base, "kind": "truncated", "detail": report.diagnostic})
-
     aggregates: list[AggregateReport] = []
-    for bs, lc in spec.scenarios:
-        for policy in spec.policies:
-            pool_reports = [
-                r for r in reports
-                if r.policy == policy and r.buffer_capacity_s == bs
-                and r.critical_threshold_s == lc and not r.partial
-            ]
-            if not pool_reports:
-                failures.append(
-                    {"policy": policy, "BS": bs, "Lc": lc, "trace": "*",
-                     "kind": "no_complete_sessions", "detail": "nothing to aggregate"}
-                )
+    failures: list[dict] = []
+    starved: list[dict] = []
+    outcome = iter(outcomes)
+    for config in configs:
+        where = {"policy": config.policy, "BS": config.buffer_capacity_s,
+                 "Lc": config.critical_threshold_s}
+        complete = []
+        for trace_path in trace_paths:
+            report, error = next(outcome)
+            if error is not None:
+                failures.append({**where, "trace": trace_path, "kind": "error", "detail": error})
                 continue
-            aggregates.append(aggregate(pool_reports))
+            reports.append(report)
+            if report.partial:
+                failures.append({**where, "trace": trace_path, "kind": "truncated",
+                                 "detail": report.diagnostic})
+            else:
+                complete.append(report)
+        if complete:
+            aggregates.append(aggregate(complete))
+        else:
+            starved.append({**where, "trace": "*", "kind": "no_complete_sessions",
+                            "detail": "nothing to aggregate"})
+    failures += starved
 
     _write_text(os.path.join(out_dir, "sessions.csv"), sessions_csv(reports))
     _write_text(os.path.join(out_dir, "aggregates.csv"), aggregates_csv(aggregates))

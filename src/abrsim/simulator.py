@@ -1,19 +1,21 @@
 """Deterministic single-client session engine.
 
-The engine replays one video session against one bandwidth trace with a
-single in-flight download and a drain-while-playing buffer, resolving every
-event analytically (no fixed timestep):
+The engine plays one video session against one bandwidth trace with one
+chunk download in flight at a time and a drain-while-playing buffer.  Every
+event is resolved analytically (no fixed timestep), one pass per chunk:
 
-1. At t=0 chunk 1 is fetched at the startup level.
-2. When a download completes, the buffer gains one chunk duration, the
-   throughput sample is recorded, playback starts if it never has, and the
-   next fetch is issued immediately when the buffer has strictly more than
-   one chunk of headroom - otherwise it is scheduled for the instant the
-   buffer drains back to that bound.
-3. The buffer drains one second of content per second of wall clock while
-   playing.  Hitting zero with chunks still outstanding opens a stall,
-   closed by the next completion (configurable resume threshold).
-4. The session ends when the last chunk finishes displaying.
+1. If the buffer lacks more than one chunk of headroom, wait for the instant
+   it drains back to that bound.
+2. Decide the chunk's level (chunk 1 at the startup level) and fetch it.  A
+   non-looping trace that cannot deliver it truncates the session here.
+3. If the buffer empties before the download lands, playback stalls.
+4. The download completes: the buffer gains one chunk duration and the
+   throughput sample is recorded.  Playback starts with chunk 1; a stall
+   ends at the first completion that brings the buffer to the resume
+   threshold (0 by default, so the next completion).
+
+The buffer drains one second of content per second of wall clock while
+playing; after the last chunk it drains out and the session ends.
 
 Everything observable is appended to a SessionEventLog (JSON Lines on disk,
 fixed field order), and `replay_diff` re-runs the engine with download
@@ -149,7 +151,7 @@ def run_session(
 
 
 def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> SessionEventLog:
-    """Run the event loop with an injected download-completion source."""
+    """Run the per-chunk loop with an injected download-completion source."""
     chunk_len = manifest.chunk_duration_s
     total_chunks = manifest.chunk_count
     capacity = config.buffer_capacity_s
@@ -194,15 +196,10 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
     play_pos = 0.0
     buffer = 0.0
     playing = False
-    started = False
     stalled = False
     chunks_done = 0
     next_display = 1
     levels: list[int] = []
-    last_level: int | None = None
-    in_flight: tuple[int, float, float, float] | None = None
-    next_chunk = 1
-    release_at: float | None = None
 
     def advance_to(t: float) -> None:
         # Drain the buffer up to time t, emitting display-start events for
@@ -240,10 +237,11 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
             )
             next_display += 1
 
-    def issue_fetch(chunk: int, t: float) -> bool:
-        # Returns False when the trace cannot deliver the chunk (session
-        # truncates); logs the attempt either way.
-        nonlocal in_flight, last_level
+    for chunk in range(1, total_chunks + 1):
+        if not capacity - buffer > chunk_len:
+            # No room for another chunk: wait until the buffer drains to it.
+            advance_to(now + (buffer - (capacity - chunk_len)))
+        prev_level = levels[-1] if levels else None
         estimate = throughput_mean.mean(floor_rate)
         drift = drift_mean.mean()
         obs = Observation(
@@ -251,7 +249,7 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
             buffer_s=buffer,
             buffer_capacity_s=capacity,
             critical_threshold_s=config.critical_threshold_s,
-            prev_level=last_level,
+            prev_level=prev_level,
             bandwidth_estimate_kbps=estimate,
             ssim_delta_mean=drift,
             manifest=manifest,
@@ -259,12 +257,12 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
         decision = decide(policy, obs)
         if chunk >= 2:
             drift_mean.add(
-                manifest.ssim_at(chunk, decision.level) - manifest.ssim_at(chunk - 1, last_level)
+                manifest.ssim_at(chunk, decision.level) - manifest.ssim_at(chunk - 1, prev_level)
             )
         log.records.append(
             {
                 "event": "fetch_issued",
-                "time_s": t,
+                "time_s": now,
                 "chunk": chunk,
                 "level": decision.level,
                 "buffer_s": buffer,
@@ -273,78 +271,47 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
                 "reason": decision.reason,
             }
         )
+        send_t = now
         volume = manifest.chunk_volume(chunk, decision.level)
         try:
-            finish = finish_fn(chunk, t, volume)
+            finish_t = finish_fn(chunk, send_t, volume)
         except TraceExhaustedError as exc:
             log.records.append(
-                {"event": "session_truncated", "time_s": t, "chunk": chunk, "diagnostic": str(exc)}
+                {"event": "session_truncated", "time_s": send_t, "chunk": chunk, "diagnostic": str(exc)}
             )
-            return False
+            return log
         levels.append(decision.level)
-        last_level = decision.level
-        in_flight = (chunk, t, finish, volume)
-        return True
+        if playing and now + buffer < finish_t:
+            # Buffer empties before the download lands: stall.
+            advance_to(now + buffer)
+            play_pos = chunks_done * chunk_len
+            buffer = 0.0
+            playing = False
+            stalled = True
+            log.records.append({"event": "playback_stall", "time_s": now})
+        advance_to(finish_t)
+        chunks_done += 1
+        buffer = chunks_done * chunk_len - play_pos
+        throughput = volume / (finish_t - send_t)
+        log.records.append(
+            {"event": "download_complete", "time_s": finish_t, "chunk": chunk,
+             "throughput_kbps": throughput}
+        )
+        throughput_mean.add(throughput)
+        policy.observe(throughput, finish_t - send_t)
+        if chunk == 1:
+            playing = True
+            log.records.append({"event": "playback_start", "time_s": now})
+            emit_due_display_starts(now)
+        elif stalled and buffer >= config.resume_threshold_s:
+            stalled = False
+            playing = True
+            log.records.append({"event": "playback_resume", "time_s": now})
+            emit_due_display_starts(now)
 
-    if not issue_fetch(1, 0.0):
-        return log
-    next_chunk = 2
-
-    while True:
-        if in_flight is not None:
-            chunk, send_t, finish_t, volume = in_flight
-            if playing and now + buffer < finish_t:
-                # Buffer empties before the download lands: stall.
-                advance_to(now + buffer)
-                play_pos = chunks_done * chunk_len
-                buffer = 0.0
-                playing = False
-                stalled = True
-                log.records.append({"event": "playback_stall", "time_s": now})
-                continue
-            advance_to(finish_t)
-            in_flight = None
-            chunks_done += 1
-            buffer = chunks_done * chunk_len - play_pos
-            throughput = volume / (finish_t - send_t)
-            log.records.append(
-                {"event": "download_complete", "time_s": finish_t, "chunk": chunk,
-                 "throughput_kbps": throughput}
-            )
-            throughput_mean.add(throughput)
-            policy.observe(throughput, finish_t - send_t)
-            if not started:
-                started = True
-                playing = True
-                log.records.append({"event": "playback_start", "time_s": now})
-                emit_due_display_starts(now)
-            elif stalled and buffer >= config.resume_threshold_s:
-                stalled = False
-                playing = True
-                log.records.append({"event": "playback_resume", "time_s": now})
-                emit_due_display_starts(now)
-            if next_chunk <= total_chunks:
-                if capacity - buffer > chunk_len:
-                    if not issue_fetch(next_chunk, now):
-                        break
-                    next_chunk += 1
-                else:
-                    release_at = now + (buffer - (capacity - chunk_len))
-            continue
-        if release_at is not None:
-            advance_to(release_at)
-            release_at = None
-            if not issue_fetch(next_chunk, now):
-                break
-            next_chunk += 1
-            continue
-        # Everything downloaded: drain out and close the session.
-        end_t = now + buffer
-        advance_to(end_t)
-        play_pos = total_chunks * chunk_len
-        buffer = 0.0
-        log.records.append({"event": "session_end", "time_s": now})
-        break
+    # Everything downloaded: drain out and close the session.
+    advance_to(now + buffer)
+    log.records.append({"event": "session_end", "time_s": now})
     return log
 
 
