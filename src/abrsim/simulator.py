@@ -12,7 +12,8 @@ event is resolved analytically (no fixed timestep), one pass per chunk:
 4. The download completes: the buffer gains one chunk duration and the
    throughput sample is recorded.  Playback starts with chunk 1; a stall
    ends at the first completion that brings the buffer to the resume
-   threshold (0 by default, so the next completion).
+   threshold (0 by default, so the next completion) or delivers the last
+   chunk, since no later download could fill the buffer further.
 
 The buffer drains one second of content per second of wall clock while
 playing; after the last chunk it drains out and the session ends.
@@ -303,7 +304,7 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
             playing = True
             log.records.append({"event": "playback_start", "time_s": now})
             emit_due_display_starts(now)
-        elif stalled and buffer >= config.resume_threshold_s:
+        elif stalled and (buffer >= config.resume_threshold_s or chunk == total_chunks):
             stalled = False
             playing = True
             log.records.append({"event": "playback_resume", "time_s": now})

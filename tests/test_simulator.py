@@ -174,6 +174,24 @@ def test_resume_threshold_delays_restart():
     assert stalled_fetch["buffer_s"] == pytest.approx(4.0, abs=1e-9)
 
 
+def test_stall_ends_when_the_last_chunk_lands_below_the_resume_threshold():
+    # The last chunk ends the stall at 6.094 s with 4 s buffered, short of
+    # the 6 s threshold: no later download could fill the buffer further.
+    sizes = ((940.0, 1500.0), (50000.0, 60000.0))
+    manifest = make_manifest(chunks=2, rates=(235, 375), sizes=sizes)
+    config = SessionConfig(buffer_capacity_s=20.0, critical_threshold_s=2.0, resume_threshold_s=6.0)
+    log, report = run_session(manifest, constant_trace(10000.0), config)
+    assert [r["event"] for r in log.records[-5:]] == [
+        "playback_stall", "download_complete", "playback_resume", "chunk_display_start", "session_end",
+    ]
+    assert log.events("playback_resume")[0]["time_s"] == pytest.approx(6.094, abs=1e-9)
+    assert log.events("chunk_display_start")[-1]["chunk"] == 2
+    assert report.partial is False
+    assert report.rebuffer_count == 1
+    assert report.rebuffering_total_s == pytest.approx(2.0, abs=1e-9)
+    assert not replay_diff(log, manifest, config)
+
+
 def test_fetch_gate_holds_one_chunk_of_headroom():
     # 10 s buffer, 4 s chunks: fetches wait until occupancy drains to 6 s.
     manifest = make_manifest(chunks=6, rates=(235, 375))
