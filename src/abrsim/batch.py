@@ -191,8 +191,7 @@ def resolve_manifest(spec: RunSpec) -> VideoManifest:
 def resolve_trace_paths(spec: RunSpec) -> list[str]:
     paths: list[str] = []
     for pattern in spec.trace_globs:
-        expanded = glob.glob(os.path.join(spec.base_dir, pattern))
-        paths.extend(expanded if expanded else [])
+        paths.extend(glob.glob(os.path.join(spec.base_dir, pattern)))
     unique = sorted(set(paths))
     if not unique:
         raise RunSpecError(f"no trace files matched {spec.trace_globs!r}")
@@ -341,11 +340,7 @@ def emit_comparison_table(aggregates) -> str:
     if not aggregates:
         return "no aggregates\n"
     lines: list[str] = []
-    scenarios = []
-    for agg in aggregates:
-        key = (agg.buffer_capacity_s, agg.critical_threshold_s)
-        if key not in scenarios:
-            scenarios.append(key)
+    scenarios = dict.fromkeys((a.buffer_capacity_s, a.critical_threshold_s) for a in aggregates)
     for bs, lc in scenarios:
         group = [a for a in aggregates if (a.buffer_capacity_s, a.critical_threshold_s) == (bs, lc)]
         counts = {a.session_count for a in group}

@@ -26,7 +26,7 @@ from .manifest import (
     save_manifest,
     synthesize_manifest,
 )
-from .simulator import LogFormatError, SessionConfig, SessionEventLog, replay_diff, run_session
+from .simulator import SessionConfig, SessionEventLog, replay_diff, run_session
 from .trace import TraceError, load_trace
 
 OUTPUT_DIR_ENV = "ABRSIM_OUTPUT_DIR"
@@ -37,10 +37,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (RunSpecError, ManifestError, TraceError, LogFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # every abrsim input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -213,19 +210,7 @@ def cmd_validate(args) -> int:
 def cmd_replay(args) -> int:
     log = SessionEventLog.read(args.log)
     manifest = load_manifest(args.manifest)
-    header = log.header
-    missing = [k for k in ("policy", "buffer_capacity_s", "critical_threshold_s") if k not in header]
-    if missing:
-        raise LogFormatError(f"session_start record lacks {', '.join(missing)}")
-    config = SessionConfig(
-        policy=header["policy"],
-        buffer_capacity_s=header["buffer_capacity_s"],
-        critical_threshold_s=header["critical_threshold_s"],
-        loop_trace=header.get("loop_trace", False),
-        policy_params=header.get("policy_params", {}),
-        resume_threshold_s=header.get("resume_threshold_s", 0.0),
-    )
-    diffs = replay_diff(log, manifest, config)
+    diffs = replay_diff(log, manifest, SessionConfig.from_header(log.header))
     if not diffs:
         print(f"{args.log}: verified")
         return 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 # A widely deployed production ladder, handy as a default (kbps).
@@ -55,19 +56,13 @@ class BitrateLadder:
 
     def highest_level_below(self, rate_kbps: float) -> int | None:
         """Highest level whose bitrate is strictly below rate_kbps, else None."""
-        best = None
-        for level, rate in enumerate(self.levels_kbps, start=1):
-            if rate < rate_kbps:
-                best = level
-        return best
+        return bisect_left(self.levels_kbps, rate_kbps) or None
 
     def highest_level_at_or_below(self, rate_kbps: float) -> int | None:
         """Highest level whose bitrate is at most rate_kbps, else None."""
-        best = None
-        for level, rate in enumerate(self.levels_kbps, start=1):
-            if rate <= rate_kbps:
-                best = level
-        return best
+        level = bisect_right(self.levels_kbps, rate_kbps)
+        # bisect_right puts NaN past the top rung, which is not at or below it.
+        return level if level and self.levels_kbps[level - 1] <= rate_kbps else None
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,21 @@ class SessionConfig:
         if self.resume_threshold_s < 0:
             raise ValueError(f"resume threshold must be >= 0, got {self.resume_threshold_s}")
 
+    @classmethod
+    def from_header(cls, header: dict) -> "SessionConfig":
+        """The config a log's `session_start` record (written by `_drive`) holds."""
+        missing = [k for k in ("policy", "buffer_capacity_s", "critical_threshold_s") if k not in header]
+        if missing:
+            raise LogFormatError(f"session_start record lacks {', '.join(missing)}")
+        return cls(
+            policy=header["policy"],
+            buffer_capacity_s=header["buffer_capacity_s"],
+            critical_threshold_s=header["critical_threshold_s"],
+            loop_trace=header.get("loop_trace", False),
+            policy_params=header.get("policy_params", {}),
+            resume_threshold_s=header.get("resume_threshold_s", 0.0),
+        )
+
 
 @dataclass
 class SessionEventLog:
@@ -397,4 +412,6 @@ def _diff_records(original: list[dict], regenerated: list[dict], tolerance: floa
 
 
 def _close(a: float, b: float, tol: float) -> bool:
-    return a == b or abs(a - b) <= max(tol, tol * max(abs(a), abs(b)))
+    # An infinity matches only itself: its gap to anything else is infinite,
+    # and so is the relative bound.
+    return a == b or math.isfinite(a - b) and abs(a - b) <= max(tol, tol * max(abs(a), abs(b)))

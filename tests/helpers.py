@@ -64,18 +64,6 @@ def make_observation(manifest, chunk=2, buffer_s=60.0, capacity=120.0, critical=
     )
 
 
-def config_from_header(header):
-    """The session config a log header records."""
-    return SessionConfig(
-        policy=header["policy"],
-        buffer_capacity_s=header["buffer_capacity_s"],
-        critical_threshold_s=header["critical_threshold_s"],
-        loop_trace=header["loop_trace"],
-        policy_params=header["policy_params"],
-        resume_threshold_s=header["resume_threshold_s"],
-    )
-
-
 def replay_pool():
     """(log, manifest) pairs: every policy on random looping traces, one stall, one truncation."""
     rng = random.Random(808)

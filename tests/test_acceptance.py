@@ -32,7 +32,6 @@ from abrsim.estimators import RunningMean
 from abrsim.simulator import SessionEventLog
 from abrsim.trace import BandwidthTrace, download_finish_time, transferred_kilobits
 from helpers import (
-    config_from_header,
     constant_trace,
     make_manifest,
     monotone_rows,
@@ -481,7 +480,7 @@ def test_replay_verifies_and_detects_tampering():
     entries = replay_pool()
     failures = []
     for idx, (log, manifest) in enumerate(entries):
-        if replay_diff(log, manifest, config_from_header(log.header)):
+        if replay_diff(log, manifest, SessionConfig.from_header(log.header)):
             failures.append(f"log {idx}: clean log failed verification")
 
     # The header is the replay contract (it configures the re-run) and the
@@ -512,7 +511,7 @@ def test_replay_verifies_and_detects_tampering():
         else:
             rec[key] = str(value) + "_tampered"
         trials += 1
-        if not replay_diff(tampered, manifest, config_from_header(log.header)):
+        if not replay_diff(tampered, manifest, SessionConfig.from_header(log.header)):
             undetected.append(f"trial {trials}: {rec.get('event')}.{key} = {rec[key]!r}")
     failures.extend(undetected)
     conclude(

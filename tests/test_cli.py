@@ -387,6 +387,22 @@ def test_run_rejects_invalid_spec(workspace, capsys, fields, message):
     assert not (workspace / "out").exists()
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"policies": ["sba", "bba", "sba"]}, "sba_bs120_lc12_trace_0.jsonl"),
+    ({"scenarios": [[120, 12], [60, 6], [120, 12]]}, "sba_bs120_lc12_trace_0.jsonl"),
+    ({"scenarios": [[120, 12], [120.0000001, 12]]}, "sba_bs120_lc12_trace_0.jsonl"),
+    ({"traces": ["a/*.csv", "b/*.csv"]}, "sba_bs120_lc12_t.jsonl"),
+], ids=["policy-twice", "scenario-twice", "scenarios-print-alike", "trace-stem-twice"])
+def test_run_rejects_sessions_sharing_a_log_name(workspace, capsys, fields, name):
+    for sub in ("a", "b"):
+        (workspace / sub).mkdir()
+        save_trace(constant_trace(3000.0), str(workspace / sub / "t.csv"))
+    rewrite_spec(workspace, **fields)
+    assert main(["run", "--spec", str(workspace / "spec.json")]) == 2
+    assert f"two sessions would write sessions/{name}" in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--policies", "sba,rate_hog"], "unknown policy 'rate_hog'"),
     (["--scenarios", "120:12,10:12"], "critical threshold < buffer capacity"),

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -62,6 +63,28 @@ def test_highest_level_at_or_below_is_inclusive():
     assert ladder.highest_level_at_or_below(234.0) is None
     assert ladder.highest_level_at_or_below(235.0) == 1
     assert ladder.highest_level_at_or_below(3000.0) == 8
+
+
+def test_level_lookups_match_a_linear_scan():
+    def scan(rates, accept):
+        best = None
+        for level, rate in enumerate(rates, start=1):
+            if accept(rate):
+                best = level
+        return best
+
+    rng = random.Random(17)
+    for _ in range(200):
+        ladder = make_ladder(sorted(rng.sample(range(50, 9000), rng.randint(2, 8))))
+        rates = ladder.levels_kbps
+        probes = [*rates, *(math.nextafter(r, -math.inf) for r in rates),
+                  *(math.nextafter(r, math.inf) for r in rates),
+                  rates[0] / 2, 0.0, -1.0, rates[-1] * 2, rng.uniform(0, 10000),
+                  math.inf, -math.inf, math.nan]
+        for x in probes:
+            assert ladder.highest_level_below(x) == scan(rates, lambda r: r < x)
+            assert ladder.highest_level_at_or_below(x) == scan(rates, lambda r: r <= x)
+    assert make_ladder().highest_level_at_or_below(math.nan) is None
 
 
 def test_nominal_chunk_volume():

@@ -1,0 +1,98 @@
+"""Property tests: random manifests, traces and configs through the engine.
+
+Every config that passes validation must end in a complete session or in a
+truncated one, never in an exception. A complete session displays every
+chunk and conserves time, and every log replays clean after a JSONL round
+trip.
+"""
+
+from hypothesis import HealthCheck, given, reject, seed, settings
+from hypothesis import strategies as st
+
+from abrsim.abr import POLICIES
+from abrsim.manifest import BitrateLadder, VideoManifest
+from abrsim.simulator import SessionConfig, SessionEventLog, replay_diff, run_session
+from abrsim.trace import BandwidthTrace
+
+RATES = st.one_of(st.just(0.0), st.floats(20.0, 10000.0))
+
+
+@st.composite
+def manifests(draw):
+    levels = draw(st.integers(2, 5))
+    ladder = BitrateLadder(tuple(sorted(draw(st.lists(
+        st.integers(50, 9000), min_size=levels, max_size=levels, unique=True)))))
+    chunks = draw(st.integers(1, 10))
+    row = st.lists(st.floats(0.3, 1.0), min_size=levels, max_size=levels)
+    sizes = draw(st.none() | st.lists(
+        st.lists(st.floats(1.0, 60000.0), min_size=levels, max_size=levels),
+        min_size=chunks, max_size=chunks))
+    return VideoManifest(
+        chunk_count=chunks,
+        chunk_duration_s=draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])),
+        ladder=ladder,
+        ssim=tuple(tuple(r) for r in draw(st.lists(row, min_size=chunks, max_size=chunks))),
+        chunk_kilobits=None if sizes is None else tuple(tuple(r) for r in sizes),
+    )
+
+
+@st.composite
+def traces(draw):
+    """A single sample, zero-rate holes in a finite trace, or a looping trace."""
+    kind = draw(st.sampled_from(["single", "holes", "loop"]))
+    if kind == "single":
+        return BandwidthTrace(((0.0, draw(RATES)),))
+    n = draw(st.integers(2, 6))
+    times = [0.0]
+    for gap in draw(st.lists(st.floats(0.1, 30.0), min_size=n - 1, max_size=n - 1)):
+        times.append(times[-1] + gap)
+    rates = draw(st.lists(RATES, min_size=n, max_size=n))
+    if kind == "loop":
+        rates[0] = draw(st.floats(20.0, 10000.0))  # the period must carry data
+    return BandwidthTrace(tuple(zip(times, rates)), loop=kind == "loop")
+
+
+@st.composite
+def sessions(draw):
+    manifest = draw(manifests())
+    trace = draw(traces())
+    chunk_len = manifest.chunk_duration_s
+    headroom = draw(st.sampled_from([1e-9, 1e-6, 1e-3]) | st.floats(0.01, 40.0))
+    capacity = chunk_len + chunk_len * headroom
+    try:
+        config = SessionConfig(
+            policy=draw(st.sampled_from(list(POLICIES))),
+            buffer_capacity_s=capacity,
+            critical_threshold_s=draw(st.floats(0.0, capacity, exclude_min=True, exclude_max=True)),
+            loop_trace=trace.loop,
+            resume_threshold_s=draw(st.sampled_from([0.0, capacity - chunk_len])
+                                    | st.floats(0.0, capacity - chunk_len)),
+        )
+    except ValueError:
+        reject()
+    return manifest, trace, config
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sessions())
+def test_every_valid_session_completes_or_truncates(session):
+    manifest, trace, config = session
+    log, report = run_session(manifest, trace, config)
+    events = [r["event"] for r in log.records]
+
+    assert report.partial == ("session_truncated" in events)
+    if report.partial:
+        assert events[-1] == "session_truncated"
+    else:
+        assert events[-1] == "session_end"
+        displayed = [r["chunk"] for r in log.events("chunk_display_start")]
+        assert displayed == list(range(1, manifest.chunk_count + 1))
+        content_s = manifest.chunk_count * manifest.chunk_duration_s
+        expected = report.startup_delay_s + content_s + report.rebuffering_total_s
+        assert abs(report.wall_clock_s - expected) <= 1e-6 + 1e-9 * report.wall_clock_s
+
+    again = SessionEventLog.from_jsonl(log.to_jsonl())
+    assert again.records == log.records
+    assert replay_diff(again, manifest, SessionConfig.from_header(again.header)) == []

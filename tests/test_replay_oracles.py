@@ -3,7 +3,8 @@
 `_diff_records` skips records that compare equal and `from_jsonl` decodes
 lines with one reused decoder. The reference functions below are the plain
 versions both replaced; the fast paths must return what they return for
-every input, except that exactly equal infinities now match.
+every input, except that exactly equal infinities now match. Both sides
+share the rule that an infinity matches nothing else.
 """
 
 import copy
@@ -17,6 +18,7 @@ from abrsim import replay_diff
 from abrsim.simulator import (
     TOLERANCE_S,
     LogFormatError,
+    SessionConfig,
     SessionEventLog,
     _close,
     _diff_records,
@@ -25,7 +27,7 @@ from abrsim.simulator import (
     _ReplayInconsistency,
 )
 from abrsim.trace import TraceExhaustedError
-from helpers import config_from_header, replay_pool
+from helpers import replay_pool
 
 
 def reference_diff_records(original, regenerated, tolerance):
@@ -53,7 +55,7 @@ def reference_diff_records(original, regenerated, tolerance):
 
 
 def reference_close(a, b, tol):
-    return abs(a - b) <= max(tol, tol * max(abs(a), abs(b)))
+    return math.isfinite(a - b) and abs(a - b) <= max(tol, tol * max(abs(a), abs(b)))
 
 
 def reference_from_jsonl(text):
@@ -84,7 +86,7 @@ def assert_same_diffs(original, regenerated):
 
 def assert_replay_matches_reference(log, manifest, header):
     """replay_diff on `log` against the reference diff of its regenerated records."""
-    config = config_from_header(header)
+    config = SessionConfig.from_header(header)
     try:
         regenerated = _drive(manifest, config, _LoggedCompletions(log)).records
     except (_ReplayInconsistency, ValueError, TraceExhaustedError):
@@ -198,6 +200,32 @@ def test_exactly_equal_infinities_now_match():
     ]
     assert _diff_records(original, regenerated, TOLERANCE_S) == []
     assert _close(inf, inf, TOLERANCE_S) and not reference_close(inf, inf, TOLERANCE_S)
+
+
+def test_an_infinity_matches_nothing_but_itself():
+    inf = float("inf")
+    for a, b in [(inf, 1e308), (inf, 0.0), (inf, -inf), (-inf, -1.0)]:
+        assert not _close(a, b, TOLERANCE_S) and not _close(b, a, TOLERANCE_S)
+    assert _close(-inf, -inf, TOLERANCE_S)
+
+
+def test_infinite_tamper_is_reported():
+    log, manifest = replay_pool()[0]
+    lines = log.to_jsonl().splitlines()
+    display = next(i for i, line in enumerate(lines) if '"chunk_display_start"' in line)
+    fetch = next(i for i, line in enumerate(lines) if '"fetch_issued"' in line and i > display)
+    edited = [json.loads(line) for line in lines]
+    edited[display]["time_s"] = math.inf
+    edited[fetch]["buffer_s"] = -math.inf
+    # json.dumps writes the infinities as the non-standard tokens the decoder reads back.
+    tampered = SessionEventLog.from_jsonl("".join(json.dumps(r) + "\n" for r in edited))
+    assert tampered.records[display]["time_s"] == math.inf
+    diffs = replay_diff(tampered, manifest, SessionConfig.from_header(tampered.header))
+    assert diffs == [
+        f"record {display} (chunk_display_start): time_s logged inf, "
+        f"replay {log.records[display]['time_s']!r}",
+        f"record {fetch} (fetch_issued): buffer_s logged -inf, replay {log.records[fetch]['buffer_s']!r}",
+    ]
 
 
 # --- log decoding ---

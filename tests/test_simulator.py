@@ -6,7 +6,7 @@ import pytest
 from abrsim import SessionConfig, replay_diff, run_session
 from abrsim.simulator import LogFormatError, SessionEventLog
 from abrsim.trace import download_finish_time
-from helpers import config_from_header, constant_trace, make_manifest, monotone_rows
+from helpers import constant_trace, make_manifest, monotone_rows
 
 
 def sba_config(**kwargs):
@@ -265,14 +265,14 @@ def replayable_log():
 
 def test_replay_accepts_faithful_log():
     manifest, log = replayable_log()
-    assert not replay_diff(log, manifest, config_from_header(log.header))
+    assert not replay_diff(log, manifest, SessionConfig.from_header(log.header))
 
 
 def test_replay_accepts_truncated_log():
     manifest = make_manifest(chunks=2, rates=(235, 375))
     log, _ = run_session(manifest, constant_trace(100.0, until_s=10.0), sba_config())
     assert log.records[-1]["event"] == "session_truncated"
-    assert not replay_diff(log, manifest, config_from_header(log.header))
+    assert not replay_diff(log, manifest, SessionConfig.from_header(log.header))
 
 
 def test_replay_flags_tampered_level():
@@ -280,7 +280,7 @@ def test_replay_flags_tampered_level():
     tampered = SessionEventLog(copy.deepcopy(log.records))
     fetch = tampered.events("fetch_issued")[3]
     fetch["level"] += 1
-    diffs = replay_diff(tampered, manifest, config_from_header(log.header))
+    diffs = replay_diff(tampered, manifest, SessionConfig.from_header(log.header))
     assert diffs and any("level" in d for d in diffs)
 
 
@@ -288,7 +288,7 @@ def test_replay_flags_shifted_completion():
     manifest, log = replayable_log()
     tampered = SessionEventLog(copy.deepcopy(log.records))
     tampered.events("download_complete")[2]["time_s"] += 0.5
-    assert replay_diff(tampered, manifest, config_from_header(log.header))
+    assert replay_diff(tampered, manifest, SessionConfig.from_header(log.header))
 
 
 def test_replay_tolerates_sub_tolerance_jitter():
@@ -296,7 +296,7 @@ def test_replay_tolerates_sub_tolerance_jitter():
     jittered = SessionEventLog(copy.deepcopy(log.records))
     rec = jittered.events("download_complete")[2]
     rec["time_s"] += 1e-12
-    assert not replay_diff(jittered, manifest, config_from_header(log.header))
+    assert not replay_diff(jittered, manifest, SessionConfig.from_header(log.header))
 
 
 def test_replay_verifies_startup_policy_header():
@@ -305,7 +305,7 @@ def test_replay_verifies_startup_policy_header():
     manifest, log = replayable_log()
     edited = SessionEventLog(copy.deepcopy(log.records))
     edited.records[0]["startup_policy"] = "play_after_two_chunks"
-    diffs = replay_diff(edited, manifest, config_from_header(log.header))
+    diffs = replay_diff(edited, manifest, SessionConfig.from_header(log.header))
     assert diffs == [
         "record 0 (session_start): startup_policy logged 'play_after_two_chunks', "
         "replay 'play_after_first_chunk'"
@@ -315,7 +315,7 @@ def test_replay_verifies_startup_policy_header():
 def test_replay_flags_dropped_record():
     manifest, log = replayable_log()
     clipped = SessionEventLog(copy.deepcopy(log.records[:-1]))
-    diffs = replay_diff(clipped, manifest, config_from_header(log.header))
+    diffs = replay_diff(clipped, manifest, SessionConfig.from_header(log.header))
     assert diffs
 
 
@@ -324,7 +324,7 @@ def test_replay_reports_wrong_chunk_order():
     shuffled = SessionEventLog(copy.deepcopy(log.records))
     dones = shuffled.events("download_complete")
     dones[0]["chunk"], dones[1]["chunk"] = dones[1]["chunk"], dones[0]["chunk"]
-    diffs = replay_diff(shuffled, manifest, config_from_header(log.header))
+    diffs = replay_diff(shuffled, manifest, SessionConfig.from_header(log.header))
     assert diffs and "chunk" in diffs[0]
 
 
