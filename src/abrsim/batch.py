@@ -340,7 +340,11 @@ def emit_comparison_table(aggregates) -> str:
     if not aggregates:
         return "no aggregates\n"
     lines: list[str] = []
-    scenarios = dict.fromkeys((a.buffer_capacity_s, a.critical_threshold_s) for a in aggregates)
+    scenarios = []
+    for agg in aggregates:
+        key = (agg.buffer_capacity_s, agg.critical_threshold_s)
+        if key not in scenarios:
+            scenarios.append(key)
     for bs, lc in scenarios:
         group = [a for a in aggregates if (a.buffer_capacity_s, a.critical_threshold_s) == (bs, lc)]
         counts = {a.session_count for a in group}

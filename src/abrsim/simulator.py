@@ -255,7 +255,7 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
 
     for chunk in range(1, total_chunks + 1):
         if not capacity - buffer > chunk_len:
-            # No room for another chunk: wait until the buffer drains to it.
+            # One chunk of headroom or less: wait for the drain to capacity - chunk_len.
             advance_to(now + (buffer - (capacity - chunk_len)))
         prev_level = levels[-1] if levels else None
         estimate = throughput_mean.mean(floor_rate)
