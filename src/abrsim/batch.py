@@ -45,7 +45,7 @@ from .metrics import (
     sessions_csv,
 )
 from .simulator import SessionConfig, run_session
-from .trace import TraceError, load_trace
+from .trace import load_trace
 
 
 class RunSpecError(ValueError):
@@ -189,13 +189,14 @@ def resolve_manifest(spec: RunSpec) -> VideoManifest:
 
 
 def resolve_trace_paths(spec: RunSpec) -> list[str]:
-    paths: list[str] = []
+    """Sorted unique matches of the trace globs; every glob must match a file."""
+    paths: set[str] = set()
     for pattern in spec.trace_globs:
-        paths.extend(glob.glob(os.path.join(spec.base_dir, pattern)))
-    unique = sorted(set(paths))
-    if not unique:
-        raise RunSpecError(f"no trace files matched {spec.trace_globs!r}")
-    return unique
+        matches = glob.glob(os.path.join(spec.base_dir, pattern))
+        if not matches:
+            raise RunSpecError(f"no trace files matched {pattern!r}")
+        paths.update(matches)
+    return sorted(paths)
 
 
 @dataclass
@@ -211,10 +212,12 @@ class BatchResult:
 
 
 def _run_one(task) -> tuple[SessionReport | None, str | None]:
-    manifest, config, trace_path, label, log_path = task
+    manifest, config, trace, label, log_path = task
+    if isinstance(trace, str):  # the trace file's load error
+        return None, trace
     try:
-        log, report = run_session(manifest, load_trace(trace_path), config)
-    except (TraceError, ValueError) as exc:
+        log, report = run_session(manifest, trace, config)
+    except ValueError as exc:  # a TraceError among them
         return None, str(exc)
     log.write(log_path)
     return replace(report, trace_label=label), None
@@ -237,6 +240,14 @@ def run_batch(spec: RunSpec) -> BatchResult:
                 f"{manifest.chunk_duration_s:g}s chunk duration"
             )
     trace_paths = resolve_trace_paths(spec)
+    # Each trace file is parsed once; a file that fails to load fails every
+    # session that would play it, with the same text.
+    traces = {}
+    for trace_path in trace_paths:
+        try:
+            traces[trace_path] = load_trace(trace_path)
+        except ValueError as exc:  # a TraceError, or undecodable bytes
+            traces[trace_path] = str(exc)
     out_dir = os.path.join(spec.base_dir, spec.output_dir) if not os.path.isabs(spec.output_dir) else spec.output_dir
     sessions_dir = os.path.join(out_dir, "sessions")
     plots_dir = os.path.join(out_dir, "plots")
@@ -254,7 +265,7 @@ def run_batch(spec: RunSpec) -> BatchResult:
                     f"(as printed with %g) and trace file names must be unique"
                 )
             log_names.add(name)
-            tasks.append((manifest, config, trace_path, label, os.path.join(sessions_dir, name)))
+            tasks.append((manifest, config, traces[trace_path], label, os.path.join(sessions_dir, name)))
 
     os.makedirs(sessions_dir, exist_ok=True)
     os.makedirs(plots_dir, exist_ok=True)

@@ -26,7 +26,13 @@ from .manifest import (
     save_manifest,
     synthesize_manifest,
 )
-from .simulator import SessionConfig, SessionEventLog, replay_diff, run_session
+from .simulator import (
+    SessionConfig,
+    SessionEventLog,
+    replay_diff,
+    run_session,
+    write_text_atomically,
+)
 from .trace import TraceError, load_trace
 
 OUTPUT_DIR_ENV = "ABRSIM_OUTPUT_DIR"
@@ -157,9 +163,10 @@ def cmd_simulate(args) -> int:
         policy_params=params,
     )
     log, report = run_session(manifest, trace, config)
-    sys.stdout.write(log.to_jsonl())
+    text = log.to_jsonl()
+    sys.stdout.write(text)
     if args.log:
-        log.write(args.log)
+        write_text_atomically(args.log, text)
     summary = (
         f"rebuffering={report.rebuffering_total_s:.3f}s instability={report.instability:g} "
         f"mean_ssim={report.mean_ssim:.4f} mean_bitrate={report.mean_bitrate_kbps:.1f}kbps"

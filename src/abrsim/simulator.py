@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 from .abr import Observation, decide, make_policy
@@ -44,6 +45,14 @@ TOLERANCE_S = 1e-9
 # call adds type and BOM checks and two whitespace scans, about a quarter
 # of the per-line cost on engine-written logs.
 _DECODER = json.JSONDecoder()
+
+# Key order of the three records the engine writes once per chunk; all but
+# a handful of a log's lines have one of these shapes.
+_FETCH_ISSUED_KEYS = ("event", "time_s", "chunk", "level", "buffer_s",
+                      "bandwidth_estimate_kbps", "ssim_delta_mean", "reason")
+_DOWNLOAD_COMPLETE_KEYS = ("event", "time_s", "chunk", "throughput_kbps")
+_DISPLAY_START_KEYS = ("event", "time_s", "chunk", "level")
+_ascii_str = json.encoder.encode_basestring_ascii
 
 
 class LogFormatError(ValueError):
@@ -113,7 +122,47 @@ class SessionEventLog:
         return self.records[0]
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r) + "\n" for r in self.records)
+        """`json.dumps(r) + "\\n"` per record, byte for byte.
+
+        The engine's per-chunk records are formatted from templates with
+        the calls `json.dumps` makes for them (`repr` for an exact int or a
+        finite float, `encode_basestring_ascii` for a str).  A template is
+        used only when the record is a plain dict with exactly the template's
+        keys in order and values of exactly those types; anything else goes
+        through `json.dumps`, which also raises what it would raise.
+        """
+        lines = []
+        for r in self.records:
+            if type(r) is dict:
+                kind = r.get("event")
+                if kind == "fetch_issued" and tuple(r) == _FETCH_ISSUED_KEYS:
+                    _, t, c, lv, b, e, d, why = r.values()
+                    if (type(t) is type(b) is type(e) is type(d) is float and type(c) is type(lv) is int
+                            and type(why) is str and math.isfinite(t + b + e + d)):
+                        lines.append(
+                            f'{{"event": "fetch_issued", "time_s": {t!r}, "chunk": {c!r}, '
+                            f'"level": {lv!r}, "buffer_s": {b!r}, "bandwidth_estimate_kbps": {e!r}, '
+                            f'"ssim_delta_mean": {d!r}, "reason": {_ascii_str(why)}}}\n'
+                        )
+                        continue
+                elif kind == "download_complete" and tuple(r) == _DOWNLOAD_COMPLETE_KEYS:
+                    _, t, c, x = r.values()
+                    if type(t) is type(x) is float and type(c) is int and math.isfinite(t + x):
+                        lines.append(
+                            f'{{"event": "download_complete", "time_s": {t!r}, "chunk": {c!r}, '
+                            f'"throughput_kbps": {x!r}}}\n'
+                        )
+                        continue
+                elif kind == "chunk_display_start" and tuple(r) == _DISPLAY_START_KEYS:
+                    _, t, c, lv = r.values()
+                    if type(t) is float and type(c) is type(lv) is int and math.isfinite(t):
+                        lines.append(
+                            f'{{"event": "chunk_display_start", "time_s": {t!r}, "chunk": {c!r}, '
+                            f'"level": {lv!r}}}\n'
+                        )
+                        continue
+            lines.append(json.dumps(r) + "\n")
+        return "".join(lines)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "SessionEventLog":
@@ -140,13 +189,31 @@ class SessionEventLog:
         return cls(records)
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
+        write_text_atomically(path, self.to_jsonl())
 
     @classmethod
     def read(cls, path: str) -> "SessionEventLog":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_jsonl(fh.read())
+
+
+def write_text_atomically(path: str, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it over `path`.
+
+    On any error the temporary file is removed and an existing `path`
+    keeps its old bytes.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def run_session(

@@ -1,9 +1,10 @@
 import json
 import os
+from collections import Counter
 
 import pytest
 
-from abrsim import load_runspec, run_batch
+from abrsim import batch, load_runspec, run_batch
 from abrsim.batch import (
     RunSpec,
     RunSpecError,
@@ -20,7 +21,7 @@ from abrsim.manifest import (
 )
 from abrsim.metrics import AggregateReport
 from abrsim.simulator import SessionEventLog
-from abrsim.trace import save_trace
+from abrsim.trace import load_trace, save_trace
 from helpers import constant_trace, make_manifest
 
 
@@ -288,6 +289,55 @@ def test_run_batch_pool_matches_serial(tmp_path):
     assert serial.ok and pooled.ok
     for rel in ("sessions.csv", "aggregates.csv", "comparison.txt"):
         assert (tmp_path / "ser" / rel).read_bytes() == (tmp_path / "par" / rel).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_batch_loads_each_trace_once(tmp_path, monkeypatch, jobs):
+    calls = tmp_path / "loads.txt"
+
+    def counting_load(path):
+        with open(calls, "a", encoding="utf-8") as fh:  # appended to from pool workers too
+            fh.write(path + "\n")
+        return load_trace(path)
+
+    monkeypatch.setattr(batch, "load_trace", counting_load)
+    spec = load_runspec(write_workspace(
+        tmp_path, trace_rates=(3000.0, 5000.0, 800.0), traces=["trace_*.csv", "trace_1.csv"],
+        scenarios=[[120, 12], [60, 6]], jobs=jobs))
+    result = run_batch(spec)
+    assert result.ok and len(result.session_reports) == 2 * 2 * 3
+    loads = Counter(calls.read_text().splitlines())
+    assert sorted(loads) == resolve_trace_paths(spec)
+    assert set(loads.values()) == {1}
+
+
+def test_run_batch_reports_an_unloadable_trace_per_config(tmp_path):
+    path = write_workspace(tmp_path, scenarios=[[120, 12], [60, 6]])
+    bad = tmp_path / "trace_1.csv"
+    bad.write_text("timestamp_s,bandwidth_kbps\n0,3000\n5,oops\n")
+    (tmp_path / "trace_2.csv").write_bytes(b"timestamp_s,bandwidth_kbps\n0,\xff\n")
+    with pytest.raises(ValueError) as undecodable:
+        load_trace(str(tmp_path / "trace_2.csv"))
+    failures = {}
+    for jobs in (1, 2):
+        spec = load_runspec(path)
+        spec.jobs, spec.output_dir = jobs, f"out{jobs}"
+        result = run_batch(spec)
+        assert len(result.session_reports) == 4
+        failures[jobs] = (tmp_path / f"out{jobs}" / "failures.json").read_text()
+    assert failures[1] == failures[2]
+    rows = json.loads(failures[1])
+    assert [(r["policy"], r["BS"], os.path.basename(r["trace"])) for r in rows] == [
+        (policy, bs, name)
+        for bs in (120.0, 60.0) for policy in ("sba", "bba") for name in ("trace_1.csv", "trace_2.csv")
+    ]
+    assert {r["kind"] for r in rows} == {"error"}
+    assert {r["detail"] for r in rows if r["trace"].endswith("trace_1.csv")} == {
+        f"{bad}:3: non-numeric sample '5,oops'"}
+    assert {r["detail"] for r in rows if r["trace"].endswith("trace_2.csv")} == {
+        str(undecodable.value)}
+    for name in ("sessions.csv", "aggregates.csv", "comparison.txt"):
+        assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
 
 
 # --- comparison table ---

@@ -149,6 +149,24 @@ def test_simulate_writes_log_file(workspace, capsys):
     assert log_path.read_text() == capsys.readouterr().out
 
 
+def test_simulate_encodes_the_log_once(workspace, monkeypatch, capsys):
+    calls = []
+    encode = SessionEventLog.to_jsonl
+
+    def counting(self):
+        calls.append(1)
+        return encode(self)
+
+    monkeypatch.setattr(SessionEventLog, "to_jsonl", counting)
+    log_path = workspace / "session.jsonl"
+    assert main(["simulate", "--manifest", str(workspace / "manifest.json"),
+                 "--trace", str(workspace / "trace_0.csv"), "--log", str(log_path)]) == 0
+    assert len(calls) == 1
+    assert log_path.read_text() == capsys.readouterr().out
+    assert sorted(p.name for p in workspace.iterdir() if p.name.startswith("session")) == [
+        "session.jsonl"]
+
+
 def test_simulate_partial_session_exits_one(workspace, capsys):
     save_trace(constant_trace(100.0, until_s=10.0), str(workspace / "starved.csv"))
     code = main(["simulate", "--manifest", str(workspace / "manifest.json"),
@@ -333,6 +351,15 @@ def test_run_bad_spec_exits_two(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_a_trace_glob_that_matches_nothing(workspace, capsys):
+    missing = str(workspace / "nosuchdir" / "*.csv")
+    code = main(["run", "--spec", str(workspace / "spec.json"),
+                 "--traces", str(workspace / "trace_0.csv"), "--traces", missing])
+    assert code == 2
+    assert f"no trace files matched {missing!r}" in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
 def test_run_with_failures_exits_one(workspace, capsys):
     save_trace(constant_trace(100.0, until_s=10.0), str(workspace / "starved.csv"))
     code = main(["run", "--spec", str(workspace / "spec.json"),
@@ -364,6 +391,7 @@ def rewrite_spec(workspace, **fields):
     ({"seed": None}, "seed must be an integer, got None"),
     ({"traces": 5}, "traces must be a glob or a list of globs, got 5"),
     ({"traces": ["trace_*.csv", 5]}, "traces must be a glob or a list of globs, got ['trace_*.csv', 5]"),
+    ({"traces": ["trace_*.csv", "nosuchdir/*.csv"]}, "no trace files matched 'nosuchdir/*.csv'"),
     ({"manifest": 7}, "manifest must be a path, got 7"),
     ({"manifest": None, "synthesize": [1]}, "synthesize must be an object, got [1]"),
     ({"policies": "sba"}, "policies must be a list of policy ids, got 'sba'"),
@@ -377,7 +405,7 @@ def rewrite_spec(workspace, **fields):
      "bad synthesize fields: 'int' object is not iterable"),
 ], ids=["unknown-policy", "bad-params", "params-of-unknown-policy", "lc-not-below-bs", "string-jobs",
         "null-capacity", "capacity-not-above-chunk", "infinite-capacity", "null-seed", "number-traces",
-        "number-in-traces", "number-manifest", "list-synthesize", "string-policies", "number-scenarios",
+        "number-in-traces", "unmatched-glob", "number-manifest", "list-synthesize", "string-policies", "number-scenarios",
         "number-output-dir", "fractional-seed", "string-loop-traces",
         "null-synthesized-chunk-count", "number-synthesized-ladder"])
 def test_run_rejects_invalid_spec(workspace, capsys, fields, message):

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from abrsim import SessionConfig, replay_diff, run_session
+from abrsim import simulator
 from abrsim.simulator import LogFormatError, SessionEventLog
 from abrsim.trace import download_finish_time
 from helpers import constant_trace, make_manifest, monotone_rows
@@ -228,6 +229,36 @@ def test_log_roundtrips_through_jsonl(tmp_path):
     path = tmp_path / "session.jsonl"
     log.write(str(path))
     assert SessionEventLog.read(str(path)).records == log.records
+
+
+def test_failed_log_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "session.jsonl"
+    path.write_bytes(b'{"event": "session_start"}\n')
+    log, _ = run_session(make_manifest(chunks=5), constant_trace(3000.0), sba_config())
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(simulator, "open", lambda *a, **k: HalfWriter(open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        log.write(str(path))
+    assert path.read_bytes() == b'{"event": "session_start"}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["session.jsonl"]
+    monkeypatch.undo()
+    log.write(str(path))
+    assert path.read_text() == log.to_jsonl()
+    assert [p.name for p in tmp_path.iterdir()] == ["session.jsonl"]
 
 
 def test_runs_are_deterministic():
