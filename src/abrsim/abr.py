@@ -23,7 +23,6 @@ Adding a policy means one class here and one entry in POLICIES.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -33,7 +32,11 @@ from .manifest import VideoManifest
 
 @dataclass(frozen=True)
 class Observation:
-    """Everything a policy may look at when deciding one fetch."""
+    """Everything a policy may look at when deciding one fetch.
+
+    An unchecked record: the engine builds one per decision from values the
+    config, the manifest and its own per-chunk checks have already proven.
+    """
 
     chunk: int
     buffer_s: float
@@ -43,24 +46,6 @@ class Observation:
     bandwidth_estimate_kbps: float
     ssim_delta_mean: float
     manifest: VideoManifest
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.chunk <= self.manifest.chunk_count:
-            raise ValueError(f"chunk {self.chunk} outside 1..{self.manifest.chunk_count}")
-        if not 0.0 < self.critical_threshold_s < self.buffer_capacity_s:
-            raise ValueError(
-                f"need 0 < critical threshold < capacity, got "
-                f"{self.critical_threshold_s} vs {self.buffer_capacity_s}"
-            )
-        if not 0.0 <= self.buffer_s <= self.buffer_capacity_s:
-            raise ValueError(f"buffer {self.buffer_s} outside [0, {self.buffer_capacity_s}]")
-        if self.chunk > 1:
-            if self.prev_level is None:
-                raise ValueError(f"chunk {self.chunk} needs prev_level")
-            if not 1 <= self.prev_level <= self.manifest.ladder.count:
-                raise ValueError(f"prev_level {self.prev_level} outside 1..{self.manifest.ladder.count}")
-        if not math.isfinite(self.bandwidth_estimate_kbps) or self.bandwidth_estimate_kbps <= 0:
-            raise ValueError(f"bandwidth estimate must be > 0, got {self.bandwidth_estimate_kbps}")
 
 
 @dataclass(frozen=True)

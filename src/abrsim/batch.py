@@ -2,9 +2,9 @@
 
 A run spec (JSON) names a manifest (or a synthesis recipe), trace files by
 glob, a list of policies and a list of (capacity, critical-threshold)
-scenarios.  Every policy x scenario x trace triple becomes one session whose
-event log lands under the output directory; its full report is re-derived
-from that log by `session_metrics`:
+scenarios.  Every policy x scenario x trace triple becomes one session; its
+event log is encoded and its report tallied as the engine emits each event
+(`session_metrics` re-derives the same report from the stored log):
 
     sessions/<policy>_bs<BS>_lc<Lc>_<trace>.jsonl   event logs
     sessions.csv                                    one row per session
@@ -44,8 +44,8 @@ from .metrics import (
     aggregates_csv,
     sessions_csv,
 )
-from .simulator import SessionConfig, run_session
-from .trace import load_trace
+from .simulator import JsonlWriter, SessionConfig, run_session, write_text_atomically
+from .trace import TraceError, load_trace
 
 
 class RunSpecError(ValueError):
@@ -138,6 +138,8 @@ def load_runspec(path: str) -> RunSpec:
             doc = json.load(fh)
     except OSError as exc:
         raise RunSpecError(f"{path}: cannot read spec: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise RunSpecError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise RunSpecError(f"{path}: spec is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -206,20 +208,16 @@ class BatchResult:
     aggregates: list
     failures: list
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 def _run_one(task) -> tuple[SessionReport | None, str | None]:
     manifest, config, trace, label, log_path = task
     if isinstance(trace, str):  # the trace file's load error
         return None, trace
     try:
-        log, report = run_session(manifest, trace, config)
+        writer, report = run_session(manifest, trace, config, JsonlWriter())
     except ValueError as exc:  # a TraceError among them
         return None, str(exc)
-    log.write(log_path)
+    write_text_atomically(log_path, "".join(writer.lines))
     return replace(report, trace_label=label), None
 
 
@@ -246,7 +244,7 @@ def run_batch(spec: RunSpec) -> BatchResult:
     for trace_path in trace_paths:
         try:
             traces[trace_path] = load_trace(trace_path)
-        except ValueError as exc:  # a TraceError, or undecodable bytes
+        except TraceError as exc:
             traces[trace_path] = str(exc)
     out_dir = os.path.join(spec.base_dir, spec.output_dir) if not os.path.isabs(spec.output_dir) else spec.output_dir
     sessions_dir = os.path.join(out_dir, "sessions")
@@ -309,8 +307,8 @@ def run_batch(spec: RunSpec) -> BatchResult:
                             "detail": "nothing to aggregate"})
     failures += starved
 
-    _write_text(os.path.join(out_dir, "sessions.csv"), sessions_csv(reports))
-    _write_text(os.path.join(out_dir, "aggregates.csv"), aggregates_csv(aggregates))
+    write_text_atomically(os.path.join(out_dir, "sessions.csv"), sessions_csv(reports))
+    write_text_atomically(os.path.join(out_dir, "aggregates.csv"), aggregates_csv(aggregates))
     for metric in HEADLINE_METRICS:
         lines = [f"policy,BS,Lc,{metric.column}"]
         for agg in aggregates:
@@ -318,8 +316,8 @@ def run_batch(spec: RunSpec) -> BatchResult:
                 f"{agg.policy},{agg.buffer_capacity_s:g},{agg.critical_threshold_s:g},"
                 f"{getattr(agg, metric.attr)!r}"
             )
-        _write_text(os.path.join(plots_dir, metric.plot + ".csv"), "\n".join(lines) + "\n")
-    _write_text(os.path.join(out_dir, "comparison.txt"), emit_comparison_table(aggregates))
+        write_text_atomically(os.path.join(plots_dir, metric.plot + ".csv"), "\n".join(lines) + "\n")
+    write_text_atomically(os.path.join(out_dir, "comparison.txt"), emit_comparison_table(aggregates))
 
     echo = {
         "manifest": spec.manifest_path,
@@ -331,15 +329,10 @@ def run_batch(spec: RunSpec) -> BatchResult:
         "seed": spec.seed,
         "policy_params": spec.policy_params,
     }
-    _write_text(os.path.join(out_dir, "run_config.json"), json.dumps(echo, indent=1) + "\n")
+    write_text_atomically(os.path.join(out_dir, "run_config.json"), json.dumps(echo, indent=1) + "\n")
     if failures:
-        _write_text(os.path.join(out_dir, "failures.json"), json.dumps(failures, indent=1) + "\n")
+        write_text_atomically(os.path.join(out_dir, "failures.json"), json.dumps(failures, indent=1) + "\n")
     return BatchResult(out_dir, reports, aggregates, failures)
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def emit_comparison_table(aggregates) -> str:

@@ -27,6 +27,7 @@ from .manifest import (
     synthesize_manifest,
 )
 from .simulator import (
+    JsonlWriter,
     SessionConfig,
     SessionEventLog,
     replay_diff,
@@ -162,8 +163,8 @@ def cmd_simulate(args) -> int:
         loop_trace=args.loop,
         policy_params=params,
     )
-    log, report = run_session(manifest, trace, config)
-    text = log.to_jsonl()
+    writer, report = run_session(manifest, trace, config, JsonlWriter())
+    text = "".join(writer.lines)
     sys.stdout.write(text)
     if args.log:
         write_text_atomically(args.log, text)

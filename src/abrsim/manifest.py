@@ -172,6 +172,8 @@ def load_manifest(path: str) -> VideoManifest:
             doc = json.load(fh)
     except OSError as exc:
         raise ManifestError(f"{path}: cannot read manifest: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: manifest is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

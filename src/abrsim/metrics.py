@@ -1,10 +1,11 @@
-"""Quality-of-experience metrics computed from session event logs.
+"""Quality-of-experience metrics computed from session events.
 
 Four headline metrics per session:
 
 * rebuffering_total_s - wall time spent in mid-session stalls.  The startup
-  delay (first fetch to first displayed frame) is reported separately and
-  never counted as rebuffering.
+  delay (first fetch to first displayed frame) is never counted as
+  rebuffering; it is the report field `startup_delay_s`, which no CSV, plot
+  or table prints.
 * instability - number of level switches between consecutively displayed
   chunks.
 * mean_ssim - mean SSIM over displayed chunks at their fetched levels.
@@ -61,73 +62,95 @@ class AggregateReport:
     startup_delay_s: float
 
 
+class SessionTally:
+    """Online reduction of one session's events to a SessionReport.
+
+    A sink for the engine: `display` takes each displayed chunk's level and
+    `record` the header and the playback, stall and end records; fetches and
+    completions carry nothing the report needs.  `report` prices the levels
+    with the manifest's checked lookups, since a stored log is outside input.
+    """
+
+    def __init__(self) -> None:
+        self.header: dict | None = None
+        self.levels: list[int] = []
+        self.startup = self.end_time = self.truncated_at = self.stall_open = None  # times in s
+        self.diagnostic = ""
+        self.stall_total, self.stall_count = 0.0, 0
+
+    def fetch(self, *event) -> None:
+        pass
+
+    complete = fetch
+
+    def display(self, t, chunk, level) -> None:
+        self.levels.append(level)
+
+    def record(self, rec: dict) -> None:
+        kind = rec["event"]
+        if kind == "chunk_display_start":
+            self.levels.append(rec["level"])
+        elif kind == "session_start" and self.header is None:
+            self.header = rec
+        elif kind == "playback_start":
+            self.startup = rec["time_s"]
+        elif kind == "playback_stall":
+            self.stall_open = rec["time_s"]
+        elif kind == "playback_resume":
+            if self.stall_open is None:
+                raise ValueError("playback_resume without an open stall")
+            self.stall_total += rec["time_s"] - self.stall_open
+            self.stall_count += 1
+            self.stall_open = None
+        elif kind == "session_end":
+            self.end_time = rec["time_s"]
+        elif kind == "session_truncated":
+            self.truncated_at = rec["time_s"]
+            self.diagnostic = rec.get("diagnostic", "")
+
+    def report(self, manifest: VideoManifest) -> SessionReport:
+        header = self.header
+        if header is None:
+            raise ValueError("log does not start with a session_start record")
+        stall_total, stall_count = self.stall_total, self.stall_count
+        if self.stall_open is not None:
+            # Session cut off mid-stall; count the open interval up to the cut.
+            cut = self.truncated_at if self.truncated_at is not None else self.stall_open
+            stall_total += cut - self.stall_open
+            stall_count += 1
+        levels = self.levels
+        partial = (self.truncated_at is not None or self.end_time is None
+                   or len(levels) < header["chunk_count"])
+        ssims = [manifest.ssim_at(i, lvl) for i, lvl in enumerate(levels, start=1)]
+        rates = [manifest.ladder.rate_kbps(lvl) for lvl in levels]
+        return SessionReport(
+            policy=header["policy"],
+            buffer_capacity_s=header["buffer_capacity_s"],
+            critical_threshold_s=header["critical_threshold_s"],
+            loop_trace=header["loop_trace"],
+            trace_label="",
+            startup_delay_s=self.startup,
+            rebuffering_total_s=stall_total,
+            rebuffer_count=stall_count,
+            instability=float(sum(1 for a, b in zip(levels, levels[1:]) if a != b)),
+            mean_ssim=mean(ssims),
+            mean_bitrate_kbps=mean(rates),
+            displayed=tuple(zip(levels, ssims, rates)),
+            wall_clock_s=self.end_time if self.end_time is not None else self.truncated_at,
+            partial=partial,
+            diagnostic=self.diagnostic,
+        )
+
+
 def session_metrics(log, manifest: VideoManifest) -> SessionReport:
-    """Reduce one event log to a SessionReport."""
+    """Reduce one stored event log to a SessionReport through a SessionTally."""
     records = log.records
     if not records or records[0].get("event") != "session_start":
         raise ValueError("log does not start with a session_start record")
-    header = records[0]
-
-    displayed_levels: list[int] = []
-    startup: float | None = None
-    end_time: float | None = None
-    truncated_at: float | None = None
-    diagnostic = ""
-    stall_open: float | None = None
-    stall_total = 0.0
-    stall_count = 0
-    for rec in records[1:]:
-        kind = rec["event"]
-        if kind == "chunk_display_start":
-            displayed_levels.append(rec["level"])
-        elif kind == "playback_start":
-            startup = rec["time_s"]
-        elif kind == "playback_stall":
-            stall_open = rec["time_s"]
-        elif kind == "playback_resume":
-            if stall_open is None:
-                raise ValueError("playback_resume without an open stall")
-            stall_total += rec["time_s"] - stall_open
-            stall_count += 1
-            stall_open = None
-        elif kind == "session_end":
-            end_time = rec["time_s"]
-        elif kind == "session_truncated":
-            truncated_at = rec["time_s"]
-            diagnostic = rec.get("diagnostic", "")
-    if stall_open is not None:
-        # Session cut off mid-stall; count the open interval up to the cut.
-        cut = truncated_at if truncated_at is not None else stall_open
-        stall_total += cut - stall_open
-        stall_count += 1
-
-    partial = truncated_at is not None or end_time is None
-    partial = partial or len(displayed_levels) < header["chunk_count"]
-
-    ssims = [manifest.ssim_at(i + 1, lvl) for i, lvl in enumerate(displayed_levels)]
-    rates = [manifest.ladder.rate_kbps(lvl) for lvl in displayed_levels]
-    instability = float(
-        sum(1 for a, b in zip(displayed_levels, displayed_levels[1:]) if a != b)
-    )
-    return SessionReport(
-        policy=header["policy"],
-        buffer_capacity_s=header["buffer_capacity_s"],
-        critical_threshold_s=header["critical_threshold_s"],
-        loop_trace=header["loop_trace"],
-        trace_label="",
-        startup_delay_s=startup,
-        rebuffering_total_s=stall_total,
-        rebuffer_count=stall_count,
-        instability=instability,
-        mean_ssim=mean(ssims),
-        mean_bitrate_kbps=mean(rates),
-        displayed=tuple(
-            (lvl, ssims[i], rates[i]) for i, lvl in enumerate(displayed_levels)
-        ),
-        wall_clock_s=end_time if end_time is not None else truncated_at,
-        partial=partial,
-        diagnostic=diagnostic,
-    )
+    tally = SessionTally()
+    for rec in records:
+        tally.record(rec)
+    return tally.report(manifest)
 
 
 def aggregate(reports) -> AggregateReport:
@@ -174,21 +197,19 @@ SESSION_CSV_COLUMNS = ("trace",) + AGGREGATE_CSV_COLUMNS + ("partial",)
 
 def sessions_csv(reports) -> str:
     """One CSV row per session, traces identified by label."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SESSION_CSV_COLUMNS)
-    for r in reports:
-        writer.writerow([r.trace_label, *_row(r), int(r.partial)])
-    return out.getvalue()
+    return _csv(SESSION_CSV_COLUMNS, ([r.trace_label, *_row(r), int(r.partial)] for r in reports))
 
 
 def aggregates_csv(aggregates) -> str:
     """One CSV row per policy and scenario."""
+    return _csv(AGGREGATE_CSV_COLUMNS, (_row(a) for a in aggregates))
+
+
+def _csv(columns, rows) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(AGGREGATE_CSV_COLUMNS)
-    for a in aggregates:
-        writer.writerow(_row(a))
+    writer.writerow(columns)
+    writer.writerows(rows)
     return out.getvalue()
 
 

@@ -18,10 +18,12 @@ event is resolved analytically (no fixed timestep), one pass per chunk:
 The buffer drains one second of content per second of wall clock while
 playing; after the last chunk it drains out and the session ends.
 
-Everything observable is appended to a SessionEventLog (JSON Lines on disk,
-fixed field order), and `replay_diff` re-runs the engine with download
-completion times taken from a log to verify that every other recorded value
-- decisions, estimates, buffer levels, event times - is reproduced.
+Each event goes once, as it happens, to a sink: a SessionEventLog keeps the
+records (JSON Lines on disk, fixed field order), and a JsonlWriter encodes
+each line and tallies the report in the same call.  `replay_diff` re-runs
+the engine with download completion times taken from a log to verify that
+every other recorded value - decisions, estimates, buffer levels, event
+times - is reproduced.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from .abr import Observation, decide, make_policy
 from .estimators import RunningMean
 from .manifest import VideoManifest
-from .metrics import SessionReport, session_metrics
+from .metrics import SessionTally, session_metrics
 from .trace import BandwidthTrace, TraceExhaustedError, download_finish_time
 
 # Largest absolute (and relative) gap between a logged and a replayed number
@@ -45,13 +47,6 @@ TOLERANCE_S = 1e-9
 # call adds type and BOM checks and two whitespace scans, about a quarter
 # of the per-line cost on engine-written logs.
 _DECODER = json.JSONDecoder()
-
-# Key order of the three records the engine writes once per chunk; all but
-# a handful of a log's lines have one of these shapes.
-_FETCH_ISSUED_KEYS = ("event", "time_s", "chunk", "level", "buffer_s",
-                      "bandwidth_estimate_kbps", "ssim_delta_mean", "reason")
-_DOWNLOAD_COMPLETE_KEYS = ("event", "time_s", "chunk", "throughput_kbps")
-_DISPLAY_START_KEYS = ("event", "time_s", "chunk", "level")
 _ascii_str = json.encoder.encode_basestring_ascii
 
 
@@ -106,14 +101,29 @@ class SessionConfig:
 
 @dataclass
 class SessionEventLog:
-    """Ordered event records; one JSON object per line on disk."""
+    """Ordered event records; one JSON object per line on disk.
+
+    Also the engine's default sink: `fetch`, `complete` and `display` build
+    the three per-chunk records, and `record` appends any other one.
+    """
 
     records: list[dict] = field(default_factory=list)
 
-    def events(self, kind: str | None = None):
-        if kind is None:
-            return list(self.records)
-        return [r for r in self.records if r["event"] == kind]
+    def fetch(self, t, chunk, level, buffer_s, estimate, drift, reason) -> None:
+        self.records.append(
+            {"event": "fetch_issued", "time_s": t, "chunk": chunk, "level": level, "buffer_s": buffer_s,
+             "bandwidth_estimate_kbps": estimate, "ssim_delta_mean": drift, "reason": reason}
+        )
+
+    def complete(self, t, chunk, throughput) -> None:
+        self.records.append({"event": "download_complete", "time_s": t, "chunk": chunk,
+                             "throughput_kbps": throughput})
+
+    def display(self, t, chunk, level) -> None:
+        self.records.append({"event": "chunk_display_start", "time_s": t, "chunk": chunk, "level": level})
+
+    def record(self, rec: dict) -> None:
+        self.records.append(rec)
 
     @property
     def header(self) -> dict:
@@ -122,47 +132,7 @@ class SessionEventLog:
         return self.records[0]
 
     def to_jsonl(self) -> str:
-        """`json.dumps(r) + "\\n"` per record, byte for byte.
-
-        The engine's per-chunk records are formatted from templates with
-        the calls `json.dumps` makes for them (`repr` for an exact int or a
-        finite float, `encode_basestring_ascii` for a str).  A template is
-        used only when the record is a plain dict with exactly the template's
-        keys in order and values of exactly those types; anything else goes
-        through `json.dumps`, which also raises what it would raise.
-        """
-        lines = []
-        for r in self.records:
-            if type(r) is dict:
-                kind = r.get("event")
-                if kind == "fetch_issued" and tuple(r) == _FETCH_ISSUED_KEYS:
-                    _, t, c, lv, b, e, d, why = r.values()
-                    if (type(t) is type(b) is type(e) is type(d) is float and type(c) is type(lv) is int
-                            and type(why) is str and math.isfinite(t + b + e + d)):
-                        lines.append(
-                            f'{{"event": "fetch_issued", "time_s": {t!r}, "chunk": {c!r}, '
-                            f'"level": {lv!r}, "buffer_s": {b!r}, "bandwidth_estimate_kbps": {e!r}, '
-                            f'"ssim_delta_mean": {d!r}, "reason": {_ascii_str(why)}}}\n'
-                        )
-                        continue
-                elif kind == "download_complete" and tuple(r) == _DOWNLOAD_COMPLETE_KEYS:
-                    _, t, c, x = r.values()
-                    if type(t) is type(x) is float and type(c) is int and math.isfinite(t + x):
-                        lines.append(
-                            f'{{"event": "download_complete", "time_s": {t!r}, "chunk": {c!r}, '
-                            f'"throughput_kbps": {x!r}}}\n'
-                        )
-                        continue
-                elif kind == "chunk_display_start" and tuple(r) == _DISPLAY_START_KEYS:
-                    _, t, c, lv = r.values()
-                    if type(t) is float and type(c) is type(lv) is int and math.isfinite(t):
-                        lines.append(
-                            f'{{"event": "chunk_display_start", "time_s": {t!r}, "chunk": {c!r}, '
-                            f'"level": {lv!r}}}\n'
-                        )
-                        continue
-            lines.append(json.dumps(r) + "\n")
-        return "".join(lines)
+        return "".join(json.dumps(r) + "\n" for r in self.records)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "SessionEventLog":
@@ -193,8 +163,65 @@ class SessionEventLog:
 
     @classmethod
     def read(cls, path: str) -> "SessionEventLog":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_jsonl(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise LogFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        return cls.from_jsonl(text)
+
+
+class JsonlWriter(SessionTally):
+    """Sink that encodes each event as its log line and tallies it in the same call.
+
+    `"".join(lines)` is byte for byte what `SessionEventLog.to_jsonl` gives.  A
+    per-chunk event with exactly-`int` chunk and level, an exactly-`str` reason
+    and finite floats is formatted from a template with the calls `json.dumps`
+    makes (`repr`, `encode_basestring_ascii`); any other goes through `json.dumps`.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lines: list[str] = []
+
+    def fetch(self, t, chunk, level, buffer_s, estimate, drift, reason) -> None:
+        if (type(t) is type(buffer_s) is type(estimate) is type(drift) is float
+                and type(chunk) is type(level) is int and type(reason) is str
+                and math.isfinite(t + buffer_s + estimate + drift)):
+            self.lines.append(
+                f'{{"event": "fetch_issued", "time_s": {t!r}, "chunk": {chunk!r}, "level": {level!r}, '
+                f'"buffer_s": {buffer_s!r}, "bandwidth_estimate_kbps": {estimate!r}, '
+                f'"ssim_delta_mean": {drift!r}, "reason": {_ascii_str(reason)}}}\n'
+            )
+        else:
+            self.lines.append(_dumps_event("fetch", t, chunk, level, buffer_s, estimate, drift, reason))
+
+    def complete(self, t, chunk, throughput) -> None:
+        if type(t) is type(throughput) is float and type(chunk) is int and math.isfinite(t + throughput):
+            self.lines.append(
+                f'{{"event": "download_complete", "time_s": {t!r}, "chunk": {chunk!r}, '
+                f'"throughput_kbps": {throughput!r}}}\n'
+            )
+        else:
+            self.lines.append(_dumps_event("complete", t, chunk, throughput))
+
+    def display(self, t, chunk, level) -> None:
+        if type(t) is float and type(chunk) is type(level) is int and math.isfinite(t):
+            self.lines.append(f'{{"event": "chunk_display_start", "time_s": {t!r}, "chunk": {chunk!r}, '
+                              f'"level": {level!r}}}\n')
+        else:
+            self.lines.append(_dumps_event("display", t, chunk, level))
+        self.levels.append(level)
+
+    def record(self, rec: dict) -> None:
+        self.lines.append(json.dumps(rec) + "\n")
+        super().record(rec)
+
+
+def _dumps_event(method: str, *event) -> str:
+    log = SessionEventLog()  # the line `to_jsonl` writes for the record this sink method builds
+    getattr(log, method)(*event)
+    return log.to_jsonl()
 
 
 def write_text_atomically(path: str, text: str) -> None:
@@ -217,27 +244,38 @@ def write_text_atomically(path: str, text: str) -> None:
 
 
 def run_session(
-    manifest: VideoManifest, trace: BandwidthTrace, config: SessionConfig
-) -> tuple[SessionEventLog, SessionReport]:
-    """Simulate one session; returns its event log and metrics report.
+    manifest: VideoManifest, trace: BandwidthTrace, config: SessionConfig, sink=None
+) -> tuple:
+    """Simulate one session into `sink` (a new SessionEventLog by default); returns it and the report.
 
-    A non-looping trace that cannot carry the session to completion yields a
-    truncated log and a report flagged partial rather than an exception.
+    A SessionTally sink, such as a JsonlWriter, reports from its own tally;
+    `session_metrics` reduces a log.  A trace that cannot carry the session
+    to completion yields a truncated log and a partial report, not an error.
     """
+    if sink is None:
+        sink = SessionEventLog()
     run_trace = replace(trace, loop=config.loop_trace)
 
     def finish_fn(chunk: int, send_time_s: float, volume_kilobits: float) -> float:
         return download_finish_time(run_trace, send_time_s, volume_kilobits)
 
-    log = _drive(manifest, config, finish_fn)
-    return log, session_metrics(log, manifest)
+    _drive(manifest, config, finish_fn, sink)
+    if isinstance(sink, SessionTally):
+        return sink, sink.report(manifest)
+    return sink, session_metrics(sink, manifest)
 
 
-def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> SessionEventLog:
-    """Run the per-chunk loop with an injected download-completion source."""
+def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> None:
+    """Run the per-chunk loop with an injected download-completion source.
+
+    Each event goes to `sink` once, as it happens.  Nothing the config and
+    the manifest proved is checked again: only the buffer and the estimate
+    per chunk and the policy's level per decision.
+    """
     chunk_len = manifest.chunk_duration_s
     total_chunks = manifest.chunk_count
     capacity = config.buffer_capacity_s
+    critical = config.critical_threshold_s
     if capacity <= chunk_len:
         # At capacity == chunk_len the fetch gate opens only on an empty
         # buffer, where round-off can leave it a hair below zero.
@@ -249,7 +287,13 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
             f"resume threshold {config.resume_threshold_s}s unreachable: the fetch gate "
             f"caps a stalled buffer at {capacity - chunk_len}s"
         )
-    floor_rate = manifest.ladder.rate_kbps(1)
+    if not 0.0 < critical < capacity:  # a config edited after it was built
+        raise ValueError(f"need 0 < critical threshold < capacity, got {critical} vs {capacity}")
+    floor_rate = manifest.ladder.levels_kbps[0]
+    level_count = manifest.ladder.count
+    ssim = manifest.ssim
+    nominal = tuple(rate * chunk_len for rate in manifest.ladder.levels_kbps)
+    volumes = manifest.chunk_kilobits or (nominal,) * total_chunks  # kilobits per chunk and level
 
     # Deciding chunk l sees the throughput of downloads 1..l-1 and the SSIM
     # deltas of the transitions into chunks 2..l-1.
@@ -257,14 +301,13 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
     drift_mean = RunningMean()
     policy = make_policy(config.policy, config.policy_params)
 
-    log = SessionEventLog()
-    log.records.append(
+    sink.record(
         {
             "event": "session_start",
             "policy": config.policy,
             "policy_params": dict(config.policy_params),
             "buffer_capacity_s": capacity,
-            "critical_threshold_s": config.critical_threshold_s,
+            "critical_threshold_s": critical,
             # The only startup rule; still written, so replay still checks it.
             "startup_policy": "play_after_first_chunk",
             "resume_threshold_s": config.resume_threshold_s,
@@ -274,6 +317,7 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
             "ladder_kbps": list(manifest.ladder.levels_kbps),
         }
     )
+    fetch, complete, display = sink.fetch, sink.complete, sink.display
 
     now = 0.0
     play_pos = 0.0
@@ -292,14 +336,7 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
             new_pos = play_pos + (t - now)
             while next_display <= chunks_done and (next_display - 1) * chunk_len < new_pos:
                 boundary = (next_display - 1) * chunk_len
-                log.records.append(
-                    {
-                        "event": "chunk_display_start",
-                        "time_s": now + max(boundary - play_pos, 0.0),
-                        "chunk": next_display,
-                        "level": levels[next_display - 1],
-                    }
-                )
+                display(now + max(boundary - play_pos, 0.0), next_display, levels[next_display - 1])
                 next_display += 1
             play_pos = new_pos
             buffer = chunks_done * chunk_len - play_pos
@@ -310,14 +347,7 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
         # playback (re)starts.
         nonlocal next_display
         while next_display <= chunks_done and (next_display - 1) * chunk_len <= play_pos + 1e-12:
-            log.records.append(
-                {
-                    "event": "chunk_display_start",
-                    "time_s": t,
-                    "chunk": next_display,
-                    "level": levels[next_display - 1],
-                }
-            )
+            display(t, next_display, levels[next_display - 1])
             next_display += 1
 
     for chunk in range(1, total_chunks + 1):
@@ -327,43 +357,27 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
         prev_level = levels[-1] if levels else None
         estimate = throughput_mean.mean(floor_rate)
         drift = drift_mean.mean()
-        obs = Observation(
-            chunk=chunk,
-            buffer_s=buffer,
-            buffer_capacity_s=capacity,
-            critical_threshold_s=config.critical_threshold_s,
-            prev_level=prev_level,
-            bandwidth_estimate_kbps=estimate,
-            ssim_delta_mean=drift,
-            manifest=manifest,
-        )
-        decision = decide(policy, obs)
+        if not 0.0 <= buffer <= capacity:  # round-off in the drain arithmetic
+            raise ValueError(f"buffer {buffer} outside [0, {capacity}]")
+        if not 0.0 < estimate < math.inf:  # a replayed completion time can make it 0 or inf
+            raise ValueError(f"bandwidth estimate must be > 0, got {estimate}")
+        decision = decide(policy, Observation(chunk, buffer, capacity, critical, prev_level,
+                                              estimate, drift, manifest))
+        level = decision.level
+        if not 1 <= level <= level_count:
+            raise IndexError(f"level {level} outside 1..{level_count}")
         if chunk >= 2:
-            drift_mean.add(
-                manifest.ssim_at(chunk, decision.level) - manifest.ssim_at(chunk - 1, prev_level)
-            )
-        log.records.append(
-            {
-                "event": "fetch_issued",
-                "time_s": now,
-                "chunk": chunk,
-                "level": decision.level,
-                "buffer_s": buffer,
-                "bandwidth_estimate_kbps": estimate,
-                "ssim_delta_mean": drift,
-                "reason": decision.reason,
-            }
-        )
+            drift_mean.add(ssim[chunk - 1][level - 1] - ssim[chunk - 2][prev_level - 1])
+        fetch(now, chunk, level, buffer, estimate, drift, decision.reason)
         send_t = now
-        volume = manifest.chunk_volume(chunk, decision.level)
+        volume = volumes[chunk - 1][level - 1]
         try:
             finish_t = finish_fn(chunk, send_t, volume)
         except TraceExhaustedError as exc:
-            log.records.append(
-                {"event": "session_truncated", "time_s": send_t, "chunk": chunk, "diagnostic": str(exc)}
-            )
-            return log
-        levels.append(decision.level)
+            sink.record({"event": "session_truncated", "time_s": send_t, "chunk": chunk,
+                         "diagnostic": str(exc)})
+            return
+        levels.append(level)
         if playing and now + buffer < finish_t:
             # Buffer empties before the download lands: stall.
             advance_to(now + buffer)
@@ -371,31 +385,27 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn) -> Session
             buffer = 0.0
             playing = False
             stalled = True
-            log.records.append({"event": "playback_stall", "time_s": now})
+            sink.record({"event": "playback_stall", "time_s": now})
         advance_to(finish_t)
         chunks_done += 1
         buffer = chunks_done * chunk_len - play_pos
         throughput = volume / (finish_t - send_t)
-        log.records.append(
-            {"event": "download_complete", "time_s": finish_t, "chunk": chunk,
-             "throughput_kbps": throughput}
-        )
+        complete(finish_t, chunk, throughput)
         throughput_mean.add(throughput)
         policy.observe(throughput, finish_t - send_t)
         if chunk == 1:
             playing = True
-            log.records.append({"event": "playback_start", "time_s": now})
+            sink.record({"event": "playback_start", "time_s": now})
             emit_due_display_starts(now)
         elif stalled and (buffer >= config.resume_threshold_s or chunk == total_chunks):
             stalled = False
             playing = True
-            log.records.append({"event": "playback_resume", "time_s": now})
+            sink.record({"event": "playback_resume", "time_s": now})
             emit_due_display_starts(now)
 
     # Everything downloaded: drain out and close the session.
     advance_to(now + buffer)
-    log.records.append({"event": "session_end", "time_s": now})
-    return log
+    sink.record({"event": "session_end", "time_s": now})
 
 
 class _ReplayInconsistency(Exception):
@@ -440,7 +450,8 @@ def replay_diff(log: SessionEventLog, manifest: VideoManifest, config: SessionCo
     """
     log.header  # raises LogFormatError on structurally broken logs
     try:
-        regenerated = _drive(manifest, config, _LoggedCompletions(log))
+        regenerated = SessionEventLog()
+        _drive(manifest, config, _LoggedCompletions(log), regenerated)
     except _ReplayInconsistency as exc:
         return [str(exc)]
     except (ValueError, TraceExhaustedError) as exc:

@@ -91,13 +91,6 @@ class BandwidthTrace:
         return wraps * per_loop + self._segment_cum(rem)
 
 
-def transferred_kilobits(trace: BandwidthTrace, start_s: float, end_s: float) -> float:
-    """Kilobits delivered over [start_s, end_s]."""
-    if start_s < 0 or end_s < start_s:
-        raise ValueError(f"need 0 <= start <= end, got [{start_s}, {end_s}]")
-    return trace._cum(end_s) - trace._cum(start_s)
-
-
 def _invert_within_period(trace: BandwidthTrace, kilobits: float) -> float:
     # Earliest offset into one loop period delivering `kilobits`,
     # 0 < kilobits <= per-period volume.
@@ -155,17 +148,18 @@ def load_trace(path: str) -> BandwidthTrace:
             lines = fh.readlines()
     except OSError as exc:
         raise TraceError(f"{path}: cannot read trace: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"{path}: not UTF-8 text: {exc}") from exc
+    content = [(lineno, line) for lineno, line in enumerate((raw.strip() for raw in lines), start=1)
+               if line and not line.startswith("#")]
+    for k, (lineno, line) in enumerate(content):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise TraceError(f"{path}:{lineno}: expected `timestamp_s,bandwidth_kbps`, got {line!r}")
         try:
             t, bw = float(parts[0]), float(parts[1])
         except ValueError:
-            if not samples and lineno == _first_content_lineno(lines):
+            if k == 0:
                 continue  # header row
             raise TraceError(f"{path}:{lineno}: non-numeric sample {line!r}") from None
         samples.append((t, bw))
@@ -173,14 +167,6 @@ def load_trace(path: str) -> BandwidthTrace:
         return BandwidthTrace(tuple(samples))
     except TraceError as exc:
         raise TraceError(f"{path}: {exc}") from exc
-
-
-def _first_content_lineno(lines: list[str]) -> int:
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            return lineno
-    return 0
 
 
 def save_trace(trace: BandwidthTrace, path: str) -> None:

@@ -8,6 +8,20 @@ from abrsim.simulator import SessionConfig, run_session
 from abrsim.trace import BandwidthTrace
 
 
+def events(log, kind=None):
+    """The log's records, or those of one event kind; the dicts themselves, not copies."""
+    if kind is None:
+        return list(log.records)
+    return [r for r in log.records if r["event"] == kind]
+
+
+def transferred_kilobits(trace: BandwidthTrace, start_s: float, end_s: float) -> float:
+    """Kilobits the trace delivers over [start_s, end_s]."""
+    if start_s < 0 or end_s < start_s:
+        raise ValueError(f"need 0 <= start <= end, got [{start_s}, {end_s}]")
+    return trace._cum(end_s) - trace._cum(start_s)
+
+
 def make_ladder(rates=NETFLIX_LADDER_KBPS) -> BitrateLadder:
     return BitrateLadder(tuple(float(r) for r in rates))
 

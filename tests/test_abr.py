@@ -3,7 +3,7 @@ import random
 import pytest
 
 from abrsim import POLICIES, decide, make_policy
-from abrsim.abr import Bba, Decision, Festive, Observation, Osmf, Sba
+from abrsim.abr import Bba, Decision, Festive, Osmf, Sba
 from helpers import make_manifest, make_observation
 
 
@@ -15,52 +15,6 @@ def dyadic_rows(chunks: int, levels: int, base: int = 768, step: int = 20):
 
 def dyadic_manifest(chunks: int = 5):
     return make_manifest(chunks=chunks, ssim=dyadic_rows(chunks, 10))
-
-
-# --- observation validation ---
-
-
-def test_observation_rejects_bad_chunk():
-    manifest = make_manifest(chunks=3)
-    with pytest.raises(ValueError, match="outside 1..3"):
-        make_observation(manifest, chunk=0)
-    with pytest.raises(ValueError, match="outside 1..3"):
-        make_observation(manifest, chunk=4)
-
-
-def test_observation_rejects_bad_buffer():
-    manifest = make_manifest()
-    with pytest.raises(ValueError, match="buffer"):
-        make_observation(manifest, buffer_s=-0.5)
-    with pytest.raises(ValueError, match="buffer"):
-        make_observation(manifest, buffer_s=121.0)
-
-
-def test_observation_rejects_bad_threshold():
-    manifest = make_manifest()
-    with pytest.raises(ValueError, match="critical threshold"):
-        make_observation(manifest, critical=120.0, capacity=120.0)
-    with pytest.raises(ValueError, match="critical threshold"):
-        make_observation(manifest, critical=0.0)
-
-
-def test_observation_requires_prev_level_after_startup():
-    manifest = make_manifest()
-    with pytest.raises(ValueError, match="needs prev_level"):
-        Observation(
-            chunk=2, buffer_s=50.0, buffer_capacity_s=120.0, critical_threshold_s=12.0,
-            prev_level=None, bandwidth_estimate_kbps=1000.0, ssim_delta_mean=0.0,
-            manifest=manifest,
-        )
-    with pytest.raises(ValueError, match="prev_level 11"):
-        make_observation(manifest, prev_level=11)
-
-
-def test_observation_rejects_bad_estimate():
-    manifest = make_manifest()
-    for bad in (0.0, -5.0, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="bandwidth estimate"):
-            make_observation(manifest, estimate=bad)
 
 
 # --- sba ---

@@ -12,9 +12,12 @@ import glob
 import hashlib
 import json
 import os
+import pathlib
 import random
 import time
 from fractions import Fraction
+
+import pytest
 
 from abrsim import (
     POLICIES,
@@ -30,13 +33,15 @@ from abrsim import (
 from abrsim.abr import Observation, Sba
 from abrsim.estimators import RunningMean
 from abrsim.simulator import SessionEventLog
-from abrsim.trace import BandwidthTrace, download_finish_time, transferred_kilobits
+from abrsim.trace import BandwidthTrace, download_finish_time
 from helpers import (
     constant_trace,
+    events,
     make_manifest,
     monotone_rows,
     random_trace,
     replay_pool,
+    transferred_kilobits,
 )
 
 SCENARIO_DIR = os.path.normpath(
@@ -118,9 +123,9 @@ def test_estimator_oracles_over_randomized_logs():
                              rate_range=(300.0, 7000.0), loop=True)
         policy = list(POLICIES)[i % len(POLICIES)]
         log, _ = run_session(manifest, trace, SessionConfig(policy=policy, loop_trace=True))
-        dones = {r["chunk"]: r for r in log.events("download_complete")}
+        dones = {r["chunk"]: r for r in events(log, "download_complete")}
         samples, deltas, level_of, sent_at = [], [], {}, {}
-        for fetch in log.events("fetch_issued"):
+        for fetch in events(log, "fetch_issued"):
             chunk = fetch["chunk"]
             want = 235.0 if not samples else None
             if samples:
@@ -259,7 +264,7 @@ def test_critical_zone_fetches_stay_on_floor():
         )
         if report.partial:
             failures.append(f"trace {i}: session did not complete")
-        for fetch in log.events("fetch_issued"):
+        for fetch in events(log, "fetch_issued"):
             if fetch["buffer_s"] <= 12.0:
                 if fetch["chunk"] > 1:
                     critical_fetches += 1
@@ -296,7 +301,7 @@ def test_zero_rebuffering_on_steady_links():
                 failures.append(
                     f"{policy} at {kbps:.1f}: rebuffering {report.rebuffering_total_s!r}"
                 )
-            if log.events("playback_stall"):
+            if events(log, "playback_stall"):
                 failures.append(f"{policy} at {kbps:.1f}: stall event logged")
     conclude(
         "rebuffering is exactly 0.0 for sba and bba on 20 constant traces "
@@ -307,13 +312,20 @@ def test_zero_rebuffering_on_steady_links():
 # --- 5. bundled scenario ordering ---
 
 
-def test_bundled_scenario_policy_ordering(tmp_path):
-    t0 = time.perf_counter()
+@pytest.fixture(scope="module")
+def bundled_batch(tmp_path_factory):
+    """The bundled 192-session batch, run once for every test that reads it; and its seconds."""
     spec = load_runspec(os.path.join(SCENARIO_DIR, "runspec.json"))
-    spec.output_dir = str(tmp_path / "out")
+    spec.output_dir = str(tmp_path_factory.mktemp("bundled") / "out")
+    t0 = time.perf_counter()
     result = run_batch(spec)
+    return result, time.perf_counter() - t0
+
+
+def test_bundled_scenario_policy_ordering(bundled_batch):
+    result, elapsed_s = bundled_batch
     failures = []
-    if not result.ok:
+    if result.failures:
         failures.append(f"batch reported {len(result.failures)} failures")
     by_key = {(a.policy, a.buffer_capacity_s): a for a in result.aggregates}
     for bs in (120.0, 240.0):
@@ -335,22 +347,19 @@ def test_bundled_scenario_policy_ordering(tmp_path):
     conclude(
         "bundled 24-trace scenario orders the policies as shipped "
         "(sba: no rebuffering, fewer switches than osmf, ssim >= festive and osmf)",
-        failures, time.perf_counter() - t0, 60.0,
+        failures, elapsed_s, 60.0,
     )
 
 
 # --- 6. conservation and batch determinism ---
 
 
-def test_time_conservation_and_batch_determinism(tmp_path):
+def test_time_conservation_and_batch_determinism(tmp_path, bundled_batch):
     manifest = load_manifest(os.path.join(SCENARIO_DIR, "manifest.json"))
-    outs = []
-    for name in ("one", "two"):
-        spec = load_runspec(os.path.join(SCENARIO_DIR, "runspec.json"))
-        spec.output_dir = str(tmp_path / name)
-        result = run_batch(spec)
-        assert result.ok
-        outs.append(tmp_path / name)
+    spec = load_runspec(os.path.join(SCENARIO_DIR, "runspec.json"))
+    spec.output_dir = str(tmp_path / "two")
+    assert not bundled_batch[0].failures and not run_batch(spec).failures
+    outs = [pathlib.Path(bundled_batch[0].output_dir), tmp_path / "two"]
     failures = []
 
     content_s = manifest.chunk_count * manifest.chunk_duration_s
@@ -389,24 +398,23 @@ def test_time_conservation_and_batch_determinism(tmp_path):
     )
 
 
-def test_bundled_logs_match_golden_digests(tmp_path):
-    # perfbench/golden.json pins the bundled batch's bytes; one trace under
-    # every policy and scenario must reproduce them on any supported Python.
+def test_bundled_logs_match_golden_digests(bundled_batch):
+    # perfbench/golden.json pins the bytes of every stable file of the
+    # bundled batch: the 192 event logs, both CSVs, the plots and the table.
     with open(os.path.join(SCENARIO_DIR, "..", "..", "perfbench", "golden.json"), "rb") as fh:
         golden = json.load(fh)["files"]
-    spec = load_runspec(os.path.join(SCENARIO_DIR, "runspec.json"))
-    spec.trace_globs = ["traces/trace_00.csv"]
-    spec.output_dir = str(tmp_path / "out")
-    spec.jobs = 1
-    result = run_batch(spec)
-    assert result.ok and len(result.session_reports) == 8
-    failures = []
-    for path in sorted(glob.glob(str(tmp_path / "out" / "sessions" / "*.jsonl"))):
-        rel = "sessions/" + os.path.basename(path)
-        with open(path, "rb") as fh:
-            if hashlib.sha256(fh.read()).hexdigest() != golden[rel]:
-                failures.append(f"{rel}: differs from perfbench/golden.json")
-    conclude("8 bundled trace_00 event logs match their golden sha256 digests", failures)
+    out = bundled_batch[0].output_dir
+    digests = {}
+    for pattern in ("sessions/*.jsonl", "plots/*", "sessions.csv", "aggregates.csv", "comparison.txt"):
+        for path in glob.glob(os.path.join(out, pattern)):
+            with open(path, "rb") as fh:
+                digests[os.path.relpath(path, out)] = hashlib.sha256(fh.read()).hexdigest()
+    failures = [f"{rel}: missing from the batch" for rel in sorted(set(golden) - set(digests))]
+    failures += [f"{rel}: not in perfbench/golden.json" for rel in sorted(set(digests) - set(golden))]
+    failures += [f"{rel}: differs from perfbench/golden.json"
+                 for rel in sorted(set(golden) & set(digests)) if digests[rel] != golden[rel]]
+    conclude(f"all {len(golden)} stable files of the bundled batch match their golden sha256 digests",
+             failures)
 
 
 # --- 7. finish-time integrator oracle ---

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from collections import Counter
 
 import pytest
@@ -21,7 +22,7 @@ from abrsim.manifest import (
 )
 from abrsim.metrics import AggregateReport
 from abrsim.simulator import SessionEventLog
-from abrsim.trace import load_trace, save_trace
+from abrsim.trace import TraceError, load_trace, save_trace
 from helpers import constant_trace, make_manifest
 
 
@@ -122,6 +123,13 @@ def test_load_runspec_io_errors(tmp_path):
         load_runspec(str(arr))
 
 
+def test_load_runspec_names_a_spec_that_is_not_utf8(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b'{"policies": ["\xff"]}')
+    with pytest.raises(RunSpecError, match=f"^{re.escape(str(path))}: not UTF-8 text: 'utf-8' codec"):
+        load_runspec(str(path))
+
+
 # --- resolution ---
 
 
@@ -175,7 +183,7 @@ def test_resolve_trace_paths_requires_a_match(tmp_path):
 
 def test_run_batch_writes_all_artifacts(tmp_path):
     result = run_batch(load_runspec(write_workspace(tmp_path, jobs=1)))
-    assert result.ok
+    assert not result.failures
     out = tmp_path / "out"
     assert result.output_dir == str(out)
     for name in ("sessions.csv", "aggregates.csv", "comparison.txt", "run_config.json"):
@@ -209,7 +217,7 @@ def test_run_batch_synthesized_manifest_saved(tmp_path):
         policies=["sba"], jobs=1,
     )
     result = run_batch(load_runspec(path))
-    assert result.ok
+    assert not result.failures
     assert (tmp_path / "out" / "manifest.json").is_file()
 
 
@@ -217,7 +225,7 @@ def test_run_batch_collects_starvation_failures(tmp_path):
     save_trace(constant_trace(100.0, until_s=10.0), str(tmp_path / "starved.csv"))
     path = write_workspace(tmp_path, traces=["starved.csv"], policies=["sba"], jobs=1)
     result = run_batch(load_runspec(path))
-    assert not result.ok
+    assert result.failures
     kinds = {f["kind"] for f in result.failures}
     assert kinds == {"truncated", "no_complete_sessions"}
     assert result.aggregates == []
@@ -246,7 +254,7 @@ def test_run_batch_passes_policy_params_through(tmp_path):
         policy_params={"sba": {"upgrade_only": True}},
     )
     result = run_batch(load_runspec(path))
-    assert result.ok
+    assert not result.failures
     log_path = tmp_path / "out" / "sessions" / "sba_bs120_lc12_trace_0.jsonl"
     header = SessionEventLog.read(str(log_path)).header
     assert header["policy_params"] == {"upgrade_only": True}
@@ -271,7 +279,7 @@ def test_run_batch_absolute_output_dir(tmp_path):
 def test_run_batch_is_deterministic(tmp_path):
     first = run_batch(load_runspec(write_workspace(tmp_path, output_dir="out1", jobs=1)))
     second = run_batch(load_runspec(write_workspace(tmp_path, output_dir="out2", jobs=1)))
-    assert first.ok and second.ok
+    assert not first.failures and not second.failures
     compare = [
         "sessions.csv", "aggregates.csv", "comparison.txt", "run_config.json",
         os.path.join("plots", "mean_ssim.csv"),
@@ -286,7 +294,7 @@ def test_run_batch_is_deterministic(tmp_path):
 def test_run_batch_pool_matches_serial(tmp_path):
     serial = run_batch(load_runspec(write_workspace(tmp_path, output_dir="ser", jobs=1)))
     pooled = run_batch(load_runspec(write_workspace(tmp_path, output_dir="par", jobs=2)))
-    assert serial.ok and pooled.ok
+    assert not serial.failures and not pooled.failures
     for rel in ("sessions.csv", "aggregates.csv", "comparison.txt"):
         assert (tmp_path / "ser" / rel).read_bytes() == (tmp_path / "par" / rel).read_bytes()
 
@@ -305,7 +313,7 @@ def test_run_batch_loads_each_trace_once(tmp_path, monkeypatch, jobs):
         tmp_path, trace_rates=(3000.0, 5000.0, 800.0), traces=["trace_*.csv", "trace_1.csv"],
         scenarios=[[120, 12], [60, 6]], jobs=jobs))
     result = run_batch(spec)
-    assert result.ok and len(result.session_reports) == 2 * 2 * 3
+    assert not result.failures and len(result.session_reports) == 2 * 2 * 3
     loads = Counter(calls.read_text().splitlines())
     assert sorted(loads) == resolve_trace_paths(spec)
     assert set(loads.values()) == {1}
@@ -316,7 +324,7 @@ def test_run_batch_reports_an_unloadable_trace_per_config(tmp_path):
     bad = tmp_path / "trace_1.csv"
     bad.write_text("timestamp_s,bandwidth_kbps\n0,3000\n5,oops\n")
     (tmp_path / "trace_2.csv").write_bytes(b"timestamp_s,bandwidth_kbps\n0,\xff\n")
-    with pytest.raises(ValueError) as undecodable:
+    with pytest.raises(TraceError, match=f"^{re.escape(str(tmp_path / 'trace_2.csv'))}: not UTF-8 text") as undecodable:
         load_trace(str(tmp_path / "trace_2.csv"))
     failures = {}
     for jobs in (1, 2):

@@ -2,13 +2,13 @@ import json
 
 import pytest
 
-from abrsim import POLICIES, SessionConfig, load_manifest, load_runspec
+from abrsim import POLICIES, SessionConfig, load_manifest, load_runspec, load_trace, run_session
 from abrsim.batch import RunSpecError, validate_runspec
 from abrsim.cli import OUTPUT_DIR_ENV, build_parser, main
 from abrsim.manifest import save_manifest
 from abrsim.simulator import SessionEventLog
 from abrsim.trace import save_trace
-from helpers import constant_trace, make_manifest
+from helpers import constant_trace, events, make_manifest
 
 
 @pytest.fixture
@@ -120,6 +120,16 @@ def test_validate_mixed_results_exit_two(workspace, capsys):
     assert ": ok" in out and "INVALID" in out
 
 
+def test_validate_reports_every_file_when_one_is_not_utf8(workspace, capsys):
+    bad = workspace / "bad.csv"
+    bad.write_bytes(b"timestamp_s,bandwidth_kbps\n0,\xff\n")
+    code = main(["validate", "--trace", str(bad), "--trace", str(workspace / "trace_0.csv")])
+    assert code == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith(f"{bad}: INVALID: {bad}: not UTF-8 text: ")
+    assert out[1].startswith(f"{workspace / 'trace_0.csv'}: ok")
+
+
 def test_validate_with_nothing_exits_two(capsys):
     assert main(["validate"]) == 2
     assert "nothing to validate" in capsys.readouterr().err
@@ -150,6 +160,10 @@ def test_simulate_writes_log_file(workspace, capsys):
 
 
 def test_simulate_encodes_the_log_once(workspace, monkeypatch, capsys):
+    # The engine's writer encodes each event as it happens; no stored log is
+    # encoded again, and stdout and --log get the same text.
+    expected = run_session(load_manifest(str(workspace / "manifest.json")),
+                           load_trace(str(workspace / "trace_0.csv")), SessionConfig())[0].to_jsonl()
     calls = []
     encode = SessionEventLog.to_jsonl
 
@@ -161,8 +175,8 @@ def test_simulate_encodes_the_log_once(workspace, monkeypatch, capsys):
     log_path = workspace / "session.jsonl"
     assert main(["simulate", "--manifest", str(workspace / "manifest.json"),
                  "--trace", str(workspace / "trace_0.csv"), "--log", str(log_path)]) == 0
-    assert len(calls) == 1
-    assert log_path.read_text() == capsys.readouterr().out
+    assert calls == []
+    assert log_path.read_text() == capsys.readouterr().out == expected
     assert sorted(p.name for p in workspace.iterdir() if p.name.startswith("session")) == [
         "session.jsonl"]
 
@@ -237,7 +251,7 @@ def test_replay_flags_tampered_log(workspace, capsys):
           "--trace", str(workspace / "trace_0.csv"), "--log", str(log_path)])
     capsys.readouterr()
     log = SessionEventLog.read(str(log_path))
-    log.events("fetch_issued")[2]["buffer_s"] += 1.0
+    events(log, "fetch_issued")[2]["buffer_s"] += 1.0
     log.write(str(log_path))
     code = main(["replay", "--log", str(log_path),
                  "--manifest", str(workspace / "manifest.json")])

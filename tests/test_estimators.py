@@ -7,7 +7,7 @@ from abrsim import SessionConfig, replay_diff, run_session
 from abrsim.estimators import RunningMean, mean
 from abrsim.manifest import ManifestError
 from abrsim.trace import BandwidthTrace
-from helpers import constant_trace, make_manifest, monotone_rows
+from helpers import constant_trace, events, make_manifest, monotone_rows
 
 
 def running(values) -> RunningMean:
@@ -20,7 +20,7 @@ def running(values) -> RunningMean:
 def session_events(manifest, trace, **config):
     """fetch_issued and download_complete records of one simulated session."""
     log, _ = run_session(manifest, trace, SessionConfig(**config))
-    return log, log.events("fetch_issued"), log.events("download_complete")
+    return log, events(log, "fetch_issued"), events(log, "download_complete")
 
 
 # --- RunningMean ---

@@ -1,9 +1,11 @@
-"""`SessionEventLog.to_jsonl` writes exactly what `json.dumps` writes.
+"""Both sinks write exactly what `json.dumps` writes.
 
-The engine's per-chunk records go through templates; everything else, and
-every record a template does not fit, goes through `json.dumps`.  Random
-records of every event kind, with edge-case values and broken shapes, must
-give the same text as `json.dumps`, or the same exception.
+`JsonlWriter` formats the engine's three per-chunk events from templates and
+sends every event a template does not fit through `json.dumps`;
+`SessionEventLog` keeps the record, and `to_jsonl` is `json.dumps` per
+record.  Random events with edge-case values, fed to both sinks' `fetch`,
+`complete` and `display`, must give the same text as `json.dumps` of the
+engine's record, or the same exception.
 """
 
 import json
@@ -12,28 +14,19 @@ import sys
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
-from abrsim.simulator import SessionEventLog
+from abrsim.simulator import JsonlWriter, SessionEventLog
 
-# Engine key order of every event kind, and each field's JSON type.
+# Engine key order of each per-chunk event, after "event", and each field's
+# JSON type; the sink methods take the fields in this order.
 SHAPES = {
-    "session_start": {
-        "policy": "str", "policy_params": "dict", "buffer_capacity_s": "float",
-        "critical_threshold_s": "float", "startup_policy": "str", "resume_threshold_s": "float",
-        "loop_trace": "bool", "chunk_count": "int", "chunk_duration_s": "float",
-        "ladder_kbps": "list",
-    },
     "fetch_issued": {
         "time_s": "float", "chunk": "int", "level": "int", "buffer_s": "float",
         "bandwidth_estimate_kbps": "float", "ssim_delta_mean": "float", "reason": "str",
     },
     "download_complete": {"time_s": "float", "chunk": "int", "throughput_kbps": "float"},
     "chunk_display_start": {"time_s": "float", "chunk": "int", "level": "int"},
-    "playback_start": {"time_s": "float"},
-    "playback_stall": {"time_s": "float"},
-    "playback_resume": {"time_s": "float"},
-    "session_truncated": {"time_s": "float", "chunk": "int", "diagnostic": "str"},
-    "session_end": {"time_s": "float"},
 }
+METHODS = {"fetch_issued": "fetch", "download_complete": "complete", "chunk_display_start": "display"}
 
 
 class LoudInt(int):
@@ -51,85 +44,70 @@ class LoudStr(str):
         return "LoudStr()"
 
 
-class LoudDict(dict):
-    def items(self):  # what `json.dumps` walks in a dict subclass
-        return list(super().items())[::-1]
-
-
 HUGE_INTS = [10**5000, -(10**5000)] if hasattr(sys, "get_int_max_str_digits") else [10**400]
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.225073858507201e-308, 1e308, -1e308, 1.7976931348623157e308,
                float("nan"), float("inf"), float("-inf"), LoudFloat(1.5)]
 EDGE_INTS = [0, 1, -3, 2**64, True, False, LoudInt(3)] + HUGE_INTS
 EDGE_STRS = ['"', "\\", '\\"', "\x00", "\x1f\x7f", "\n\r\t", " ", "é", "汉字", "😀",
              "\ud800", "</script>", LoudStr("hold")]
-# A value of another JSON type, or none at all, in place of a field's own.
+# A value of another JSON type in place of a field's own.
 ODD = [None, True, 2, 2.5, "x", [1.0, "y"], {"k": -0.0}]
 
-FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS + ODD)
 VALUES = {
-    "float": FLOATS,
+    "float": st.floats() | st.sampled_from(EDGE_FLOATS + ODD),
     "int": st.integers(-(2**70), 2**70) | st.sampled_from(EDGE_INTS + ODD),
     "str": st.text(max_size=8) | st.sampled_from(EDGE_STRS + ODD),
-    "bool": st.sampled_from([True, False] + ODD),
-    "dict": st.sampled_from([{}, {"upgrade_only": True}, {"x": float("nan")}, {3: "é"}]),
-    "list": st.lists(FLOATS, max_size=3),
 }
-KEYS = st.sampled_from(["", "time_s", "é", 7, 1.5, float("nan"), None, True])
 
 
 @st.composite
-def records(draw):
+def chunk_events(draw):
     kind = draw(st.sampled_from(sorted(SHAPES)))
-    event = draw(st.sampled_from([kind, kind, kind, LoudStr(kind), "other"]))
-    items = [("event", event)] + [
-        (key, draw(VALUES[typ])) for key, typ in SHAPES[kind].items()
-    ]
-    edit = draw(st.sampled_from(["none", "none", "drop", "rename", "extra", "reorder", "subclass"]))
-    if edit == "drop":
-        del items[draw(st.integers(0, len(items) - 1))]
-    elif edit == "rename":
-        at = draw(st.integers(0, len(items) - 1))
-        items[at] = (draw(KEYS), items[at][1])
-    elif edit == "extra":
-        items.insert(draw(st.integers(0, len(items))), (draw(KEYS), draw(VALUES["float"])))
-    elif edit == "reorder":
-        items = draw(st.permutations(items))
-    return (LoudDict if edit == "subclass" else dict)(items)
+    return kind, tuple(draw(VALUES[typ]) for typ in SHAPES[kind].values())
 
 
-def dumps_outcome(records):
+def outcome(encode):
     try:
-        return "".join(json.dumps(r) + "\n" for r in records)
+        return encode()
     except Exception as exc:  # noqa: BLE001 - the exception is the expected outcome
         return type(exc), exc.args
 
 
-def to_jsonl_outcome(records):
-    try:
-        return SessionEventLog(records).to_jsonl()
-    except Exception as exc:  # noqa: BLE001
-        return type(exc), exc.args
+def dumps_text(events):
+    return "".join(json.dumps({"event": kind, **dict(zip(SHAPES[kind], fields))}) + "\n"
+                   for kind, fields in events)
 
 
-FETCH = {"event": "fetch_issued", "time_s": 1.5, "chunk": 2, "level": 3, "buffer_s": 4.0,
-         "bandwidth_estimate_kbps": 2350.0, "ssim_delta_mean": -0.0, "reason": "upgrade"}
+def sink_text(sink, events):
+    for kind, fields in events:
+        getattr(sink, METHODS[kind])(*fields)
+    return "".join(sink.lines) if isinstance(sink, JsonlWriter) else sink.to_jsonl()
+
+
+FETCH = ("fetch_issued", (1.5, 2, 3, 4.0, 2350.0, -0.0, "upgrade"))
+
+
+def fetch_with(**fields):
+    values = dict(zip(SHAPES["fetch_issued"], FETCH[1]), **fields)
+    return "fetch_issued", tuple(values.values())
 
 
 @seed(20261018)
-@settings(max_examples=200, deadline=None, database=None,
+@settings(max_examples=300, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(records(), min_size=1, max_size=4))
-@example([{**FETCH, "time_s": float("nan")}])
-@example([{**FETCH, "buffer_s": float("inf")}, {**FETCH, "buffer_s": 1e308, "time_s": 1e308}])
-@example([{**FETCH, "chunk": True}, {**FETCH, "level": LoudInt(2)}, {**FETCH, "time_s": LoudFloat(1.0)}])
-@example([{**FETCH, "reason": 'é"\\\x00 '}, {**FETCH, "reason": LoudStr("hold")}])
-@example([{**FETCH, "chunk": HUGE_INTS[0]}])
-@example([{"event": "download_complete", "time_s": 5e-324, "chunk": 1, "throughput_kbps": -0.0},
-          {"event": "chunk_display_start", "time_s": 2.225073858507201e-308, "chunk": 1, "level": 1}])
-@example([{"event": "chunk_display_start", "chunk": 1, "time_s": 0.0, "level": 1},
-          {"event": "chunk_display_start", "time_s": 0.0, "level": 2, "chunk": 1},
-          {"event": "download_complete", "time_s": 0.5, "chunk": 1, "throughput": 9.0}])
-@example([LoudDict(FETCH)])
-@example([{"event": "chunk_display_start", "time_s": 0.0, "chunk": 1, "level": 1, 7: None}])
-def test_to_jsonl_matches_json_dumps(recs):
-    assert to_jsonl_outcome(recs) == dumps_outcome(recs)
+@given(st.lists(chunk_events(), min_size=1, max_size=4))
+@example([FETCH])
+@example([fetch_with(time_s=float("nan"))])
+@example([fetch_with(buffer_s=float("inf")), fetch_with(buffer_s=1e308, time_s=1e308)])
+@example([fetch_with(chunk=True), fetch_with(level=LoudInt(2)), fetch_with(time_s=LoudFloat(1.0))])
+@example([fetch_with(level=False)])
+@example([fetch_with(reason='é"\\\x00 '), fetch_with(reason="\ud800"), fetch_with(reason=LoudStr("hold"))])
+@example([fetch_with(chunk=HUGE_INTS[0])])
+@example([("download_complete", (5e-324, 1, -0.0)),
+          ("chunk_display_start", (2.225073858507201e-308, 1, 1))])
+@example([("download_complete", (1.0, 1, float("-inf"))),
+          ("chunk_display_start", (float("nan"), 1, True))])
+def test_to_jsonl_matches_json_dumps(evs):
+    expected = outcome(lambda: dumps_text(evs))
+    assert outcome(lambda: sink_text(JsonlWriter(), evs)) == expected
+    assert outcome(lambda: sink_text(SessionEventLog(), evs)) == expected

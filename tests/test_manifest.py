@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -148,6 +149,13 @@ def test_load_rejects_missing_fields(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"ladder_kbps": [235, 375], "ssim": [[0.7, 0.8]]}))
     with pytest.raises(ManifestError, match="chunk_duration_s"):
+        load_manifest(str(path))
+
+
+def test_load_names_a_manifest_that_is_not_utf8(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(b'{"chunk_duration_s": 4.0, "note": "\xff"}')
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: not UTF-8 text: 'utf-8' codec"):
         load_manifest(str(path))
 
 

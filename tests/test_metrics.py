@@ -139,6 +139,14 @@ def test_metrics_needs_session_start():
         session_metrics(bare, manifest3(1))
 
 
+def test_stored_log_levels_stay_checked():
+    # A stored log is outside input: the reducer prices its levels with the
+    # manifest's checked lookups, so level 0 cannot wrap to the top rung.
+    for level in (0, -1, 4):
+        with pytest.raises(IndexError, match=f"level {level} outside 1..3"):
+            session_metrics(log_of([1, level], end_s=9.0), manifest3(2))
+
+
 def test_displayed_entries_carry_level_ssim_rate():
     report = session_metrics(log_of([1, 3], end_s=9.0), manifest3(2))
     levels = [entry[0] for entry in report.displayed]

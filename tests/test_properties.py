@@ -6,13 +6,14 @@ chunk and conserves time, and every log replays clean after a JSONL round
 trip.
 """
 
-from hypothesis import HealthCheck, given, reject, seed, settings
+from hypothesis import HealthCheck, example, given, reject, seed, settings
 from hypothesis import strategies as st
 
 from abrsim.abr import POLICIES
 from abrsim.manifest import BitrateLadder, VideoManifest
-from abrsim.simulator import SessionConfig, SessionEventLog, replay_diff, run_session
+from abrsim.simulator import JsonlWriter, SessionConfig, SessionEventLog, replay_diff, run_session
 from abrsim.trace import BandwidthTrace
+from helpers import constant_trace, events, make_manifest
 
 RATES = st.one_of(st.just(0.0), st.floats(20.0, 10000.0))
 
@@ -80,14 +81,14 @@ def sessions(draw):
 def test_every_valid_session_completes_or_truncates(session):
     manifest, trace, config = session
     log, report = run_session(manifest, trace, config)
-    events = [r["event"] for r in log.records]
+    kinds = [r["event"] for r in log.records]
 
-    assert report.partial == ("session_truncated" in events)
+    assert report.partial == ("session_truncated" in kinds)
     if report.partial:
-        assert events[-1] == "session_truncated"
+        assert kinds[-1] == "session_truncated"
     else:
-        assert events[-1] == "session_end"
-        displayed = [r["chunk"] for r in log.events("chunk_display_start")]
+        assert kinds[-1] == "session_end"
+        displayed = [r["chunk"] for r in events(log, "chunk_display_start")]
         assert displayed == list(range(1, manifest.chunk_count + 1))
         content_s = manifest.chunk_count * manifest.chunk_duration_s
         expected = report.startup_delay_s + content_s + report.rebuffering_total_s
@@ -96,3 +97,32 @@ def test_every_valid_session_completes_or_truncates(session):
     again = SessionEventLog.from_jsonl(log.to_jsonl())
     assert again.records == log.records
     assert replay_diff(again, manifest, SessionConfig.from_header(again.header)) == []
+
+
+# Hand-picked sessions the writer property must cover whatever is drawn: a
+# stall on measured sizes, a stall held to a resume threshold, a truncation
+# mid-stall, and a truncation before playback starts.
+STALL_SIZES = ((940.0, 1500.0), (50000.0, 50001.0)) + ((940.0, 1500.0),) * 4
+STALLING = make_manifest(chunks=6, rates=(235, 375), sizes=STALL_SIZES)
+HELD = SessionConfig(buffer_capacity_s=20.0, critical_threshold_s=2.0, resume_threshold_s=12.0)
+STALLED = (STALLING, constant_trace(10000.0), SessionConfig())
+RESUMED = (STALLING, constant_trace(10000.0), HELD)
+CUT_MID_STALL = (STALLING, constant_trace(10000.0, until_s=5.15), HELD)
+CUT_AT_START = (make_manifest(chunks=2, rates=(235, 375)), constant_trace(100.0, until_s=5.0),
+                SessionConfig(policy="festive"))
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sessions())
+@example(STALLED)
+@example(RESUMED)
+@example(CUT_MID_STALL)
+@example(CUT_AT_START)
+def test_writer_sink_matches_the_event_log(session):
+    manifest, trace, config = session
+    log, report = run_session(manifest, trace, config)
+    writer, tallied = run_session(manifest, trace, config, JsonlWriter())
+    assert "".join(writer.lines) == log.to_jsonl()
+    assert tallied == report

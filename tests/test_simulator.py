@@ -1,13 +1,15 @@
 import copy
 import json
+import re
 
 import pytest
 
-from abrsim import SessionConfig, replay_diff, run_session
+from abrsim import POLICIES, SessionConfig, replay_diff, run_session
+from abrsim.abr import Decision, Policy
 from abrsim import simulator
 from abrsim.simulator import LogFormatError, SessionEventLog
 from abrsim.trace import download_finish_time
-from helpers import constant_trace, make_manifest, monotone_rows
+from helpers import constant_trace, events, make_manifest, monotone_rows
 
 
 def sba_config(**kwargs):
@@ -51,7 +53,7 @@ def test_run_rejects_capacity_below_chunk():
 def test_run_rejects_capacity_equal_to_chunk():
     # At capacity == chunk duration the fetch gate opens only on an empty
     # buffer, which round-off can leave a hair below zero; on this link it
-    # did, and the session crashed inside Observation.
+    # did, and the session crashed on the buffer check.
     manifest = make_manifest(chunks=20)
     for lc in (1.0, 2.0, 3.0):
         with pytest.raises(ValueError, match="cannot hold"):
@@ -66,6 +68,45 @@ def test_run_rejects_unreachable_resume_threshold():
             buffer_capacity_s=10.0, critical_threshold_s=3.0, resume_threshold_s=7.0))
 
 
+# --- the engine's own checks: once per session, chunk and decision ---
+
+
+def test_engine_rejects_a_critical_threshold_outside_capacity():
+    # SessionConfig checks the pair when it is built; the engine checks it
+    # again once per session, for a config edited after it was built.
+    for critical in (120.0, 0.0, float("nan")):
+        config = sba_config()
+        config.critical_threshold_s = critical
+        with pytest.raises(ValueError, match="need 0 < critical threshold < capacity"):
+            run_session(make_manifest(), constant_trace(1000.0), config)
+
+
+def test_engine_rejects_a_policy_level_outside_the_ladder(monkeypatch):
+    class Rogue(Policy):
+        def __init__(self, level):
+            self.level = level
+
+        def decide(self, obs):
+            return Decision(self.level, "rogue")
+
+    monkeypatch.setitem(POLICIES, "rogue", Rogue)
+    for level in (0, -1, 11):  # -1 would index the top rung if the engine did not check it
+        with pytest.raises(IndexError, match=f"level {level} outside 1..10"):
+            run_session(make_manifest(), constant_trace(1000.0),
+                        SessionConfig(policy="rogue", policy_params={"level": level}))
+
+
+def test_replay_rejects_an_estimate_that_is_not_positive_and_finite():
+    # A first completion logged at Infinity makes the next estimate 0.0; one
+    # logged a denormal after its fetch makes it inf.  Either stops the replay.
+    manifest, log = replayable_log()
+    for time_s, estimate in ((float("inf"), "0.0"), (5e-324, "inf")):
+        tampered = SessionEventLog(copy.deepcopy(log.records))
+        events(tampered, "download_complete")[0]["time_s"] = time_s
+        assert replay_diff(tampered, manifest, SessionConfig.from_header(log.header)) == [
+            f"log is not replayable: bandwidth estimate must be > 0, got {estimate}"]
+
+
 # --- full-session walkthrough on a constant trace ---
 
 
@@ -77,7 +118,7 @@ def test_constant_trace_session_walkthrough():
     trace = constant_trace(10000.0)
     log, report = run_session(manifest, trace, sba_config())
 
-    fetches = log.events("fetch_issued")
+    fetches = events(log, "fetch_issued")
     assert [f["level"] for f in fetches] == [1, 1, 1, 1] + [10] * 26
     assert [f["reason"] for f in fetches[:5]] == [
         "startup", "critical_drop", "critical_drop", "critical_drop", "upgrade",
@@ -89,18 +130,18 @@ def test_constant_trace_session_walkthrough():
         "playback_start", "chunk_display_start", "fetch_issued",
     ]
     assert log.records[-1]["event"] == "session_end"
-    assert not log.events("playback_stall")
+    assert not events(log, "playback_stall")
 
     # Completion times follow from chaining the finish-time solver over the
     # chosen volumes; fetch k+1 is issued at completion k.
     t = 0.0
-    for fetch, done in zip(fetches, log.events("download_complete")):
+    for fetch, done in zip(fetches, events(log, "download_complete")):
         assert fetch["time_s"] == pytest.approx(t, abs=1e-9)
         volume = manifest.chunk_volume(fetch["chunk"], fetch["level"])
         t = download_finish_time(trace, t, volume)
         assert done["time_s"] == pytest.approx(t, abs=1e-9)
 
-    starts = log.events("chunk_display_start")
+    starts = events(log, "chunk_display_start")
     assert [s["chunk"] for s in starts] == list(range(1, 31))
     gaps = [b["time_s"] - a["time_s"] for a, b in zip(starts, starts[1:])]
     assert all(g == pytest.approx(4.0, abs=1e-9) for g in gaps)
@@ -149,8 +190,8 @@ def test_oversized_chunk_stalls_playback():
     manifest = make_manifest(chunks=3, rates=(235, 375), sizes=sizes)
     log, report = run_session(manifest, constant_trace(10000.0), sba_config())
 
-    stalls = log.events("playback_stall")
-    resumes = log.events("playback_resume")
+    stalls = events(log, "playback_stall")
+    resumes = events(log, "playback_resume")
     assert len(stalls) == 1 and len(resumes) == 1
     assert stalls[0]["time_s"] == pytest.approx(4.094, abs=1e-9)
     assert resumes[0]["time_s"] == pytest.approx(5.094, abs=1e-9)
@@ -166,12 +207,12 @@ def test_resume_threshold_delays_restart():
     log, report = run_session(
         manifest, constant_trace(10000.0), sba_config(resume_threshold_s=6.0)
     )
-    resumes = log.events("playback_resume")
+    resumes = events(log, "playback_resume")
     assert len(resumes) == 1
     # One buffered chunk is not enough; the resume waits for the next one.
     assert resumes[0]["time_s"] == pytest.approx(5.188, abs=1e-9)
     assert report.rebuffering_total_s == pytest.approx(5.188 - 4.094, abs=1e-9)
-    stalled_fetch = log.events("fetch_issued")[2]
+    stalled_fetch = events(log, "fetch_issued")[2]
     assert stalled_fetch["buffer_s"] == pytest.approx(4.0, abs=1e-9)
 
 
@@ -185,8 +226,8 @@ def test_stall_ends_when_the_last_chunk_lands_below_the_resume_threshold():
     assert [r["event"] for r in log.records[-5:]] == [
         "playback_stall", "download_complete", "playback_resume", "chunk_display_start", "session_end",
     ]
-    assert log.events("playback_resume")[0]["time_s"] == pytest.approx(6.094, abs=1e-9)
-    assert log.events("chunk_display_start")[-1]["chunk"] == 2
+    assert events(log, "playback_resume")[0]["time_s"] == pytest.approx(6.094, abs=1e-9)
+    assert events(log, "chunk_display_start")[-1]["chunk"] == 2
     assert report.partial is False
     assert report.rebuffer_count == 1
     assert report.rebuffering_total_s == pytest.approx(2.0, abs=1e-9)
@@ -201,11 +242,11 @@ def test_fetch_gate_holds_one_chunk_of_headroom():
         constant_trace(1000.0),
         sba_config(buffer_capacity_s=10.0, critical_threshold_s=3.0),
     )
-    fetches = log.events("fetch_issued")
+    fetches = events(log, "fetch_issued")
     assert all(f["buffer_s"] <= 6.0 + 1e-9 for f in fetches)
     gated = [f for f in fetches if f["buffer_s"] == pytest.approx(6.0, abs=1e-9)]
     assert len(gated) >= 3
-    assert not log.events("playback_stall")
+    assert not events(log, "playback_stall")
     assert len(report.displayed) == 6
 
 
@@ -229,6 +270,13 @@ def test_log_roundtrips_through_jsonl(tmp_path):
     path = tmp_path / "session.jsonl"
     log.write(str(path))
     assert SessionEventLog.read(str(path)).records == log.records
+
+
+def test_read_names_a_log_that_is_not_utf8(tmp_path):
+    path = tmp_path / "session.jsonl"
+    path.write_bytes(b'{"event": "session_start", "policy": "\xff"}\n')
+    with pytest.raises(LogFormatError, match=f"^{re.escape(str(path))}: not UTF-8 text: 'utf-8' codec"):
+        SessionEventLog.read(str(path))
 
 
 def test_failed_log_write_keeps_the_old_file(tmp_path, monkeypatch):
@@ -309,7 +357,7 @@ def test_replay_accepts_truncated_log():
 def test_replay_flags_tampered_level():
     manifest, log = replayable_log()
     tampered = SessionEventLog(copy.deepcopy(log.records))
-    fetch = tampered.events("fetch_issued")[3]
+    fetch = events(tampered, "fetch_issued")[3]
     fetch["level"] += 1
     diffs = replay_diff(tampered, manifest, SessionConfig.from_header(log.header))
     assert diffs and any("level" in d for d in diffs)
@@ -318,14 +366,14 @@ def test_replay_flags_tampered_level():
 def test_replay_flags_shifted_completion():
     manifest, log = replayable_log()
     tampered = SessionEventLog(copy.deepcopy(log.records))
-    tampered.events("download_complete")[2]["time_s"] += 0.5
+    events(tampered, "download_complete")[2]["time_s"] += 0.5
     assert replay_diff(tampered, manifest, SessionConfig.from_header(log.header))
 
 
 def test_replay_tolerates_sub_tolerance_jitter():
     manifest, log = replayable_log()
     jittered = SessionEventLog(copy.deepcopy(log.records))
-    rec = jittered.events("download_complete")[2]
+    rec = events(jittered, "download_complete")[2]
     rec["time_s"] += 1e-12
     assert not replay_diff(jittered, manifest, SessionConfig.from_header(log.header))
 
@@ -353,7 +401,7 @@ def test_replay_flags_dropped_record():
 def test_replay_reports_wrong_chunk_order():
     manifest, log = replayable_log()
     shuffled = SessionEventLog(copy.deepcopy(log.records))
-    dones = shuffled.events("download_complete")
+    dones = events(shuffled, "download_complete")
     dones[0]["chunk"], dones[1]["chunk"] = dones[1]["chunk"], dones[0]["chunk"]
     diffs = replay_diff(shuffled, manifest, SessionConfig.from_header(log.header))
     assert diffs and "chunk" in diffs[0]

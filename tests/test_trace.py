@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -10,9 +11,8 @@ from abrsim.trace import (
     download_finish_time,
     save_trace,
     synthesize_oscillating_trace,
-    transferred_kilobits,
 )
-from helpers import constant_trace, random_trace
+from helpers import constant_trace, random_trace, transferred_kilobits
 
 
 def two_rate_trace():
@@ -214,6 +214,13 @@ def test_load_rejects_non_numeric_mid_file(tmp_path):
 def test_load_missing_file():
     with pytest.raises(TraceError, match="cannot read"):
         load_trace("/nonexistent/t.csv")
+
+
+def test_load_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"timestamp_s,bandwidth_kbps\n0,\xff\n")
+    with pytest.raises(TraceError, match=f"^{re.escape(str(path))}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"):
+        load_trace(str(path))
 
 
 def test_save_load_roundtrip_exact(tmp_path):
