@@ -24,14 +24,12 @@ Adding a policy means one class here and one entry in POLICIES.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .estimators import RunningMean
 from .manifest import VideoManifest
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """Everything a policy may look at when deciding one fetch.
 
     An unchecked record: the engine builds one per decision from values the
@@ -48,8 +46,7 @@ class Observation:
     manifest: VideoManifest
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     level: int
     reason: str
 
@@ -138,10 +135,10 @@ class Festive(Policy):
         self.samples_kbps.append(throughput_kbps)
 
     def decide(self, obs: Observation) -> Decision:
-        inverse = RunningMean()
+        inverse_total = 0.0  # a left-to-right fold, as every mean in abrsim
         for v in self.samples_kbps:
-            inverse.add(1.0 / v)
-        harmonic_mean = inverse.count / inverse.total  # not 1 / mean: that rounds twice
+            inverse_total += 1.0 / v
+        harmonic_mean = len(self.samples_kbps) / inverse_total  # not 1 / mean: that rounds twice
         target = obs.manifest.ladder.highest_level_at_or_below(harmonic_mean)
         if target is None:
             target = 1

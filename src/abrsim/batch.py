@@ -238,12 +238,14 @@ def run_batch(spec: RunSpec) -> BatchResult:
                 f"{manifest.chunk_duration_s:g}s chunk duration"
             )
     trace_paths = resolve_trace_paths(spec)
-    # Each trace file is parsed once; a file that fails to load fails every
-    # session that would play it, with the same text.
+    # Each trace file is parsed and validated once, in the spec's loop mode; a
+    # file that fails to load, or cannot loop, fails every session that would
+    # play it, with the same text.
     traces = {}
     for trace_path in trace_paths:
         try:
-            traces[trace_path] = load_trace(trace_path)
+            trace = load_trace(trace_path)
+            traces[trace_path] = replace(trace, loop=True) if spec.loop_traces else trace
         except TraceError as exc:
             traces[trace_path] = str(exc)
     out_dir = os.path.join(spec.base_dir, spec.output_dir) if not os.path.isabs(spec.output_dir) else spec.output_dir

@@ -68,7 +68,9 @@ class SessionTally:
     A sink for the engine: `display` takes each displayed chunk's level and
     `record` the header and the playback, stall and end records; fetches and
     completions carry nothing the report needs.  `report` prices the levels
-    with the manifest's checked lookups, since a stored log is outside input.
+    by direct indexing once their min and max lie in 1..R; a list that fails
+    that or the indexing (a stored log is outside input) is priced again
+    through the manifest's checked lookups, which word the error.
     """
 
     def __init__(self) -> None:
@@ -88,9 +90,7 @@ class SessionTally:
 
     def record(self, rec: dict) -> None:
         kind = rec["event"]
-        if kind == "chunk_display_start":
-            self.levels.append(rec["level"])
-        elif kind == "session_start" and self.header is None:
+        if kind == "session_start" and self.header is None:
             self.header = rec
         elif kind == "playback_start":
             self.startup = rec["time_s"]
@@ -121,8 +121,17 @@ class SessionTally:
         levels = self.levels
         partial = (self.truncated_at is not None or self.end_time is None
                    or len(levels) < header["chunk_count"])
-        ssims = [manifest.ssim_at(i, lvl) for i, lvl in enumerate(levels, start=1)]
-        rates = [manifest.ladder.rate_kbps(lvl) for lvl in levels]
+        ladder = manifest.ladder
+        try:
+            if levels and not 1 <= min(levels) <= max(levels) <= ladder.count:
+                raise IndexError  # level 0 would wrap to the top rung
+            ssim, levels_kbps = manifest.ssim, ladder.levels_kbps
+            # A display past the last chunk, a NaN or a non-int level raises here.
+            ssims = [ssim[i][lvl - 1] for i, lvl in enumerate(levels)]
+            rates = [levels_kbps[lvl - 1] for lvl in levels]
+        except (IndexError, TypeError):
+            ssims = [manifest.ssim_at(i, lvl) for i, lvl in enumerate(levels, start=1)]
+            rates = [ladder.rate_kbps(lvl) for lvl in levels]
         return SessionReport(
             policy=header["policy"],
             buffer_capacity_s=header["buffer_capacity_s"],
@@ -148,8 +157,13 @@ def session_metrics(log, manifest: VideoManifest) -> SessionReport:
     if not records or records[0].get("event") != "session_start":
         raise ValueError("log does not start with a session_start record")
     tally = SessionTally()
+    levels = tally.levels
     for rec in records:
-        tally.record(rec)
+        kind = rec["event"]
+        if kind == "chunk_display_start":
+            levels.append(rec["level"])
+        elif kind != "fetch_issued" and kind != "download_complete":
+            tally.record(rec)
     return tally.report(manifest)
 
 

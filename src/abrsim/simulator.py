@@ -34,7 +34,6 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .abr import Observation, decide, make_policy
-from .estimators import RunningMean
 from .manifest import VideoManifest
 from .metrics import SessionTally, session_metrics
 from .trace import BandwidthTrace, TraceExhaustedError, download_finish_time
@@ -43,10 +42,10 @@ from .trace import BandwidthTrace, TraceExhaustedError, download_finish_time
 # that still counts as reproduced.
 TOLERANCE_S = 1e-9
 
-# One decoder for every log line: around the same parse, each `json.loads`
-# call adds type and BOM checks and two whitespace scans, about a quarter
-# of the per-line cost on engine-written logs.
-_DECODER = json.JSONDecoder()
+# One decoder's scanner for every log line: around the same parse, each
+# `json.loads` call adds type and BOM checks and two whitespace scans, about
+# a quarter of the per-line cost on engine-written logs.
+_scan_once = json.JSONDecoder().scan_once
 _ascii_str = json.encoder.encode_basestring_ascii
 
 
@@ -141,8 +140,8 @@ class SessionEventLog:
             if not line.strip():
                 continue
             try:
-                rec, end = _DECODER.raw_decode(line)
-            except json.JSONDecodeError:
+                rec, end = _scan_once(line, 0)
+            except (StopIteration, json.JSONDecodeError):  # the C scanner raises both
                 end = None
             if end != len(line):
                 # Surrounding whitespace, a BOM or extra text: `json.loads`
@@ -254,7 +253,9 @@ def run_session(
     """
     if sink is None:
         sink = SessionEventLog()
-    run_trace = replace(trace, loop=config.loop_trace)
+    # A trace already in the config's loop mode (as `run_batch` passes them) is
+    # not rebuilt, so it is not validated again.
+    run_trace = trace if trace.loop == config.loop_trace else replace(trace, loop=config.loop_trace)
 
     def finish_fn(chunk: int, send_time_s: float, volume_kilobits: float) -> float:
         return download_finish_time(run_trace, send_time_s, volume_kilobits)
@@ -295,10 +296,11 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
     nominal = tuple(rate * chunk_len for rate in manifest.ladder.levels_kbps)
     volumes = manifest.chunk_kilobits or (nominal,) * total_chunks  # kilobits per chunk and level
 
-    # Deciding chunk l sees the throughput of downloads 1..l-1 and the SSIM
-    # deltas of the transitions into chunks 2..l-1.
-    throughput_mean = RunningMean()
-    drift_mean = RunningMean()
+    # Deciding chunk l sees the mean throughput of downloads 1..l-1 and the
+    # mean SSIM delta of the transitions into chunks 2..l-1, each a
+    # left-to-right fold of a total and a count.
+    throughput_total, throughput_count = 0.0, 0
+    drift_total, drift_count = 0.0, 0
     policy = make_policy(config.policy, config.policy_params)
 
     sink.record(
@@ -355,8 +357,8 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
             # One chunk of headroom or less: wait for the drain to capacity - chunk_len.
             advance_to(now + (buffer - (capacity - chunk_len)))
         prev_level = levels[-1] if levels else None
-        estimate = throughput_mean.mean(floor_rate)
-        drift = drift_mean.mean()
+        estimate = throughput_total / throughput_count if throughput_count else floor_rate
+        drift = drift_total / drift_count if drift_count else 0.0
         if not 0.0 <= buffer <= capacity:  # round-off in the drain arithmetic
             raise ValueError(f"buffer {buffer} outside [0, {capacity}]")
         if not 0.0 < estimate < math.inf:  # a replayed completion time can make it 0 or inf
@@ -367,7 +369,8 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
         if not 1 <= level <= level_count:
             raise IndexError(f"level {level} outside 1..{level_count}")
         if chunk >= 2:
-            drift_mean.add(ssim[chunk - 1][level - 1] - ssim[chunk - 2][prev_level - 1])
+            drift_total += ssim[chunk - 1][level - 1] - ssim[chunk - 2][prev_level - 1]
+            drift_count += 1
         fetch(now, chunk, level, buffer, estimate, drift, decision.reason)
         send_t = now
         volume = volumes[chunk - 1][level - 1]
@@ -377,6 +380,10 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
             sink.record({"event": "session_truncated", "time_s": send_t, "chunk": chunk,
                          "diagnostic": str(exc)})
             return
+        if not finish_t > send_t:  # a large clock can round a short download away
+            raise ValueError(
+                f"chunk {chunk} download finishes at {finish_t}s, not after its fetch at {send_t}s"
+            )
         levels.append(level)
         if playing and now + buffer < finish_t:
             # Buffer empties before the download lands: stall.
@@ -389,10 +396,12 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
         advance_to(finish_t)
         chunks_done += 1
         buffer = chunks_done * chunk_len - play_pos
-        throughput = volume / (finish_t - send_t)
+        duration = finish_t - send_t
+        throughput = volume / duration
         complete(finish_t, chunk, throughput)
-        throughput_mean.add(throughput)
-        policy.observe(throughput, finish_t - send_t)
+        throughput_total += throughput
+        throughput_count += 1
+        policy.observe(throughput, duration)
         if chunk == 1:
             playing = True
             sink.record({"event": "playback_start", "time_s": now})

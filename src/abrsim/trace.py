@@ -91,13 +91,6 @@ class BandwidthTrace:
         return wraps * per_loop + self._segment_cum(rem)
 
 
-def _invert_within_period(trace: BandwidthTrace, kilobits: float) -> float:
-    # Earliest offset into one loop period delivering `kilobits`,
-    # 0 < kilobits <= per-period volume.
-    j = bisect_left(trace._prefix, kilobits)
-    return trace._times[j - 1] + (kilobits - trace._prefix[j - 1]) / trace._rates[j - 1]
-
-
 def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits: float) -> float:
     """Earliest t >= start_s at which volume_kilobits have been delivered.
 
@@ -108,22 +101,33 @@ def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits:
         raise ValueError(f"volume must be > 0, got {volume_kilobits}")
     if start_s < 0:
         raise ValueError(f"start must be >= 0, got {start_s}")
-    target = trace._cum(start_s) + volume_kilobits
+    # `trace._cum(start_s) + volume_kilobits`, then the inverse of `_cum`, with
+    # `_cum` and `_segment_cum` inlined: the same operations in the same order.
+    times, rates, prefix = trace._times, trace._rates, trace._prefix
     if not trace.loop:
-        total = trace._prefix[-1]
+        i = bisect_right(times, start_s) - 1
+        target = prefix[i] + (start_s - times[i]) * rates[i] + volume_kilobits
+        total = prefix[-1]
         if target > total:
-            tail_rate = trace._rates[-1]
+            tail_rate = rates[-1]
             if tail_rate <= 0:
                 missing = target - total
                 raise TraceExhaustedError(
-                    f"trace exhausted at {trace._times[-1]}s with {missing:.6g} kilobits "
+                    f"trace exhausted at {times[-1]}s with {missing:.6g} kilobits "
                     "undelivered and zero residual bandwidth"
                 )
-            return trace._times[-1] + (target - total) / tail_rate
-        j = bisect_left(trace._prefix, target)
-        return trace._times[j - 1] + (target - trace._prefix[j - 1]) / trace._rates[j - 1]
-    period = trace._times[-1]
-    per_loop = trace._prefix[-1]
+            return times[-1] + (target - total) / tail_rate
+        j = bisect_left(prefix, target)
+        return times[j - 1] + (target - prefix[j - 1]) / rates[j - 1]
+    period = times[-1]
+    per_loop = prefix[-1]
+    wraps = math.floor(start_s / period)
+    rem = start_s - wraps * period
+    if rem < 0:  # guard against floor/multiply rounding
+        wraps -= 1
+        rem += period
+    i = bisect_right(times, rem) - 1
+    target = wraps * per_loop + (prefix[i] + (rem - times[i]) * rates[i]) + volume_kilobits
     wraps = math.floor(target / per_loop)
     rem = target - wraps * per_loop
     if rem < 0:
@@ -132,8 +136,11 @@ def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits:
     if rem == 0.0:
         # Landed exactly on a period multiple; finish inside the previous
         # period at the earliest point covering a full period's volume.
-        return (wraps - 1) * period + _invert_within_period(trace, per_loop)
-    return wraps * period + _invert_within_period(trace, rem)
+        wraps -= 1
+        rem = per_loop
+    # Earliest offset into one period delivering rem, 0 < rem <= per_loop.
+    j = bisect_left(prefix, rem)
+    return wraps * period + (times[j - 1] + (rem - prefix[j - 1]) / rates[j - 1])
 
 
 def load_trace(path: str) -> BandwidthTrace:

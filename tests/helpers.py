@@ -1,11 +1,13 @@
 """Shared builders for the test suite."""
 
+import math
 import random
+from bisect import bisect_left
 
 from abrsim.abr import POLICIES, Observation
 from abrsim.manifest import NETFLIX_LADDER_KBPS, BitrateLadder, VideoManifest
 from abrsim.simulator import SessionConfig, run_session
-from abrsim.trace import BandwidthTrace
+from abrsim.trace import BandwidthTrace, TraceExhaustedError
 
 
 def events(log, kind=None):
@@ -20,6 +22,66 @@ def transferred_kilobits(trace: BandwidthTrace, start_s: float, end_s: float) ->
     if start_s < 0 or end_s < start_s:
         raise ValueError(f"need 0 <= start <= end, got [{start_s}, {end_s}]")
     return trace._cum(end_s) - trace._cum(start_s)
+
+
+class RunningMean:
+    """Left-to-right total and count of the values added so far.
+
+    The reference for the folds the engine keeps as local totals and counts
+    (throughput and SSIM drift in `simulator._drive`).
+    """
+
+    __slots__ = ("total", "count")
+
+    def __init__(self) -> None:
+        self.total = 0.0
+        self.count = 0
+
+    def add(self, value: float) -> None:
+        self.total += value
+        self.count += 1
+
+    def mean(self, empty: float = 0.0) -> float:
+        """total / count, or `empty` before any value was added."""
+        return self.total / self.count if self.count else empty
+
+
+def reference_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits: float) -> float:
+    """`download_finish_time` as first written, through `_cum` and an inverse within one period.
+
+    The library inlines these steps; it must agree with this reference bit
+    for bit and raise the same errors with the same text.
+    """
+    times, rates, prefix = trace._times, trace._rates, trace._prefix
+
+    def invert_within_period(kilobits):
+        j = bisect_left(prefix, kilobits)
+        return times[j - 1] + (kilobits - prefix[j - 1]) / rates[j - 1]
+
+    if volume_kilobits <= 0:
+        raise ValueError(f"volume must be > 0, got {volume_kilobits}")
+    if start_s < 0:
+        raise ValueError(f"start must be >= 0, got {start_s}")
+    target = trace._cum(start_s) + volume_kilobits
+    if not trace.loop:
+        total = prefix[-1]
+        if target > total:
+            if rates[-1] <= 0:
+                raise TraceExhaustedError(
+                    f"trace exhausted at {times[-1]}s with {target - total:.6g} kilobits "
+                    "undelivered and zero residual bandwidth"
+                )
+            return times[-1] + (target - total) / rates[-1]
+        return invert_within_period(target)
+    period, per_loop = times[-1], prefix[-1]
+    wraps = math.floor(target / per_loop)
+    rem = target - wraps * per_loop
+    if rem < 0:
+        wraps -= 1
+        rem += per_loop
+    if rem == 0.0:
+        return (wraps - 1) * period + invert_within_period(per_loop)
+    return wraps * period + invert_within_period(rem)
 
 
 def make_ladder(rates=NETFLIX_LADDER_KBPS) -> BitrateLadder:

@@ -31,10 +31,10 @@ from abrsim import (
     session_metrics,
 )
 from abrsim.abr import Observation, Sba
-from abrsim.estimators import RunningMean
 from abrsim.simulator import SessionEventLog
 from abrsim.trace import BandwidthTrace, download_finish_time
 from helpers import (
+    RunningMean,
     constant_trace,
     events,
     make_manifest,

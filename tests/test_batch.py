@@ -22,7 +22,7 @@ from abrsim.manifest import (
 )
 from abrsim.metrics import AggregateReport
 from abrsim.simulator import SessionEventLog
-from abrsim.trace import TraceError, load_trace, save_trace
+from abrsim.trace import BandwidthTrace, TraceError, load_trace, save_trace
 from helpers import constant_trace, make_manifest
 
 
@@ -234,6 +234,16 @@ def test_run_batch_collects_starvation_failures(tmp_path):
     assert (out / "comparison.txt").read_text() == "no aggregates\n"
 
 
+def test_run_batch_reports_a_download_that_rounds_to_no_time(tmp_path):
+    path = write_workspace(tmp_path, traces=["trace_0.csv"], policies=["sba"], jobs=1)
+    sizes = ((1e20, 1e20),) + ((1.0, 2.0),) * 4  # chunk 2 lands in no time at a 3e16 s clock
+    save_manifest(make_manifest(chunks=5, rates=(235, 375), sizes=sizes), str(tmp_path / "manifest.json"))
+    result = run_batch(load_runspec(path))
+    errors = [f for f in result.failures if f["kind"] == "error"]
+    assert len(errors) == 1 and result.session_reports == []
+    assert errors[0]["detail"].startswith("chunk 2 download finishes at ")
+
+
 def test_run_batch_reports_bad_policy_params(tmp_path):
     # Parameters the policy rejects fail the whole spec, before any session
     # runs or any output is written, both at load and when set afterwards.
@@ -317,6 +327,36 @@ def test_run_batch_loads_each_trace_once(tmp_path, monkeypatch, jobs):
     loads = Counter(calls.read_text().splitlines())
     assert sorted(loads) == resolve_trace_paths(spec)
     assert set(loads.values()) == {1}
+
+
+def test_run_batch_validates_each_trace_once(tmp_path, monkeypatch):
+    # Each trace is validated when it loads and when it becomes the looping
+    # variant its sessions play; the sessions reuse it as it is.
+    path = write_workspace(tmp_path, loop_traces=True, scenarios=[[120, 12], [60, 6]], jobs=1)
+    for i, kbps in enumerate((3000.0, 5000.0)):
+        save_trace(BandwidthTrace(((0.0, kbps), (30.0, kbps))), str(tmp_path / f"trace_{i}.csv"))
+    validations = []
+    validate = BandwidthTrace.__post_init__
+
+    def counting_validate(trace):
+        validations.append(trace.loop)
+        validate(trace)
+
+    monkeypatch.setattr(BandwidthTrace, "__post_init__", counting_validate)
+    result = run_batch(load_runspec(path))
+    assert not result.failures and len(result.session_reports) == 2 * 2 * 2
+    assert validations == [False, True, False, True]
+
+
+def test_run_batch_keeps_the_detail_of_a_trace_that_cannot_loop(tmp_path):
+    path = write_workspace(tmp_path, loop_traces=True, jobs=1)
+    save_trace(BandwidthTrace(((0.0, 5000.0), (30.0, 5000.0))), str(tmp_path / "trace_1.csv"))
+    result = run_batch(load_runspec(path))
+    assert [(f["policy"], os.path.basename(f["trace"]), f["kind"], f["detail"]) for f in result.failures] == [
+        (policy, "trace_0.csv", "error", "a looping trace needs at least 2 samples to define its period")
+        for policy in ("sba", "bba")
+    ]
+    assert len(result.session_reports) == 2
 
 
 def test_run_batch_reports_an_unloadable_trace_per_config(tmp_path):

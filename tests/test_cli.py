@@ -189,6 +189,15 @@ def test_simulate_partial_session_exits_one(workspace, capsys):
     assert capsys.readouterr().err.startswith("PARTIAL")
 
 
+def test_simulate_download_that_rounds_to_no_time_exits_two(workspace, capsys):
+    sizes = ((1e20, 1e20),) + ((1.0, 2.0),) * 4  # chunk 2 lands in no time at a 3e16 s clock
+    save_manifest(make_manifest(chunks=5, rates=(235, 375), sizes=sizes), str(workspace / "huge.json"))
+    code = main(["simulate", "--manifest", str(workspace / "huge.json"),
+                 "--trace", str(workspace / "trace_0.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: chunk 2 download finishes at ")
+
+
 def test_simulate_rejects_bad_policy_params(workspace, capsys):
     code = main(["simulate", "--manifest", str(workspace / "manifest.json"),
                  "--trace", str(workspace / "trace_0.csv"), "--policy-params", "{nope"])

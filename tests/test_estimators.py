@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from abrsim import SessionConfig, replay_diff, run_session
-from abrsim.estimators import RunningMean, mean
+from abrsim.estimators import mean
 from abrsim.manifest import ManifestError
 from abrsim.trace import BandwidthTrace
-from helpers import constant_trace, events, make_manifest, monotone_rows
+from helpers import RunningMean, constant_trace, events, make_manifest, monotone_rows
 
 
 def running(values) -> RunningMean:

@@ -147,6 +147,20 @@ def test_stored_log_levels_stay_checked():
             session_metrics(log_of([1, level], end_s=9.0), manifest3(2))
 
 
+@pytest.mark.parametrize("levels, error, text", [
+    ([1, 0], IndexError, "level 0 outside 1..3"),
+    ([1, 4], IndexError, "level 4 outside 1..3"),
+    ([1, 2, 3], IndexError, "chunk 3 outside 1..2"),  # one display more than the manifest has chunks
+    ([1, float("nan")], IndexError, "level nan outside 1..3"),  # passes a min/max range check
+    ([1, "2"], TypeError, "'<=' not supported between instances of 'int' and 'str'"),
+    ([1, 2.0], TypeError, "tuple indices must be integers or slices, not float"),
+])
+def test_a_level_list_failing_the_range_check_raises_the_checked_lookup_error(levels, error, text):
+    with pytest.raises(error) as raised:
+        session_metrics(log_of(levels, end_s=9.0), manifest3(2))
+    assert str(raised.value) == text
+
+
 def test_displayed_entries_carry_level_ssim_rate():
     report = session_metrics(log_of([1, 3], end_s=9.0), manifest3(2))
     levels = [entry[0] for entry in report.displayed]

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from abrsim.abr import POLICIES
 from abrsim.manifest import BitrateLadder, VideoManifest
 from abrsim.simulator import JsonlWriter, SessionConfig, SessionEventLog, replay_diff, run_session
-from abrsim.trace import BandwidthTrace
-from helpers import constant_trace, events, make_manifest
+from abrsim.trace import BandwidthTrace, TraceExhaustedError, download_finish_time
+from helpers import constant_trace, events, make_manifest, reference_finish_time
 
 RATES = st.one_of(st.just(0.0), st.floats(20.0, 10000.0))
 
@@ -126,3 +126,61 @@ def test_writer_sink_matches_the_event_log(session):
     writer, tallied = run_session(manifest, trace, config, JsonlWriter())
     assert "".join(writer.lines) == log.to_jsonl()
     assert tallied == report
+
+
+@st.composite
+def transfers(draw):
+    """A looping or non-looping trace, a start time and a volume.
+
+    Whole-number gaps and rates keep the arithmetic exact often enough to
+    land starts on period multiples and targets on the wrap point; one draw
+    in five has a negative start or a non-positive volume.
+    """
+    loop = draw(st.booleans())
+    n = draw(st.integers(2 if loop else 1, 6))
+    whole = draw(st.integers(0, 2)) == 0
+    gap = st.integers(1, 30).map(float) if whole else st.floats(0.1, 30.0)
+    positive = st.integers(1, 9000).map(float) if whole else st.floats(20.0, 10000.0)
+    times = [0.0]
+    for g in draw(st.lists(gap, min_size=n - 1, max_size=n - 1)):
+        times.append(times[-1] + g)
+    rates = draw(st.lists(st.just(0.0) | positive, min_size=n, max_size=n))
+    if loop:
+        rates[0] = draw(positive)  # the period must carry data
+    trace = BandwidthTrace(tuple(zip(times, rates)), loop=loop)
+    period, volume_per_period = times[-1], trace._prefix[-1]
+    start = draw(st.floats(0.0, 4 * (period or 30.0))
+                 | st.integers(0, 4).map(lambda k: k * period))  # exact period multiples
+    volume = draw(st.floats(1e-6, 1e6)
+                  | st.integers(1, 4).map(lambda k: k * volume_per_period))  # whole periods
+    bad = draw(st.sampled_from([None] * 8 + ["start", "volume"]))
+    if bad == "start":
+        start = draw(st.floats(-10.0, -1e-9))
+    elif bad == "volume":
+        volume = draw(st.floats(-100.0, 0.0))
+    return trace, start, volume
+
+
+def _outcome(finish_time, trace, start_s, volume):
+    """The finish time, or the error's type and text; floats compare with ==."""
+    try:
+        return "finish", finish_time(trace, start_s, volume)
+    except (ValueError, TraceExhaustedError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+WRAP_TRACE = BandwidthTrace(((0.0, 100.0), (5.0, 0.0), (10.0, 0.0)), loop=True)
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None, database=None)
+@given(transfers())
+@example((WRAP_TRACE, 0.0, 500.0))  # lands on the wrap point: finishes at 5 s, not 10 s
+@example((WRAP_TRACE, 10.0, 1000.0))  # from a period multiple onto a later one
+@example((BandwidthTrace(((0.0, 3635.5), (5.3, 4731.8), (30.0, 0.0)), loop=True),
+          84.1, 153.9))  # a start in a later segment of a later period, where rounding shows
+@example((constant_trace(100.0, until_s=10.0), 3.0, 5000.0))  # zero tail: exhausted
+@example((constant_trace(100.0), -1.0, 10.0))
+@example((constant_trace(100.0), 1.0, 0.0))
+def test_finish_time_matches_the_reference_bit_for_bit(transfer):
+    assert _outcome(download_finish_time, *transfer) == _outcome(reference_finish_time, *transfer)

@@ -107,6 +107,16 @@ def test_replay_rejects_an_estimate_that_is_not_positive_and_finite():
             f"log is not replayable: bandwidth estimate must be > 0, got {estimate}"]
 
 
+def test_a_download_that_rounds_to_no_time_is_a_value_error():
+    # Chunk 1 weighs 1e20 kilobits, so the clock reaches 1e17 s and the
+    # millisecond download of chunk 2 rounds to no time at all.
+    sizes = ((1e20, 1e20),) + ((1.0, 2.0),) * 4
+    manifest = make_manifest(chunks=5, rates=(235, 375), sizes=sizes)
+    with pytest.raises(ValueError, match=re.escape(
+            "chunk 2 download finishes at 1e+17s, not after its fetch at 1e+17s")):
+        run_session(manifest, constant_trace(1000.0), SessionConfig())
+
+
 # --- full-session walkthrough on a constant trace ---
 
 
