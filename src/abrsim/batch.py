@@ -52,12 +52,28 @@ class RunSpecError(ValueError):
     """Run spec failed to parse or validate."""
 
 
+# One row per spec field: JSON name -> (RunSpec attribute, accepted types, what
+# it holds), in `run_config.json`'s order; code may set a tuple for a list.
+_SPEC_FIELDS = {
+    "manifest": ("manifest_path", (str, type(None)), "a path"),
+    "synthesize": ("synthesize", (dict, type(None)), "an object"),
+    "traces": ("trace_globs", (str, list, tuple), "a glob or a list of globs"),
+    "policies": ("policies", (list, tuple), "a list of policy ids"),
+    "scenarios": ("scenarios", (list, tuple), "a list of [BS, Lc] pairs"),
+    "loop_traces": ("loop_traces", bool, "true or false"),
+    "seed": ("seed", int, "an integer"),
+    "policy_params": ("policy_params", dict, "an object"),
+    "output_dir": ("output_dir", (str, type(None)), "a path"),
+    "jobs": ("jobs", (int, type(None)), "an integer >= 1"),
+}
+
+
 @dataclass
 class RunSpec:
-    trace_globs: list
-    policies: list
-    scenarios: list  # (buffer_capacity_s, critical_threshold_s) pairs
-    output_dir: str
+    trace_globs: list = field(default_factory=list)
+    policies: list = field(default_factory=list)
+    scenarios: list = field(default_factory=list)  # (buffer_capacity_s, critical_threshold_s) pairs
+    output_dir: str = ""
     manifest_path: str | None = None
     synthesize: dict | None = None
     seed: int = 0
@@ -67,39 +83,42 @@ class RunSpec:
     base_dir: str = "."
 
     def __post_init__(self) -> None:
-        if (self.manifest_path is None) == (self.synthesize is None):
-            raise RunSpecError("spec needs exactly one of `manifest` or `synthesize`")
-        scenarios = []
-        for pair in self.scenarios:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise RunSpecError(f"scenario must be a [BS, Lc] pair, got {pair!r}")
-            try:
-                scenarios.append((float(pair[0]), float(pair[1])))
-            except (TypeError, ValueError):
-                raise RunSpecError(f"scenario values must be numbers, got {pair!r}") from None
-        self.scenarios = scenarios
         validate_runspec(self)
-        if not self.output_dir:
-            raise RunSpecError("spec names no output directory")
 
 
 def validate_runspec(spec: RunSpec) -> list[SessionConfig]:
-    """Reject a spec that names no work, or work no session could run.
-
-    Returns one config per scenario x policy, scenario-major, in spec order.
-    Runs when a spec is built and again when a batch starts, because callers
-    (the CLI's overrides among them) may change fields in between.
+    """The one check of a spec's values; returns one config per scenario x
+    policy, scenario-major.  A lone trace glob becomes a list and each scenario
+    a pair of floats, in place.  Runs when a spec is built and again when a
+    batch starts, because code (the CLI's overrides among it) may change it.
     """
-    if not spec.trace_globs:
-        raise RunSpecError("spec names no traces")
-    if not spec.policies:
-        raise RunSpecError("spec names no policies")
-    if not spec.scenarios:
-        raise RunSpecError("spec names no scenarios")
+    for name, (attr, types, what) in _SPEC_FIELDS.items():
+        value = getattr(spec, attr)
+        if not isinstance(value, types):
+            raise RunSpecError(f"{name} must be {what}, got {value!r}")
+    if isinstance(spec.trace_globs, str):
+        spec.trace_globs = [spec.trace_globs]
+    if not all(isinstance(g, str) for g in spec.trace_globs):
+        raise RunSpecError(f"traces must be a glob or a list of globs, got {spec.trace_globs!r}")
+    if (spec.manifest_path is None) == (spec.synthesize is None):
+        raise RunSpecError("spec needs exactly one of `manifest` or `synthesize`")
+    for what, value in (("traces", spec.trace_globs), ("policies", spec.policies),
+                        ("scenarios", spec.scenarios), ("output directory", spec.output_dir)):
+        if not value:
+            raise RunSpecError(f"spec names no {what}")
+    scenarios = []
+    for pair in spec.scenarios:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise RunSpecError(f"scenario must be a [BS, Lc] pair, got {pair!r}")
+        try:
+            scenarios.append((float(pair[0]), float(pair[1])))
+        except (TypeError, ValueError):
+            raise RunSpecError(f"scenario values must be numbers, got {pair!r}") from None
+    spec.scenarios = scenarios
     if spec.jobs is not None and (type(spec.jobs) is not int or spec.jobs < 1):
         raise RunSpecError(f"jobs must be an integer >= 1, got {spec.jobs!r}")
     params = spec.policy_params
-    if not isinstance(params, dict) or not all(isinstance(p, dict) for p in params.values()):
+    if not all(isinstance(p, dict) for p in params.values()):
         raise RunSpecError("policy_params must map policy ids to objects of parameters")
     stray = sorted(set(params) - set(POLICIES))
     if stray:
@@ -117,21 +136,6 @@ def validate_runspec(spec: RunSpec) -> list[SessionConfig]:
         raise RunSpecError(str(exc)) from None
 
 
-# JSON types a spec field may hold when present; the values themselves are
-# checked once the spec is built.  `jobs` and `policy_params` are checked
-# whole by `validate_runspec`, which also sees the CLI's overrides.
-_SPEC_FIELD_TYPES = {
-    "manifest": ((str, type(None)), "a path"),
-    "synthesize": ((dict, type(None)), "an object"),
-    "traces": ((str, list), "a glob or a list of globs"),
-    "policies": (list, "a list of policy ids"),
-    "scenarios": (list, "a list of [BS, Lc] pairs"),
-    "output_dir": ((str, type(None)), "a path"),
-    "seed": (int, "an integer"),
-    "loop_traces": (bool, "true or false"),
-}
-
-
 def load_runspec(path: str) -> RunSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -144,31 +148,12 @@ def load_runspec(path: str) -> RunSpec:
         raise RunSpecError(f"{path}: spec is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise RunSpecError(f"{path}: spec must be a JSON object")
-    unknown = set(doc) - set(_SPEC_FIELD_TYPES) - {"jobs", "policy_params"}
+    unknown = set(doc) - set(_SPEC_FIELDS)
     if unknown:
         raise RunSpecError(f"{path}: unknown spec fields: {', '.join(sorted(unknown))}")
-    for name, (types, what) in _SPEC_FIELD_TYPES.items():
-        if name in doc and not isinstance(doc[name], types):
-            raise RunSpecError(f"{path}: {name} must be {what}, got {doc[name]!r}")
-    traces = doc.get("traces", [])
-    if isinstance(traces, str):
-        traces = [traces]
-    if not all(isinstance(t, str) for t in traces):
-        raise RunSpecError(f"{path}: traces must be a glob or a list of globs, got {traces!r}")
     try:
-        return RunSpec(
-            trace_globs=list(traces),
-            policies=list(doc.get("policies", [])),
-            scenarios=list(doc.get("scenarios", [])),
-            output_dir=doc.get("output_dir", ""),
-            manifest_path=doc.get("manifest"),
-            synthesize=doc.get("synthesize"),
-            seed=doc.get("seed", 0),
-            jobs=doc.get("jobs"),
-            loop_traces=doc.get("loop_traces", False),
-            policy_params=doc.get("policy_params", {}),
-            base_dir=os.path.dirname(os.path.abspath(path)) or ".",
-        )
+        return RunSpec(**{_SPEC_FIELDS[name][0]: value for name, value in doc.items()},
+                       base_dir=os.path.dirname(os.path.abspath(path)) or ".")
     except RunSpecError as exc:
         raise RunSpecError(f"{path}: {exc}") from exc
 
@@ -183,7 +168,7 @@ def resolve_manifest(spec: RunSpec) -> VideoManifest:
         chunk_count = int(recipe.pop("chunk_count", 0))
         chunk_duration = float(recipe.pop("chunk_duration_s", 0.0))
         profile = SaturationProfile(**recipe)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # a field of the wrong type, or an infinite count
         raise RunSpecError(f"bad synthesize fields: {exc}") from exc
     if chunk_count < 1 or chunk_duration <= 0:
         raise RunSpecError("synthesize needs chunk_count >= 1 and chunk_duration_s > 0")
@@ -194,7 +179,7 @@ def resolve_trace_paths(spec: RunSpec) -> list[str]:
     """Sorted unique matches of the trace globs; every glob must match a file."""
     paths: set[str] = set()
     for pattern in spec.trace_globs:
-        matches = glob.glob(os.path.join(spec.base_dir, pattern))
+        matches = glob.glob(os.path.join(glob.escape(spec.base_dir), pattern))
         if not matches:
             raise RunSpecError(f"no trace files matched {pattern!r}")
         paths.update(matches)
@@ -227,7 +212,9 @@ def run_batch(spec: RunSpec) -> BatchResult:
     Per-session problems (unreadable trace, starved session) are collected
     into the failure list instead of aborting the batch; spec-level problems
     (invalid spec, no manifest, no matching traces, two sessions sharing a
-    log name) raise before any output directory is created.
+    log name) raise before any output directory is created.  Rerun into the
+    directory of an earlier batch, it then removes the earlier batch's logs,
+    plots, failures.json and manifest.json that it did not write itself.
     """
     configs = validate_runspec(spec)
     manifest = resolve_manifest(spec)
@@ -248,7 +235,7 @@ def run_batch(spec: RunSpec) -> BatchResult:
             traces[trace_path] = replace(trace, loop=True) if spec.loop_traces else trace
         except TraceError as exc:
             traces[trace_path] = str(exc)
-    out_dir = os.path.join(spec.base_dir, spec.output_dir) if not os.path.isabs(spec.output_dir) else spec.output_dir
+    out_dir = os.path.join(spec.base_dir, spec.output_dir)
     sessions_dir = os.path.join(out_dir, "sessions")
     plots_dir = os.path.join(out_dir, "plots")
 
@@ -267,6 +254,15 @@ def run_batch(spec: RunSpec) -> BatchResult:
             log_names.add(name)
             tasks.append((manifest, config, traces[trace_path], label, os.path.join(sessions_dir, name)))
 
+    # Every spec field that shapes the results: not where they go, nor how many workers.
+    echo = {name: getattr(spec, attr) for name, (attr, _, _) in _SPEC_FIELDS.items()
+            if name not in ("output_dir", "jobs")}
+    echo["traces"] = trace_paths
+    try:  # an earlier batch's run_config.json: what that batch wrote may go stale
+        with open(os.path.join(out_dir, "run_config.json"), "r", encoding="utf-8") as fh:
+            rerun = json.load(fh).keys() == echo.keys()
+    except (OSError, ValueError, AttributeError):  # none, unreadable, or not an object
+        rerun = False
     os.makedirs(sessions_dir, exist_ok=True)
     os.makedirs(plots_dir, exist_ok=True)
     if spec.synthesize is not None:
@@ -321,20 +317,29 @@ def run_batch(spec: RunSpec) -> BatchResult:
         write_text_atomically(os.path.join(plots_dir, metric.plot + ".csv"), "\n".join(lines) + "\n")
     write_text_atomically(os.path.join(out_dir, "comparison.txt"), emit_comparison_table(aggregates))
 
-    echo = {
-        "manifest": spec.manifest_path,
-        "synthesize": spec.synthesize,
-        "traces": trace_paths,
-        "policies": list(spec.policies),
-        "scenarios": [list(s) for s in spec.scenarios],
-        "loop_traces": spec.loop_traces,
-        "seed": spec.seed,
-        "policy_params": spec.policy_params,
-    }
     write_text_atomically(os.path.join(out_dir, "run_config.json"), json.dumps(echo, indent=1) + "\n")
     if failures:
         write_text_atomically(os.path.join(out_dir, "failures.json"), json.dumps(failures, indent=1) + "\n")
+    if rerun:
+        written = {task[4] for task, (_, error) in zip(tasks, outcomes) if error is None}
+        written.update(os.path.join(plots_dir, m.plot + ".csv") for m in HEADLINE_METRICS)
+        written.update(os.path.join(out_dir, name) for name, wrote in (
+            ("failures.json", failures), ("manifest.json", spec.synthesize is not None)) if wrote)
+        _remove_stale(out_dir, written, spec)
     return BatchResult(out_dir, reports, aggregates, failures)
+
+
+def _remove_stale(out_dir: str, written: set, spec: RunSpec) -> None:
+    """Delete the logs, plots, failures.json and manifest.json that are not in
+    `written`, except a manifest.json the spec reads as its manifest."""
+    paths = [os.path.join(out_dir, name) for name in ("failures.json", "manifest.json")]
+    for sub, suffix in (("sessions", ".jsonl"), ("plots", ".csv")):
+        folder = os.path.join(out_dir, sub)
+        paths += [os.path.join(folder, name) for name in os.listdir(folder) if name.endswith(suffix)]
+    source = spec.manifest_path and os.path.join(spec.base_dir, spec.manifest_path)
+    for path in paths:
+        if path not in written and os.path.isfile(path) and not (source and os.path.samefile(path, source)):
+            os.remove(path)
 
 
 def emit_comparison_table(aggregates) -> str:

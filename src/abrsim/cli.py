@@ -11,6 +11,7 @@ ABRSIM_OUTPUT_DIR environment variable, else the spec file's output_dir.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import sys
@@ -104,13 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     spec = load_runspec(args.spec)
-    # Spec-relative paths resolve against the spec file; flag-supplied paths
-    # resolve against the caller's working directory, so absolutize them here.
+    # Spec-relative paths resolve against the spec file; flag-supplied ones against
+    # the working directory, which a trace glob escapes so its name matches literally.
     if args.manifest:
         spec.manifest_path = os.path.abspath(args.manifest)
         spec.synthesize = None
     if args.traces:
-        spec.trace_globs = [os.path.abspath(g) for g in args.traces]
+        spec.trace_globs = [os.path.normpath(os.path.join(glob.escape(os.getcwd()), g)) for g in args.traces]
     if args.policies:
         spec.policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if args.scenarios:
@@ -134,19 +135,12 @@ def cmd_run(args) -> int:
 
 
 def _parse_scenarios(text: str) -> list:
-    scenarios = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            bs, lc = part.split(":")
-            scenarios.append((float(bs), float(lc)))
-        except ValueError:
-            raise RunSpecError(f"bad scenario {part!r}, expected BS:Lc") from None
-    if not scenarios:
-        raise RunSpecError("no scenarios given")
-    return scenarios
+    """`BS:Lc` pairs as pairs of strings; `validate_runspec` checks the numbers."""
+    pairs = [tuple(part.strip().split(":")) for part in text.split(",") if part.strip()]
+    for pair in pairs:
+        if len(pair) != 2:
+            raise RunSpecError(f"bad scenario {':'.join(pair)!r}, expected BS:Lc")
+    return pairs
 
 
 def cmd_simulate(args) -> int:

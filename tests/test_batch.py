@@ -154,6 +154,25 @@ def test_resolve_manifest_synthesizes_with_seed_default(tmp_path):
     assert built == expected
 
 
+def test_readme_synthesize_example_runs(tmp_path):
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    example = next(b for b in blocks if '"synthesize"' in b)
+    (tmp_path / "traces").mkdir()
+    for i, kbps in enumerate((3000.0, 5000.0)):
+        save_trace(constant_trace(kbps), str(tmp_path / "traces" / f"trace_{i}.csv"))
+    (tmp_path / "spec.json").write_text(example)
+    result = run_batch(load_runspec(str(tmp_path / "spec.json")))
+    assert not result.failures and len(result.session_reports) == 4
+    recipe = json.loads(example)["synthesize"]
+    expected = synthesize_manifest(
+        BitrateLadder(tuple(recipe.pop("ladder_kbps"))), recipe.pop("chunk_count"),
+        recipe.pop("chunk_duration_s"), SaturationProfile(**recipe),
+    )
+    assert resolve_manifest(load_runspec(str(tmp_path / "spec.json"))) == expected
+
+
 def test_resolve_manifest_rejects_bad_recipe(tmp_path):
     no_count = write_workspace(tmp_path, manifest=None, synthesize={"chunk_duration_s": 4.0})
     with pytest.raises(RunSpecError, match="chunk_count"):
@@ -254,6 +273,51 @@ def test_run_batch_reports_bad_policy_params(tmp_path):
     spec = load_runspec(write_workspace(tmp_path, policies=["sba"], jobs=1))
     spec.policy_params = bad
     with pytest.raises(RunSpecError, match="bad parameters for policy 'sba'"):
+        run_batch(spec)
+    assert not (tmp_path / "out").exists()
+
+
+def tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def test_run_batch_rechecks_an_output_dir_emptied_in_code(tmp_path):
+    spec = load_runspec(write_workspace(tmp_path, jobs=1))
+    spec.output_dir = ""
+    before = tree(tmp_path)
+    with pytest.raises(RunSpecError, match="spec names no output directory"):
+        run_batch(spec)
+    assert tree(tmp_path) == before
+
+
+def test_run_batch_rechecks_a_second_content_source_set_in_code(tmp_path):
+    spec = load_runspec(write_workspace(tmp_path, jobs=1))
+    spec.synthesize = {"chunk_count": 4, "chunk_duration_s": 4.0}
+    with pytest.raises(RunSpecError, match="exactly one of `manifest` or `synthesize`"):
+        run_batch(spec)
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_batch_rechecks_scenarios_set_in_code(tmp_path):
+    path = write_workspace(tmp_path, output_dir="from_file", jobs=1)
+    spec = load_runspec(path)
+    spec.scenarios = [(120,)]
+    with pytest.raises(RunSpecError, match=re.escape("scenario must be a [BS, Lc] pair, got (120,)")):
+        run_batch(spec)
+    run_batch(load_runspec(path))
+    spec = load_runspec(path)
+    spec.scenarios = [("120", "12")]
+    spec.output_dir = "from_code"
+    result = run_batch(spec)
+    assert not result.failures and spec.scenarios == [(120.0, 12.0)]
+    assert tree(tmp_path / "from_code") == tree(tmp_path / "from_file")
+
+
+def test_run_batch_rechecks_field_types_set_in_code(tmp_path):
+    spec = load_runspec(write_workspace(tmp_path, jobs=1))
+    spec.seed = None
+    with pytest.raises(RunSpecError, match="seed must be an integer, got None"):
         run_batch(spec)
     assert not (tmp_path / "out").exists()
 
@@ -432,3 +496,12 @@ def test_runspec_scenarios_coerced_to_float_pairs():
         output_dir="out", manifest_path="m.json",
     )
     assert spec.scenarios == [(120.0, 12.0), (240.0, 24.0)]
+
+
+def test_runspec_takes_tuples_and_a_lone_glob_from_code():
+    spec = RunSpec(
+        trace_globs="t.csv", policies=("sba",), scenarios=((120, 12),),
+        output_dir="out", manifest_path="m.json",
+    )
+    assert spec.trace_globs == ["t.csv"]
+    assert spec.scenarios == [(120.0, 12.0)]

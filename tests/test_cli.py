@@ -383,6 +383,62 @@ def test_run_rejects_a_trace_glob_that_matches_nothing(workspace, capsys):
     assert not (workspace / "out").exists()
 
 
+def test_run_matches_traces_below_a_directory_named_like_a_glob(tmp_path, monkeypatch, capsys):
+    # `exp[1]` as a glob matches `exp1`: its traces must never stand in.
+    exp, decoy = tmp_path / "exp[1]", tmp_path / "exp1"
+    for folder, name in ((exp, "trace_0.csv"), (decoy, "trace_9.csv")):
+        (folder / "traces").mkdir(parents=True)
+        save_trace(constant_trace(3000.0), str(folder / "traces" / name))
+    save_manifest(make_manifest(chunks=8), str(exp / "manifest.json"))
+    (exp / "spec.json").write_text(json.dumps({
+        "manifest": "manifest.json", "traces": "traces/trace_*.csv", "policies": ["sba"],
+        "scenarios": [[120, 12]], "output_dir": "out", "jobs": 1,
+    }))
+    assert main(["run", "--spec", str(exp / "spec.json")]) == 0
+    monkeypatch.chdir(exp)
+    assert main(["run", "--spec", "spec.json", "--traces", "traces/trace_*.csv", "--output-dir", "flag"]) == 0
+    for out in ("out", "flag"):
+        assert [p.name for p in (exp / out / "sessions").iterdir()] == ["sba_bs120_lc12_trace_0.jsonl"]
+        echo = json.loads((exp / out / "run_config.json").read_text())
+        assert echo["traces"] == [str(exp / "traces" / "trace_0.csv")]
+
+
+def test_rerun_with_fewer_policies_leaves_no_stale_logs(workspace, capsys):
+    run = ["run", "--spec", str(workspace / "spec.json"), "--output-dir", str(workspace / "res")]
+    assert main([*run, "--policies", "sba,bba"]) == 0
+    (workspace / "res" / "notes.txt").write_text("mine")
+    (workspace / "res" / "sessions" / "notes.txt").write_text("mine")
+    assert main([*run, "--policies", "sba"]) == 0
+    sessions = sorted(p.name for p in (workspace / "res" / "sessions").iterdir())
+    assert sessions == ["notes.txt", "sba_bs120_lc12_trace_0.jsonl", "sba_bs120_lc12_trace_1.jsonl"]
+    assert (workspace / "res" / "notes.txt").read_text() == "mine"
+
+
+def test_clean_rerun_leaves_no_stale_failures(workspace, capsys):
+    save_trace(constant_trace(100.0, until_s=10.0), str(workspace / "starved.csv"))
+    run = ["run", "--spec", str(workspace / "spec.json"), "--policies", "sba"]
+    assert main([*run, "--traces", str(workspace / "starved.csv")]) == 1
+    assert (workspace / "out" / "failures.json").is_file()
+    assert main([*run, "--traces", str(workspace / "trace_0.csv")]) == 0
+    assert not (workspace / "out" / "failures.json").exists()
+    assert [p.name for p in (workspace / "out" / "sessions").iterdir()] == ["sba_bs120_lc12_trace_0.jsonl"]
+
+
+def test_rerun_keeps_files_outside_an_earlier_batch(workspace, capsys):
+    # No run_config.json: nothing in the directory is an earlier batch's.
+    stray = workspace / "out" / "sessions" / "bba_bs120_lc12_trace_0.jsonl"
+    stray.parent.mkdir(parents=True)
+    stray.write_text("mine")
+    assert main(["run", "--spec", str(workspace / "spec.json"), "--policies", "sba"]) == 0
+    assert stray.read_text() == "mine"
+    # A synthesized manifest.json the next run reads as its manifest stays.
+    rewrite_spec(workspace, manifest=None, synthesize={"chunk_count": 8, "chunk_duration_s": 4.0})
+    assert main(["run", "--spec", str(workspace / "spec.json"), "--policies", "sba"]) == 0
+    assert main(["run", "--spec", str(workspace / "spec.json"), "--policies", "sba",
+                 "--manifest", str(workspace / "out" / "manifest.json")]) == 0
+    assert (workspace / "out" / "manifest.json").is_file()
+
+
 def test_run_with_failures_exits_one(workspace, capsys):
     save_trace(constant_trace(100.0, until_s=10.0), str(workspace / "starved.csv"))
     code = main(["run", "--spec", str(workspace / "spec.json"),
@@ -426,11 +482,13 @@ def rewrite_spec(workspace, **fields):
      "bad synthesize fields: int() argument must be"),
     ({"manifest": None, "synthesize": {"chunk_count": 8, "chunk_duration_s": 4, "ladder_kbps": 5}},
      "bad synthesize fields: 'int' object is not iterable"),
+    ({"manifest": None, "synthesize": {"chunk_count": float("inf"), "chunk_duration_s": 4}},
+     "bad synthesize fields: cannot convert float infinity to integer"),
 ], ids=["unknown-policy", "bad-params", "params-of-unknown-policy", "lc-not-below-bs", "string-jobs",
         "null-capacity", "capacity-not-above-chunk", "infinite-capacity", "null-seed", "number-traces",
         "number-in-traces", "unmatched-glob", "number-manifest", "list-synthesize", "string-policies", "number-scenarios",
         "number-output-dir", "fractional-seed", "string-loop-traces",
-        "null-synthesized-chunk-count", "number-synthesized-ladder"])
+        "null-synthesized-chunk-count", "number-synthesized-ladder", "infinite-synthesized-chunk-count"])
 def test_run_rejects_invalid_spec(workspace, capsys, fields, message):
     rewrite_spec(workspace, **fields)
     assert main(["run", "--spec", str(workspace / "spec.json")]) == 2
@@ -458,7 +516,9 @@ def test_run_rejects_sessions_sharing_a_log_name(workspace, capsys, fields, name
     (["--policies", "sba,rate_hog"], "unknown policy 'rate_hog'"),
     (["--scenarios", "120:12,10:12"], "critical threshold < buffer capacity"),
     (["--jobs", "0"], "jobs must be an integer >= 1, got 0"),
-], ids=["unknown-policy", "lc-not-below-bs", "zero-jobs"])
+    (["--scenarios", "120:abc"], "scenario values must be numbers, got ('120', 'abc')"),
+    (["--scenarios", ","], "spec names no scenarios"),
+], ids=["unknown-policy", "lc-not-below-bs", "zero-jobs", "scenario-not-a-number", "no-scenarios"])
 def test_run_rejects_invalid_overrides(workspace, capsys, flags, message):
     assert main(["run", "--spec", str(workspace / "spec.json"), *flags]) == 2
     assert message in capsys.readouterr().err
