@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import glob
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from multiprocessing import Pool
@@ -35,6 +36,7 @@ from .manifest import (
     load_manifest,
     save_manifest,
     synthesize_manifest,
+    write_text_atomically,
 )
 from .metrics import (
     HEADLINE_METRICS,
@@ -44,7 +46,7 @@ from .metrics import (
     aggregates_csv,
     sessions_csv,
 )
-from .simulator import JsonlWriter, SessionConfig, run_session, write_text_atomically
+from .simulator import JsonlWriter, SessionConfig, run_session
 from .trace import TraceError, load_trace
 
 
@@ -66,6 +68,14 @@ _SPEC_FIELDS = {
     "output_dir": ("output_dir", (str, type(None)), "a path"),
     "jobs": ("jobs", (int, type(None)), "an integer >= 1"),
 }
+
+
+# The largest SSIM table (chunks x ladder rungs) a recipe may ask for:
+# 100,000 chunks on the default ladder.
+MAX_SYNTHESIZED_CELLS = 10**6
+# The JSON types of each `synthesize` field but `ladder_kbps`; a bool is no number.
+_RECIPE_FIELDS = {"chunk_count": (int,), "jitter_seed": (int,), **dict.fromkeys(
+    ("chunk_duration_s", "q_floor", "q_ceiling", "knee_kbps", "per_chunk_spread"), (int, float))}
 
 
 @dataclass
@@ -161,18 +171,38 @@ def load_runspec(path: str) -> RunSpec:
 def resolve_manifest(spec: RunSpec) -> VideoManifest:
     if spec.manifest_path is not None:
         return load_manifest(os.path.join(spec.base_dir, spec.manifest_path))
-    recipe = dict(spec.synthesize)
-    recipe.setdefault("jitter_seed", spec.seed)
-    try:
-        ladder = BitrateLadder(tuple(recipe.pop("ladder_kbps", NETFLIX_LADDER_KBPS)))
-        chunk_count = int(recipe.pop("chunk_count", 0))
-        chunk_duration = float(recipe.pop("chunk_duration_s", 0.0))
-        profile = SaturationProfile(**recipe)
-    except (TypeError, OverflowError) as exc:  # a field of the wrong type, or an infinite count
+    return manifest_from_recipe({"jitter_seed": spec.seed, **spec.synthesize})
+
+
+def manifest_from_recipe(recipe: dict) -> VideoManifest:
+    """The manifest a `synthesize` recipe (a spec's, or `synth-manifest`'s flags) describes.
+
+    Every field's JSON type and the size of the SSIM table are checked before
+    any row of it is built.
+    """
+    fields = dict(recipe)
+    ladder = fields.pop("ladder_kbps", NETFLIX_LADDER_KBPS)
+    try:  # these word the errors for a ladder that is no list and a count or duration that is no number
+        rates = tuple(ladder)
+        chunk_count = int(fields.get("chunk_count", 0))
+        chunk_duration = float(fields.get("chunk_duration_s", 0.0))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise RunSpecError(f"bad synthesize fields: {exc}") from exc
-    if chunk_count < 1 or chunk_duration <= 0:
+    if not isinstance(ladder, (list, tuple)) or not all(type(rate) in (int, float) for rate in rates):
+        raise RunSpecError(f"bad synthesize fields: ladder_kbps must be a list of numbers, got {ladder!r}")
+    for name, value in fields.items():
+        if name not in _RECIPE_FIELDS:
+            raise RunSpecError(f"bad synthesize fields: unknown field {name!r}")
+        if type(value) not in _RECIPE_FIELDS[name]:
+            what = "an integer" if _RECIPE_FIELDS[name] == (int,) else "a number"
+            raise RunSpecError(f"bad synthesize fields: {name} must be {what}, got {value!r}")
+    if chunk_count < 1 or not 0 < chunk_duration < math.inf:
         raise RunSpecError("synthesize needs chunk_count >= 1 and chunk_duration_s > 0")
-    return synthesize_manifest(ladder, chunk_count, chunk_duration, profile)
+    if chunk_count * len(rates) > MAX_SYNTHESIZED_CELLS:
+        raise RunSpecError(f"synthesize would build a {chunk_count} x {len(rates)} SSIM table, "
+                           f"over the {MAX_SYNTHESIZED_CELLS} cells allowed")
+    del fields["chunk_count"], fields["chunk_duration_s"]
+    return synthesize_manifest(BitrateLadder(rates), chunk_count, chunk_duration, SaturationProfile(**fields))
 
 
 def resolve_trace_paths(spec: RunSpec) -> list[str]:

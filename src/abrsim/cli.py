@@ -17,24 +17,9 @@ import os
 import sys
 
 from .abr import POLICIES
-from .batch import RunSpecError, load_runspec, run_batch
-from .manifest import (
-    NETFLIX_LADDER_KBPS,
-    BitrateLadder,
-    ManifestError,
-    SaturationProfile,
-    load_manifest,
-    save_manifest,
-    synthesize_manifest,
-)
-from .simulator import (
-    JsonlWriter,
-    SessionConfig,
-    SessionEventLog,
-    replay_diff,
-    run_session,
-    write_text_atomically,
-)
+from .batch import RunSpecError, load_runspec, manifest_from_recipe, run_batch
+from .manifest import ManifestError, load_manifest, save_manifest, write_text_atomically
+from .simulator import JsonlWriter, SessionConfig, SessionEventLog, replay_diff, run_session
 from .trace import TraceError, load_trace
 
 OUTPUT_DIR_ENV = "ABRSIM_OUTPUT_DIR"
@@ -171,17 +156,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_synth_manifest(args) -> int:
-    ladder = BitrateLadder(
-        tuple(float(r) for r in args.ladder.split(",")) if args.ladder else NETFLIX_LADDER_KBPS
-    )
-    profile = SaturationProfile(
-        q_floor=args.q_floor,
-        q_ceiling=args.q_ceiling,
-        knee_kbps=args.knee,
-        jitter_seed=args.seed,
-        per_chunk_spread=args.spread,
-    )
-    manifest = synthesize_manifest(ladder, args.chunks, args.chunk_duration, profile)
+    recipe = {"chunk_count": args.chunks, "chunk_duration_s": args.chunk_duration, "q_floor": args.q_floor,
+              "q_ceiling": args.q_ceiling, "knee_kbps": args.knee, "jitter_seed": args.seed,
+              "per_chunk_spread": args.spread}
+    if args.ladder:
+        recipe["ladder_kbps"] = [float(r) for r in args.ladder.split(",")]
+    manifest = manifest_from_recipe(recipe)
     save_manifest(manifest, args.out)
     print(f"wrote {args.out}: {manifest.chunk_count} chunks x {manifest.ladder.count} levels")
     return 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -185,9 +186,26 @@ def load_manifest(path: str) -> VideoManifest:
 
 
 def save_manifest(manifest: VideoManifest, path: str) -> None:
-    text = json.dumps(manifest.to_dict(), indent=1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_text_atomically(path, json.dumps(manifest.to_dict(), indent=1) + "\n")
+
+
+def write_text_atomically(path: str, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it over `path`.
+
+    On any error the temporary file is removed and an existing `path`
+    keeps its old bytes.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
 @dataclass(frozen=True)

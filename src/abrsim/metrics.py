@@ -63,10 +63,10 @@ class AggregateReport:
 
 
 class SessionTally:
-    """Online reduction of one session's events to a SessionReport.
+    """Online reduction of one session's event records to a SessionReport.
 
-    A sink for the engine: `display` takes each displayed chunk's level and
-    `record` the header and the playback, stall and end records; fetches and
+    `record` takes every record: a display adds its level, and the header and
+    the playback, stall, end and truncation records their times; fetches and
     completions carry nothing the report needs.  `report` prices the levels
     by direct indexing once their min and max lie in 1..R; a list that fails
     that or the indexing (a stored log is outside input) is priced again
@@ -80,17 +80,11 @@ class SessionTally:
         self.diagnostic = ""
         self.stall_total, self.stall_count = 0.0, 0
 
-    def fetch(self, *event) -> None:
-        pass
-
-    complete = fetch
-
-    def display(self, t, chunk, level) -> None:
-        self.levels.append(level)
-
     def record(self, rec: dict) -> None:
         kind = rec["event"]
-        if kind == "session_start" and self.header is None:
+        if kind == "chunk_display_start":
+            self.levels.append(rec["level"])
+        elif kind == "session_start" and self.header is None:
             self.header = rec
         elif kind == "playback_start":
             self.startup = rec["time_s"]
@@ -157,13 +151,9 @@ def session_metrics(log, manifest: VideoManifest) -> SessionReport:
     if not records or records[0].get("event") != "session_start":
         raise ValueError("log does not start with a session_start record")
     tally = SessionTally()
-    levels = tally.levels
+    record = tally.record
     for rec in records:
-        kind = rec["event"]
-        if kind == "chunk_display_start":
-            levels.append(rec["level"])
-        elif kind != "fetch_issued" and kind != "download_complete":
-            tally.record(rec)
+        record(rec)
     return tally.report(manifest)
 
 

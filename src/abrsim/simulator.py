@@ -20,21 +20,21 @@ playing; after the last chunk it drains out and the session ends.
 
 Each event goes once, as it happens, to a sink: a SessionEventLog keeps the
 records (JSON Lines on disk, fixed field order), and a JsonlWriter encodes
-each line and tallies the report in the same call.  `replay_diff` re-runs
-the engine with download completion times taken from a log to verify that
-every other recorded value - decisions, estimates, buffer levels, event
-times - is reproduced.
+each line and tallies the report in the same call.  CHUNK_EVENTS is the one
+schema of the per-chunk records; both sinks' methods for them are compiled
+from it.  `replay_diff` re-runs the engine with download completion times
+taken from a log to verify that every other recorded value - decisions,
+estimates, buffer levels, event times - is reproduced.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 from .abr import Observation, decide, make_policy
-from .manifest import VideoManifest
+from .manifest import VideoManifest, write_text_atomically
 from .metrics import SessionTally, session_metrics
 from .trace import BandwidthTrace, TraceExhaustedError, download_finish_time
 
@@ -98,28 +98,56 @@ class SessionConfig:
         )
 
 
+# The one schema of the per-chunk records: sink method -> event kind and the
+# fields after "event", in order, with their JSON types.  Both sinks' `fetch`,
+# `complete` and `display` are compiled from it at import.
+CHUNK_EVENTS = {
+    "fetch": ("fetch_issued", (("time_s", float), ("chunk", int), ("level", int), ("buffer_s", float),
+                               ("bandwidth_estimate_kbps", float), ("ssim_delta_mean", float),
+                               ("reason", str))),
+    "complete": ("download_complete", (("time_s", float), ("chunk", int), ("throughput_kbps", float))),
+    "display": ("chunk_display_start", (("time_s", float), ("chunk", int), ("level", int))),
+}
+
+
+def _chunk_event_methods(body: str, tails: dict) -> list:
+    """One function per CHUNK_EVENTS row, compiled as `collections.namedtuple` builds
+    its methods: from `body` formatted with the row's `args`, its record as a dict
+    literal, an f-string `template` writing `json.dumps`'s bytes for it, the `guard`
+    that the template fits (exact types, finite floats) and `tails[method]`."""
+    source = []
+    for method, (kind, fields) in CHUNK_EVENTS.items():
+        names = [name for name, _ in fields]
+        by_type = {typ: [name for name, t in fields if t is typ] for typ in (float, int, str)}
+        guard = [" is ".join([f"type({name})" for name in group] + [typ.__name__])
+                 for typ, group in by_type.items() if group] + [f"_isfinite({' + '.join(by_type[float])})"]
+        value = {name: f"{{_ascii_str({name})}}" if typ is str else f"{{{name}!r}}" for name, typ in fields}
+        pairs = [f'"event": "{kind}"'] + [f'"{name}": {{}}' for name in names]
+        source.append(body.format(
+            method=method, args=", ".join(names), guard=" and ".join(guard), tail=tails.get(method, ""),
+            record="{" + ", ".join(pairs).format(*names) + "}",
+            template="f'{{" + ", ".join(pairs).format(*value.values()) + "}}\\n'"))
+    namespace = {"__name__": __name__, "_isfinite": math.isfinite, "_ascii_str": _ascii_str,
+                 "_dumps": json.dumps}
+    exec(compile("".join(source), "<chunk event sinks>", "exec"), namespace)
+    return [namespace[method] for method in CHUNK_EVENTS]
+
+
 @dataclass
 class SessionEventLog:
     """Ordered event records; one JSON object per line on disk.
 
-    Also the engine's default sink: `fetch`, `complete` and `display` build
-    the three per-chunk records, and `record` appends any other one.
+    Also the engine's default sink: `fetch`, `complete` and `display`, compiled
+    from CHUNK_EVENTS, build the three per-chunk records, and `record` appends
+    any other one.
     """
 
     records: list[dict] = field(default_factory=list)
 
-    def fetch(self, t, chunk, level, buffer_s, estimate, drift, reason) -> None:
-        self.records.append(
-            {"event": "fetch_issued", "time_s": t, "chunk": chunk, "level": level, "buffer_s": buffer_s,
-             "bandwidth_estimate_kbps": estimate, "ssim_delta_mean": drift, "reason": reason}
-        )
-
-    def complete(self, t, chunk, throughput) -> None:
-        self.records.append({"event": "download_complete", "time_s": t, "chunk": chunk,
-                             "throughput_kbps": throughput})
-
-    def display(self, t, chunk, level) -> None:
-        self.records.append({"event": "chunk_display_start", "time_s": t, "chunk": chunk, "level": level})
+    fetch, complete, display = _chunk_event_methods("""
+def {method}(self, {args}):
+    self.records.append({record})
+""", {})
 
     def record(self, rec: dict) -> None:
         self.records.append(rec)
@@ -173,73 +201,30 @@ class SessionEventLog:
 class JsonlWriter(SessionTally):
     """Sink that encodes each event as its log line and tallies it in the same call.
 
-    `"".join(lines)` is byte for byte what `SessionEventLog.to_jsonl` gives.  A
-    per-chunk event with exactly-`int` chunk and level, an exactly-`str` reason
-    and finite floats is formatted from a template with the calls `json.dumps`
-    makes (`repr`, `encode_basestring_ascii`); any other goes through `json.dumps`.
+    `"".join(lines)` is byte for byte what `SessionEventLog.to_jsonl` gives.  Its
+    `fetch`, `complete` and `display`, compiled from CHUNK_EVENTS, format a
+    per-chunk event whose fields have exactly their table types (a `bool` is no
+    `int`) and whose floats are finite from a template with the calls
+    `json.dumps` makes (`repr`, `encode_basestring_ascii`); any other goes
+    through `json.dumps`.  `display` also tallies the displayed level.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.lines: list[str] = []
 
-    def fetch(self, t, chunk, level, buffer_s, estimate, drift, reason) -> None:
-        if (type(t) is type(buffer_s) is type(estimate) is type(drift) is float
-                and type(chunk) is type(level) is int and type(reason) is str
-                and math.isfinite(t + buffer_s + estimate + drift)):
-            self.lines.append(
-                f'{{"event": "fetch_issued", "time_s": {t!r}, "chunk": {chunk!r}, "level": {level!r}, '
-                f'"buffer_s": {buffer_s!r}, "bandwidth_estimate_kbps": {estimate!r}, '
-                f'"ssim_delta_mean": {drift!r}, "reason": {_ascii_str(reason)}}}\n'
-            )
-        else:
-            self.lines.append(_dumps_event("fetch", t, chunk, level, buffer_s, estimate, drift, reason))
-
-    def complete(self, t, chunk, throughput) -> None:
-        if type(t) is type(throughput) is float and type(chunk) is int and math.isfinite(t + throughput):
-            self.lines.append(
-                f'{{"event": "download_complete", "time_s": {t!r}, "chunk": {chunk!r}, '
-                f'"throughput_kbps": {throughput!r}}}\n'
-            )
-        else:
-            self.lines.append(_dumps_event("complete", t, chunk, throughput))
-
-    def display(self, t, chunk, level) -> None:
-        if type(t) is float and type(chunk) is type(level) is int and math.isfinite(t):
-            self.lines.append(f'{{"event": "chunk_display_start", "time_s": {t!r}, "chunk": {chunk!r}, '
-                              f'"level": {level!r}}}\n')
-        else:
-            self.lines.append(_dumps_event("display", t, chunk, level))
-        self.levels.append(level)
+    fetch, complete, display = _chunk_event_methods("""
+def {method}(self, {args}):
+    if {guard}:
+        self.lines.append({template})
+    else:
+        self.lines.append(_dumps({record}) + "\\n")
+    {tail}
+""", {"display": "self.levels.append(level)"})
 
     def record(self, rec: dict) -> None:
         self.lines.append(json.dumps(rec) + "\n")
         super().record(rec)
-
-
-def _dumps_event(method: str, *event) -> str:
-    log = SessionEventLog()  # the line `to_jsonl` writes for the record this sink method builds
-    getattr(log, method)(*event)
-    return log.to_jsonl()
-
-
-def write_text_atomically(path: str, text: str) -> None:
-    """Write `text` to a temporary file beside `path`, then rename it over `path`.
-
-    On any error the temporary file is removed and an existing `path`
-    keeps its old bytes.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def run_session(
@@ -247,8 +232,8 @@ def run_session(
 ) -> tuple:
     """Simulate one session into `sink` (a new SessionEventLog by default); returns it and the report.
 
-    A SessionTally sink, such as a JsonlWriter, reports from its own tally;
-    `session_metrics` reduces a log.  A trace that cannot carry the session
+    A sink that is a SessionTally, as a JsonlWriter is, reports from its own
+    tally; `session_metrics` reduces a log.  A trace that cannot carry the session
     to completion yields a truncated log and a partial report, not an error.
     """
     if sink is None:

@@ -70,26 +70,6 @@ class BandwidthTrace:
         """Final sample timestamp; the loop period when looping."""
         return self._times[-1]
 
-    def _segment_cum(self, t: float) -> float:
-        # Kilobits delivered over [0, t] ignoring looping; t past the end
-        # extends the final sample's rate.
-        i = bisect_right(self._times, t) - 1
-        return self._prefix[i] + (t - self._times[i]) * self._rates[i]
-
-    def _cum(self, t: float) -> float:
-        if t < 0:
-            raise ValueError(f"trace time must be >= 0, got {t}")
-        if not self.loop:
-            return self._segment_cum(t)
-        period = self._times[-1]
-        per_loop = self._prefix[-1]
-        wraps = math.floor(t / period)
-        rem = t - wraps * period
-        if rem < 0:  # guard against floor/multiply rounding
-            wraps -= 1
-            rem += period
-        return wraps * per_loop + self._segment_cum(rem)
-
 
 def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits: float) -> float:
     """Earliest t >= start_s at which volume_kilobits have been delivered.
@@ -101,8 +81,8 @@ def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits:
         raise ValueError(f"volume must be > 0, got {volume_kilobits}")
     if start_s < 0:
         raise ValueError(f"start must be >= 0, got {start_s}")
-    # `trace._cum(start_s) + volume_kilobits`, then the inverse of `_cum`, with
-    # `_cum` and `_segment_cum` inlined: the same operations in the same order.
+    # The kilobits delivered by `start_s` plus the volume, then that curve's inverse, inlined:
+    # the operations, in order, of `reference_finish_time` in tests/helpers.py.
     times, rates, prefix = trace._times, trace._rates, trace._prefix
     if not trace.loop:
         i = bisect_right(times, start_s) - 1

@@ -2,7 +2,7 @@
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 from abrsim.abr import POLICIES, Observation
 from abrsim.manifest import NETFLIX_LADDER_KBPS, BitrateLadder, VideoManifest
@@ -21,7 +21,28 @@ def transferred_kilobits(trace: BandwidthTrace, start_s: float, end_s: float) ->
     """Kilobits the trace delivers over [start_s, end_s]."""
     if start_s < 0 or end_s < start_s:
         raise ValueError(f"need 0 <= start <= end, got [{start_s}, {end_s}]")
-    return trace._cum(end_s) - trace._cum(start_s)
+    return cumulative_kilobits(trace, end_s) - cumulative_kilobits(trace, start_s)
+
+
+def cumulative_kilobits(trace: BandwidthTrace, t: float) -> float:
+    """Kilobits the trace delivers over [0, t], looping when the trace loops."""
+    if t < 0:
+        raise ValueError(f"trace time must be >= 0, got {t}")
+    times, rates, prefix = trace._times, trace._rates, trace._prefix
+
+    def segment_cum(t):
+        # Ignoring looping; t past the end extends the final sample's rate.
+        i = bisect_right(times, t) - 1
+        return prefix[i] + (t - times[i]) * rates[i]
+
+    if not trace.loop:
+        return segment_cum(t)
+    wraps = math.floor(t / times[-1])
+    rem = t - wraps * times[-1]
+    if rem < 0:  # guard against floor/multiply rounding
+        wraps -= 1
+        rem += times[-1]
+    return wraps * prefix[-1] + segment_cum(rem)
 
 
 class RunningMean:
@@ -47,7 +68,7 @@ class RunningMean:
 
 
 def reference_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits: float) -> float:
-    """`download_finish_time` as first written, through `_cum` and an inverse within one period.
+    """`download_finish_time` as first written, through `cumulative_kilobits` and an inverse within one period.
 
     The library inlines these steps; it must agree with this reference bit
     for bit and raise the same errors with the same text.
@@ -62,7 +83,7 @@ def reference_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits
         raise ValueError(f"volume must be > 0, got {volume_kilobits}")
     if start_s < 0:
         raise ValueError(f"start must be >= 0, got {start_s}")
-    target = trace._cum(start_s) + volume_kilobits
+    target = cumulative_kilobits(trace, start_s) + volume_kilobits
     if not trace.loop:
         total = prefix[-1]
         if target > total:

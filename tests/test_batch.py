@@ -10,6 +10,7 @@ from abrsim.batch import (
     RunSpec,
     RunSpecError,
     emit_comparison_table,
+    manifest_from_recipe,
     resolve_manifest,
     resolve_trace_paths,
 )
@@ -183,6 +184,19 @@ def test_resolve_manifest_rejects_bad_recipe(tmp_path):
     )
     with pytest.raises(RunSpecError, match="bad synthesize fields"):
         resolve_manifest(load_runspec(bogus))
+
+
+def test_recipe_bound_counts_cells_before_building_any_row(monkeypatch):
+    two_rungs = {"chunk_duration_s": 4.0, "ladder_kbps": [235, 375], "knee_kbps": 300}
+    monkeypatch.setattr(batch, "MAX_SYNTHESIZED_CELLS", 20)
+    assert manifest_from_recipe({**two_rungs, "chunk_count": 10}).chunk_count == 10
+
+    def no_rows(*args):
+        raise AssertionError("a table over the bound was built")
+
+    monkeypatch.setattr(batch, "synthesize_manifest", no_rows)
+    with pytest.raises(RunSpecError, match="a 11 x 2 SSIM table, over the 20 cells allowed"):
+        manifest_from_recipe({**two_rungs, "chunk_count": 11})
 
 
 def test_resolve_trace_paths_sorted_unique(tmp_path):

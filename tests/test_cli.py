@@ -10,6 +10,9 @@ from abrsim.simulator import SessionEventLog
 from abrsim.trace import save_trace
 from helpers import constant_trace, events, make_manifest
 
+# 101 rungs x 9,901 chunks is one cell over the 10**6 a recipe may ask for.
+LADDER_101 = [100.0 * k for k in range(1, 102)]
+
 
 @pytest.fixture
 def workspace(tmp_path):
@@ -85,6 +88,17 @@ def test_synth_manifest_invalid_profile_exits_two(workspace, capsys):
                  "--ladder", "500,900", "--knee", "5000"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--chunks", "100001"], "a 100001 x 10 SSIM table"),
+    (["--chunks", "9901", "--ladder", ",".join(map(str, LADDER_101))], "a 9901 x 101 SSIM table"),
+], ids=["default-ladder", "one-cell-over"])
+def test_synth_manifest_rejects_a_table_over_the_bound(workspace, capsys, flags, message):
+    out = workspace / "big.json"
+    assert main(["synth-manifest", "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -484,11 +498,25 @@ def rewrite_spec(workspace, **fields):
      "bad synthesize fields: 'int' object is not iterable"),
     ({"manifest": None, "synthesize": {"chunk_count": float("inf"), "chunk_duration_s": 4}},
      "bad synthesize fields: cannot convert float infinity to integer"),
+    ({"manifest": None, "synthesize": {"chunk_count": 8, "chunk_duration_s": 4, "jitter_seed": [1]}},
+     "bad synthesize fields: jitter_seed must be an integer, got [1]"),
+    ({"manifest": None, "synthesize": {"chunk_count": 8, "chunk_duration_s": 4, "knee_kbps": "x"}},
+     "bad synthesize fields: knee_kbps must be a number, got 'x'"),
+    ({"manifest": None, "synthesize": {"chunk_count": 8, "chunk_duration_s": 4, "ladder_kbps": "58"}},
+     "bad synthesize fields: ladder_kbps must be a list of numbers, got '58'"),
+    ({"manifest": None, "synthesize": {"chunk_count": True, "chunk_duration_s": 4}},
+     "bad synthesize fields: chunk_count must be an integer, got True"),
+    ({"manifest": None, "synthesize": {"chunk_count": 5.7, "chunk_duration_s": 4}},
+     "bad synthesize fields: chunk_count must be an integer, got 5.7"),
+    ({"manifest": None, "synthesize": {"chunk_count": 9901, "chunk_duration_s": 4, "ladder_kbps": LADDER_101}},
+     "synthesize would build a 9901 x 101 SSIM table, over the 1000000 cells allowed"),
 ], ids=["unknown-policy", "bad-params", "params-of-unknown-policy", "lc-not-below-bs", "string-jobs",
         "null-capacity", "capacity-not-above-chunk", "infinite-capacity", "null-seed", "number-traces",
         "number-in-traces", "unmatched-glob", "number-manifest", "list-synthesize", "string-policies", "number-scenarios",
         "number-output-dir", "fractional-seed", "string-loop-traces",
-        "null-synthesized-chunk-count", "number-synthesized-ladder", "infinite-synthesized-chunk-count"])
+        "null-synthesized-chunk-count", "number-synthesized-ladder", "infinite-synthesized-chunk-count",
+        "list-synthesized-seed", "string-synthesized-knee", "string-synthesized-ladder",
+        "bool-synthesized-chunk-count", "fractional-synthesized-chunk-count", "synthesized-table-one-cell-over"])
 def test_run_rejects_invalid_spec(workspace, capsys, fields, message):
     rewrite_spec(workspace, **fields)
     assert main(["run", "--spec", str(workspace / "spec.json")]) == 2

@@ -145,6 +145,21 @@ def test_file_roundtrip(tmp_path):
     assert load_manifest(str(path)) == manifest
 
 
+def test_failed_save_keeps_the_old_manifest(tmp_path, monkeypatch):
+    path = tmp_path / "manifest.json"
+    save_manifest(make_manifest(chunks=2), str(path))
+    before = path.read_bytes()
+
+    def fail_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("abrsim.manifest.os.replace", fail_replace)
+    with pytest.raises(OSError, match="No space left"):
+        save_manifest(make_manifest(chunks=5), str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
 def test_load_rejects_missing_fields(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"ladder_kbps": [235, 375], "ssim": [[0.7, 0.8]]}))

@@ -6,7 +6,6 @@ import pytest
 
 from abrsim import POLICIES, SessionConfig, replay_diff, run_session
 from abrsim.abr import Decision, Policy
-from abrsim import simulator
 from abrsim.simulator import LogFormatError, SessionEventLog
 from abrsim.trace import download_finish_time
 from helpers import constant_trace, events, make_manifest, monotone_rows
@@ -308,7 +307,8 @@ def test_failed_log_write_keeps_the_old_file(tmp_path, monkeypatch):
             self.fh.write(text[: len(text) // 2])
             raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(simulator, "open", lambda *a, **k: HalfWriter(open(*a, **k)), raising=False)
+    # The helper every abrsim file write goes through lives in abrsim.manifest.
+    monkeypatch.setattr("abrsim.manifest.open", lambda *a, **k: HalfWriter(open(*a, **k)), raising=False)
     with pytest.raises(OSError, match="No space left"):
         log.write(str(path))
     assert path.read_bytes() == b'{"event": "session_start"}\n'
