@@ -124,17 +124,6 @@ class VideoManifest:
         self._check_indices(chunk, level)
         return self.ssim[chunk - 1][level - 1]
 
-    def chunk_volume(self, chunk: int, level: int) -> float:
-        """Kilobits to transfer for one chunk at one level.
-
-        Uses the measured size table when present, else the nominal
-        bitrate x duration product.
-        """
-        self._check_indices(chunk, level)
-        if self.chunk_kilobits is not None:
-            return self.chunk_kilobits[chunk - 1][level - 1]
-        return self.ladder.rate_kbps(level) * self.chunk_duration_s
-
     def to_dict(self) -> dict:
         doc = {
             "chunk_duration_s": self.chunk_duration_s,
@@ -147,16 +136,30 @@ class VideoManifest:
 
 
 def manifest_from_dict(doc: dict) -> VideoManifest:
+    """The manifest a parsed manifest file holds; every value must have its JSON type.
+
+    A string or a bool where a number belongs is rejected, not converted.
+    """
     for field in ("chunk_duration_s", "ladder_kbps", "ssim"):
         if field not in doc:
             raise ManifestError(f"missing required field {field}")
-    ladder = BitrateLadder(tuple(doc["ladder_kbps"]))
+    if type(doc["chunk_duration_s"]) not in (int, float):
+        raise ManifestError(f"chunk_duration_s must be a number, got {doc['chunk_duration_s']!r}")
+    rates = doc["ladder_kbps"]
+    if not isinstance(rates, list) or not all(type(rate) in (int, float) for rate in rates):
+        raise ManifestError(f"ladder_kbps must be a list of numbers, got {rates!r}")
+    ladder = BitrateLadder(tuple(rates))
     ssim = doc["ssim"]
     if not isinstance(ssim, list) or not ssim or not all(isinstance(r, list) for r in ssim):
         raise ManifestError("ssim must be a non-empty list of per-chunk rows")
     sizes = doc.get("chunk_kilobits")
     if sizes is not None and (not isinstance(sizes, list) or not all(isinstance(r, list) for r in sizes)):
         raise ManifestError("chunk_kilobits must be a list of per-chunk rows")
+    for name, rows in (("ssim", ssim), ("chunk_kilobits", sizes or ())):
+        for i, row in enumerate(rows, start=1):
+            for j, value in enumerate(row, start=1):
+                if type(value) not in (int, float):
+                    raise ManifestError(f"{name}[{i}][{j}] must be a number, got {value!r}")
     return VideoManifest(
         chunk_count=len(ssim),
         chunk_duration_s=doc["chunk_duration_s"],

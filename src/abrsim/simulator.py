@@ -24,14 +24,17 @@ each line and tallies the report in the same call.  CHUNK_EVENTS is the one
 schema of the per-chunk records; both sinks' methods for them are compiled
 from it.  `replay_diff` re-runs the engine with download completion times
 taken from a log to verify that every other recorded value - decisions,
-estimates, buffer levels, event times - is reproduced.
+estimates, buffer levels, event times - is reproduced; a third sink compares
+each event with the logged record as the engine emits it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from .abr import Observation, decide, make_policy
 from .manifest import VideoManifest, write_text_atomically
@@ -42,15 +45,23 @@ from .trace import BandwidthTrace, TraceExhaustedError, download_finish_time
 # that still counts as reproduced.
 TOLERANCE_S = 1e-9
 
-# One decoder's scanner for every log line: around the same parse, each
-# `json.loads` call adds type and BOM checks and two whitespace scans, about
-# a quarter of the per-line cost on engine-written logs.
+# One decoder's scanner for every log: around the same parse, each
+# `json.loads` call adds type and BOM checks and two whitespace scans, and
+# the scanner's key memo lasts one call, so a log decoded in one call shares
+# it across all its records.
 _scan_once = json.JSONDecoder().scan_once
 _ascii_str = json.encoder.encode_basestring_ascii
+# Two objects on one line, which a whole-file decode would split into two records.
+_objects_on_one_line = re.compile(r"\}[ \t]*,[ \t]*\{").search
+_event_of = itemgetter("event")
 
 
 class LogFormatError(ValueError):
     """Event log text is structurally unusable."""
+
+
+class _Unmatched(Exception):
+    """A regenerated event differs from the logged record in its place."""
 
 
 @dataclass
@@ -114,7 +125,9 @@ def _chunk_event_methods(body: str, tails: dict) -> list:
     """One function per CHUNK_EVENTS row, compiled as `collections.namedtuple` builds
     its methods: from `body` formatted with the row's `args`, its record as a dict
     literal, an f-string `template` writing `json.dumps`'s bytes for it, the `guard`
-    that the template fits (exact types, finite floats) and `tails[method]`."""
+    that the template fits (exact types, finite floats), the test `differs` that a
+    record `r` is not that dict (`!=` on its size, kind and each field) and
+    `tails[method]`."""
     source = []
     for method, (kind, fields) in CHUNK_EVENTS.items():
         names = [name for name, _ in fields]
@@ -123,12 +136,15 @@ def _chunk_event_methods(body: str, tails: dict) -> list:
                  for typ, group in by_type.items() if group] + [f"_isfinite({' + '.join(by_type[float])})"]
         value = {name: f"{{_ascii_str({name})}}" if typ is str else f"{{{name}!r}}" for name, typ in fields}
         pairs = [f'"event": "{kind}"'] + [f'"{name}": {{}}' for name in names]
+        differs = [f"len(r) != {len(fields) + 1}", f'r["event"] != "{kind}"'] + [
+            f'r["{name}"] != {name}' for name in names]
         source.append(body.format(
             method=method, args=", ".join(names), guard=" and ".join(guard), tail=tails.get(method, ""),
+            differs=" or ".join(differs),
             record="{" + ", ".join(pairs).format(*names) + "}",
             template="f'{{" + ", ".join(pairs).format(*value.values()) + "}}\\n'"))
     namespace = {"__name__": __name__, "_isfinite": math.isfinite, "_ascii_str": _ascii_str,
-                 "_dumps": json.dumps}
+                 "_dumps": json.dumps, "_Unmatched": _Unmatched}
     exec(compile("".join(source), "<chunk event sinks>", "exec"), namespace)
     return [namespace[method] for method in CHUNK_EVENTS]
 
@@ -163,6 +179,24 @@ def {method}(self, {args}):
 
     @classmethod
     def from_jsonl(cls, text: str) -> "SessionEventLog":
+        # One decode of the whole text as a JSON array, kept only where it must
+        # give what the line-by-line loop below gives.  In ASCII text without
+        # "\r", "\n" is the only line break valid JSON can hold.  With one item
+        # per line and every item an object, a comma joining two lines can be
+        # off the top level only if some line holds a top-level comma, that is
+        # two objects on one line.
+        if text.endswith("\n") and text.isascii() and "\r" not in text and not _objects_on_one_line(text):
+            joined = "[" + text[:-1].replace("\n", ",") + "]"
+            try:
+                records, end = _scan_once(joined, 0)
+                # Only an object has an "event" key: any other item raises TypeError.
+                fits = (end == len(joined) and len(records) == text.count("\n")
+                        and set(map(type, map(_event_of, records))) == {str})
+            except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
+                fits = False
+            if fits:
+                return cls(records)
+        # Line by line, which words every error.
         records = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
@@ -410,12 +444,15 @@ class _LoggedCompletions:
     """Download-completion source that feeds finish times back from a log."""
 
     def __init__(self, log: SessionEventLog):
-        self.completions = [
-            (r["chunk"], r["time_s"]) for r in log.records if r.get("event") == "download_complete"
-        ]
-        truncations = [r for r in log.records if r.get("event") == "session_truncated"]
-        self.truncation = truncations[0] if truncations else None
+        self.completions = completions = []
+        self.truncation = None
         self.pos = 0
+        for r in log.records:
+            event = r.get("event")
+            if event == "download_complete":
+                completions.append((r["chunk"], r["time_s"]))
+            elif event == "session_truncated" and self.truncation is None:
+                self.truncation = r
 
     def __call__(self, chunk: int, send_time_s: float, volume_kilobits: float) -> float:
         if self.pos >= len(self.completions):
@@ -435,6 +472,32 @@ class _LoggedCompletions:
         return float(logged_time)
 
 
+class _ComparingSink:
+    """Sink that checks each event, as the engine emits it, against the next logged record.
+
+    Its `fetch`, `complete` and `display`, compiled from CHUNK_EVENTS, compare
+    field by field and build no record.  The first event that differs raises
+    _Unmatched; a log that runs out raises StopIteration.
+    """
+
+    def __init__(self, records: list) -> None:
+        self.logged = iter(records)
+
+    fetch, complete, display = _chunk_event_methods("""
+def {method}(self, {args}):
+    r = next(self.logged)
+    if {differs}:
+        raise _Unmatched
+""", {})
+
+    def record(self, rec: dict) -> None:
+        if next(self.logged) != rec:
+            raise _Unmatched
+
+    def exhausted(self) -> bool:
+        return next(self.logged, self) is self
+
+
 def replay_diff(log: SessionEventLog, manifest: VideoManifest, config: SessionConfig) -> list[str]:
     """Human-readable list of mismatches; empty when the log verifies.
 
@@ -443,6 +506,17 @@ def replay_diff(log: SessionEventLog, manifest: VideoManifest, config: SessionCo
     must match the logged one within TOLERANCE_S.
     """
     log.header  # raises LogFormatError on structurally broken logs
+    # A log whose records all equal the regenerated ones, none left over,
+    # verifies in one pass.  Any other outcome - an inequality, a missing key,
+    # a log too short or too long, an error - is decided and worded by the
+    # pass below, which re-raises whatever the engine raised here.
+    try:
+        sink = _ComparingSink(log.records)
+        _drive(manifest, config, _LoggedCompletions(log), sink)
+        if sink.exhausted():
+            return []
+    except Exception:
+        pass
     try:
         regenerated = SessionEventLog()
         _drive(manifest, config, _LoggedCompletions(log), regenerated)

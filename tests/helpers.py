@@ -128,6 +128,18 @@ def make_manifest(chunks=5, rates=NETFLIX_LADDER_KBPS, duration=4.0, ssim=None, 
     )
 
 
+def chunk_volume(manifest: VideoManifest, chunk: int, level: int) -> float:
+    """Kilobits to transfer for one chunk at one level.
+
+    Uses the measured size table when present, else the nominal
+    bitrate x duration product.
+    """
+    manifest._check_indices(chunk, level)
+    if manifest.chunk_kilobits is not None:
+        return manifest.chunk_kilobits[chunk - 1][level - 1]
+    return manifest.ladder.rate_kbps(level) * manifest.chunk_duration_s
+
+
 def constant_trace(kbps: float, until_s: float | None = None, loop=False) -> BandwidthTrace:
     """Constant-rate trace; open-ended unless until_s caps it with a zero tail."""
     if until_s is None:

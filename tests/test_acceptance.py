@@ -35,6 +35,7 @@ from abrsim.simulator import SessionEventLog
 from abrsim.trace import BandwidthTrace, download_finish_time
 from helpers import (
     RunningMean,
+    chunk_volume,
     constant_trace,
     events,
     make_manifest,
@@ -150,7 +151,7 @@ def test_estimator_oracles_over_randomized_logs():
             sent_at[chunk] = fetch["time_s"]
             if chunk in dones:
                 done = dones[chunk]
-                vol = manifest.chunk_volume(chunk, fetch["level"])
+                vol = chunk_volume(manifest, chunk, fetch["level"])
                 cbw = vol / (done["time_s"] - fetch["time_s"])
                 if done["throughput_kbps"] != cbw:
                     failures.append(f"log {i}: throughput at chunk {chunk}")

@@ -124,6 +124,19 @@ def test_validate_flags_bad_files(workspace, capsys):
     assert out.count("INVALID") == 2
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"ladder_kbps": "58"}, "ladder_kbps must be a list of numbers, got '58'"),
+    ({"chunk_duration_s": "4", "ladder_kbps": ["235", "375"]}, "chunk_duration_s must be a number, got '4'"),
+    ({"ssim": [["0.7", "0.8"]]}, "ssim[1][1] must be a number, got '0.7'"),
+])
+def test_validate_rejects_a_manifest_with_strings_for_numbers(workspace, capsys, fields, message):
+    path = workspace / "typed.json"
+    path.write_text(json.dumps({"chunk_duration_s": 4.0, "ladder_kbps": [235, 375],
+                                "ssim": [[0.7, 0.8]], **fields}))
+    assert main(["validate", "--manifest", str(path)]) == 2
+    assert f"{path}: INVALID: {path}: {message}" in capsys.readouterr().out
+
+
 def test_validate_mixed_results_exit_two(workspace, capsys):
     bad = workspace / "broken.csv"
     bad.write_text("garbage\n")

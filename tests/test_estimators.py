@@ -7,7 +7,7 @@ from abrsim import SessionConfig, replay_diff, run_session
 from abrsim.estimators import mean
 from abrsim.manifest import ManifestError
 from abrsim.trace import BandwidthTrace
-from helpers import RunningMean, constant_trace, events, make_manifest, monotone_rows
+from helpers import RunningMean, chunk_volume, constant_trace, events, make_manifest, monotone_rows
 
 
 def running(values) -> RunningMean:
@@ -84,7 +84,7 @@ def test_record_download_throughput():
     manifest = make_manifest(chunks=4)
     _, fetches, dones = session_events(manifest, constant_trace(2000.0))
     for fetch, done in zip(fetches, dones):
-        volume = manifest.chunk_volume(fetch["chunk"], fetch["level"])
+        volume = chunk_volume(manifest, fetch["chunk"], fetch["level"])
         assert done["throughput_kbps"] == volume / (done["time_s"] - fetch["time_s"])
         assert done["throughput_kbps"] == pytest.approx(2000.0)
 

@@ -15,7 +15,7 @@ from abrsim.manifest import (
     save_manifest,
     synthesize_manifest,
 )
-from helpers import make_ladder, make_manifest, monotone_rows
+from helpers import chunk_volume, make_ladder, make_manifest, monotone_rows
 
 
 def test_ladder_count_and_rates():
@@ -90,21 +90,21 @@ def test_level_lookups_match_a_linear_scan():
 
 def test_nominal_chunk_volume():
     manifest = make_manifest(chunks=3, duration=4.0)
-    assert manifest.chunk_volume(1, 1) == 940.0  # 235 kbps x 4 s
-    assert manifest.chunk_volume(3, 10) == 5800.0 * 4
+    assert chunk_volume(manifest, 1, 1) == 940.0  # 235 kbps x 4 s
+    assert chunk_volume(manifest, 3, 10) == 5800.0 * 4
 
 
 def test_measured_chunk_volume_passthrough():
     sizes = tuple(tuple(1000.0 for _ in range(10)) for _ in range(2))
     manifest = make_manifest(chunks=2, sizes=sizes)
-    assert manifest.chunk_volume(1, 1) == 1000.0
-    assert manifest.chunk_volume(2, 10) == 1000.0
+    assert chunk_volume(manifest, 1, 1) == 1000.0
+    assert chunk_volume(manifest, 2, 10) == 1000.0
 
 
 def test_chunk_volume_bounds():
     manifest = make_manifest(chunks=2)
     with pytest.raises(IndexError, match="chunk 3"):
-        manifest.chunk_volume(3, 1)
+        chunk_volume(manifest, 3, 1)
     with pytest.raises(IndexError, match="level 11"):
         manifest.ssim_at(1, 11)
 
@@ -165,6 +165,34 @@ def test_load_rejects_missing_fields(tmp_path):
     path.write_text(json.dumps({"ladder_kbps": [235, 375], "ssim": [[0.7, 0.8]]}))
     with pytest.raises(ManifestError, match="chunk_duration_s"):
         load_manifest(str(path))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"ladder_kbps": "58"}, "ladder_kbps must be a list of numbers, got '58'"),
+    ({"ladder_kbps": ["235", "375"]}, "ladder_kbps must be a list of numbers"),
+    ({"ladder_kbps": [235, True]}, "ladder_kbps must be a list of numbers, got [235, True]"),
+    ({"chunk_duration_s": "4"}, "chunk_duration_s must be a number, got '4'"),
+    ({"chunk_duration_s": True}, "chunk_duration_s must be a number, got True"),
+    ({"ssim": [[0.7, "0.8"]]}, "ssim[1][2] must be a number, got '0.8'"),
+    ({"ssim": [[0.7, 0.8], [None, 0.9]]}, "ssim[2][1] must be a number, got None"),
+    ({"chunk_kilobits": [[1000, False]]}, "chunk_kilobits[1][2] must be a number, got False"),
+    ({"chunk_kilobits": [["1000", 2000]]}, "chunk_kilobits[1][1] must be a number, got '1000'"),
+])
+def test_load_rejects_strings_and_bools_for_numbers(tmp_path, fields, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"chunk_duration_s": 4.0, "ladder_kbps": [235, 375],
+                                "ssim": [[0.7, 0.8]], **fields}))
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+        load_manifest(str(path))
+
+
+def test_load_accepts_json_integers_as_numbers(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"chunk_duration_s": 4, "ladder_kbps": [235, 375],
+                                "ssim": [[1, 0.8]], "chunk_kilobits": [[940, 1500]]}))
+    manifest = load_manifest(str(path))
+    assert manifest.chunk_duration_s == 4.0 and manifest.ladder.levels_kbps == (235.0, 375.0)
+    assert manifest.ssim == ((1.0, 0.8),) and manifest.chunk_kilobits == ((940.0, 1500.0),)
 
 
 def test_load_names_a_manifest_that_is_not_utf8(tmp_path):

@@ -1,9 +1,10 @@
 """Differential tests: replay's fast paths against the field-by-field originals.
 
-`_diff_records` skips records that compare equal and `from_jsonl` decodes
-lines with one reused decoder. The reference functions below are the plain
-versions both replaced; the fast paths must return what they return for
-every input, except that exactly equal infinities now match. Both sides
+`_diff_records` skips records that compare equal, `replay_diff` first
+compares each event as the engine emits it, and `from_jsonl` decodes a whole
+log in one call when its guard holds. The reference functions below are the
+plain versions they replaced; the fast paths must return what they return
+for every input, except that exactly equal infinities now match. Both sides
 share the rule that an infinity matches nothing else.
 """
 
@@ -13,8 +14,10 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
-from abrsim import replay_diff
+from abrsim import replay_diff, simulator
 from abrsim.simulator import (
     TOLERANCE_S,
     LogFormatError,
@@ -91,8 +94,12 @@ def assert_replay_matches_reference(log, manifest, header):
         regenerated = SessionEventLog()
         _drive(manifest, config, _LoggedCompletions(log), regenerated)
         regenerated = regenerated.records
-    except (_ReplayInconsistency, ValueError, TraceExhaustedError):
+    except _ReplayInconsistency as exc:
         # replay_diff reports these before any record is compared.
+        assert replay_diff(log, manifest, config) == [str(exc)]
+        return None
+    except (ValueError, TraceExhaustedError) as exc:
+        assert replay_diff(log, manifest, config) == [f"log is not replayable: {exc}"]
         return None
     expected = reference_diff_records(log.records, regenerated, TOLERANCE_S)
     assert replay_diff(log, manifest, config) == expected
@@ -151,6 +158,26 @@ def test_jitter_nan_and_missing_keys_diff_like_the_reference():
         clipped = SessionEventLog(copy.deepcopy(log.records))
         del events(clipped, event)[0][key]
         assert assert_replay_matches_reference(clipped, manifest, log.header)
+
+
+def test_a_mismatch_before_an_engine_error_reports_the_error():
+    # The first pass stops at the edited fetch; the engine only raises at the
+    # later completion, so the error comes from the pass that words it.
+    log, manifest = replay_pool()[0]
+    edited = SessionEventLog(copy.deepcopy(log.records))
+    events(edited, "fetch_issued")[1]["reason"] = "edited"
+    events(edited, "download_complete")[5]["chunk"] = 99
+    diffs = replay_diff(edited, manifest, SessionConfig.from_header(edited.header))
+    assert diffs == ["logged completion is for chunk 99, engine expected 6"]
+    assert assert_replay_matches_reference(edited, manifest, log.header) is None
+
+
+def test_short_and_long_logs_diff_like_the_reference():
+    log, manifest = replay_pool()[1]
+    for records in (log.records[:-1], log.records + [{"event": "session_end", "time_s": 1.0}],
+                    log.records[:1] + log.records[2:]):
+        diffs = assert_replay_matches_reference(SessionEventLog(copy.deepcopy(records)), manifest, log.header)
+        assert diffs and diffs[0].startswith("record count differs")
 
 
 def test_count_mismatch_and_cap_diff_like_the_reference():
@@ -276,9 +303,52 @@ def assert_same_decoding(text):
     '{"event": "a"',
     "",
     " \n\t\n",
+    # Unguarded, a whole-file decode reads the next two as three objects from three lines.
+    '{"event": "a", "k": [1\n{"x": 2}]}\n{"event": "b"},{"event": "c"}\n',
+    '{"event": "a", "k": [1\n{"x": 2}]}\n{"event": "b"} ,\t{"event": "c"}\n',
+    '{"event": "a", "s": "x\u2028y"}\n',
+    '{"event": "a", "s": "x\x85y"}\n',
+    '{"event": "a"}\n{"event": "b"}',
+    '{"event": "a", "n": [{"k": 1},{"k": 2}]}\n{"event": "b"}\n',
 ])
 def test_text_decodes_like_the_reference(text):
     assert_same_decoding(text)
+
+
+# Pieces that split one object over lines, put two on one line, or hide a
+# line break or a comma inside a string.
+LOG_PIECES = ['{"event": "a"}', '{"event": "b", "k": [1', '{"x": 2}]}', '{"event": "c", "s": "', '"}',
+              '{"k": 1}', '[', ']', '{', '}', ',', ' ,\t', ' ', '\t', '\n', '\n', '\r', '\u2028', '\x85',
+              '\x0c', '"', '1', '{"event": 5}', '\ufeff']
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.sampled_from(LOG_PIECES), max_size=12))
+def test_pieced_logs_decode_like_the_reference(pieces):
+    assert_same_decoding("".join(pieces))
+
+
+def test_an_engine_log_decodes_in_one_call(monkeypatch):
+    calls = []
+    scan = simulator._scan_once
+    monkeypatch.setattr(simulator, "_scan_once", lambda text, idx: calls.append(idx) or scan(text, idx))
+    log, _ = replay_pool()[0]
+    assert SessionEventLog.from_jsonl(log.to_jsonl()).records == log.records
+    assert len(calls) == 1
+    # Two objects on one line: one call per line.
+    calls.clear()
+    SessionEventLog.from_jsonl('{"event": "a", "n": [{"k": 1},{"k": 2}]}\n{"event": "b"}\n')
+    assert len(calls) == 2
+
+
+def test_a_clean_log_verifies_in_one_pass(monkeypatch):
+    def no_second_pass(*args):
+        raise AssertionError("the record-list pass ran")
+
+    monkeypatch.setattr(simulator, "_diff_records", no_second_pass)
+    for log, manifest in replay_pool():
+        assert replay_diff(log, manifest, SessionConfig.from_header(log.header)) == []
 
 
 def test_engine_logs_decode_like_the_reference():

@@ -8,7 +8,7 @@ from abrsim import POLICIES, SessionConfig, replay_diff, run_session
 from abrsim.abr import Decision, Policy
 from abrsim.simulator import LogFormatError, SessionEventLog
 from abrsim.trace import download_finish_time
-from helpers import constant_trace, events, make_manifest, monotone_rows
+from helpers import chunk_volume, constant_trace, events, make_manifest, monotone_rows
 
 
 def sba_config(**kwargs):
@@ -146,7 +146,7 @@ def test_constant_trace_session_walkthrough():
     t = 0.0
     for fetch, done in zip(fetches, events(log, "download_complete")):
         assert fetch["time_s"] == pytest.approx(t, abs=1e-9)
-        volume = manifest.chunk_volume(fetch["chunk"], fetch["level"])
+        volume = chunk_volume(manifest, fetch["chunk"], fetch["level"])
         t = download_finish_time(trace, t, volume)
         assert done["time_s"] == pytest.approx(t, abs=1e-9)
 
