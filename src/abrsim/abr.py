@@ -188,7 +188,7 @@ def make_policy(name: str, params: dict | None = None) -> Policy:
         raise ValueError(f"unknown policy {name!r}, expected one of {', '.join(POLICIES)}")
     try:
         return POLICIES[name](**(params or {}))
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # an unknown or mistyped parameter, or an int no C size holds
         raise ValueError(f"bad parameters for policy {name!r}: {exc}") from exc
 
 

@@ -34,6 +34,8 @@ from .manifest import (
     SaturationProfile,
     VideoManifest,
     load_manifest,
+    parse_json,
+    read_text,
     save_manifest,
     synthesize_manifest,
     write_text_atomically,
@@ -108,8 +110,9 @@ def validate_runspec(spec: RunSpec) -> list[SessionConfig]:
             raise RunSpecError(f"{name} must be {what}, got {value!r}")
     if isinstance(spec.trace_globs, str):
         spec.trace_globs = [spec.trace_globs]
-    if not all(isinstance(g, str) for g in spec.trace_globs):
-        raise RunSpecError(f"traces must be a glob or a list of globs, got {spec.trace_globs!r}")
+    for name, items in (("traces", spec.trace_globs), ("policies", spec.policies)):
+        if not all(isinstance(item, str) for item in items):
+            raise RunSpecError(f"{name} must be {_SPEC_FIELDS[name][2]}, got {items!r}")
     if (spec.manifest_path is None) == (spec.synthesize is None):
         raise RunSpecError("spec needs exactly one of `manifest` or `synthesize`")
     for what, value in (("traces", spec.trace_globs), ("policies", spec.policies),
@@ -122,7 +125,7 @@ def validate_runspec(spec: RunSpec) -> list[SessionConfig]:
             raise RunSpecError(f"scenario must be a [BS, Lc] pair, got {pair!r}")
         try:
             scenarios.append((float(pair[0]), float(pair[1])))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise RunSpecError(f"scenario values must be numbers, got {pair!r}") from None
     spec.scenarios = scenarios
     if spec.jobs is not None and (type(spec.jobs) is not int or spec.jobs < 1):
@@ -147,15 +150,7 @@ def validate_runspec(spec: RunSpec) -> list[SessionConfig]:
 
 
 def load_runspec(path: str) -> RunSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise RunSpecError(f"{path}: cannot read spec: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise RunSpecError(f"{path}: not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise RunSpecError(f"{path}: spec is not valid JSON: {exc}") from exc
+    doc = parse_json(read_text(path, RunSpecError, "spec"), RunSpecError, path)
     if not isinstance(doc, dict):
         raise RunSpecError(f"{path}: spec must be a JSON object")
     unknown = set(doc) - set(_SPEC_FIELDS)
@@ -188,7 +183,7 @@ def manifest_from_recipe(recipe: dict) -> VideoManifest:
         chunk_duration = float(fields.get("chunk_duration_s", 0.0))
     except (TypeError, ValueError, OverflowError) as exc:
         raise RunSpecError(f"bad synthesize fields: {exc}") from exc
-    if not isinstance(ladder, (list, tuple)) or not all(type(rate) in (int, float) for rate in rates):
+    if not isinstance(ladder, (list, tuple)):  # BitrateLadder checks the numbers
         raise RunSpecError(f"bad synthesize fields: ladder_kbps must be a list of numbers, got {ladder!r}")
     for name, value in fields.items():
         if name not in _RECIPE_FIELDS:
@@ -288,10 +283,11 @@ def run_batch(spec: RunSpec) -> BatchResult:
     echo = {name: getattr(spec, attr) for name, (attr, _, _) in _SPEC_FIELDS.items()
             if name not in ("output_dir", "jobs")}
     echo["traces"] = trace_paths
+    config_path = os.path.join(out_dir, "run_config.json")
     try:  # an earlier batch's run_config.json: what that batch wrote may go stale
-        with open(os.path.join(out_dir, "run_config.json"), "r", encoding="utf-8") as fh:
-            rerun = json.load(fh).keys() == echo.keys()
-    except (OSError, ValueError, AttributeError):  # none, unreadable, or not an object
+        text = read_text(config_path, ValueError, "run config")
+        rerun = parse_json(text, ValueError, config_path).keys() == echo.keys()
+    except (ValueError, AttributeError):  # none, unreadable, or not an object
         rerun = False
     os.makedirs(sessions_dir, exist_ok=True)
     os.makedirs(plots_dir, exist_ok=True)

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import argparse
 import glob
-import json
 import os
 import sys
 
 from .abr import POLICIES
 from .batch import RunSpecError, load_runspec, manifest_from_recipe, run_batch
-from .manifest import ManifestError, load_manifest, save_manifest, write_text_atomically
+from .manifest import ManifestError, load_manifest, parse_json, save_manifest, write_text_atomically
 from .simulator import JsonlWriter, SessionConfig, SessionEventLog, replay_diff, run_session
 from .trace import TraceError, load_trace
 
@@ -131,10 +130,7 @@ def _parse_scenarios(text: str) -> list:
 def cmd_simulate(args) -> int:
     manifest = load_manifest(args.manifest)
     trace = load_trace(args.trace)
-    try:
-        params = json.loads(args.policy_params)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"--policy-params is not valid JSON: {exc}") from exc
+    params = parse_json(args.policy_params, ValueError, "--policy-params")
     config = SessionConfig(
         policy=args.policy,
         buffer_capacity_s=args.bs,

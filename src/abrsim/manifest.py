@@ -17,13 +17,28 @@ import os
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 # A widely deployed production ladder, handy as a default (kbps).
 NETFLIX_LADDER_KBPS = (235.0, 375.0, 560.0, 750.0, 1050.0, 1750.0, 2350.0, 3000.0, 4300.0, 5800.0)
 
 
+# JSON's number types: a bool is no number.
+_NUMBER_TYPES = {int, float}
+
+
 class ManifestError(ValueError):
     """Manifest failed to parse or violates a structural constraint."""
+
+
+def _float(cell: str, value) -> float:
+    """`value`, a JSON number, as a float; anything else raises, naming `cell`."""
+    if type(value) not in _NUMBER_TYPES:
+        raise ManifestError(f"{cell} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ManifestError(f"{cell} must be a number, got an integer too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -33,7 +48,10 @@ class BitrateLadder:
     levels_kbps: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        levels = tuple(float(r) for r in self.levels_kbps)
+        levels = tuple(self.levels_kbps)
+        if not {*map(type, levels)} <= _NUMBER_TYPES:
+            raise ManifestError(f"ladder_kbps must be a list of numbers, got {list(levels)!r}")
+        levels = tuple(_float(f"ladder_kbps[{pos}]", rate) for pos, rate in enumerate(levels, start=1))
         object.__setattr__(self, "levels_kbps", levels)
         if len(levels) < 2:
             raise ManifestError(f"ladder_kbps needs at least 2 levels, got {len(levels)}")
@@ -83,36 +101,38 @@ class VideoManifest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "chunk_count", int(self.chunk_count))
-        object.__setattr__(self, "chunk_duration_s", float(self.chunk_duration_s))
+        object.__setattr__(self, "chunk_duration_s", _float("chunk_duration_s", self.chunk_duration_s))
         if self.chunk_count < 1:
             raise ManifestError(f"chunk_count must be >= 1, got {self.chunk_count}")
         if not math.isfinite(self.chunk_duration_s) or self.chunk_duration_s <= 0:
             raise ManifestError(f"chunk_duration_s must be > 0, got {self.chunk_duration_s}")
-        ssim = tuple(tuple(float(q) for q in row) for row in self.ssim)
-        object.__setattr__(self, "ssim", ssim)
-        if len(ssim) != self.chunk_count:
-            raise ManifestError(f"ssim has {len(ssim)} rows, expected chunk_count={self.chunk_count}")
-        for i, row in enumerate(ssim, start=1):
-            if len(row) != self.ladder.count:
-                raise ManifestError(f"ssim[{i}] has {len(row)} entries, expected {self.ladder.count}")
-            for j, q in enumerate(row, start=1):
-                if not math.isfinite(q) or not 0.0 < q <= 1.0:
-                    raise ManifestError(f"ssim[{i}][{j}] must lie in (0, 1], got {q}")
-        if self.chunk_kilobits is not None:
-            sizes = tuple(tuple(float(v) for v in row) for row in self.chunk_kilobits)
-            object.__setattr__(self, "chunk_kilobits", sizes)
-            if len(sizes) != self.chunk_count:
-                raise ManifestError(
-                    f"chunk_kilobits has {len(sizes)} rows, expected chunk_count={self.chunk_count}"
-                )
-            for i, row in enumerate(sizes, start=1):
-                if len(row) != self.ladder.count:
-                    raise ManifestError(
-                        f"chunk_kilobits[{i}] has {len(row)} entries, expected {self.ladder.count}"
-                    )
-                for j, v in enumerate(row, start=1):
-                    if not math.isfinite(v) or v <= 0:
-                        raise ManifestError(f"chunk_kilobits[{i}][{j}] must be > 0, got {v}")
+        levels = self.ladder.count
+        for name, top, bound in (("ssim", 1.0, "lie in (0, 1]"), ("chunk_kilobits", math.inf, "be > 0")):
+            rows = getattr(self, name)
+            if rows is None:
+                continue
+            if len(rows) != self.chunk_count:
+                raise ManifestError(f"{name} has {len(rows)} rows, expected chunk_count={self.chunk_count}")
+            # A table of finite numbers within bounds passes in a few C-level passes
+            # over its cells; any other is walked cell by cell, which words the first error.
+            cells = [*chain.from_iterable(rows)]
+            types = {*map(type, cells)}
+            try:
+                valid = ({*map(len, rows)} == {levels} and types <= _NUMBER_TYPES
+                         and math.isfinite(sum(cells)) and min(cells) > 0 and max(cells) <= top)
+            except OverflowError:  # an int beyond float range
+                valid = False
+            if not valid:
+                for i, row in enumerate(rows, start=1):
+                    if len(row) != levels:
+                        raise ManifestError(f"{name}[{i}] has {len(row)} entries, expected {levels}")
+                    for j, value in enumerate(row, start=1):
+                        value = _float(f"{name}[{i}][{j}]", value)
+                        if not math.isfinite(value) or not 0.0 < value <= top:
+                            raise ManifestError(f"{name}[{i}][{j}] must {bound}, got {value}")
+            if types != {float}:  # JSON integers become floats
+                rows = map(map, repeat(float), rows)
+            object.__setattr__(self, name, tuple(map(tuple, rows)))
 
     def _check_indices(self, chunk: int, level: int) -> None:
         if not 1 <= chunk <= self.chunk_count:
@@ -143,49 +163,57 @@ def manifest_from_dict(doc: dict) -> VideoManifest:
     for field in ("chunk_duration_s", "ladder_kbps", "ssim"):
         if field not in doc:
             raise ManifestError(f"missing required field {field}")
-    if type(doc["chunk_duration_s"]) not in (int, float):
-        raise ManifestError(f"chunk_duration_s must be a number, got {doc['chunk_duration_s']!r}")
+    duration = _float("chunk_duration_s", doc["chunk_duration_s"])  # checked before the ladder
     rates = doc["ladder_kbps"]
-    if not isinstance(rates, list) or not all(type(rate) in (int, float) for rate in rates):
+    if not isinstance(rates, list):
         raise ManifestError(f"ladder_kbps must be a list of numbers, got {rates!r}")
-    ladder = BitrateLadder(tuple(rates))
+    ladder = BitrateLadder(rates)
     ssim = doc["ssim"]
     if not isinstance(ssim, list) or not ssim or not all(isinstance(r, list) for r in ssim):
         raise ManifestError("ssim must be a non-empty list of per-chunk rows")
     sizes = doc.get("chunk_kilobits")
     if sizes is not None and (not isinstance(sizes, list) or not all(isinstance(r, list) for r in sizes)):
         raise ManifestError("chunk_kilobits must be a list of per-chunk rows")
-    for name, rows in (("ssim", ssim), ("chunk_kilobits", sizes or ())):
-        for i, row in enumerate(rows, start=1):
-            for j, value in enumerate(row, start=1):
-                if type(value) not in (int, float):
-                    raise ManifestError(f"{name}[{i}][{j}] must be a number, got {value!r}")
     return VideoManifest(
         chunk_count=len(ssim),
-        chunk_duration_s=doc["chunk_duration_s"],
+        chunk_duration_s=duration,
         ladder=ladder,
-        ssim=tuple(tuple(row) for row in ssim),
-        chunk_kilobits=tuple(tuple(row) for row in sizes) if sizes is not None else None,
+        ssim=ssim,
+        chunk_kilobits=sizes,
     )
 
 
 def load_manifest(path: str) -> VideoManifest:
     """Read and validate a manifest JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ManifestError(f"{path}: cannot read manifest: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path}: not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: manifest is not valid JSON: {exc}") from exc
+    doc = parse_json(read_text(path, ManifestError, "manifest"), ManifestError, path)
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")
     try:
         return manifest_from_dict(doc)
     except ManifestError as exc:
         raise ManifestError(f"{path}: {exc}") from exc
+
+
+def read_text(path: str, error: type, what: str) -> str:
+    """The UTF-8 text of the file at `path`, which holds a `what`; a file that
+    cannot be read or decoded raises `error` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"{path}: cannot read {what}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def parse_json(text: str, error: type, where: str):
+    """The value `text` holds.  Anything `json.loads` rejects (a syntax error,
+    an integer over the interpreter's digit limit, nesting deeper than its
+    recursion limit) raises `error` naming `where`, a file or a log line."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise error(f"{where}: not valid JSON: {exc}") from exc
 
 
 def save_manifest(manifest: VideoManifest, path: str) -> None:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 from .abr import Observation, decide, make_policy
-from .manifest import VideoManifest, write_text_atomically
+from .manifest import VideoManifest, parse_json, read_text, write_text_atomically
 from .metrics import SessionTally, session_metrics
 from .trace import BandwidthTrace, TraceExhaustedError, download_finish_time
 
@@ -45,10 +45,8 @@ from .trace import BandwidthTrace, TraceExhaustedError, download_finish_time
 # that still counts as reproduced.
 TOLERANCE_S = 1e-9
 
-# One decoder's scanner for every log: around the same parse, each
-# `json.loads` call adds type and BOM checks and two whitespace scans, and
-# the scanner's key memo lasts one call, so a log decoded in one call shares
-# it across all its records.
+# The scanner of a whole log decoded in one call: its key memo lasts one call,
+# so all the log's records share it.
 _scan_once = json.JSONDecoder().scan_once
 _ascii_str = json.encoder.encode_basestring_ascii
 # Two objects on one line, which a whole-file decode would split into two records.
@@ -201,17 +199,7 @@ def {method}(self, {args}):
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            try:
-                rec, end = _scan_once(line, 0)
-            except (StopIteration, json.JSONDecodeError):  # the C scanner raises both
-                end = None
-            if end != len(line):
-                # Surrounding whitespace, a BOM or extra text: `json.loads`
-                # decides whether the line is valid and words the error.
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise LogFormatError(f"line {lineno}: not valid JSON: {exc}") from exc
+            rec = parse_json(line, LogFormatError, f"line {lineno}")
             if not isinstance(rec, dict) or not isinstance(rec.get("event"), str):
                 raise LogFormatError(f"line {lineno}: record must be an object with an `event` field")
             records.append(rec)
@@ -224,12 +212,7 @@ def {method}(self, {args}):
 
     @classmethod
     def read(cls, path: str) -> "SessionEventLog":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise LogFormatError(f"{path}: not UTF-8 text: {exc}") from exc
-        return cls.from_jsonl(text)
+        return cls.from_jsonl(read_text(path, LogFormatError, "log"))
 
 
 class JsonlWriter(SessionTally):
@@ -449,8 +432,8 @@ class _LoggedCompletions:
         self.pos = 0
         for r in log.records:
             event = r.get("event")
-            if event == "download_complete":
-                completions.append((r["chunk"], r["time_s"]))
+            if event == "download_complete":  # a missing field reads None, which no check accepts
+                completions.append((r.get("chunk"), r.get("time_s")))
             elif event == "session_truncated" and self.truncation is None:
                 self.truncation = r
 
@@ -520,11 +503,11 @@ def replay_diff(log: SessionEventLog, manifest: VideoManifest, config: SessionCo
     try:
         regenerated = SessionEventLog()
         _drive(manifest, config, _LoggedCompletions(log), regenerated)
+        return _diff_records(log.records, regenerated.records, TOLERANCE_S)
     except _ReplayInconsistency as exc:
         return [str(exc)]
-    except (ValueError, TraceExhaustedError) as exc:
+    except (ValueError, TraceExhaustedError, OverflowError) as exc:  # OverflowError: an int no float holds
         return [f"log is not replayable: {exc}"]
-    return _diff_records(log.records, regenerated.records, TOLERANCE_S)
 
 
 def _diff_records(original: list[dict], regenerated: list[dict], tolerance: float) -> list[str]:

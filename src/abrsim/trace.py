@@ -21,6 +21,8 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
+from .manifest import read_text
+
 
 class TraceError(ValueError):
     """Trace failed to parse or violates a structural constraint."""
@@ -130,13 +132,7 @@ def load_trace(path: str) -> BandwidthTrace:
     line is tolerated.  The returned trace does not loop; opt in per run.
     """
     samples: list[tuple[float, float]] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise TraceError(f"{path}: cannot read trace: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise TraceError(f"{path}: not UTF-8 text: {exc}") from exc
+    lines = read_text(path, TraceError, "trace").split("\n")
     content = [(lineno, line) for lineno, line in enumerate((raw.strip() for raw in lines), start=1)
                if line and not line.startswith("#")]
     for k, (lineno, line) in enumerate(content):

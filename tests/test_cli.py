@@ -128,6 +128,8 @@ def test_validate_flags_bad_files(workspace, capsys):
     ({"ladder_kbps": "58"}, "ladder_kbps must be a list of numbers, got '58'"),
     ({"chunk_duration_s": "4", "ladder_kbps": ["235", "375"]}, "chunk_duration_s must be a number, got '4'"),
     ({"ssim": [["0.7", "0.8"]]}, "ssim[1][1] must be a number, got '0.7'"),
+    ({"chunk_kilobits": [[10**400, 1500]]}, "chunk_kilobits[1][1] must be a number, got an integer too large for a float"),
+    ({"ladder_kbps": [235, 10**400]}, "ladder_kbps[2] must be a number, got an integer too large for a float"),
 ])
 def test_validate_rejects_a_manifest_with_strings_for_numbers(workspace, capsys, fields, message):
     path = workspace / "typed.json"
@@ -327,6 +329,69 @@ def test_replay_missing_log_exits_two(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, index, field, value, message", [
+    ("download_complete", 2, "chunk", None, "logged completion is for chunk None, engine expected 3"),
+    ("download_complete", 2, "time_s", None, "logged completion time None precedes its fetch"),
+    ("download_complete", 2, "time_s", 10**400, "log is not replayable: int too large to convert to float"),
+    ("session_start", 0, "chunk_count", 10**400, "log is not replayable: int too large to convert to float"),
+], ids=["completion-without-chunk", "completion-without-time", "huge-int-completion-time", "huge-int-in-header"])
+def test_replay_flags_a_record_it_cannot_replay(workspace, capsys, kind, index, field, value, message):
+    log_path = workspace / "session.jsonl"
+    main(["simulate", "--manifest", str(workspace / "manifest.json"),
+          "--trace", str(workspace / "trace_0.csv"), "--log", str(log_path)])
+    capsys.readouterr()
+    log = SessionEventLog.read(str(log_path))
+    record = events(log, kind)[index]
+    if value is None:
+        del record[field]
+    else:
+        record[field] = value
+    log.write(str(log_path))
+    code = main(["replay", "--log", str(log_path), "--manifest", str(workspace / "manifest.json")])
+    assert code == 1
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert out[0] == f"{log_path}: MISMATCH"
+    assert out[1].startswith(f"  {message}")
+    assert "Traceback" not in captured.err
+
+
+# --- every JSON input: a parse error exits 2 naming the file or log line ---
+
+# Nesting far past the JSON decoder's recursion limit on every supported interpreter.
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _unparsable(workspace, entry, text):
+    """The command line that hands `text` to `entry`, and the source its error must name."""
+    path = workspace / "input.json"
+    path.write_text(text)
+    manifest, trace = str(workspace / "manifest.json"), str(workspace / "trace_0.csv")
+    return {
+        "validate": (["validate", "--manifest", str(path)], str(path)),
+        "run": (["run", "--spec", str(path)], str(path)),
+        "replay": (["replay", "--log", str(path), "--manifest", manifest], "line 1"),
+        "simulate": (["simulate", "--manifest", manifest, "--trace", trace, "--policy-params", text],
+                     "--policy-params"),
+    }[entry]
+
+
+@pytest.mark.parametrize("entry, text", [
+    ("validate", TOO_DEEP),
+    ("run", TOO_DEEP),
+    ("replay", TOO_DEEP + "\n"),
+    ("simulate", TOO_DEEP),
+    ("replay", '{"event": "session_start", "n": ' + "9" * 5000 + "}\n"),
+], ids=["nested-manifest", "nested-spec", "nested-log", "nested-policy-params", "5000-digit-log-integer"])
+def test_unparsable_json_exits_two_naming_its_source(workspace, capsys, entry, text):
+    argv, source = _unparsable(workspace, entry, text)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{source}: not valid JSON: " in captured.out + captured.err
+    assert "Traceback" not in captured.err
+    assert not (workspace / "out").exists()
+
+
 # --- run ---
 
 
@@ -466,6 +531,15 @@ def test_rerun_keeps_files_outside_an_earlier_batch(workspace, capsys):
     assert (workspace / "out" / "manifest.json").is_file()
 
 
+def test_rerun_over_an_unparsable_run_config_keeps_the_directory(workspace, capsys):
+    stray = workspace / "out" / "sessions" / "bba_bs120_lc12_trace_0.jsonl"
+    stray.parent.mkdir(parents=True)
+    stray.write_text("mine")
+    (workspace / "out" / "run_config.json").write_text(TOO_DEEP)
+    assert main(["run", "--spec", str(workspace / "spec.json"), "--policies", "sba"]) == 0
+    assert stray.read_text() == "mine"
+
+
 def test_run_with_failures_exits_one(workspace, capsys):
     save_trace(constant_trace(100.0, until_s=10.0), str(workspace / "starved.csv"))
     code = main(["run", "--spec", str(workspace / "spec.json"),
@@ -523,13 +597,17 @@ def rewrite_spec(workspace, **fields):
      "bad synthesize fields: chunk_count must be an integer, got 5.7"),
     ({"manifest": None, "synthesize": {"chunk_count": 9901, "chunk_duration_s": 4, "ladder_kbps": LADDER_101}},
      "synthesize would build a 9901 x 101 SSIM table, over the 1000000 cells allowed"),
+    ({"scenarios": [[10**400, 12]]}, "scenario values must be numbers, got [1000"),
+    ({"policy_params": {"festive": {"window": 10**400}}}, "bad parameters for policy 'festive'"),
+    ({"policies": [["sba"]]}, "policies must be a list of policy ids, got [['sba']]"),
 ], ids=["unknown-policy", "bad-params", "params-of-unknown-policy", "lc-not-below-bs", "string-jobs",
         "null-capacity", "capacity-not-above-chunk", "infinite-capacity", "null-seed", "number-traces",
         "number-in-traces", "unmatched-glob", "number-manifest", "list-synthesize", "string-policies", "number-scenarios",
         "number-output-dir", "fractional-seed", "string-loop-traces",
         "null-synthesized-chunk-count", "number-synthesized-ladder", "infinite-synthesized-chunk-count",
         "list-synthesized-seed", "string-synthesized-knee", "string-synthesized-ladder",
-        "bool-synthesized-chunk-count", "fractional-synthesized-chunk-count", "synthesized-table-one-cell-over"])
+        "bool-synthesized-chunk-count", "fractional-synthesized-chunk-count", "synthesized-table-one-cell-over",
+        "huge-int-capacity", "huge-int-festive-window", "list-in-policies"])
 def test_run_rejects_invalid_spec(workspace, capsys, fields, message):
     rewrite_spec(workspace, **fields)
     assert main(["run", "--spec", str(workspace / "spec.json")]) == 2

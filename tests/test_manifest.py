@@ -132,6 +132,29 @@ def test_chunk_kilobits_validated():
         make_manifest(chunks=2, sizes=sizes)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_manifest(chunks=1, rates=(235, 375), ssim=[[0.8, True]]), "ssim[1][2] must be a number, got True"),
+    (lambda: make_manifest(chunks=1, rates=(235, 375), sizes=[[900, "1500"]]),
+     "chunk_kilobits[1][2] must be a number, got '1500'"),
+    (lambda: make_manifest(chunks=1, rates=(235, 375), sizes=[[900, 10**400]]),
+     "chunk_kilobits[1][2] must be a number, got an integer too large for a float"),
+    (lambda: make_manifest(chunks=1, rates=(235, 375), sizes=[[900, math.nan]]),
+     "chunk_kilobits[1][2] must be > 0, got nan"),
+    (lambda: make_manifest(duration="4"), "chunk_duration_s must be a number, got '4'"),
+    (lambda: BitrateLadder((235, "375")), "ladder_kbps must be a list of numbers, got [235, '375']"),
+    (lambda: BitrateLadder((235, 10**400)), "ladder_kbps[2] must be a number, got an integer too large for a float"),
+], ids=["bool-ssim", "string-size", "huge-int-size", "nan-after-a-valid-size", "string-duration",
+        "string-rung", "huge-int-rung"])
+def test_the_types_reject_what_is_no_json_number(build, message):
+    with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_a_size_table_whose_sum_overflows_stays_valid():
+    manifest = make_manifest(chunks=1, rates=(235, 375), sizes=[[1e308, 1.5e308]])
+    assert manifest.chunk_kilobits == ((1e308, 1.5e308),)
+
+
 def test_dict_roundtrip():
     manifest = make_manifest(chunks=4)
     again = manifest_from_dict(manifest.to_dict())

@@ -336,10 +336,10 @@ def test_an_engine_log_decodes_in_one_call(monkeypatch):
     log, _ = replay_pool()[0]
     assert SessionEventLog.from_jsonl(log.to_jsonl()).records == log.records
     assert len(calls) == 1
-    # Two objects on one line: one call per line.
+    # Two objects on one line: the whole-file decode is not tried.
     calls.clear()
     SessionEventLog.from_jsonl('{"event": "a", "n": [{"k": 1},{"k": 2}]}\n{"event": "b"}\n')
-    assert len(calls) == 2
+    assert len(calls) == 0
 
 
 def test_a_clean_log_verifies_in_one_pass(monkeypatch):
