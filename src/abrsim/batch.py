@@ -31,6 +31,7 @@ from .abr import POLICIES, make_policy
 from .manifest import (
     NETFLIX_LADDER_KBPS,
     BitrateLadder,
+    ManifestError,
     SaturationProfile,
     VideoManifest,
     load_manifest,
@@ -183,8 +184,12 @@ def manifest_from_recipe(recipe: dict) -> VideoManifest:
         chunk_duration = float(fields.get("chunk_duration_s", 0.0))
     except (TypeError, ValueError, OverflowError) as exc:
         raise RunSpecError(f"bad synthesize fields: {exc}") from exc
-    if not isinstance(ladder, (list, tuple)):  # BitrateLadder checks the numbers
+    if not isinstance(ladder, (list, tuple)):
         raise RunSpecError(f"bad synthesize fields: ladder_kbps must be a list of numbers, got {ladder!r}")
+    try:
+        ladder = BitrateLadder(rates)
+    except ManifestError as exc:
+        raise RunSpecError(f"bad synthesize fields: {exc}") from exc
     for name, value in fields.items():
         if name not in _RECIPE_FIELDS:
             raise RunSpecError(f"bad synthesize fields: unknown field {name!r}")
@@ -193,11 +198,11 @@ def manifest_from_recipe(recipe: dict) -> VideoManifest:
             raise RunSpecError(f"bad synthesize fields: {name} must be {what}, got {value!r}")
     if chunk_count < 1 or not 0 < chunk_duration < math.inf:
         raise RunSpecError("synthesize needs chunk_count >= 1 and chunk_duration_s > 0")
-    if chunk_count * len(rates) > MAX_SYNTHESIZED_CELLS:
-        raise RunSpecError(f"synthesize would build a {chunk_count} x {len(rates)} SSIM table, "
+    if chunk_count * ladder.count > MAX_SYNTHESIZED_CELLS:
+        raise RunSpecError(f"synthesize would build a {chunk_count} x {ladder.count} SSIM table, "
                            f"over the {MAX_SYNTHESIZED_CELLS} cells allowed")
     del fields["chunk_count"], fields["chunk_duration_s"]
-    return synthesize_manifest(BitrateLadder(rates), chunk_count, chunk_duration, SaturationProfile(**fields))
+    return synthesize_manifest(ladder, chunk_count, chunk_duration, SaturationProfile(**fields))
 
 
 def resolve_trace_paths(spec: RunSpec) -> list[str]:
@@ -283,11 +288,10 @@ def run_batch(spec: RunSpec) -> BatchResult:
     echo = {name: getattr(spec, attr) for name, (attr, _, _) in _SPEC_FIELDS.items()
             if name not in ("output_dir", "jobs")}
     echo["traces"] = trace_paths
-    config_path = os.path.join(out_dir, "run_config.json")
     try:  # an earlier batch's run_config.json: what that batch wrote may go stale
-        text = read_text(config_path, ValueError, "run config")
-        rerun = parse_json(text, ValueError, config_path).keys() == echo.keys()
-    except (ValueError, AttributeError):  # none, unreadable, or not an object
+        with open(os.path.join(out_dir, "run_config.json"), "r", encoding="utf-8") as fh:
+            rerun = json.load(fh).keys() == echo.keys()
+    except (OSError, ValueError, RecursionError, AttributeError):  # none, unreadable, or not an object
         rerun = False
     os.makedirs(sessions_dir, exist_ok=True)
     os.makedirs(plots_dir, exist_ok=True)

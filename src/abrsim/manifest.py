@@ -17,7 +17,6 @@ import os
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 # A widely deployed production ladder, handy as a default (kbps).
 NETFLIX_LADDER_KBPS = (235.0, 375.0, 560.0, 750.0, 1050.0, 1750.0, 2350.0, 3000.0, 4300.0, 5800.0)
@@ -51,7 +50,11 @@ class BitrateLadder:
         levels = tuple(self.levels_kbps)
         if not {*map(type, levels)} <= _NUMBER_TYPES:
             raise ManifestError(f"ladder_kbps must be a list of numbers, got {list(levels)!r}")
-        levels = tuple(_float(f"ladder_kbps[{pos}]", rate) for pos, rate in enumerate(levels, start=1))
+        try:
+            levels = tuple(map(float, levels))
+        except OverflowError:  # an int beyond float range: name its rung
+            for pos, rate in enumerate(levels, start=1):
+                _float(f"ladder_kbps[{pos}]", rate)
         object.__setattr__(self, "levels_kbps", levels)
         if len(levels) < 2:
             raise ManifestError(f"ladder_kbps needs at least 2 levels, got {len(levels)}")
@@ -113,26 +116,15 @@ class VideoManifest:
                 continue
             if len(rows) != self.chunk_count:
                 raise ManifestError(f"{name} has {len(rows)} rows, expected chunk_count={self.chunk_count}")
-            # A table of finite numbers within bounds passes in a few C-level passes
-            # over its cells; any other is walked cell by cell, which words the first error.
-            cells = [*chain.from_iterable(rows)]
-            types = {*map(type, cells)}
-            try:
-                valid = ({*map(len, rows)} == {levels} and types <= _NUMBER_TYPES
-                         and math.isfinite(sum(cells)) and min(cells) > 0 and max(cells) <= top)
-            except OverflowError:  # an int beyond float range
-                valid = False
-            if not valid:
-                for i, row in enumerate(rows, start=1):
-                    if len(row) != levels:
-                        raise ManifestError(f"{name}[{i}] has {len(row)} entries, expected {levels}")
-                    for j, value in enumerate(row, start=1):
+            for i, row in enumerate(rows, start=1):
+                if len(row) != levels:
+                    raise ManifestError(f"{name}[{i}] has {len(row)} entries, expected {levels}")
+                for j, value in enumerate(row, start=1):
+                    if type(value) is not float:
                         value = _float(f"{name}[{i}][{j}]", value)
-                        if not math.isfinite(value) or not 0.0 < value <= top:
-                            raise ManifestError(f"{name}[{i}][{j}] must {bound}, got {value}")
-            if types != {float}:  # JSON integers become floats
-                rows = map(map, repeat(float), rows)
-            object.__setattr__(self, name, tuple(map(tuple, rows)))
+                    if not (0.0 < value <= top and math.isfinite(value)):
+                        raise ManifestError(f"{name}[{i}][{j}] must {bound}, got {value}")
+            object.__setattr__(self, name, tuple(tuple(map(float, row)) for row in rows))
 
     def _check_indices(self, chunk: int, level: int) -> None:
         if not 1 <= chunk <= self.chunk_count:

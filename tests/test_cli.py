@@ -591,6 +591,8 @@ def rewrite_spec(workspace, **fields):
      "bad synthesize fields: knee_kbps must be a number, got 'x'"),
     ({"manifest": None, "synthesize": {"chunk_count": 8, "chunk_duration_s": 4, "ladder_kbps": "58"}},
      "bad synthesize fields: ladder_kbps must be a list of numbers, got '58'"),
+    ({"manifest": None, "synthesize": {"chunk_count": 8, "chunk_duration_s": 4, "ladder_kbps": ["235", "375"]}},
+     "bad synthesize fields: ladder_kbps must be a list of numbers, got ['235', '375']"),
     ({"manifest": None, "synthesize": {"chunk_count": True, "chunk_duration_s": 4}},
      "bad synthesize fields: chunk_count must be an integer, got True"),
     ({"manifest": None, "synthesize": {"chunk_count": 5.7, "chunk_duration_s": 4}},
@@ -606,6 +608,7 @@ def rewrite_spec(workspace, **fields):
         "number-output-dir", "fractional-seed", "string-loop-traces",
         "null-synthesized-chunk-count", "number-synthesized-ladder", "infinite-synthesized-chunk-count",
         "list-synthesized-seed", "string-synthesized-knee", "string-synthesized-ladder",
+        "strings-in-synthesized-ladder",
         "bool-synthesized-chunk-count", "fractional-synthesized-chunk-count", "synthesized-table-one-cell-over",
         "huge-int-capacity", "huge-int-festive-window", "list-in-policies"])
 def test_run_rejects_invalid_spec(workspace, capsys, fields, message):
