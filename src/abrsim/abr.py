@@ -24,6 +24,7 @@ Adding a policy means one class here and one entry in POLICIES.
 from __future__ import annotations
 
 from collections import deque
+from inspect import signature
 from typing import NamedTuple
 
 from .manifest import VideoManifest
@@ -181,13 +182,25 @@ class Osmf(Policy):
 
 POLICIES = {"sba": Sba, "bba": Bba, "festive": Festive, "osmf": Osmf}
 
+# The type of a parameter's default -> the JSON types it accepts; a bool is no number.
+_PARAM_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+                float: ((int, float), "a number")}
+
 
 def make_policy(name: str, params: dict | None = None) -> Policy:
-    """Build the policy registered under `name` from its parameters."""
+    """Build the policy registered under `name` from its parameters, each of the
+    JSON type of its default in `__init__` (one without a default is not checked)."""
     if not isinstance(name, str) or name not in POLICIES:
         raise ValueError(f"unknown policy {name!r}, expected one of {', '.join(POLICIES)}")
+    policy = POLICIES[name]
+    params = params or {}
+    defaults = {p.name: p.default for p in signature(policy).parameters.values()} if params else {}
+    for key, value in params.items():
+        accepted = _PARAM_TYPES.get(type(defaults.get(key)))
+        if accepted and type(value) not in accepted[0]:
+            raise ValueError(f"bad parameters for policy {name!r}: {key} must be {accepted[1]}, got {value!r}")
     try:
-        return POLICIES[name](**(params or {}))
+        return policy(**params)
     except (TypeError, OverflowError) as exc:  # an unknown or mistyped parameter, or an int no C size holds
         raise ValueError(f"bad parameters for policy {name!r}: {exc}") from exc
 

@@ -157,6 +157,12 @@ def load_runspec(path: str) -> RunSpec:
     unknown = set(doc) - set(_SPEC_FIELDS)
     if unknown:
         raise RunSpecError(f"{path}: unknown spec fields: {', '.join(sorted(unknown))}")
+    # A file's scenario values must be JSON numbers (a bool is none); code and
+    # --scenarios may still set numeric strings, which `validate_runspec` converts.
+    scenarios = doc.get("scenarios")
+    for pair in scenarios if isinstance(scenarios, list) else ():
+        if isinstance(pair, list) and len(pair) == 2 and not {*map(type, pair)} <= {int, float}:
+            raise RunSpecError(f"{path}: scenario values must be numbers, got {pair!r}")
     try:
         return RunSpec(**{_SPEC_FIELDS[name][0]: value for name, value in doc.items()},
                        base_dir=os.path.dirname(os.path.abspath(path)) or ".")

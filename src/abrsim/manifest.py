@@ -94,6 +94,8 @@ class VideoManifest:
     ssim[i-1][j-1] is the mean SSIM of chunk i at level j, in (0, 1].
     chunk_kilobits, when present, gives measured encoded sizes; otherwise a
     chunk at level j is assumed to weigh rate_j * chunk_duration kilobits.
+    A manifest file's `ladder` arrives as its list of rates and becomes a
+    BitrateLadder after chunk_duration_s is checked.
     """
 
     chunk_count: int
@@ -105,6 +107,8 @@ class VideoManifest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "chunk_count", int(self.chunk_count))
         object.__setattr__(self, "chunk_duration_s", _float("chunk_duration_s", self.chunk_duration_s))
+        if not isinstance(self.ladder, BitrateLadder):
+            object.__setattr__(self, "ladder", BitrateLadder(self.ladder))
         if self.chunk_count < 1:
             raise ManifestError(f"chunk_count must be >= 1, got {self.chunk_count}")
         if not math.isfinite(self.chunk_duration_s) or self.chunk_duration_s <= 0:
@@ -155,11 +159,9 @@ def manifest_from_dict(doc: dict) -> VideoManifest:
     for field in ("chunk_duration_s", "ladder_kbps", "ssim"):
         if field not in doc:
             raise ManifestError(f"missing required field {field}")
-    duration = _float("chunk_duration_s", doc["chunk_duration_s"])  # checked before the ladder
     rates = doc["ladder_kbps"]
     if not isinstance(rates, list):
         raise ManifestError(f"ladder_kbps must be a list of numbers, got {rates!r}")
-    ladder = BitrateLadder(rates)
     ssim = doc["ssim"]
     if not isinstance(ssim, list) or not ssim or not all(isinstance(r, list) for r in ssim):
         raise ManifestError("ssim must be a non-empty list of per-chunk rows")
@@ -168,8 +170,8 @@ def manifest_from_dict(doc: dict) -> VideoManifest:
         raise ManifestError("chunk_kilobits must be a list of per-chunk rows")
     return VideoManifest(
         chunk_count=len(ssim),
-        chunk_duration_s=duration,
-        ladder=ladder,
+        chunk_duration_s=doc["chunk_duration_s"],
+        ladder=rates,
         ssim=ssim,
         chunk_kilobits=sizes,
     )

@@ -22,10 +22,11 @@ Each event goes once, as it happens, to a sink: a SessionEventLog keeps the
 records (JSON Lines on disk, fixed field order), and a JsonlWriter encodes
 each line and tallies the report in the same call.  CHUNK_EVENTS is the one
 schema of the per-chunk records; both sinks' methods for them are compiled
-from it.  `replay_diff` re-runs the engine with download completion times
-taken from a log to verify that every other recorded value - decisions,
-estimates, buffer levels, event times - is reproduced; a third sink compares
-each event with the logged record as the engine emits it.
+from it.  `replay_diff` re-runs the engine once, with download completion
+times taken from a log, to verify that every other recorded value -
+decisions, estimates, buffer levels, event times - is reproduced; a third
+sink compares each event with the logged record as the engine emits it and
+keeps the events from the first difference on.
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ _event_of = itemgetter("event")
 
 class LogFormatError(ValueError):
     """Event log text is structurally unusable."""
-
-
-class _Unmatched(Exception):
-    """A regenerated event differs from the logged record in its place."""
 
 
 @dataclass
@@ -142,7 +139,7 @@ def _chunk_event_methods(body: str, tails: dict) -> list:
             record="{" + ", ".join(pairs).format(*names) + "}",
             template="f'{{" + ", ".join(pairs).format(*value.values()) + "}}\\n'"))
     namespace = {"__name__": __name__, "_isfinite": math.isfinite, "_ascii_str": _ascii_str,
-                 "_dumps": json.dumps, "_Unmatched": _Unmatched}
+                 "_dumps": json.dumps}
     exec(compile("".join(source), "<chunk event sinks>", "exec"), namespace)
     return [namespace[method] for method in CHUNK_EVENTS]
 
@@ -455,55 +452,55 @@ class _LoggedCompletions:
         return float(logged_time)
 
 
-class _ComparingSink:
-    """Sink that checks each event, as the engine emits it, against the next logged record.
+class _ReplaySink:
+    """Sink that compares each event, as the engine emits it, with the next logged record.
 
     Its `fetch`, `complete` and `display`, compiled from CHUNK_EVENTS, compare
-    field by field and build no record.  The first event that differs raises
-    _Unmatched; a log that runs out raises StopIteration.
+    field by field and build no record while the events match.  From the
+    first event that differs, lacks a field or outlives the log, every event
+    is kept as the record a SessionEventLog would build.
     """
 
     def __init__(self, records: list) -> None:
-        self.logged = iter(records)
+        self.logged = records
+        self.matched = 0  # leading logged records the engine reproduced
+        self.kept = []  # the records it emitted from the first difference on
 
     fetch, complete, display = _chunk_event_methods("""
 def {method}(self, {args}):
-    r = next(self.logged)
-    if {differs}:
-        raise _Unmatched
+    if not self.kept:
+        try:
+            r = self.logged[self.matched]
+            if not ({differs}):
+                self.matched += 1
+                return
+        except (IndexError, KeyError, TypeError):
+            pass
+    self.kept.append({record})
 """, {})
 
     def record(self, rec: dict) -> None:
-        if next(self.logged) != rec:
-            raise _Unmatched
-
-    def exhausted(self) -> bool:
-        return next(self.logged, self) is self
+        if not self.kept and self.matched < len(self.logged) and self.logged[self.matched] == rec:
+            self.matched += 1
+        else:
+            self.kept.append(rec)
 
 
 def replay_diff(log: SessionEventLog, manifest: VideoManifest, config: SessionConfig) -> list[str]:
     """Human-readable list of mismatches; empty when the log verifies.
 
-    The engine is re-run with download finish times read from the log; every
-    regenerated record (decisions, estimates, buffer levels, event times)
-    must match the logged one within TOLERANCE_S.
+    The engine is re-run once with download finish times read from the log;
+    every regenerated record (decisions, estimates, buffer levels, event
+    times) must match the logged one within TOLERANCE_S.
     """
     log.header  # raises LogFormatError on structurally broken logs
-    # A log whose records all equal the regenerated ones, none left over,
-    # verifies in one pass.  Any other outcome - an inequality, a missing key,
-    # a log too short or too long, an error - is decided and worded by the
-    # pass below, which re-raises whatever the engine raised here.
+    sink = _ReplaySink(log.records)
     try:
-        sink = _ComparingSink(log.records)
         _drive(manifest, config, _LoggedCompletions(log), sink)
-        if sink.exhausted():
+        if not sink.kept and sink.matched == len(log.records):
             return []
-    except Exception:
-        pass
-    try:
-        regenerated = SessionEventLog()
-        _drive(manifest, config, _LoggedCompletions(log), regenerated)
-        return _diff_records(log.records, regenerated.records, TOLERANCE_S)
+        # Each reproduced record stands in for itself, so the walk skips it.
+        return _diff_records(log.records, log.records[:sink.matched] + sink.kept, TOLERANCE_S)
     except _ReplayInconsistency as exc:
         return [str(exc)]
     except (ValueError, TraceExhaustedError, OverflowError) as exc:  # OverflowError: an int no float holds
@@ -514,8 +511,6 @@ def _diff_records(original: list[dict], regenerated: list[dict], tolerance: floa
     # The field walk finds nothing in an equal record (`_close` accepts equal
     # numbers), so only unequal records are walked; an equal record still
     # reaches the cap check, which decides where a long list is cut.
-    if original == regenerated:
-        return []
     diffs = []
     if len(original) != len(regenerated):
         diffs.append(f"record count differs: logged {len(original)}, replay {len(regenerated)}")

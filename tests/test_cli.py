@@ -242,6 +242,15 @@ def test_simulate_rejects_non_object_policy_params(workspace, capsys, params):
     assert f"policy_params must be an object, got {json.loads(params)!r}" in capsys.readouterr().err
 
 
+def test_simulate_rejects_a_policy_parameter_of_the_wrong_type(workspace, capsys):
+    code = main(["simulate", "--manifest", str(workspace / "manifest.json"), "--trace",
+                 str(workspace / "trace_0.csv"), "--policy", "festive", "--policy-params", '{"window": true}'])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: bad parameters for policy 'festive': window must be an integer, got True" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_rejects_bad_buffer_geometry(workspace, capsys):
     code = main(["simulate", "--manifest", str(workspace / "manifest.json"),
                  "--trace", str(workspace / "trace_0.csv"), "--bs", "10", "--lc", "12"])
@@ -320,6 +329,21 @@ def test_replay_header_missing_field_exits_two(workspace, capsys, field):
                  "--manifest", str(workspace / "manifest.json")])
     assert code == 2
     assert f"error: session_start record lacks {field}" in capsys.readouterr().err
+
+
+def test_replay_header_with_a_mistyped_policy_parameter_exits_two(workspace, capsys):
+    log_path = workspace / "session.jsonl"
+    main(["simulate", "--manifest", str(workspace / "manifest.json"),
+          "--trace", str(workspace / "trace_0.csv"), "--log", str(log_path)])
+    capsys.readouterr()
+    log = SessionEventLog.read(str(log_path))
+    log.header["policy_params"] = {"upgrade_only": "no"}
+    log.write(str(log_path))
+    code = main(["replay", "--log", str(log_path),
+                 "--manifest", str(workspace / "manifest.json")])
+    assert code == 2
+    assert ("error: bad parameters for policy 'sba': upgrade_only must be true or false, got 'no'"
+            in capsys.readouterr().err)
 
 
 def test_replay_missing_log_exits_two(workspace, capsys):
@@ -602,6 +626,18 @@ def rewrite_spec(workspace, **fields):
     ({"scenarios": [[10**400, 12]]}, "scenario values must be numbers, got [1000"),
     ({"policy_params": {"festive": {"window": 10**400}}}, "bad parameters for policy 'festive'"),
     ({"policies": [["sba"]]}, "policies must be a list of policy ids, got [['sba']]"),
+    ({"policy_params": {"sba": {"upgrade_only": "no"}}},
+     "bad parameters for policy 'sba': upgrade_only must be true or false, got 'no'"),
+    ({"policy_params": {"festive": {"window": True}}},
+     "bad parameters for policy 'festive': window must be an integer, got True"),
+    ({"policy_params": {"festive": {"window": 5.0}}},
+     "bad parameters for policy 'festive': window must be an integer, got 5.0"),
+    ({"policy_params": {"bba": {"cushion_frac": True}}},
+     "bad parameters for policy 'bba': cushion_frac must be a number, got True"),
+    ({"policy_params": {"osmf": {"up_ratio": True}}},
+     "bad parameters for policy 'osmf': up_ratio must be a number, got True"),
+    ({"scenarios": [["120", "12"]]}, "scenario values must be numbers, got ['120', '12']"),
+    ({"scenarios": [[True, 12]]}, "scenario values must be numbers, got [True, 12]"),
 ], ids=["unknown-policy", "bad-params", "params-of-unknown-policy", "lc-not-below-bs", "string-jobs",
         "null-capacity", "capacity-not-above-chunk", "infinite-capacity", "null-seed", "number-traces",
         "number-in-traces", "unmatched-glob", "number-manifest", "list-synthesize", "string-policies", "number-scenarios",
@@ -610,7 +646,9 @@ def rewrite_spec(workspace, **fields):
         "list-synthesized-seed", "string-synthesized-knee", "string-synthesized-ladder",
         "strings-in-synthesized-ladder",
         "bool-synthesized-chunk-count", "fractional-synthesized-chunk-count", "synthesized-table-one-cell-over",
-        "huge-int-capacity", "huge-int-festive-window", "list-in-policies"])
+        "huge-int-capacity", "huge-int-festive-window", "list-in-policies", "string-sba-upgrade-only",
+        "bool-festive-window", "float-festive-window", "bool-bba-cushion", "bool-osmf-up-ratio",
+        "string-scenario-values", "bool-scenario-value"])
 def test_run_rejects_invalid_spec(workspace, capsys, fields, message):
     rewrite_spec(workspace, **fields)
     assert main(["run", "--spec", str(workspace / "spec.json")]) == 2

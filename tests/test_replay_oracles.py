@@ -161,8 +161,8 @@ def test_jitter_nan_and_missing_keys_diff_like_the_reference():
 
 
 def test_a_mismatch_before_an_engine_error_reports_the_error():
-    # The first pass stops at the edited fetch; the engine only raises at the
-    # later completion, so the error comes from the pass that words it.
+    # The sink keeps the events from the edited fetch on; the engine raises
+    # at the later completion of the same run, and that error is the result.
     log, manifest = replay_pool()[0]
     edited = SessionEventLog(copy.deepcopy(log.records))
     events(edited, "fetch_issued")[1]["reason"] = "edited"
@@ -170,6 +170,25 @@ def test_a_mismatch_before_an_engine_error_reports_the_error():
     diffs = replay_diff(edited, manifest, SessionConfig.from_header(edited.header))
     assert diffs == ["logged completion is for chunk 99, engine expected 6"]
     assert assert_replay_matches_reference(edited, manifest, log.header) is None
+
+
+def test_replay_drives_the_engine_once_whatever_the_outcome(monkeypatch):
+    log, manifest = replay_pool()[1]
+    edited = copy.deepcopy(log.records)
+    events(SessionEventLog(edited), "fetch_issued")[5]["buffer_s"] += 1.0
+    calls = []
+
+    def counting_drive(*args):
+        calls.append(args)
+        return _drive(*args)
+
+    monkeypatch.setattr(simulator, "_drive", counting_drive)
+    for records, verifies in ((log.records, True), (edited, False), (log.records[:-1], False),
+                              (log.records + [{"event": "session_end", "time_s": 1.0}], False)):
+        calls.clear()
+        diffs = replay_diff(SessionEventLog(records), manifest, SessionConfig.from_header(log.header))
+        assert (diffs == []) is verifies
+        assert len(calls) == 1
 
 
 def test_short_and_long_logs_diff_like_the_reference():
