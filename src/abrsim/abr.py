@@ -23,6 +23,7 @@ Adding a policy means one class here and one entry in POLICIES.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from inspect import signature
 from typing import NamedTuple
@@ -189,16 +190,21 @@ _PARAM_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
 
 def make_policy(name: str, params: dict | None = None) -> Policy:
     """Build the policy registered under `name` from its parameters, each of the
-    JSON type of its default in `__init__` (one without a default is not checked)."""
+    JSON type of its default in `__init__` (one without a default is not checked);
+    a float parameter must be finite."""
     if not isinstance(name, str) or name not in POLICIES:
         raise ValueError(f"unknown policy {name!r}, expected one of {', '.join(POLICIES)}")
     policy = POLICIES[name]
     params = params or {}
     defaults = {p.name: p.default for p in signature(policy).parameters.values()} if params else {}
     for key, value in params.items():
-        accepted = _PARAM_TYPES.get(type(defaults.get(key)))
+        default = defaults.get(key)
+        accepted = _PARAM_TYPES.get(type(default))
         if accepted and type(value) not in accepted[0]:
             raise ValueError(f"bad parameters for policy {name!r}: {key} must be {accepted[1]}, got {value!r}")
+        # A log header must not carry an Infinity or NaN token.
+        if type(default) is float and type(value) is float and not math.isfinite(value):
+            raise ValueError(f"bad parameters for policy {name!r}: {key} must be a finite number, got {value}")
     try:
         return policy(**params)
     except (TypeError, OverflowError) as exc:  # an unknown or mistyped parameter, or an int no C size holds

@@ -120,15 +120,24 @@ class VideoManifest:
                 continue
             if len(rows) != self.chunk_count:
                 raise ManifestError(f"{name} has {len(rows)} rows, expected chunk_count={self.chunk_count}")
+            # Each distinct row object is checked and converted once, at its first
+            # occurrence; every occurrence then shares the converted tuple.  `rows`
+            # keeps each row alive for the walk, so no id is reused within it.
+            converted: dict[int, tuple[float, ...]] = {}
+            table = []
             for i, row in enumerate(rows, start=1):
-                if len(row) != levels:
-                    raise ManifestError(f"{name}[{i}] has {len(row)} entries, expected {levels}")
-                for j, value in enumerate(row, start=1):
-                    if type(value) is not float:
-                        value = _float(f"{name}[{i}][{j}]", value)
-                    if not (0.0 < value <= top and math.isfinite(value)):
-                        raise ManifestError(f"{name}[{i}][{j}] must {bound}, got {value}")
-            object.__setattr__(self, name, tuple(tuple(map(float, row)) for row in rows))
+                done = converted.get(id(row))
+                if done is None:
+                    if len(row) != levels:
+                        raise ManifestError(f"{name}[{i}] has {len(row)} entries, expected {levels}")
+                    for j, value in enumerate(row, start=1):
+                        if type(value) is not float:
+                            value = _float(f"{name}[{i}][{j}]", value)
+                        if not (0.0 < value <= top and math.isfinite(value)):
+                            raise ManifestError(f"{name}[{i}][{j}] must {bound}, got {value}")
+                    done = converted[id(row)] = tuple(map(float, row))
+                table.append(done)
+            object.__setattr__(self, name, tuple(table))
 
     def _check_indices(self, chunk: int, level: int) -> None:
         if not 1 <= chunk <= self.chunk_count:
@@ -268,28 +277,31 @@ def synthesize_manifest(
     """Generate a manifest whose SSIM rows follow a saturating curve.
 
     Row i is q_ceiling - (q_ceiling - q_floor) * m_i * exp(-(r - r1) / scale)
-    with scale = knee - r1 and a per-chunk lift factor m_i drawn from a
-    seeded RNG.  Same seed, same manifest.
+    with scale = knee - r1 and a per-chunk lift factor m_i, drawn from a
+    seeded RNG and clamped to [0, 1].  Same seed, same manifest.  Every row
+    with m_i = 1 (full lift) is one shared tuple.
     """
     if not ladder.levels_kbps[0] <= profile.knee_kbps <= ladder.levels_kbps[-1]:
         raise ManifestError(
             f"knee_kbps {profile.knee_kbps} outside ladder span "
             f"[{ladder.levels_kbps[0]}, {ladder.levels_kbps[-1]}]"
         )
-    rng = random.Random(profile.jitter_seed)
+    uniform = random.Random(profile.jitter_seed).uniform
     r1 = ladder.levels_kbps[0]
     scale = max(profile.knee_kbps - r1, 1e-6)
-    lift = profile.q_ceiling - profile.q_floor
+    q_ceiling, spread = profile.q_ceiling, profile.per_chunk_spread
+    lift = q_ceiling - profile.q_floor
+    decay = [math.exp(-(r - r1) / scale) for r in ladder.levels_kbps]
+    # lift * m * decay groups as (lift * m) * decay, so one product per row is bit-identical.
+    full = tuple([round(q_ceiling - lift * d, 6) for d in decay])
     rows = []
     for _ in range(chunk_count):
-        m = 1.0 + profile.per_chunk_spread * rng.uniform(-1.0, 1.0)
-        m = min(max(m, 0.0), 1.0)
-        rows.append(
-            tuple(
-                round(profile.q_ceiling - lift * m * math.exp(-(r - r1) / scale), 6)
-                for r in ladder.levels_kbps
-            )
-        )
+        m = 1.0 + spread * uniform(-1.0, 1.0)
+        if m >= 1.0:
+            rows.append(full)
+        else:
+            lifted = lift * max(m, 0.0)
+            rows.append(tuple([round(q_ceiling - lifted * d, 6) for d in decay]))
     return VideoManifest(
         chunk_count=chunk_count,
         chunk_duration_s=chunk_duration_s,

@@ -35,6 +35,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field, replace
+from functools import partial
 from operator import itemgetter
 
 from .abr import Observation, decide, make_policy
@@ -255,18 +256,15 @@ def run_session(
     # A trace already in the config's loop mode (as `run_batch` passes them) is
     # not rebuilt, so it is not validated again.
     run_trace = trace if trace.loop == config.loop_trace else replace(trace, loop=config.loop_trace)
-
-    def finish_fn(chunk: int, send_time_s: float, volume_kilobits: float) -> float:
-        return download_finish_time(run_trace, send_time_s, volume_kilobits)
-
-    _drive(manifest, config, finish_fn, sink)
+    _drive(manifest, config, partial(download_finish_time, run_trace), sink)
     if isinstance(sink, SessionTally):
         return sink, sink.report(manifest)
     return sink, session_metrics(sink, manifest)
 
 
 def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> None:
-    """Run the per-chunk loop with an injected download-completion source.
+    """Run the per-chunk loop with an injected download-completion source,
+    `finish_fn(send_time_s, volume_kilobits)`, called for chunks 1, 2, ... in order.
 
     Each event goes to `sink` once, as it happens.  Nothing the config and
     the manifest proved is checked again: only the buffer and the estimate
@@ -374,7 +372,7 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
         send_t = now
         volume = volumes[chunk - 1][level - 1]
         try:
-            finish_t = finish_fn(chunk, send_t, volume)
+            finish_t = finish_fn(send_t, volume)
         except TraceExhaustedError as exc:
             sink.record({"event": "session_truncated", "time_s": send_t, "chunk": chunk,
                          "diagnostic": str(exc)})
@@ -434,7 +432,9 @@ class _LoggedCompletions:
             elif event == "session_truncated" and self.truncation is None:
                 self.truncation = r
 
-    def __call__(self, chunk: int, send_time_s: float, volume_kilobits: float) -> float:
+    def __call__(self, send_time_s: float, volume_kilobits: float) -> float:
+        # The engine asks for chunks 1, 2, ... in order and stops at the first error.
+        chunk = self.pos + 1
         if self.pos >= len(self.completions):
             if self.truncation is not None:
                 raise TraceExhaustedError(str(self.truncation.get("diagnostic", "trace exhausted")))

@@ -105,6 +105,29 @@ def reference_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits
     return wraps * period + invert_within_period(rem)
 
 
+def reference_ssim_rows(ladder: BitrateLadder, chunk_count: int, profile) -> tuple:
+    """`synthesize_manifest`'s SSIM table as first written: every cell from the full formula.
+
+    The library computes each rung's decay once and shares the full-lift
+    row; it must agree with this reference bit for bit.
+    """
+    rng = random.Random(profile.jitter_seed)
+    r1 = ladder.levels_kbps[0]
+    scale = max(profile.knee_kbps - r1, 1e-6)
+    lift = profile.q_ceiling - profile.q_floor
+    rows = []
+    for _ in range(chunk_count):
+        m = 1.0 + profile.per_chunk_spread * rng.uniform(-1.0, 1.0)
+        m = min(max(m, 0.0), 1.0)
+        rows.append(
+            tuple(
+                round(profile.q_ceiling - lift * m * math.exp(-(r - r1) / scale), 6)
+                for r in ladder.levels_kbps
+            )
+        )
+    return tuple(rows)
+
+
 def make_ladder(rates=NETFLIX_LADDER_KBPS) -> BitrateLadder:
     return BitrateLadder(tuple(float(r) for r in rates))
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -251,6 +252,21 @@ def test_simulate_rejects_a_policy_parameter_of_the_wrong_type(workspace, capsys
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text", ['{"up_ratio": 1e400}', '{"up_ratio": Infinity}'],
+                         ids=["overflowing-literal", "infinity-token"])
+def test_simulate_rejects_an_infinite_policy_parameter(workspace, capsys, text):
+    # The log header would have to carry an Infinity token.
+    log_path = workspace / "session.jsonl"
+    code = main(["simulate", "--manifest", str(workspace / "manifest.json"), "--trace",
+                 str(workspace / "trace_0.csv"), "--policy", "osmf", "--policy-params", text,
+                 "--log", str(log_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: bad parameters for policy 'osmf': up_ratio must be a finite number, got inf" in captured.err
+    assert captured.out == ""
+    assert not log_path.exists()
+
+
 def test_simulate_rejects_bad_buffer_geometry(workspace, capsys):
     code = main(["simulate", "--manifest", str(workspace / "manifest.json"),
                  "--trace", str(workspace / "trace_0.csv"), "--bs", "10", "--lc", "12"])
@@ -343,6 +359,22 @@ def test_replay_header_with_a_mistyped_policy_parameter_exits_two(workspace, cap
                  "--manifest", str(workspace / "manifest.json")])
     assert code == 2
     assert ("error: bad parameters for policy 'sba': upgrade_only must be true or false, got 'no'"
+            in capsys.readouterr().err)
+
+
+def test_replay_header_with_an_infinite_policy_parameter_exits_two(workspace, capsys):
+    log_path = workspace / "session.jsonl"
+    main(["simulate", "--manifest", str(workspace / "manifest.json"), "--trace",
+          str(workspace / "trace_0.csv"), "--policy", "osmf", "--log", str(log_path)])
+    capsys.readouterr()
+    log = SessionEventLog.read(str(log_path))
+    log.header["policy_params"] = {"up_ratio": math.inf}
+    log.write(str(log_path))
+    assert '"up_ratio": Infinity' in log_path.read_text()
+    code = main(["replay", "--log", str(log_path),
+                 "--manifest", str(workspace / "manifest.json")])
+    assert code == 2
+    assert ("error: bad parameters for policy 'osmf': up_ratio must be a finite number, got inf"
             in capsys.readouterr().err)
 
 
@@ -638,6 +670,10 @@ def rewrite_spec(workspace, **fields):
      "bad parameters for policy 'osmf': up_ratio must be a number, got True"),
     ({"scenarios": [["120", "12"]]}, "scenario values must be numbers, got ['120', '12']"),
     ({"scenarios": [[True, 12]]}, "scenario values must be numbers, got [True, 12]"),
+    ({"policy_params": {"osmf": {"up_ratio": float("inf")}}},
+     "bad parameters for policy 'osmf': up_ratio must be a finite number, got inf"),
+    ({"policy_params": {"bba": {"cushion_frac": float("nan")}}},
+     "bad parameters for policy 'bba': cushion_frac must be a finite number, got nan"),
 ], ids=["unknown-policy", "bad-params", "params-of-unknown-policy", "lc-not-below-bs", "string-jobs",
         "null-capacity", "capacity-not-above-chunk", "infinite-capacity", "null-seed", "number-traces",
         "number-in-traces", "unmatched-glob", "number-manifest", "list-synthesize", "string-policies", "number-scenarios",
@@ -648,7 +684,7 @@ def rewrite_spec(workspace, **fields):
         "bool-synthesized-chunk-count", "fractional-synthesized-chunk-count", "synthesized-table-one-cell-over",
         "huge-int-capacity", "huge-int-festive-window", "list-in-policies", "string-sba-upgrade-only",
         "bool-festive-window", "float-festive-window", "bool-bba-cushion", "bool-osmf-up-ratio",
-        "string-scenario-values", "bool-scenario-value"])
+        "string-scenario-values", "bool-scenario-value", "infinite-osmf-up-ratio", "nan-bba-cushion"])
 def test_run_rejects_invalid_spec(workspace, capsys, fields, message):
     rewrite_spec(workspace, **fields)
     assert main(["run", "--spec", str(workspace / "spec.json")]) == 2

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -11,11 +12,12 @@ from abrsim.manifest import (
     BitrateLadder,
     ManifestError,
     SaturationProfile,
+    VideoManifest,
     manifest_from_dict,
     save_manifest,
     synthesize_manifest,
 )
-from helpers import chunk_volume, make_ladder, make_manifest, monotone_rows
+from helpers import chunk_volume, make_ladder, make_manifest, monotone_rows, reference_ssim_rows
 
 
 def test_ladder_count_and_rates():
@@ -276,6 +278,47 @@ def test_synthesize_deterministic(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
     c = synthesize_manifest(make_ladder(), 20, 4.0, SaturationProfile(jitter_seed=8))
     assert c != a
+
+
+# Spread 0 makes every row full-lift; spread 1 lets the lift factor clamp to 0.
+SYNTH_GRID = list(itertools.product(
+    (NETFLIX_LADDER_KBPS, (235.0, 560.0, 1750.0, 4300.0)), (1, 9600), (0, 7), (0.0, 0.3, 0.5, 1.0)
+))
+
+
+@pytest.mark.parametrize("rates, chunks, seed, spread", SYNTH_GRID)
+def test_synthesize_matches_the_per_cell_formula(rates, chunks, seed, spread):
+    ladder = make_ladder(rates)
+    profile = SaturationProfile(jitter_seed=seed, per_chunk_spread=spread)
+    manifest = synthesize_manifest(ladder, chunks, 4.0, profile)
+    assert manifest.ssim == reference_ssim_rows(ladder, chunks, profile)
+
+
+@pytest.mark.parametrize("spread", (0.0, 0.5, 1.0))
+def test_synthesize_shares_one_full_lift_row(spread):
+    profile = SaturationProfile(jitter_seed=1, per_chunk_spread=spread)
+    manifest = synthesize_manifest(make_ladder(), 2000, 4.0, profile)
+    rng = random.Random(1)
+    full = [i for i in range(2000) if 1.0 + spread * rng.uniform(-1.0, 1.0) >= 1.0]
+    assert len(full) == 2000 if spread == 0.0 else 0 < len(full) < 2000
+    assert len({id(manifest.ssim[i]) for i in full}) == 1
+    assert all(manifest.ssim[i] is not manifest.ssim[full[0]] for i in set(range(2000)) - set(full))
+
+
+def test_manifest_checks_a_shared_row_once_and_reports_its_first_index():
+    good = tuple(monotone_rows(1, 10)[0])
+    bad = good[:3] + (1.5,) + good[4:]
+    rows = (good, bad, good, bad, bad)
+    with pytest.raises(ManifestError, match=re.escape("ssim[2][4] must lie in (0, 1], got 1.5")):
+        VideoManifest(5, 4.0, make_ladder(), rows)
+    n = 7
+    shared = VideoManifest(n, 4.0, make_ladder(), (good,) * n)
+    copies = VideoManifest(n, 4.0, make_ladder(), [list(good) for _ in range(n)])
+    assert shared == copies
+    assert len({id(row) for row in shared.ssim}) == 1
+    listed = [list(good)] * n  # one list object n times, as a caller might build it
+    assert manifest_from_dict({"chunk_duration_s": 4.0, "ladder_kbps": list(NETFLIX_LADDER_KBPS),
+                               "ssim": listed}) == copies
 
 
 def test_synthesize_knee_outside_span_rejected():
