@@ -58,7 +58,8 @@ class RunSpecError(ValueError):
 
 
 # One row per spec field: JSON name -> (RunSpec attribute, accepted types, what
-# it holds), in `run_config.json`'s order; code may set a tuple for a list.
+# it holds), in `run_config.json`'s order; code may set a tuple for a list.  A
+# bool is no integer: it passes only the field whose type is bool.
 _SPEC_FIELDS = {
     "manifest": ("manifest_path", (str, type(None)), "a path"),
     "synthesize": ("synthesize", (dict, type(None)), "an object"),
@@ -107,7 +108,7 @@ def validate_runspec(spec: RunSpec) -> list[SessionConfig]:
     """
     for name, (attr, types, what) in _SPEC_FIELDS.items():
         value = getattr(spec, attr)
-        if not isinstance(value, types):
+        if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
             raise RunSpecError(f"{name} must be {what}, got {value!r}")
     if isinstance(spec.trace_globs, str):
         spec.trace_globs = [spec.trace_globs]
@@ -129,7 +130,7 @@ def validate_runspec(spec: RunSpec) -> list[SessionConfig]:
         except (TypeError, ValueError, OverflowError):
             raise RunSpecError(f"scenario values must be numbers, got {pair!r}") from None
     spec.scenarios = scenarios
-    if spec.jobs is not None and (type(spec.jobs) is not int or spec.jobs < 1):
+    if spec.jobs is not None and spec.jobs < 1:
         raise RunSpecError(f"jobs must be an integer >= 1, got {spec.jobs!r}")
     params = spec.policy_params
     if not all(isinstance(p, dict) for p in params.values()):

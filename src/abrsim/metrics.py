@@ -41,7 +41,7 @@ class SessionReport:
     instability: float
     mean_ssim: float
     mean_bitrate_kbps: float
-    displayed: tuple[tuple[int, float, float], ...]  # (level, ssim, bitrate) per chunk
+    displayed: tuple[int, ...]  # level per displayed chunk; its SSIM and rate are manifest lookups
     wall_clock_s: float | None
     partial: bool
     diagnostic: str
@@ -138,7 +138,7 @@ class SessionTally:
             instability=float(sum(1 for a, b in zip(levels, levels[1:]) if a != b)),
             mean_ssim=mean(ssims),
             mean_bitrate_kbps=mean(rates),
-            displayed=tuple(zip(levels, ssims, rates)),
+            displayed=tuple(levels),
             wall_clock_s=self.end_time if self.end_time is not None else self.truncated_at,
             partial=partial,
             diagnostic=self.diagnostic,

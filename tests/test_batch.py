@@ -2,10 +2,11 @@ import json
 import os
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from abrsim import batch, load_runspec, run_batch
+from abrsim import POLICIES, batch, load_runspec, run_batch, session_metrics
 from abrsim.batch import (
     RunSpec,
     RunSpecError,
@@ -18,6 +19,7 @@ from abrsim.manifest import (
     NETFLIX_LADDER_KBPS,
     BitrateLadder,
     SaturationProfile,
+    load_manifest,
     save_manifest,
     synthesize_manifest,
 )
@@ -108,6 +110,12 @@ def test_spec_rejects_malformed_scenario(tmp_path):
 def test_spec_rejects_bad_jobs(tmp_path):
     with pytest.raises(RunSpecError, match="jobs"):
         load_runspec(write_workspace(tmp_path, jobs=0))
+
+
+@pytest.mark.parametrize("name", ["seed", "jobs"])
+def test_spec_rejects_a_bool_for_an_integer_field(tmp_path, name):
+    with pytest.raises(RunSpecError, match=f"spec.json: {name} must be an integer.*, got True$"):
+        load_runspec(write_workspace(tmp_path, **{name: True}))
 
 
 def test_load_runspec_io_errors(tmp_path):
@@ -385,6 +393,27 @@ def test_run_batch_pool_matches_serial(tmp_path):
     assert not serial.failures and not pooled.failures
     for rel in ("sessions.csv", "aggregates.csv", "comparison.txt"):
         assert (tmp_path / "ser" / rel).read_bytes() == (tmp_path / "par" / rel).read_bytes()
+
+
+def test_session_reports_match_across_jobs_and_the_written_logs(tmp_path):
+    # The in-flight tally of each session, serial and pooled, against the report
+    # `session_metrics` re-derives from the log the batch wrote.
+    def batch_of(out, jobs):
+        return run_batch(load_runspec(write_workspace(
+            tmp_path, trace_rates=(3000.0, 5000.0, 600.0), policies=sorted(POLICIES),
+            scenarios=[[120, 12], [16, 8]], output_dir=out, jobs=jobs)))
+
+    serial, pooled = batch_of("ser", 1), batch_of("par", 2)
+    assert not serial.failures and len(serial.session_reports) == 2 * len(POLICIES) * 3
+    assert pooled.session_reports == serial.session_reports
+    manifest = load_manifest(str(tmp_path / "manifest.json"))
+    for report in serial.session_reports:
+        name = (f"{report.policy}_bs{report.buffer_capacity_s:g}_"
+                f"lc{report.critical_threshold_s:g}_{report.trace_label}.jsonl")
+        for out in ("ser", "par"):
+            log = SessionEventLog.read(str(tmp_path / out / "sessions" / name))
+            assert replace(session_metrics(log, manifest), trace_label=report.trace_label) == report
+    assert {r.rebuffer_count > 0 for r in serial.session_reports} == {True, False}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

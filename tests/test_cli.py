@@ -522,6 +522,18 @@ def test_run_bad_spec_exits_two(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [True, False])
+@pytest.mark.parametrize("source", [{"manifest": "manifest.json"},
+                                    {"synthesize": {"chunk_count": 4, "chunk_duration_s": 4.0}}])
+def test_run_rejects_a_bool_seed_naming_the_seed(workspace, capsys, source, seed):
+    spec = {"traces": ["trace_*.csv"], "policies": ["sba"], "scenarios": [[120, 12]],
+            "output_dir": "out", "seed": seed, **source}
+    (workspace / "spec.json").write_text(json.dumps(spec))
+    assert main(["run", "--spec", str(workspace / "spec.json")]) == 2
+    assert f"spec.json: seed must be an integer, got {seed!r}" in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
 def test_run_rejects_a_trace_glob_that_matches_nothing(workspace, capsys):
     missing = str(workspace / "nosuchdir" / "*.csv")
     code = main(["run", "--spec", str(workspace / "spec.json"),

@@ -161,12 +161,15 @@ def test_a_level_list_failing_the_range_check_raises_the_checked_lookup_error(le
     assert str(raised.value) == text
 
 
-def test_displayed_entries_carry_level_ssim_rate():
-    report = session_metrics(log_of([1, 3], end_s=9.0), manifest3(2))
-    levels = [entry[0] for entry in report.displayed]
-    rates = [entry[2] for entry in report.displayed]
-    assert levels == [1, 3]
-    assert rates == [235.0, 560.0]
+def test_displayed_holds_the_levels_that_price_the_means():
+    manifest = manifest3(2)
+    report = session_metrics(log_of([1, 3], end_s=9.0), manifest)
+    assert report.displayed == (1, 3)
+    rates = [manifest.ladder.levels_kbps[level - 1] for level in report.displayed]
+    ssims = [manifest.ssim[i][level - 1] for i, level in enumerate(report.displayed)]
+    assert (rates, ssims) == ([235.0, 560.0], [0.75, 0.98])
+    assert report.mean_bitrate_kbps == (235.0 + 560.0) / 2
+    assert report.mean_ssim == (0.75 + 0.98) / 2
 
 
 # --- aggregate ---

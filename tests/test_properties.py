@@ -3,8 +3,12 @@
 Every config that passes validation must end in a complete session or in a
 truncated one, never in an exception. A complete session displays every
 chunk and conserves time, and every log replays clean after a JSONL round
-trip.
+trip.  Scaling every rate by a power of two changes only the rates.
 """
+
+import math
+import re
+from dataclasses import replace
 
 from hypothesis import HealthCheck, example, given, reject, seed, settings
 from hypothesis import strategies as st
@@ -126,6 +130,58 @@ def test_writer_sink_matches_the_event_log(session):
     writer, tallied = run_session(manifest, trace, config, JsonlWriter())
     assert "".join(writer.lines) == log.to_jsonl()
     assert tallied == report
+
+
+def scale_rates(manifest, trace, factor):
+    """The session with every trace bandwidth, ladder rate and chunk size times `factor`."""
+    sizes = manifest.chunk_kilobits
+    return (replace(manifest, ladder=BitrateLadder(tuple(r * factor for r in manifest.ladder.levels_kbps)),
+                    chunk_kilobits=None if sizes is None else tuple(
+                        tuple(v * factor for v in row) for row in sizes)),
+            replace(trace, samples=tuple((t, bw * factor) for t, bw in trace.samples)))
+
+
+# Throughput lands exactly on a rung, where a rate offset by any figure in
+# another unit picks another level.
+ON_A_RUNG = (make_manifest(chunks=8, rates=(235, 375, 560)), constant_trace(375.0), SessionConfig())
+
+# A truncation names the kilobits left undelivered, printed to 6 significant digits.
+UNDELIVERED = re.compile(r"with (\S+) kilobits undelivered")
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sessions())
+@example(STALLED)
+@example(CUT_MID_STALL)
+@example(CUT_AT_START)
+@example(ON_A_RUNG)
+def test_a_power_of_two_rate_scale_changes_only_the_rates(session):
+    # Every rate the engine reads is a kbps figure and every time a ratio of
+    # kilobits to kbps, so a power-of-two scale is exact: a units slip shared by
+    # the engine and replay would show here as a changed level, time or buffer.
+    manifest, trace, config = session
+    log, report = run_session(manifest, trace, config)
+    for factor in (2.0, 0.25):
+        scaled_log, scaled_report = run_session(*scale_rates(manifest, trace, factor), config)
+        assert len(scaled_log.records) == len(log.records)
+        diagnostic = report.diagnostic
+        for rec, scaled in zip(log.records, scaled_log.records):
+            expected = dict(rec)
+            for key in ("throughput_kbps", "bandwidth_estimate_kbps"):
+                if key in rec:
+                    expected[key] = rec[key] * factor
+            if "ladder_kbps" in rec:
+                expected["ladder_kbps"] = [r * factor for r in rec["ladder_kbps"]]
+            undelivered = UNDELIVERED.search(rec.get("diagnostic", ""))
+            if undelivered:  # a volume: it scales exactly, then each text rounds it to 6 digits
+                got = UNDELIVERED.search(scaled["diagnostic"])
+                assert math.isclose(float(got[1]), float(undelivered[1]) * factor, rel_tol=2e-5)
+                diagnostic = expected["diagnostic"] = UNDELIVERED.sub(got[0], rec["diagnostic"])
+            assert scaled == expected
+        assert scaled_report == replace(report, mean_bitrate_kbps=report.mean_bitrate_kbps * factor,
+                                        diagnostic=diagnostic)
 
 
 @st.composite
