@@ -12,10 +12,15 @@ event log is encoded and its report tallied as the engine emits each event
     plots/<metric>.csv                              plot-ready bar-chart data
     comparison.txt                                  aligned table, best marked
     failures.json                                   only when something failed
+    run_config.json                                 the spec fields that shaped the results
+    manifest.json                                   a synthesized manifest
 
 Sessions are independent, so they fan out over a process pool; results are
-collected and written in spec order, which keeps every output byte-stable
-across runs.  Paths inside a spec resolve relative to the spec file.
+collected in spec order and `render_batch` renders every file but the logs,
+which keeps every output byte-stable across runs.  Paths inside a spec
+resolve relative to the spec file.  A batch is built beside its output
+directory and swapped in whole: it replaces a missing or empty directory or
+an earlier batch, and refuses any other directory.
 """
 
 from __future__ import annotations
@@ -24,32 +29,15 @@ import glob
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass, field, replace
 from multiprocessing import Pool
 
 from .abr import POLICIES, make_policy
-from .manifest import (
-    NETFLIX_LADDER_KBPS,
-    BitrateLadder,
-    ManifestError,
-    SaturationProfile,
-    VideoManifest,
-    load_manifest,
-    parse_json,
-    read_text,
-    save_manifest,
-    synthesize_manifest,
-    write_text_atomically,
-)
-from .metrics import (
-    HEADLINE_METRICS,
-    AggregateReport,
-    SessionReport,
-    aggregate,
-    aggregates_csv,
-    sessions_csv,
-)
-from .simulator import JsonlWriter, SessionConfig, run_session
+from .manifest import (NETFLIX_LADDER_KBPS, BitrateLadder, ManifestError, SaturationProfile, VideoManifest,
+                       load_manifest, parse_json, read_text, synthesize_manifest, write_text_atomically)
+from .metrics import HEADLINE_METRICS, SessionReport, aggregate, aggregates_csv, sessions_csv
+from .simulator import JsonlWriter, SessionConfig, check_capacity, run_session
 from .trace import TraceError, load_trace
 
 
@@ -231,6 +219,12 @@ class BatchResult:
     failures: list
 
 
+def log_name(config: SessionConfig, trace_path: str) -> str:
+    """The file name, under `sessions/`, of the event log of `config`'s session on a trace file."""
+    label = os.path.splitext(os.path.basename(trace_path))[0]
+    return f"{config.policy}_bs{config.buffer_capacity_s:g}_lc{config.critical_threshold_s:g}_{label}.jsonl"
+
+
 def _run_one(task) -> tuple[SessionReport | None, str | None]:
     manifest, config, trace, label, log_path = task
     if isinstance(trace, str):  # the trace file's load error
@@ -246,21 +240,19 @@ def _run_one(task) -> tuple[SessionReport | None, str | None]:
 def run_batch(spec: RunSpec) -> BatchResult:
     """Run every policy x scenario x trace session and write all artifacts.
 
-    Per-session problems (unreadable trace, starved session) are collected
-    into the failure list instead of aborting the batch; spec-level problems
-    (invalid spec, no manifest, no matching traces, two sessions sharing a
-    log name) raise before any output directory is created.  Rerun into the
-    directory of an earlier batch, it then removes the earlier batch's logs,
-    plots, failures.json and manifest.json that it did not write itself.
+    Plan, run, render, swap.  Per-session problems (unreadable trace, starved
+    session) go to the failure list; spec-level ones (among them two sessions
+    sharing a log name, or an output directory `_check_replaceable` refuses)
+    raise before anything is created.  The batch is built in
+    `<out>.partial-<pid>` and swapped in whole once complete.
     """
     configs = validate_runspec(spec)
     manifest = resolve_manifest(spec)
-    for bs, _ in spec.scenarios:
-        if bs <= manifest.chunk_duration_s:
-            raise RunSpecError(
-                f"buffer capacity {bs:g}s must exceed the manifest's "
-                f"{manifest.chunk_duration_s:g}s chunk duration"
-            )
+    try:
+        for bs, _ in spec.scenarios:
+            check_capacity(bs, manifest.chunk_duration_s)
+    except ValueError as exc:
+        raise RunSpecError(str(exc)) from None
     trace_paths = resolve_trace_paths(spec)
     # Each trace file is parsed and validated once, in the spec's loop mode; a
     # file that fails to load, or cannot loop, fails every session that would
@@ -272,69 +264,100 @@ def run_batch(spec: RunSpec) -> BatchResult:
             traces[trace_path] = replace(trace, loop=True) if spec.loop_traces else trace
         except TraceError as exc:
             traces[trace_path] = str(exc)
+    # Every spec field that shapes the results: not where they go, nor how many workers.
+    echo = {name: getattr(spec, attr) for name, (attr, _, _) in _SPEC_FIELDS.items()
+            if name not in ("output_dir", "jobs")}
+    echo["traces"] = trace_paths
     out_dir = os.path.join(spec.base_dir, spec.output_dir)
-    sessions_dir = os.path.join(out_dir, "sessions")
-    plots_dir = os.path.join(out_dir, "plots")
+    real_out = os.path.realpath(out_dir)  # a symlinked output directory keeps its link
+    _check_replaceable(real_out, spec, trace_paths, echo)
+    staging = f"{real_out}.partial-{os.getpid()}"
 
     tasks = []
     log_names = set()
     for config in configs:
         for trace_path in trace_paths:
-            label = os.path.splitext(os.path.basename(trace_path))[0]
-            name = (f"{config.policy}_bs{config.buffer_capacity_s:g}_"
-                    f"lc{config.critical_threshold_s:g}_{label}.jsonl")
+            name = log_name(config, trace_path)
             if name in log_names:
                 raise RunSpecError(
                     f"two sessions would write sessions/{name}: policies, scenarios "
                     f"(as printed with %g) and trace file names must be unique"
                 )
             log_names.add(name)
-            tasks.append((manifest, config, traces[trace_path], label, os.path.join(sessions_dir, name)))
+            label = os.path.splitext(os.path.basename(trace_path))[0]
+            tasks.append((manifest, config, traces[trace_path], label,
+                          os.path.join(staging, "sessions", name)))
 
-    # Every spec field that shapes the results: not where they go, nor how many workers.
-    echo = {name: getattr(spec, attr) for name, (attr, _, _) in _SPEC_FIELDS.items()
-            if name not in ("output_dir", "jobs")}
-    echo["traces"] = trace_paths
-    try:  # an earlier batch's run_config.json: what that batch wrote may go stale
-        with open(os.path.join(out_dir, "run_config.json"), "r", encoding="utf-8") as fh:
-            rerun = json.load(fh).keys() == echo.keys()
+    try:
+        os.makedirs(os.path.join(staging, "sessions"))
+        jobs = spec.jobs if spec.jobs is not None else (os.cpu_count() or 1)
+        jobs = max(1, min(jobs, len(tasks)))
+        if jobs == 1:
+            outcomes = [_run_one(t) for t in tasks]
+        else:
+            with Pool(processes=jobs) as pool:
+                outcomes = pool.map(_run_one, tasks)
+        reports, aggregates, failures, files = render_batch(
+            configs, trace_paths, outcomes, echo, manifest if spec.synthesize is not None else None)
+        for relpath, text in files.items():
+            path = os.path.join(staging, relpath)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            write_text_atomically(path, text)
+        # A manifest the spec reads from the earlier batch is carried over.
+        source = spec.manifest_path and os.path.realpath(os.path.join(spec.base_dir, spec.manifest_path))
+        if source and os.path.commonpath([real_out, source]) == real_out:
+            kept = os.path.join(staging, os.path.relpath(source, real_out))
+            os.makedirs(os.path.dirname(kept), exist_ok=True)
+            shutil.copyfile(source, kept)
+        if os.path.exists(real_out):  # os.replace cannot replace a non-empty directory
+            os.rename(real_out, f"{real_out}.old-{os.getpid()}")
+        os.rename(staging, real_out)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    for old in glob.glob(glob.escape(real_out) + ".old-[0-9]*"):  # also one a killed run left
+        shutil.rmtree(old, ignore_errors=True)
+    return BatchResult(out_dir, reports, aggregates, failures)
+
+
+def _check_replaceable(out: str, spec: RunSpec, trace_paths: list, echo: dict) -> None:
+    """Raise RunSpecError unless real path `out` holds neither the spec's directory
+    nor a trace file, and is missing, empty or an earlier batch: one whose
+    run_config.json parses to an object with `echo`'s keys."""
+    for path in (spec.base_dir, *trace_paths):
+        if os.path.commonpath([out, os.path.realpath(path)]) == out:
+            raise RunSpecError(f"output directory {out} holds {path}, which the batch would replace")
+    if not os.path.exists(out) or os.path.isdir(out) and not os.listdir(out):
+        return
+    try:
+        with open(os.path.join(out, "run_config.json"), "r", encoding="utf-8") as fh:
+            if json.load(fh).keys() == echo.keys():
+                return
     except (OSError, ValueError, RecursionError, AttributeError):  # none, unreadable, or not an object
-        rerun = False
-    os.makedirs(sessions_dir, exist_ok=True)
-    os.makedirs(plots_dir, exist_ok=True)
-    if spec.synthesize is not None:
-        save_manifest(manifest, os.path.join(out_dir, "manifest.json"))
+        pass
+    raise RunSpecError(f"output directory {out} is neither empty nor an earlier batch: "
+                       f"it holds no run_config.json that abrsim run wrote")
 
-    jobs = spec.jobs if spec.jobs is not None else (os.cpu_count() or 1)
-    jobs = max(1, min(jobs, len(tasks)))
-    if jobs == 1:
-        outcomes = [_run_one(t) for t in tasks]
-    else:
-        with Pool(processes=jobs) as pool:
-            outcomes = pool.map(_run_one, tasks)
 
-    # Tasks run config by config, one per trace: each config's sessions are
-    # one run of consecutive outcomes.
-    reports: list[SessionReport] = []
-    aggregates: list[AggregateReport] = []
-    failures: list[dict] = []
-    starved: list[dict] = []
+def render_batch(configs, trace_paths, outcomes, echo, manifest=None):
+    """The reports, aggregates and failures, and every artifact but the logs as
+    {path relative to the output directory: text}; no I/O.  `outcomes` holds
+    `_run_one`'s results in task order, `echo` run_config.json's object and
+    `manifest` a synthesized manifest, if any."""
+    reports, aggregates, failures, starved = [], [], [], []
     outcome = iter(outcomes)
     for config in configs:
-        where = {"policy": config.policy, "BS": config.buffer_capacity_s,
-                 "Lc": config.critical_threshold_s}
+        where = {"policy": config.policy, "BS": config.buffer_capacity_s, "Lc": config.critical_threshold_s}
         complete = []
         for trace_path in trace_paths:
             report, error = next(outcome)
-            if error is not None:
-                failures.append({**where, "trace": trace_path, "kind": "error", "detail": error})
-                continue
-            reports.append(report)
-            if report.partial:
-                failures.append({**where, "trace": trace_path, "kind": "truncated",
-                                 "detail": report.diagnostic})
-            else:
-                complete.append(report)
+            if error is None:
+                reports.append(report)
+                if not report.partial:
+                    complete.append(report)
+                    continue
+            kind, detail = ("truncated", report.diagnostic) if error is None else ("error", error)
+            failures.append({**where, "trace": trace_path, "kind": kind, "detail": detail})
         if complete:
             aggregates.append(aggregate(complete))
         else:
@@ -342,41 +365,18 @@ def run_batch(spec: RunSpec) -> BatchResult:
                             "detail": "nothing to aggregate"})
     failures += starved
 
-    write_text_atomically(os.path.join(out_dir, "sessions.csv"), sessions_csv(reports))
-    write_text_atomically(os.path.join(out_dir, "aggregates.csv"), aggregates_csv(aggregates))
-    for metric in HEADLINE_METRICS:
-        lines = [f"policy,BS,Lc,{metric.column}"]
-        for agg in aggregates:
-            lines.append(
-                f"{agg.policy},{agg.buffer_capacity_s:g},{agg.critical_threshold_s:g},"
-                f"{getattr(agg, metric.attr)!r}"
-            )
-        write_text_atomically(os.path.join(plots_dir, metric.plot + ".csv"), "\n".join(lines) + "\n")
-    write_text_atomically(os.path.join(out_dir, "comparison.txt"), emit_comparison_table(aggregates))
-
-    write_text_atomically(os.path.join(out_dir, "run_config.json"), json.dumps(echo, indent=1) + "\n")
+    files = {"sessions.csv": sessions_csv(reports), "aggregates.csv": aggregates_csv(aggregates)}
+    for m in HEADLINE_METRICS:
+        rows = (f"{a.policy},{a.buffer_capacity_s:g},{a.critical_threshold_s:g},{getattr(a, m.attr)!r}\n"
+                for a in aggregates)
+        files[f"plots/{m.plot}.csv"] = f"policy,BS,Lc,{m.column}\n" + "".join(rows)
+    files["comparison.txt"] = emit_comparison_table(aggregates)
+    files["run_config.json"] = json.dumps(echo, indent=1) + "\n"
     if failures:
-        write_text_atomically(os.path.join(out_dir, "failures.json"), json.dumps(failures, indent=1) + "\n")
-    if rerun:
-        written = {task[4] for task, (_, error) in zip(tasks, outcomes) if error is None}
-        written.update(os.path.join(plots_dir, m.plot + ".csv") for m in HEADLINE_METRICS)
-        written.update(os.path.join(out_dir, name) for name, wrote in (
-            ("failures.json", failures), ("manifest.json", spec.synthesize is not None)) if wrote)
-        _remove_stale(out_dir, written, spec)
-    return BatchResult(out_dir, reports, aggregates, failures)
-
-
-def _remove_stale(out_dir: str, written: set, spec: RunSpec) -> None:
-    """Delete the logs, plots, failures.json and manifest.json that are not in
-    `written`, except a manifest.json the spec reads as its manifest."""
-    paths = [os.path.join(out_dir, name) for name in ("failures.json", "manifest.json")]
-    for sub, suffix in (("sessions", ".jsonl"), ("plots", ".csv")):
-        folder = os.path.join(out_dir, sub)
-        paths += [os.path.join(folder, name) for name in os.listdir(folder) if name.endswith(suffix)]
-    source = spec.manifest_path and os.path.join(spec.base_dir, spec.manifest_path)
-    for path in paths:
-        if path not in written and os.path.isfile(path) and not (source and os.path.samefile(path, source)):
-            os.remove(path)
+        files["failures.json"] = json.dumps(failures, indent=1) + "\n"
+    if manifest is not None:
+        files["manifest.json"] = json.dumps(manifest.to_dict(), indent=1) + "\n"
+    return reports, aggregates, failures, files
 
 
 def emit_comparison_table(aggregates) -> str:
@@ -388,13 +388,10 @@ def emit_comparison_table(aggregates) -> str:
     if not aggregates:
         return "no aggregates\n"
     lines: list[str] = []
-    scenarios = []
+    groups: dict[tuple, list] = {}  # scenario -> its aggregates, scenarios in first-seen order
     for agg in aggregates:
-        key = (agg.buffer_capacity_s, agg.critical_threshold_s)
-        if key not in scenarios:
-            scenarios.append(key)
-    for bs, lc in scenarios:
-        group = [a for a in aggregates if (a.buffer_capacity_s, a.critical_threshold_s) == (bs, lc)]
+        groups.setdefault((agg.buffer_capacity_s, agg.critical_threshold_s), []).append(agg)
+    for (bs, lc), group in groups.items():
         counts = {a.session_count for a in group}
         count_note = f"sessions={counts.pop()}" if len(counts) == 1 else "sessions=mixed"
         lines.append(f"BS={bs:g}s Lc={lc:g}s loop={'on' if group[0].loop_trace else 'off'} {count_note}")
@@ -408,8 +405,6 @@ def emit_comparison_table(aggregates) -> str:
             rows.append(row)
         widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
         for r in rows:
-            lines.append(
-                r[0].ljust(widths[0]) + "  " + "  ".join(v.rjust(w) for v, w in zip(r[1:], widths[1:]))
-            )
+            lines.append("  ".join([r[0].ljust(widths[0]), *(v.rjust(w) for v, w in zip(r[1:], widths[1:]))]))
         lines.append("")
     return "\n".join(lines)

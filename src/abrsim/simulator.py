@@ -262,6 +262,14 @@ def run_session(
     return sink, session_metrics(sink, manifest)
 
 
+def check_capacity(capacity_s: float, chunk_duration_s: float) -> None:
+    # A buffer must hold one chunk with room to spare: at capacity == chunk duration the
+    # fetch gate opens only on an empty buffer, where round-off can leave it a hair below zero.
+    if capacity_s <= chunk_duration_s:
+        raise ValueError(f"buffer capacity {capacity_s:g}s must exceed the manifest's "
+                         f"{chunk_duration_s:g}s chunk duration")
+
+
 def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> None:
     """Run the per-chunk loop with an injected download-completion source,
     `finish_fn(send_time_s, volume_kilobits)`, called for chunks 1, 2, ... in order.
@@ -274,12 +282,7 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
     total_chunks = manifest.chunk_count
     capacity = config.buffer_capacity_s
     critical = config.critical_threshold_s
-    if capacity <= chunk_len:
-        # At capacity == chunk_len the fetch gate opens only on an empty
-        # buffer, where round-off can leave it a hair below zero.
-        raise ValueError(
-            f"buffer capacity {capacity}s cannot hold one {chunk_len}s chunk with room to spare"
-        )
+    check_capacity(capacity, chunk_len)
     if config.resume_threshold_s > capacity - chunk_len:
         raise ValueError(
             f"resume threshold {config.resume_threshold_s}s unreachable: the fetch gate "

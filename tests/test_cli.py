@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from abrsim import POLICIES, SessionConfig, load_manifest, load_runspec, load_trace, run_session
+from abrsim import POLICIES, SessionConfig, batch, load_manifest, load_runspec, load_trace, run_session
 from abrsim.batch import RunSpecError, validate_runspec
 from abrsim.cli import OUTPUT_DIR_ENV, build_parser, main
 from abrsim.manifest import save_manifest
@@ -563,6 +563,16 @@ def test_run_matches_traces_below_a_directory_named_like_a_glob(tmp_path, monkey
         assert echo["traces"] == [str(exp / "traces" / "trace_0.csv")]
 
 
+def files_under(root):
+    """Every file below `root` by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def siblings(out):
+    """The staging and set-aside directories a batch may leave beside `out`."""
+    return sorted(p.name for p in out.parent.glob(f"{out.name}.*"))
+
+
 def test_rerun_with_fewer_policies_leaves_no_stale_logs(workspace, capsys):
     run = ["run", "--spec", str(workspace / "spec.json"), "--output-dir", str(workspace / "res")]
     assert main([*run, "--policies", "sba,bba"]) == 0
@@ -570,8 +580,10 @@ def test_rerun_with_fewer_policies_leaves_no_stale_logs(workspace, capsys):
     (workspace / "res" / "sessions" / "notes.txt").write_text("mine")
     assert main([*run, "--policies", "sba"]) == 0
     sessions = sorted(p.name for p in (workspace / "res" / "sessions").iterdir())
-    assert sessions == ["notes.txt", "sba_bs120_lc12_trace_0.jsonl", "sba_bs120_lc12_trace_1.jsonl"]
-    assert (workspace / "res" / "notes.txt").read_text() == "mine"
+    assert sessions == ["sba_bs120_lc12_trace_0.jsonl", "sba_bs120_lc12_trace_1.jsonl"]
+    # A rerun replaces the whole directory: a file put into a batch goes with it.
+    assert not (workspace / "res" / "notes.txt").exists()
+    assert siblings(workspace / "res") == []
 
 
 def test_clean_rerun_leaves_no_stale_failures(workspace, capsys):
@@ -585,18 +597,20 @@ def test_clean_rerun_leaves_no_stale_failures(workspace, capsys):
 
 
 def test_rerun_keeps_files_outside_an_earlier_batch(workspace, capsys):
-    # No run_config.json: nothing in the directory is an earlier batch's.
+    # No run_config.json: the directory is no earlier batch, so it is refused whole.
     stray = workspace / "out" / "sessions" / "bba_bs120_lc12_trace_0.jsonl"
     stray.parent.mkdir(parents=True)
     stray.write_text("mine")
-    assert main(["run", "--spec", str(workspace / "spec.json"), "--policies", "sba"]) == 0
-    assert stray.read_text() == "mine"
+    assert main(["run", "--spec", str(workspace / "spec.json"), "--policies", "sba"]) == 2
+    assert "is neither empty nor an earlier batch" in capsys.readouterr().err
+    assert files_under(workspace / "out") == {"sessions/bba_bs120_lc12_trace_0.jsonl": b"mine"}
     # A synthesized manifest.json the next run reads as its manifest stays.
     rewrite_spec(workspace, manifest=None, synthesize={"chunk_count": 8, "chunk_duration_s": 4.0})
-    assert main(["run", "--spec", str(workspace / "spec.json"), "--policies", "sba"]) == 0
-    assert main(["run", "--spec", str(workspace / "spec.json"), "--policies", "sba",
-                 "--manifest", str(workspace / "out" / "manifest.json")]) == 0
-    assert (workspace / "out" / "manifest.json").is_file()
+    run = ["run", "--spec", str(workspace / "spec.json"), "--policies", "sba", "--output-dir", str(workspace / "fresh")]
+    assert main(run) == 0
+    synthesized = (workspace / "fresh" / "manifest.json").read_bytes()
+    assert main([*run, "--manifest", str(workspace / "fresh" / "manifest.json")]) == 0
+    assert (workspace / "fresh" / "manifest.json").read_bytes() == synthesized
 
 
 def test_rerun_over_an_unparsable_run_config_keeps_the_directory(workspace, capsys):
@@ -604,8 +618,70 @@ def test_rerun_over_an_unparsable_run_config_keeps_the_directory(workspace, caps
     stray.parent.mkdir(parents=True)
     stray.write_text("mine")
     (workspace / "out" / "run_config.json").write_text(TOO_DEEP)
-    assert main(["run", "--spec", str(workspace / "spec.json"), "--policies", "sba"]) == 0
-    assert stray.read_text() == "mine"
+    before = files_under(workspace / "out")
+    assert main(["run", "--spec", str(workspace / "spec.json"), "--policies", "sba"]) == 2
+    assert "is neither empty nor an earlier batch" in capsys.readouterr().err
+    assert files_under(workspace / "out") == before
+
+
+def test_interrupted_rerun_leaves_the_earlier_batch_whole(workspace, monkeypatch, capsys):
+    assert main(["run", "--spec", str(workspace / "spec.json")]) == 0
+    before = files_under(workspace / "out")
+    calls = []
+    run_one = batch._run_one
+
+    def interrupted(task):
+        calls.append(task)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return run_one(task)
+
+    monkeypatch.setattr(batch, "_run_one", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--spec", str(workspace / "spec.json"), "--scenarios", "240:24"])
+    assert len(calls) == 3
+    assert files_under(workspace / "out") == before
+    assert siblings(workspace / "out") == []
+
+
+@pytest.mark.parametrize("output_dir", [".", "traces"])
+def test_run_refuses_an_output_directory_holding_its_inputs(workspace, capsys, output_dir):
+    # An earlier batch's run_config.json, so only the held input makes it no batch to replace.
+    assert main(["run", "--spec", str(workspace / "spec.json")]) == 0
+    (workspace / "traces").mkdir()
+    save_trace(constant_trace(3000.0), str(workspace / "traces" / "trace_0.csv"))
+    (workspace / "traces" / "run_config.json").write_bytes((workspace / "out" / "run_config.json").read_bytes())
+    (workspace / "run_config.json").write_bytes((workspace / "out" / "run_config.json").read_bytes())
+    before = files_under(workspace)
+    assert main(["run", "--spec", str(workspace / "spec.json"), "--output-dir", str(workspace / output_dir),
+                 "--traces", str(workspace / "traces" / "trace_0.csv")]) == 2
+    assert "which the batch would replace" in capsys.readouterr().err
+    assert files_under(workspace) == before
+    assert siblings(workspace / output_dir) == []
+
+
+def test_run_replaces_a_symlinked_output_behind_its_link(workspace, capsys):
+    (workspace / "real").mkdir()
+    (workspace / "link").symlink_to(workspace / "real", target_is_directory=True)
+    run = ["run", "--spec", str(workspace / "spec.json"), "--output-dir", str(workspace / "link")]
+    assert main([*run, "--policies", "sba,bba"]) == 0
+    (workspace / "real" / "notes.txt").write_text("mine")
+    assert main([*run, "--policies", "sba"]) == 0
+    assert (workspace / "link").is_symlink()
+    assert not (workspace / "real" / "notes.txt").exists()
+    assert sorted(p.name for p in (workspace / "real" / "sessions").iterdir()) == [
+        "sba_bs120_lc12_trace_0.jsonl", "sba_bs120_lc12_trace_1.jsonl"]
+    assert siblings(workspace / "real") == []
+
+
+def test_run_removes_a_set_aside_batch_left_by_a_crash(workspace, capsys):
+    assert main(["run", "--spec", str(workspace / "spec.json")]) == 0
+    # As a run killed between its two renames leaves it: the old batch set aside.
+    (workspace / "out").rename(workspace / "out.old-4242")
+    assert (workspace / "out.old-4242" / "run_config.json").is_file()
+    assert main(["run", "--spec", str(workspace / "spec.json")]) == 0
+    assert siblings(workspace / "out") == []
+    assert (workspace / "out" / "run_config.json").is_file()
 
 
 def test_run_with_failures_exits_one(workspace, capsys):

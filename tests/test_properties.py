@@ -3,14 +3,16 @@
 Every config that passes validation must end in a complete session or in a
 truncated one, never in an exception. A complete session displays every
 chunk and conserves time, and every log replays clean after a JSONL round
-trip.  Scaling every rate by a power of two changes only the rates.
+trip.  Scaling every rate, or every time, by a power of two changes only the
+rates, or only the times.
 """
 
 import math
 import re
+import sys
 from dataclasses import replace
 
-from hypothesis import HealthCheck, example, given, reject, seed, settings
+from hypothesis import HealthCheck, assume, example, given, reject, seed, settings
 from hypothesis import strategies as st
 
 from abrsim.abr import POLICIES
@@ -182,6 +184,55 @@ def test_a_power_of_two_rate_scale_changes_only_the_rates(session):
             assert scaled == expected
         assert scaled_report == replace(report, mean_bitrate_kbps=report.mean_bitrate_kbps * factor,
                                         diagnostic=diagnostic)
+
+
+def scale_times(manifest, trace, config, factor):
+    """The session with every time times `factor`: the chunk duration, the trace
+    timestamps, BS, Lc and the resume threshold, and so every chunk size.  No
+    policy parameter is a time: each is a fraction, a ratio or a count."""
+    sizes = manifest.chunk_kilobits
+    return (replace(manifest, chunk_duration_s=manifest.chunk_duration_s * factor,
+                    chunk_kilobits=None if sizes is None else tuple(
+                        tuple(v * factor for v in row) for row in sizes)),
+            replace(trace, samples=tuple((t * factor, bw) for t, bw in trace.samples)),
+            replace(config, buffer_capacity_s=config.buffer_capacity_s * factor,
+                    critical_threshold_s=config.critical_threshold_s * factor,
+                    resume_threshold_s=config.resume_threshold_s * factor))
+
+
+# A truncation names the trace's end time and the kilobits left undelivered.
+EXHAUSTED = re.compile(r"at (\S+)s with (\S+) kilobits undelivered")
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sessions())
+@example(STALLED)
+@example(RESUMED)
+@example(CUT_MID_STALL)
+@example(CUT_AT_START)
+def test_a_power_of_two_time_scale_scales_only_the_times(session):
+    # Throughputs are kilobits over seconds, both scaled; every buffer and
+    # threshold comparison is between scaled times.  So the levels and reasons
+    # stay and every `*_s` field scales exactly.
+    manifest, trace, config = session
+    # Halving a subnormal number rounds it, so the law is for normal times (and 0).
+    assume(all(t == 0.0 or t >= 2 * sys.float_info.min
+               for t in (config.critical_threshold_s, config.resume_threshold_s)))
+    log, _ = run_session(manifest, trace, config)
+    for factor in (2.0, 0.5):
+        scaled_log, _ = run_session(*scale_times(manifest, trace, config, factor))
+        assert len(scaled_log.records) == len(log.records)
+        for rec, scaled in zip(log.records, scaled_log.records):
+            expected = {key: value * factor if key.endswith("_s") else value for key, value in rec.items()}
+            exhausted = EXHAUSTED.search(rec.get("diagnostic", ""))
+            if exhausted:  # the end time scales exactly; the volume too, then the text rounds it to 6 digits
+                got = EXHAUSTED.search(scaled["diagnostic"])
+                assert float(got[1]) == float(exhausted[1]) * factor
+                assert math.isclose(float(got[2]), float(exhausted[2]) * factor, rel_tol=2e-5)
+                expected["diagnostic"] = EXHAUSTED.sub(got[0], rec["diagnostic"])
+            assert scaled == expected
 
 
 @st.composite

@@ -44,7 +44,7 @@ def test_config_rejects_non_finite_numbers(field, value):
 
 def test_run_rejects_capacity_below_chunk():
     manifest = make_manifest(chunks=2)
-    with pytest.raises(ValueError, match="cannot hold"):
+    with pytest.raises(ValueError, match="must exceed"):
         run_session(manifest, constant_trace(1000.0), sba_config(
             buffer_capacity_s=3.0, critical_threshold_s=1.0))
 
@@ -55,7 +55,7 @@ def test_run_rejects_capacity_equal_to_chunk():
     # did, and the session crashed on the buffer check.
     manifest = make_manifest(chunks=20)
     for lc in (1.0, 2.0, 3.0):
-        with pytest.raises(ValueError, match="cannot hold"):
+        with pytest.raises(ValueError, match="must exceed"):
             run_session(manifest, constant_trace(1000.0), sba_config(
                 buffer_capacity_s=4.0, critical_threshold_s=lc))
 
