@@ -243,8 +243,9 @@ def run_batch(spec: RunSpec) -> BatchResult:
     Plan, run, render, swap.  Per-session problems (unreadable trace, starved
     session) go to the failure list; spec-level ones (among them two sessions
     sharing a log name, or an output directory `_check_replaceable` refuses)
-    raise before anything is created.  The batch is built in
-    `<out>.partial-<pid>` and swapped in whole once complete.
+    raise before anything is created or removed.  The batch is built in
+    `<out>.partial-<pid>` and swapped in whole once complete; on POSIX, one
+    whose pid no process holds is removed first.
     """
     configs = validate_runspec(spec)
     manifest = resolve_manifest(spec)
@@ -288,6 +289,15 @@ def run_batch(spec: RunSpec) -> BatchResult:
             tasks.append((manifest, config, traces[trace_path], label,
                           os.path.join(staging, "sessions", name)))
 
+    if os.name == "posix":  # elsewhere os.kill(pid, 0) may end the process instead of probing it
+        prefix = f"{real_out}.partial-"
+        for stale in glob.glob(glob.escape(prefix) + "[0-9]*"):
+            try:
+                os.kill(int(stale[len(prefix):]), 0)
+            except ProcessLookupError:  # its run is gone: killed outright, or it would have removed it
+                shutil.rmtree(stale, ignore_errors=True)
+            except (ValueError, OverflowError, OSError):  # not a pid, or a live run of another user
+                pass
     try:
         os.makedirs(os.path.join(staging, "sessions"))
         jobs = spec.jobs if spec.jobs is not None else (os.cpu_count() or 1)

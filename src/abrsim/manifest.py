@@ -16,7 +16,7 @@ import math
 import os
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # A widely deployed production ladder, handy as a default (kbps).
 NETFLIX_LADDER_KBPS = (235.0, 375.0, 560.0, 750.0, 1050.0, 1750.0, 2350.0, 3000.0, 4300.0, 5800.0)
@@ -91,21 +91,22 @@ class BitrateLadder:
 class VideoManifest:
     """Immutable description of one video session's media.
 
-    ssim[i-1][j-1] is the mean SSIM of chunk i at level j, in (0, 1].
-    chunk_kilobits, when present, gives measured encoded sizes; otherwise a
-    chunk at level j is assumed to weigh rate_j * chunk_duration kilobits.
-    A manifest file's `ladder` arrives as its list of rates and becomes a
-    BitrateLadder after chunk_duration_s is checked.
+    ssim[i-1][j-1] is the mean SSIM of chunk i at level j, in (0, 1];
+    chunk_count, its row count, is derived.  chunk_kilobits, when present,
+    gives measured encoded sizes; otherwise a chunk at level j is assumed to
+    weigh rate_j * chunk_duration kilobits.  A manifest file's `ladder`
+    arrives as its list of rates and becomes a BitrateLadder after
+    chunk_duration_s is checked.
     """
 
-    chunk_count: int
     chunk_duration_s: float
     ladder: BitrateLadder
     ssim: tuple[tuple[float, ...], ...]
     chunk_kilobits: tuple[tuple[float, ...], ...] | None = None
+    chunk_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "chunk_count", int(self.chunk_count))
+        object.__setattr__(self, "chunk_count", len(self.ssim))
         object.__setattr__(self, "chunk_duration_s", _float("chunk_duration_s", self.chunk_duration_s))
         if not isinstance(self.ladder, BitrateLadder):
             object.__setattr__(self, "ladder", BitrateLadder(self.ladder))
@@ -118,7 +119,7 @@ class VideoManifest:
             rows = getattr(self, name)
             if rows is None:
                 continue
-            if len(rows) != self.chunk_count:
+            if len(rows) != self.chunk_count:  # ssim's rows are chunk_count: only sizes can miss it
                 raise ManifestError(f"{name} has {len(rows)} rows, expected chunk_count={self.chunk_count}")
             # Each distinct row object is checked and converted once, at its first
             # occurrence; every occurrence then shares the converted tuple.  `rows`
@@ -178,7 +179,6 @@ def manifest_from_dict(doc: dict) -> VideoManifest:
     if sizes is not None and (not isinstance(sizes, list) or not all(isinstance(r, list) for r in sizes)):
         raise ManifestError("chunk_kilobits must be a list of per-chunk rows")
     return VideoManifest(
-        chunk_count=len(ssim),
         chunk_duration_s=doc["chunk_duration_s"],
         ladder=rates,
         ssim=ssim,
@@ -303,7 +303,6 @@ def synthesize_manifest(
             lifted = lift * max(m, 0.0)
             rows.append(tuple([round(q_ceiling - lifted * d, 6) for d in decay]))
     return VideoManifest(
-        chunk_count=chunk_count,
         chunk_duration_s=chunk_duration_s,
         ladder=ladder,
         ssim=tuple(rows),

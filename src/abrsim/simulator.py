@@ -60,7 +60,7 @@ class LogFormatError(ValueError):
     """Event log text is structurally unusable."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionConfig:
     policy: str = "sba"
     buffer_capacity_s: float = 120.0
@@ -288,8 +288,6 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
             f"resume threshold {config.resume_threshold_s}s unreachable: the fetch gate "
             f"caps a stalled buffer at {capacity - chunk_len}s"
         )
-    if not 0.0 < critical < capacity:  # a config edited after it was built
-        raise ValueError(f"need 0 < critical threshold < capacity, got {critical} vs {capacity}")
     floor_rate = manifest.ladder.levels_kbps[0]
     level_count = manifest.ladder.count
     ssim = manifest.ssim
@@ -503,14 +501,14 @@ def replay_diff(log: SessionEventLog, manifest: VideoManifest, config: SessionCo
         if not sink.kept and sink.matched == len(log.records):
             return []
         # Each reproduced record stands in for itself, so the walk skips it.
-        return _diff_records(log.records, log.records[:sink.matched] + sink.kept, TOLERANCE_S)
+        return _diff_records(log.records, log.records[:sink.matched] + sink.kept)
     except _ReplayInconsistency as exc:
         return [str(exc)]
     except (ValueError, TraceExhaustedError, OverflowError) as exc:  # OverflowError: an int no float holds
         return [f"log is not replayable: {exc}"]
 
 
-def _diff_records(original: list[dict], regenerated: list[dict], tolerance: float) -> list[str]:
+def _diff_records(original: list[dict], regenerated: list[dict]) -> list[str]:
     # The field walk finds nothing in an equal record (`_close` accepts equal
     # numbers), so only unequal records are walked; an equal record still
     # reaches the cap check, which decides where a long list is cut.
@@ -527,7 +525,7 @@ def _diff_records(original: list[dict], regenerated: list[dict], tolerance: floa
                 if isinstance(logged, bool) or isinstance(fresh, bool):
                     same = logged == fresh
                 elif isinstance(logged, (int, float)) and isinstance(fresh, (int, float)):
-                    same = _close(float(logged), float(fresh), tolerance)
+                    same = _close(float(logged), float(fresh), TOLERANCE_S)
                 else:
                     same = logged == fresh
                 if not same:

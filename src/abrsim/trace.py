@@ -23,6 +23,11 @@ from dataclasses import dataclass
 
 from .manifest import read_text
 
+# The oscillating generator's bands (kbps) and phase lengths (s), each a uniform range.
+SYNTH_LOW_KBPS = (1500.0, 2100.0)
+SYNTH_HIGH_KBPS = (3200.0, 4200.0)
+SYNTH_PHASE_S = (16.0, 44.0)
+
 
 class TraceError(ValueError):
     """Trace failed to parse or violates a structural constraint."""
@@ -160,24 +165,13 @@ def save_trace(trace: BandwidthTrace, path: str) -> None:
             fh.write(f"{t!r},{bw!r}\n")
 
 
-def synthesize_oscillating_trace(
-    seed: int,
-    duration_s: float = 300.0,
-    low_kbps: tuple[float, float] = (1500.0, 2100.0),
-    high_kbps: tuple[float, float] = (3200.0, 4200.0),
-    phase_s: tuple[float, float] = (16.0, 44.0),
-    start_high: bool | None = None,
-    lead_phase_s: tuple[float, float] | None = None,
-) -> BandwidthTrace:
+def synthesize_oscillating_trace(seed: int, duration_s: float = 300.0) -> BandwidthTrace:
     """Square-wave style trace alternating between two bandwidth bands.
 
-    Phase lengths and per-phase rates are drawn from a seeded RNG, so the
-    same seed always yields the same trace.  The final sample marks the end
-    of the recording (its rate repeats the last phase for non-loop use).
-
-    `start_high` pins which band the trace opens with (default: coin flip),
-    and `lead_phase_s` gives the opening phase its own duration range, which
-    is useful for letting clients build buffer before the first swing.
+    The opening band, each phase's length and each phase's rate are drawn
+    from a seeded RNG, so the same seed always yields the same trace.  The
+    final sample marks the end of the recording (its rate repeats the last
+    phase for non-loop use).
     """
     if duration_s <= 0:
         raise ValueError(f"duration must be > 0, got {duration_s}")
@@ -185,16 +179,12 @@ def synthesize_oscillating_trace(
     end = round(duration_s, 3)
     samples: list[tuple[float, float]] = []
     t = 0.0
-    high = bool(rng.getrandbits(1)) if start_high is None else start_high
-    first = True
+    high = bool(rng.getrandbits(1))
     bw = 0.0
     while round(t, 3) < end:
-        band = high_kbps if high else low_kbps
-        bw = round(rng.uniform(*band), 3)
+        bw = round(rng.uniform(*(SYNTH_HIGH_KBPS if high else SYNTH_LOW_KBPS)), 3)
         samples.append((round(t, 3), bw))
-        span = phase_s if (lead_phase_s is None or not first) else lead_phase_s
-        t += rng.uniform(*span)
-        first = False
+        t += rng.uniform(*SYNTH_PHASE_S)
         high = not high
     samples.append((end, bw))
     return BandwidthTrace(tuple(samples))

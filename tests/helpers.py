@@ -143,7 +143,6 @@ def make_manifest(chunks=5, rates=NETFLIX_LADDER_KBPS, duration=4.0, ssim=None, 
     if ssim is None:
         ssim = monotone_rows(chunks, ladder.count)
     return VideoManifest(
-        chunk_count=chunks,
         chunk_duration_s=duration,
         ladder=ladder,
         ssim=tuple(tuple(row) for row in ssim),

@@ -384,7 +384,8 @@ def test_time_conservation_and_batch_determinism(tmp_path, bundled_batch):
         for dirpath, _, names in os.walk(root):
             for name in names:
                 full = os.path.join(dirpath, name)
-                files[os.path.relpath(full, root)] = open(full, "rb").read()
+                with open(full, "rb") as fh:
+                    files[os.path.relpath(full, root)] = fh.read()
         return files
 
     first, second = snapshot(outs[0]), snapshot(outs[1])

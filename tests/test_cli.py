@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -682,6 +685,25 @@ def test_run_removes_a_set_aside_batch_left_by_a_crash(workspace, capsys):
     assert main(["run", "--spec", str(workspace / "spec.json")]) == 0
     assert siblings(workspace / "out") == []
     assert (workspace / "out" / "run_config.json").is_file()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="a staging directory's pid is probed on POSIX only")
+def test_run_removes_a_staging_directory_whose_run_is_gone(workspace, capsys):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    assert child.wait(timeout=60) == 0
+    # As a run killed outright leaves it, and one a live process (the test runner's parent) holds.
+    for pid in (child.pid, os.getppid()):
+        (workspace / f"out.partial-{pid}" / "sessions").mkdir(parents=True)
+        (workspace / f"out.partial-{pid}" / "sessions" / "sba_bs120_lc12_trace_0.jsonl").write_text("half")
+    before = siblings(workspace / "out")
+    # Refused after the output directory passed its check: nothing is deleted.
+    rewrite_spec(workspace, policies=["sba", "sba"])
+    assert main(["run", "--spec", str(workspace / "spec.json")]) == 2
+    assert "two sessions would write" in capsys.readouterr().err
+    assert siblings(workspace / "out") == before
+    rewrite_spec(workspace, policies=["sba"])
+    assert main(["run", "--spec", str(workspace / "spec.json")]) == 0
+    assert siblings(workspace / "out") == [f"out.partial-{os.getppid()}"]
 
 
 def test_run_with_failures_exits_one(workspace, capsys):

@@ -119,8 +119,8 @@ def test_ssim_range_validated_with_indices():
 
 
 def test_ssim_shape_validated():
-    with pytest.raises(ManifestError, match="rows"):
-        make_manifest(chunks=5, ssim=monotone_rows(4, 10))
+    with pytest.raises(ManifestError, match="chunk_count must be >= 1, got 0"):
+        make_manifest(ssim=())
     bad = [list(r) for r in monotone_rows(2, 10)]
     bad[1] = bad[1][:9]
     with pytest.raises(ManifestError, match=r"ssim\[2\] has 9"):
@@ -132,6 +132,8 @@ def test_chunk_kilobits_validated():
     sizes[1][3] = 0.0
     with pytest.raises(ManifestError, match=r"chunk_kilobits\[2\]\[4\]"):
         make_manifest(chunks=2, sizes=sizes)
+    with pytest.raises(ManifestError, match="chunk_kilobits has 3 rows, expected chunk_count=2"):
+        make_manifest(chunks=2, sizes=[[1000.0] * 10] * 3)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -310,10 +312,10 @@ def test_manifest_checks_a_shared_row_once_and_reports_its_first_index():
     bad = good[:3] + (1.5,) + good[4:]
     rows = (good, bad, good, bad, bad)
     with pytest.raises(ManifestError, match=re.escape("ssim[2][4] must lie in (0, 1], got 1.5")):
-        VideoManifest(5, 4.0, make_ladder(), rows)
+        VideoManifest(4.0, make_ladder(), rows)
     n = 7
-    shared = VideoManifest(n, 4.0, make_ladder(), (good,) * n)
-    copies = VideoManifest(n, 4.0, make_ladder(), [list(good) for _ in range(n)])
+    shared = VideoManifest(4.0, make_ladder(), (good,) * n)
+    copies = VideoManifest(4.0, make_ladder(), [list(good) for _ in range(n)])
     assert shared == copies
     assert len({id(row) for row in shared.ssim}) == 1
     listed = [list(good)] * n  # one list object n times, as a caller might build it

@@ -35,7 +35,6 @@ def manifests(draw):
         st.lists(st.floats(1.0, 60000.0), min_size=levels, max_size=levels),
         min_size=chunks, max_size=chunks))
     return VideoManifest(
-        chunk_count=chunks,
         chunk_duration_s=draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])),
         ladder=ladder,
         ssim=tuple(tuple(r) for r in draw(st.lists(row, min_size=chunks, max_size=chunks))),

@@ -83,7 +83,7 @@ def reference_from_jsonl(text):
 
 def assert_same_diffs(original, regenerated):
     expected = reference_diff_records(original, regenerated, TOLERANCE_S)
-    assert _diff_records(original, regenerated, TOLERANCE_S) == expected
+    assert _diff_records(original, regenerated) == expected
     return expected
 
 
@@ -246,7 +246,7 @@ def test_exactly_equal_infinities_now_match():
         "record 0 (x): v logged inf, replay inf",
         "record 1 (y): v logged -inf, replay -inf",
     ]
-    assert _diff_records(original, regenerated, TOLERANCE_S) == []
+    assert _diff_records(original, regenerated) == []
     assert _close(inf, inf, TOLERANCE_S) and not reference_close(inf, inf, TOLERANCE_S)
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import re
 
@@ -23,6 +24,16 @@ def test_config_rejects_unknown_policy():
         SessionConfig(policy="rate_hog")
     with pytest.raises(ValueError, match="bad parameters"):
         SessionConfig(policy="bba", policy_params={"bogus": 1})
+
+
+def test_a_built_config_cannot_leave_its_checks():
+    # SessionConfig checks the pair once, when it is built; the engine trusts it.
+    config = sba_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.critical_threshold_s = 120.0
+    for critical in (120.0, 130.0, 0.0):
+        with pytest.raises(ValueError, match="need 0 < critical threshold < buffer capacity"):
+            dataclasses.replace(config, critical_threshold_s=critical)
 
 
 def test_config_rejects_bad_threshold():
@@ -68,16 +79,6 @@ def test_run_rejects_unreachable_resume_threshold():
 
 
 # --- the engine's own checks: once per session, chunk and decision ---
-
-
-def test_engine_rejects_a_critical_threshold_outside_capacity():
-    # SessionConfig checks the pair when it is built; the engine checks it
-    # again once per session, for a config edited after it was built.
-    for critical in (120.0, 0.0, float("nan")):
-        config = sba_config()
-        config.critical_threshold_s = critical
-        with pytest.raises(ValueError, match="need 0 < critical threshold < capacity"):
-            run_session(make_manifest(), constant_trace(1000.0), config)
 
 
 def test_engine_rejects_a_policy_level_outside_the_ladder(monkeypatch):

@@ -1,10 +1,15 @@
+import pathlib
 import random
 import re
 
 import pytest
 
 from abrsim import load_trace
+from abrsim.manifest import (NETFLIX_LADDER_KBPS, BitrateLadder, SaturationProfile, save_manifest,
+                             synthesize_manifest)
 from abrsim.trace import (
+    SYNTH_HIGH_KBPS,
+    SYNTH_LOW_KBPS,
     BandwidthTrace,
     TraceError,
     TraceExhaustedError,
@@ -245,31 +250,29 @@ def test_synth_deterministic_and_valid():
 
 
 def test_synth_rates_stay_in_bands():
-    trace = synthesize_oscillating_trace(
-        seed=6, low_kbps=(1000.0, 1200.0), high_kbps=(4000.0, 4400.0)
-    )
+    trace = synthesize_oscillating_trace(seed=6)
+    (low_lo, low_hi), (high_lo, high_hi) = SYNTH_LOW_KBPS, SYNTH_HIGH_KBPS
     for _, bw in trace.samples:
-        assert 1000.0 <= bw <= 1200.0 or 4000.0 <= bw <= 4400.0
+        assert low_lo <= bw <= low_hi or high_lo <= bw <= high_hi
 
 
 def test_synth_alternates_bands():
-    trace = synthesize_oscillating_trace(
-        seed=7, low_kbps=(1000.0, 1200.0), high_kbps=(4000.0, 4400.0)
-    )
-    kinds = ["low" if bw <= 1200.0 else "high" for _, bw in trace.samples[:-1]]
+    trace = synthesize_oscillating_trace(seed=7)
+    kinds = ["low" if bw <= SYNTH_LOW_KBPS[1] else "high" for _, bw in trace.samples[:-1]]
     assert all(a != b for a, b in zip(kinds, kinds[1:]))
 
 
-def test_synth_start_band_and_lead_phase():
-    trace = synthesize_oscillating_trace(
-        seed=8,
-        low_kbps=(1000.0, 1200.0),
-        high_kbps=(4000.0, 4400.0),
-        start_high=True,
-        lead_phase_s=(60.0, 90.0),
-    )
-    assert trace.samples[0][1] >= 4000.0
-    assert 60.0 <= trace.samples[1][0] <= 90.0
+def test_bundled_scenario_is_what_its_generators_give(tmp_path):
+    # scripts/make_comparison_scenario.py builds scenarios/comparison/ with these arguments.
+    root = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "comparison"
+    for seed in range(24):
+        save_trace(synthesize_oscillating_trace(seed, 600.0), str(tmp_path / "trace.csv"))
+        committed = root / "traces" / f"trace_{seed:02d}.csv"
+        assert (tmp_path / "trace.csv").read_bytes() == committed.read_bytes(), committed
+    manifest = synthesize_manifest(BitrateLadder(NETFLIX_LADDER_KBPS), 150, 4.0,
+                                   SaturationProfile(jitter_seed=42))
+    save_manifest(manifest, str(tmp_path / "manifest.json"))
+    assert (tmp_path / "manifest.json").read_bytes() == (root / "manifest.json").read_bytes()
 
 
 def test_synth_rejects_bad_duration():
