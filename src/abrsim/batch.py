@@ -92,7 +92,7 @@ def validate_runspec(spec: RunSpec) -> list[SessionConfig]:
     """The one check of a spec's values; returns one config per scenario x
     policy, scenario-major.  A lone trace glob becomes a list and each scenario
     a pair of floats, in place.  Runs when a spec is built and again when a
-    batch starts, because code (the CLI's overrides among it) may change it.
+    batch starts, because code may change it.
     """
     for name, (attr, types, what) in _SPEC_FIELDS.items():
         value = getattr(spec, attr)
@@ -113,9 +113,11 @@ def validate_runspec(spec: RunSpec) -> list[SessionConfig]:
     for pair in spec.scenarios:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise RunSpecError(f"scenario must be a [BS, Lc] pair, got {pair!r}")
-        try:
+        try:  # JSON numbers only: a bool or a numeric string is none
+            if not {*map(type, pair)} <= {int, float}:
+                raise TypeError
             scenarios.append((float(pair[0]), float(pair[1])))
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, OverflowError):
             raise RunSpecError(f"scenario values must be numbers, got {pair!r}") from None
     spec.scenarios = scenarios
     if spec.jobs is not None and spec.jobs < 1:
@@ -146,12 +148,6 @@ def load_runspec(path: str) -> RunSpec:
     unknown = set(doc) - set(_SPEC_FIELDS)
     if unknown:
         raise RunSpecError(f"{path}: unknown spec fields: {', '.join(sorted(unknown))}")
-    # A file's scenario values must be JSON numbers (a bool is none); code and
-    # --scenarios may still set numeric strings, which `validate_runspec` converts.
-    scenarios = doc.get("scenarios")
-    for pair in scenarios if isinstance(scenarios, list) else ():
-        if isinstance(pair, list) and len(pair) == 2 and not {*map(type, pair)} <= {int, float}:
-            raise RunSpecError(f"{path}: scenario values must be numbers, got {pair!r}")
     try:
         return RunSpec(**{_SPEC_FIELDS[name][0]: value for name, value in doc.items()},
                        base_dir=os.path.dirname(os.path.abspath(path)) or ".")

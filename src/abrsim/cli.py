@@ -4,24 +4,21 @@ Subcommands: run (batch from a spec file), simulate (one session, events to
 stdout), synth-manifest, validate, replay.  Exit codes: 0 success, 1 partial
 (some sessions failed, or a replay mismatched), 2 invalid input.
 
-The output directory for `run` resolves as: --output-dir flag, else the
-ABRSIM_OUTPUT_DIR environment variable, else the spec file's output_dir.
+`run` takes every setting that shapes results from its spec file; only where
+a batch goes (--output-dir, over the spec's output_dir) and --jobs are flags.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
 import os
 import sys
 
 from .abr import POLICIES
-from .batch import RunSpecError, load_runspec, manifest_from_recipe, run_batch
+from .batch import load_runspec, manifest_from_recipe, run_batch
 from .manifest import ManifestError, load_manifest, parse_json, save_manifest, write_text_atomically
 from .simulator import JsonlWriter, SessionConfig, SessionEventLog, replay_diff, run_session
 from .trace import TraceError, load_trace
-
-OUTPUT_DIR_ENV = "ABRSIM_OUTPUT_DIR"
 
 
 def main(argv=None) -> int:
@@ -41,15 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a batch of sessions from a spec file")
     p_run.add_argument("--spec", required=True, help="run spec JSON")
     p_run.add_argument("--output-dir", help="override the spec's output directory")
-    p_run.add_argument("--manifest", help="override the spec's manifest path")
-    p_run.add_argument("--traces", action="append", help="override trace globs (repeatable)")
-    p_run.add_argument("--policies", help="comma-separated policy ids")
-    p_run.add_argument("--scenarios", help="BS:Lc pairs, e.g. 120:12,240:12")
     p_run.add_argument("--jobs", type=int, help="parallel worker processes")
-    p_run.add_argument("--seed", type=int, help="override the spec seed")
-    loop = p_run.add_mutually_exclusive_group()
-    loop.add_argument("--loop", dest="loop", action="store_true", default=None)
-    loop.add_argument("--no-loop", dest="loop", action="store_false", default=None)
     p_run.set_defaults(handler=cmd_run)
 
     p_sim = sub.add_parser("simulate", help="run one session, stream its event log to stdout")
@@ -89,26 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     spec = load_runspec(args.spec)
-    # Spec-relative paths resolve against the spec file; flag-supplied ones against
-    # the working directory, which a trace glob escapes so its name matches literally.
-    if args.manifest:
-        spec.manifest_path = os.path.abspath(args.manifest)
-        spec.synthesize = None
-    if args.traces:
-        spec.trace_globs = [os.path.normpath(os.path.join(glob.escape(os.getcwd()), g)) for g in args.traces]
-    if args.policies:
-        spec.policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    if args.scenarios:
-        spec.scenarios = _parse_scenarios(args.scenarios)
     if args.jobs is not None:
         spec.jobs = args.jobs
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.loop is not None:
-        spec.loop_traces = args.loop
-    out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
-    if out_dir:
-        spec.output_dir = os.path.abspath(out_dir)
+    if args.output_dir:
+        spec.output_dir = os.path.abspath(args.output_dir)
     result = run_batch(spec)
     done = len(result.session_reports)
     print(f"{done} sessions, {len(result.aggregates)} aggregate rows -> {result.output_dir}")
@@ -116,15 +89,6 @@ def cmd_run(args) -> int:
         print(f"{len(result.failures)} failures recorded in failures.json", file=sys.stderr)
         return 1
     return 0
-
-
-def _parse_scenarios(text: str) -> list:
-    """`BS:Lc` pairs as pairs of strings; `validate_runspec` checks the numbers."""
-    pairs = [tuple(part.strip().split(":")) for part in text.split(",") if part.strip()]
-    for pair in pairs:
-        if len(pair) != 2:
-            raise RunSpecError(f"bad scenario {':'.join(pair)!r}, expected BS:Lc")
-    return pairs
 
 
 def cmd_simulate(args) -> int:
@@ -155,8 +119,11 @@ def cmd_synth_manifest(args) -> int:
     recipe = {"chunk_count": args.chunks, "chunk_duration_s": args.chunk_duration, "q_floor": args.q_floor,
               "q_ceiling": args.q_ceiling, "knee_kbps": args.knee, "jitter_seed": args.seed,
               "per_chunk_spread": args.spread}
-    if args.ladder:
-        recipe["ladder_kbps"] = [float(r) for r in args.ladder.split(",")]
+    if args.ladder is not None:
+        try:
+            recipe["ladder_kbps"] = [float(r) for r in args.ladder.split(",")]
+        except ValueError:
+            raise ValueError(f"--ladder must be comma-separated kbps, got {args.ladder!r}") from None
     manifest = manifest_from_recipe(recipe)
     save_manifest(manifest, args.out)
     print(f"wrote {args.out}: {manifest.chunk_count} chunks x {manifest.ladder.count} levels")

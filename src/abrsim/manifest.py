@@ -227,18 +227,20 @@ def write_text_atomically(path: str, text: str) -> None:
     """Write `text` to a temporary file beside `path`, then rename it over `path`.
 
     On any error the temporary file is removed and an existing `path`
-    keeps its old bytes.
+    keeps its old bytes; an OSError names `path`, not the temporary file.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.remove(tmp)
         except OSError:
             pass
+        if isinstance(exc, OSError) and exc.filename == tmp and exc.filename2 is None:
+            exc.filename = path  # a failed rename names both files already
         raise
 
 

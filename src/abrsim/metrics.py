@@ -67,10 +67,11 @@ class SessionTally:
 
     `record` takes every record: a display adds its level, and the header and
     the playback, stall, end and truncation records their times; fetches and
-    completions carry nothing the report needs.  `report` prices the levels
-    by direct indexing once their min and max lie in 1..R; a list that fails
-    that or the indexing (a stored log is outside input) is priced again
-    through the manifest's checked lookups, which word the error.
+    completions carry nothing the report needs.  `report` rejects a level
+    that is no int (a stored log is outside input), naming its display, and
+    prices the levels by direct indexing once their min and max lie in 1..R;
+    a list that fails that or the indexing goes through the manifest's
+    checked lookups, which word the error.
     """
 
     def __init__(self) -> None:
@@ -115,17 +116,18 @@ class SessionTally:
         levels = self.levels
         partial = (self.truncated_at is not None or self.end_time is None
                    or len(levels) < header["chunk_count"])
+        if not {*map(type, levels)} <= {int}:  # a bool is no level
+            i = next(i for i, lvl in enumerate(levels, start=1) if type(lvl) is not int)
+            raise ValueError(f"display {i} has level {levels[i - 1]!r}, not an integer")
         ladder = manifest.ladder
         try:
             if levels and not 1 <= min(levels) <= max(levels) <= ladder.count:
                 raise IndexError  # level 0 would wrap to the top rung
             ssim, levels_kbps = manifest.ssim, ladder.levels_kbps
-            # A display past the last chunk, a NaN or a non-int level raises here.
-            ssims = [ssim[i][lvl - 1] for i, lvl in enumerate(levels)]
+            ssims = [ssim[i][lvl - 1] for i, lvl in enumerate(levels)]  # a display past the last chunk raises
             rates = [levels_kbps[lvl - 1] for lvl in levels]
-        except (IndexError, TypeError):
+        except IndexError:  # the checked lookups raise, naming the chunk or level out of range
             ssims = [manifest.ssim_at(i, lvl) for i, lvl in enumerate(levels, start=1)]
-            rates = [ladder.rate_kbps(lvl) for lvl in levels]
         return SessionReport(
             policy=header["policy"],
             buffer_capacity_s=header["buffer_capacity_s"],

@@ -72,12 +72,14 @@ class SessionConfig:
     def __post_init__(self) -> None:
         for name in ("buffer_capacity_s", "critical_threshold_s", "resume_threshold_s"):
             value = getattr(self, name)
-            try:
-                finite = math.isfinite(value)
+            try:  # a bool is no number
+                finite = type(value) is not bool and math.isfinite(value)
             except (TypeError, OverflowError):  # not a number, or an int beyond float range
                 finite = False
             if not finite:
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if type(self.loop_trace) is not bool:
+            raise ValueError(f"loop_trace must be true or false, got {self.loop_trace!r}")
         if not isinstance(self.policy_params, dict):
             raise ValueError(f"policy_params must be an object, got {self.policy_params!r}")
         make_policy(self.policy, self.policy_params)  # raises on an unknown id or bad parameters

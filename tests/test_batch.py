@@ -327,9 +327,12 @@ def test_run_batch_rechecks_scenarios_set_in_code(tmp_path):
     spec.scenarios = [(120,)]
     with pytest.raises(RunSpecError, match=re.escape("scenario must be a [BS, Lc] pair, got (120,)")):
         run_batch(spec)
+    spec.scenarios = [("120", "12")]  # a numeric string is no number, from code as in a file
+    with pytest.raises(RunSpecError, match=re.escape("scenario values must be numbers, got ('120', '12')")):
+        run_batch(spec)
     run_batch(load_runspec(path))
     spec = load_runspec(path)
-    spec.scenarios = [("120", "12")]
+    spec.scenarios = [(120, 12)]
     spec.output_dir = "from_code"
     result = run_batch(spec)
     assert not result.failures and spec.scenarios == [(120.0, 12.0)]

@@ -8,7 +8,7 @@ import pytest
 
 from abrsim import POLICIES, SessionConfig, batch, load_manifest, load_runspec, load_trace, run_session
 from abrsim.batch import RunSpecError, validate_runspec
-from abrsim.cli import OUTPUT_DIR_ENV, build_parser, main
+from abrsim.cli import build_parser, main
 from abrsim.manifest import save_manifest
 from abrsim.simulator import SessionEventLog
 from abrsim.trace import save_trace
@@ -104,6 +104,24 @@ def test_synth_manifest_rejects_a_table_over_the_bound(workspace, capsys, flags,
     assert main(["synth-manifest", "--out", str(out), *flags]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("ladder", ["", "100,abc"])
+def test_synth_manifest_names_a_ladder_it_cannot_read(workspace, capsys, ladder):
+    out = workspace / "m.json"
+    assert main(["synth-manifest", "--out", str(out), "--chunks", "4", "--ladder", ladder]) == 2
+    assert capsys.readouterr().err == f"error: --ladder must be comma-separated kbps, got {ladder!r}\n"
+    assert not out.exists()
+
+
+def test_a_write_into_a_missing_directory_names_the_path_given(workspace, capsys):
+    out = workspace / "missing" / "m.json"
+    assert main(["synth-manifest", "--out", str(out), "--chunks", "4"]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    log = workspace / "missing" / "s.jsonl"
+    assert main(["simulate", "--manifest", str(workspace / "manifest.json"),
+                 "--trace", str(workspace / "trace_0.csv"), "--log", str(log)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(log)!r}\n"
 
 
 # --- validate ---
@@ -365,6 +383,19 @@ def test_replay_header_with_a_mistyped_policy_parameter_exits_two(workspace, cap
             in capsys.readouterr().err)
 
 
+def test_replay_header_with_a_loop_trace_that_is_no_bool_exits_two(workspace, capsys):
+    log_path = workspace / "session.jsonl"
+    main(["simulate", "--manifest", str(workspace / "manifest.json"),
+          "--trace", str(workspace / "trace_0.csv"), "--log", str(log_path)])
+    capsys.readouterr()
+    log = SessionEventLog.read(str(log_path))
+    log.header["loop_trace"] = "yes"
+    log.write(str(log_path))
+    code = main(["replay", "--log", str(log_path), "--manifest", str(workspace / "manifest.json")])
+    assert code == 2
+    assert "error: loop_trace must be true or false, got 'yes'" in capsys.readouterr().err
+
+
 def test_replay_header_with_an_infinite_policy_parameter_exits_two(workspace, capsys):
     log_path = workspace / "session.jsonl"
     main(["simulate", "--manifest", str(workspace / "manifest.json"), "--trace",
@@ -461,61 +492,12 @@ def test_run_batch_from_spec(workspace, capsys):
     assert (workspace / "out" / "aggregates.csv").is_file()
 
 
-def test_run_output_dir_flag_wins(workspace, monkeypatch, capsys):
-    monkeypatch.setenv(OUTPUT_DIR_ENV, str(workspace / "from_env"))
+def test_run_output_dir_flag_wins(workspace, capsys):
     code = main(["run", "--spec", str(workspace / "spec.json"),
                  "--output-dir", str(workspace / "from_flag")])
     assert code == 0
     assert (workspace / "from_flag" / "aggregates.csv").is_file()
-    assert not (workspace / "from_env").exists()
-
-
-def test_run_output_dir_env_fallback(workspace, monkeypatch, capsys):
-    monkeypatch.setenv(OUTPUT_DIR_ENV, str(workspace / "from_env"))
-    assert main(["run", "--spec", str(workspace / "spec.json")]) == 0
-    assert (workspace / "from_env" / "aggregates.csv").is_file()
-    assert not (workspace / "out").exists()
-
-
-def test_run_policy_and_scenario_overrides(workspace, capsys):
-    code = main(["run", "--spec", str(workspace / "spec.json"),
-                 "--policies", "sba", "--scenarios", "120:12,240:24"])
-    assert code == 0
-    rows = (workspace / "out" / "aggregates.csv").read_text().splitlines()
-    assert rows[1:] == [r for r in rows[1:] if r.startswith("sba,")]
-    assert any(r.startswith("sba,240,24,") for r in rows[1:])
-    sessions = (workspace / "out" / "sessions.csv").read_text().splitlines()
-    assert len(sessions) == 1 + 4  # one policy x two scenarios x two traces
-
-
-def test_run_seed_and_loop_overrides(workspace, capsys):
-    save_trace(constant_trace(3000.0, until_s=60.0), str(workspace / "loopable.csv"))
-    code = main(["run", "--spec", str(workspace / "spec.json"),
-                 "--traces", str(workspace / "loopable.csv"),
-                 "--seed", "77", "--loop"])
-    assert code == 0
-    echo = json.loads((workspace / "out" / "run_config.json").read_text())
-    assert echo["seed"] == 77
-    assert echo["loop_traces"] is True
-
-
-def test_run_manifest_flag_resolves_from_cwd(workspace, monkeypatch, capsys):
-    override = workspace / "override.json"
-    save_manifest(make_manifest(chunks=3), str(override))
-    nested = workspace / "nested"
-    nested.mkdir()
-    monkeypatch.chdir(nested)
-    code = main(["run", "--spec", str(workspace / "spec.json"),
-                 "--manifest", "../override.json"])
-    assert code == 0
-    echo = json.loads((workspace / "out" / "run_config.json").read_text())
-    assert echo["manifest"] == str(override)
-
-
-def test_run_bad_scenarios_exit_two(workspace, capsys):
-    code = main(["run", "--spec", str(workspace / "spec.json"), "--scenarios", "120"])
-    assert code == 2
-    assert "expected BS:Lc" in capsys.readouterr().err
+    assert not (workspace / "out").exists()  # the spec's output_dir
 
 
 def test_run_bad_spec_exits_two(workspace, capsys):
@@ -539,14 +521,14 @@ def test_run_rejects_a_bool_seed_naming_the_seed(workspace, capsys, source, seed
 
 def test_run_rejects_a_trace_glob_that_matches_nothing(workspace, capsys):
     missing = str(workspace / "nosuchdir" / "*.csv")
-    code = main(["run", "--spec", str(workspace / "spec.json"),
-                 "--traces", str(workspace / "trace_0.csv"), "--traces", missing])
+    rewrite_spec(workspace, traces=[str(workspace / "trace_0.csv"), missing])
+    code = main(["run", "--spec", str(workspace / "spec.json")])
     assert code == 2
     assert f"no trace files matched {missing!r}" in capsys.readouterr().err
     assert not (workspace / "out").exists()
 
 
-def test_run_matches_traces_below_a_directory_named_like_a_glob(tmp_path, monkeypatch, capsys):
+def test_run_matches_traces_below_a_directory_named_like_a_glob(tmp_path, capsys):
     # `exp[1]` as a glob matches `exp1`: its traces must never stand in.
     exp, decoy = tmp_path / "exp[1]", tmp_path / "exp1"
     for folder, name in ((exp, "trace_0.csv"), (decoy, "trace_9.csv")):
@@ -558,12 +540,9 @@ def test_run_matches_traces_below_a_directory_named_like_a_glob(tmp_path, monkey
         "scenarios": [[120, 12]], "output_dir": "out", "jobs": 1,
     }))
     assert main(["run", "--spec", str(exp / "spec.json")]) == 0
-    monkeypatch.chdir(exp)
-    assert main(["run", "--spec", "spec.json", "--traces", "traces/trace_*.csv", "--output-dir", "flag"]) == 0
-    for out in ("out", "flag"):
-        assert [p.name for p in (exp / out / "sessions").iterdir()] == ["sba_bs120_lc12_trace_0.jsonl"]
-        echo = json.loads((exp / out / "run_config.json").read_text())
-        assert echo["traces"] == [str(exp / "traces" / "trace_0.csv")]
+    assert [p.name for p in (exp / "out" / "sessions").iterdir()] == ["sba_bs120_lc12_trace_0.jsonl"]
+    echo = json.loads((exp / "out" / "run_config.json").read_text())
+    assert echo["traces"] == [str(exp / "traces" / "trace_0.csv")]
 
 
 def files_under(root):
@@ -578,10 +557,11 @@ def siblings(out):
 
 def test_rerun_with_fewer_policies_leaves_no_stale_logs(workspace, capsys):
     run = ["run", "--spec", str(workspace / "spec.json"), "--output-dir", str(workspace / "res")]
-    assert main([*run, "--policies", "sba,bba"]) == 0
+    assert main(run) == 0
     (workspace / "res" / "notes.txt").write_text("mine")
     (workspace / "res" / "sessions" / "notes.txt").write_text("mine")
-    assert main([*run, "--policies", "sba"]) == 0
+    rewrite_spec(workspace, policies=["sba"])
+    assert main(run) == 0
     sessions = sorted(p.name for p in (workspace / "res" / "sessions").iterdir())
     assert sessions == ["sba_bs120_lc12_trace_0.jsonl", "sba_bs120_lc12_trace_1.jsonl"]
     # A rerun replaces the whole directory: a file put into a batch goes with it.
@@ -591,10 +571,12 @@ def test_rerun_with_fewer_policies_leaves_no_stale_logs(workspace, capsys):
 
 def test_clean_rerun_leaves_no_stale_failures(workspace, capsys):
     save_trace(constant_trace(100.0, until_s=10.0), str(workspace / "starved.csv"))
-    run = ["run", "--spec", str(workspace / "spec.json"), "--policies", "sba"]
-    assert main([*run, "--traces", str(workspace / "starved.csv")]) == 1
+    run = ["run", "--spec", str(workspace / "spec.json")]
+    rewrite_spec(workspace, policies=["sba"], traces=["starved.csv"])
+    assert main(run) == 1
     assert (workspace / "out" / "failures.json").is_file()
-    assert main([*run, "--traces", str(workspace / "trace_0.csv")]) == 0
+    rewrite_spec(workspace, traces=["trace_0.csv"])
+    assert main(run) == 0
     assert not (workspace / "out" / "failures.json").exists()
     assert [p.name for p in (workspace / "out" / "sessions").iterdir()] == ["sba_bs120_lc12_trace_0.jsonl"]
 
@@ -604,15 +586,17 @@ def test_rerun_keeps_files_outside_an_earlier_batch(workspace, capsys):
     stray = workspace / "out" / "sessions" / "bba_bs120_lc12_trace_0.jsonl"
     stray.parent.mkdir(parents=True)
     stray.write_text("mine")
-    assert main(["run", "--spec", str(workspace / "spec.json"), "--policies", "sba"]) == 2
+    rewrite_spec(workspace, policies=["sba"])
+    assert main(["run", "--spec", str(workspace / "spec.json")]) == 2
     assert "is neither empty nor an earlier batch" in capsys.readouterr().err
     assert files_under(workspace / "out") == {"sessions/bba_bs120_lc12_trace_0.jsonl": b"mine"}
     # A synthesized manifest.json the next run reads as its manifest stays.
     rewrite_spec(workspace, manifest=None, synthesize={"chunk_count": 8, "chunk_duration_s": 4.0})
-    run = ["run", "--spec", str(workspace / "spec.json"), "--policies", "sba", "--output-dir", str(workspace / "fresh")]
+    run = ["run", "--spec", str(workspace / "spec.json"), "--output-dir", str(workspace / "fresh")]
     assert main(run) == 0
     synthesized = (workspace / "fresh" / "manifest.json").read_bytes()
-    assert main([*run, "--manifest", str(workspace / "fresh" / "manifest.json")]) == 0
+    rewrite_spec(workspace, manifest="fresh/manifest.json", synthesize=None)
+    assert main(run) == 0
     assert (workspace / "fresh" / "manifest.json").read_bytes() == synthesized
 
 
@@ -622,7 +606,8 @@ def test_rerun_over_an_unparsable_run_config_keeps_the_directory(workspace, caps
     stray.write_text("mine")
     (workspace / "out" / "run_config.json").write_text(TOO_DEEP)
     before = files_under(workspace / "out")
-    assert main(["run", "--spec", str(workspace / "spec.json"), "--policies", "sba"]) == 2
+    rewrite_spec(workspace, policies=["sba"])
+    assert main(["run", "--spec", str(workspace / "spec.json")]) == 2
     assert "is neither empty nor an earlier batch" in capsys.readouterr().err
     assert files_under(workspace / "out") == before
 
@@ -640,8 +625,9 @@ def test_interrupted_rerun_leaves_the_earlier_batch_whole(workspace, monkeypatch
         return run_one(task)
 
     monkeypatch.setattr(batch, "_run_one", interrupted)
+    rewrite_spec(workspace, scenarios=[[240, 24]])
     with pytest.raises(KeyboardInterrupt):
-        main(["run", "--spec", str(workspace / "spec.json"), "--scenarios", "240:24"])
+        main(["run", "--spec", str(workspace / "spec.json")])
     assert len(calls) == 3
     assert files_under(workspace / "out") == before
     assert siblings(workspace / "out") == []
@@ -655,9 +641,10 @@ def test_run_refuses_an_output_directory_holding_its_inputs(workspace, capsys, o
     save_trace(constant_trace(3000.0), str(workspace / "traces" / "trace_0.csv"))
     (workspace / "traces" / "run_config.json").write_bytes((workspace / "out" / "run_config.json").read_bytes())
     (workspace / "run_config.json").write_bytes((workspace / "out" / "run_config.json").read_bytes())
+    rewrite_spec(workspace, traces=["traces/trace_0.csv"])
     before = files_under(workspace)
-    assert main(["run", "--spec", str(workspace / "spec.json"), "--output-dir", str(workspace / output_dir),
-                 "--traces", str(workspace / "traces" / "trace_0.csv")]) == 2
+    assert main(["run", "--spec", str(workspace / "spec.json"),
+                 "--output-dir", str(workspace / output_dir)]) == 2
     assert "which the batch would replace" in capsys.readouterr().err
     assert files_under(workspace) == before
     assert siblings(workspace / output_dir) == []
@@ -667,9 +654,10 @@ def test_run_replaces_a_symlinked_output_behind_its_link(workspace, capsys):
     (workspace / "real").mkdir()
     (workspace / "link").symlink_to(workspace / "real", target_is_directory=True)
     run = ["run", "--spec", str(workspace / "spec.json"), "--output-dir", str(workspace / "link")]
-    assert main([*run, "--policies", "sba,bba"]) == 0
+    assert main(run) == 0
     (workspace / "real" / "notes.txt").write_text("mine")
-    assert main([*run, "--policies", "sba"]) == 0
+    rewrite_spec(workspace, policies=["sba"])
+    assert main(run) == 0
     assert (workspace / "link").is_symlink()
     assert not (workspace / "real" / "notes.txt").exists()
     assert sorted(p.name for p in (workspace / "real" / "sessions").iterdir()) == [
@@ -706,10 +694,16 @@ def test_run_removes_a_staging_directory_whose_run_is_gone(workspace, capsys):
     assert siblings(workspace / "out") == [f"out.partial-{os.getppid()}"]
 
 
+def test_run_keeps_a_sibling_whose_staging_suffix_is_no_pid(workspace, capsys):
+    (workspace / "out.partial-12x").mkdir()
+    assert main(["run", "--spec", str(workspace / "spec.json")]) == 0
+    assert siblings(workspace / "out") == ["out.partial-12x"]
+
+
 def test_run_with_failures_exits_one(workspace, capsys):
     save_trace(constant_trace(100.0, until_s=10.0), str(workspace / "starved.csv"))
-    code = main(["run", "--spec", str(workspace / "spec.json"),
-                 "--traces", str(workspace / "starved.csv"), "--policies", "sba"])
+    rewrite_spec(workspace, traces=["starved.csv"], policies=["sba"])
+    code = main(["run", "--spec", str(workspace / "spec.json")])
     assert code == 1
     captured = capsys.readouterr()
     assert "failures recorded" in captured.err
@@ -729,6 +723,7 @@ def rewrite_spec(workspace, **fields):
     ({"policies": ["sba", "rate_hog"]}, "unknown policy 'rate_hog'"),
     ({"policy_params": {"bba": {"bogus": 1}}}, "bad parameters for policy 'bba'"),
     ({"policy_params": {"rate_hog": {}}}, "policy_params names unknown policies: rate_hog"),
+    ({"policy_params": {"sba": 5}}, "policy_params must map policy ids to objects of parameters"),
     ({"scenarios": [[120, 12], [12, 12]]}, "critical threshold < buffer capacity"),
     ({"jobs": "2"}, "jobs must be an integer >= 1, got '2'"),
     ({"scenarios": [[None, 12]]}, "scenario values must be numbers, got [None, 12]"),
@@ -780,11 +775,13 @@ def rewrite_spec(workspace, **fields):
      "bad parameters for policy 'osmf': up_ratio must be a number, got True"),
     ({"scenarios": [["120", "12"]]}, "scenario values must be numbers, got ['120', '12']"),
     ({"scenarios": [[True, 12]]}, "scenario values must be numbers, got [True, 12]"),
+    ({"scenarios": []}, "spec names no scenarios"),
     ({"policy_params": {"osmf": {"up_ratio": float("inf")}}},
      "bad parameters for policy 'osmf': up_ratio must be a finite number, got inf"),
     ({"policy_params": {"bba": {"cushion_frac": float("nan")}}},
      "bad parameters for policy 'bba': cushion_frac must be a finite number, got nan"),
-], ids=["unknown-policy", "bad-params", "params-of-unknown-policy", "lc-not-below-bs", "string-jobs",
+], ids=["unknown-policy", "bad-params", "params-of-unknown-policy", "number-sba-params", "lc-not-below-bs",
+        "string-jobs",
         "null-capacity", "capacity-not-above-chunk", "infinite-capacity", "null-seed", "number-traces",
         "number-in-traces", "unmatched-glob", "number-manifest", "list-synthesize", "string-policies", "number-scenarios",
         "number-output-dir", "fractional-seed", "string-loop-traces",
@@ -794,7 +791,8 @@ def rewrite_spec(workspace, **fields):
         "bool-synthesized-chunk-count", "fractional-synthesized-chunk-count", "synthesized-table-one-cell-over",
         "huge-int-capacity", "huge-int-festive-window", "list-in-policies", "string-sba-upgrade-only",
         "bool-festive-window", "float-festive-window", "bool-bba-cushion", "bool-osmf-up-ratio",
-        "string-scenario-values", "bool-scenario-value", "infinite-osmf-up-ratio", "nan-bba-cushion"])
+        "string-scenario-values", "bool-scenario-value", "no-scenarios", "infinite-osmf-up-ratio",
+        "nan-bba-cushion"])
 def test_run_rejects_invalid_spec(workspace, capsys, fields, message):
     rewrite_spec(workspace, **fields)
     assert main(["run", "--spec", str(workspace / "spec.json")]) == 2
@@ -818,14 +816,18 @@ def test_run_rejects_sessions_sharing_a_log_name(workspace, capsys, fields, name
     assert not (workspace / "out").exists()
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--policies", "sba,rate_hog"], "unknown policy 'rate_hog'"),
-    (["--scenarios", "120:12,10:12"], "critical threshold < buffer capacity"),
-    (["--jobs", "0"], "jobs must be an integer >= 1, got 0"),
-    (["--scenarios", "120:abc"], "scenario values must be numbers, got ('120', 'abc')"),
-    (["--scenarios", ","], "spec names no scenarios"),
-], ids=["unknown-policy", "lc-not-below-bs", "zero-jobs", "scenario-not-a-number", "no-scenarios"])
-def test_run_rejects_invalid_overrides(workspace, capsys, flags, message):
-    assert main(["run", "--spec", str(workspace / "spec.json"), *flags]) == 2
+@pytest.mark.parametrize("fields, flags, message", [
+    ({"policies": ["sba", "rate_hog"]}, ["--jobs", "2"], "unknown policy 'rate_hog'"),
+    ({"scenarios": [[120, 12], [10, 12]]}, [], "critical threshold < buffer capacity"),
+    ({}, ["--jobs", "0"], "jobs must be an integer >= 1, got 0"),
+    ({"scenarios": [[120, "abc"]]}, ["--jobs", "2"], "scenario values must be numbers, got [120, 'abc']"),
+], ids=["unknown-policy", "lc-not-below-bs", "zero-jobs", "scenario-not-a-number"])
+def test_run_rejects_invalid_overrides(workspace, capsys, fields, flags, message):
+    # --output-dir and --jobs override the spec, but its rules still hold and
+    # neither output directory is made.
+    rewrite_spec(workspace, **fields)
+    assert main(["run", "--spec", str(workspace / "spec.json"),
+                 "--output-dir", str(workspace / "elsewhere"), *flags]) == 2
     assert message in capsys.readouterr().err
     assert not (workspace / "out").exists()
+    assert not (workspace / "elsewhere").exists()

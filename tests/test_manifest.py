@@ -213,6 +213,20 @@ def test_load_rejects_strings_and_bools_for_numbers(tmp_path, fields, message):
         load_manifest(str(path))
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"chunk_duration_s": 0}, "chunk_duration_s must be > 0, got 0.0"),
+    ({"ssim": []}, "ssim must be a non-empty list of per-chunk rows"),
+    ({"ssim": [0.7, 0.8]}, "ssim must be a non-empty list of per-chunk rows"),
+    ({"chunk_kilobits": 5}, "chunk_kilobits must be a list of per-chunk rows"),
+], ids=["zero-chunk-duration", "empty-ssim", "flat-ssim", "number-chunk-kilobits"])
+def test_load_rejects_a_manifest_of_the_wrong_shape(tmp_path, fields, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"chunk_duration_s": 4.0, "ladder_kbps": [235, 375],
+                                "ssim": [[0.7, 0.8]], **fields}))
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+        load_manifest(str(path))
+
+
 def test_load_accepts_json_integers_as_numbers(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"chunk_duration_s": 4, "ladder_kbps": [235, 375],

@@ -8,6 +8,7 @@ from abrsim.metrics import (
     AGGREGATE_CSV_COLUMNS,
     SESSION_CSV_COLUMNS,
     SessionReport,
+    SessionTally,
     aggregates_csv,
     sessions_csv,
 )
@@ -151,14 +152,24 @@ def test_stored_log_levels_stay_checked():
     ([1, 0], IndexError, "level 0 outside 1..3"),
     ([1, 4], IndexError, "level 4 outside 1..3"),
     ([1, 2, 3], IndexError, "chunk 3 outside 1..2"),  # one display more than the manifest has chunks
-    ([1, float("nan")], IndexError, "level nan outside 1..3"),  # passes a min/max range check
-    ([1, "2"], TypeError, "'<=' not supported between instances of 'int' and 'str'"),
-    ([1, 2.0], TypeError, "tuple indices must be integers or slices, not float"),
 ])
 def test_a_level_list_failing_the_range_check_raises_the_checked_lookup_error(levels, error, text):
     with pytest.raises(error) as raised:
         session_metrics(log_of(levels, end_s=9.0), manifest3(2))
     assert str(raised.value) == text
+
+
+@pytest.mark.parametrize("level", [2.0, "2", None, True, float("nan")])
+def test_a_stored_level_that_is_no_int_is_named_by_its_display(level):
+    # `true` would price as level 1 and 2.0 or null would raise a bare TypeError.
+    with pytest.raises(ValueError) as raised:
+        session_metrics(log_of([1, 1, level], end_s=13.0), manifest3(3))
+    assert str(raised.value) == f"display 3 has level {level!r}, not an integer"
+
+
+def test_a_report_needs_the_session_start_record():
+    with pytest.raises(ValueError, match="^log does not start with a session_start record$"):
+        SessionTally().report(manifest3(1))
 
 
 def test_displayed_holds_the_levels_that_price_the_means():

@@ -53,6 +53,23 @@ def test_config_rejects_non_finite_numbers(field, value):
         SessionConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["buffer_capacity_s", "critical_threshold_s", "resume_threshold_s"])
+def test_config_rejects_a_bool_for_seconds(field):
+    # A bool is no number here, as in spec fields, manifest cells and policy parameters.
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number, got True$"):
+        SessionConfig(**{field: True})
+
+
+@pytest.mark.parametrize("value", ["no", "yes", 0, 1, None])
+def test_config_loop_trace_must_be_a_bool(value):
+    # A truthy "no" would loop the trace and be written into the log header as "no".
+    with pytest.raises(ValueError, match=f"^loop_trace must be true or false, got {re.escape(repr(value))}$"):
+        SessionConfig(loop_trace=value)
+    with pytest.raises(ValueError, match="loop_trace must be true or false"):
+        SessionConfig.from_header({"policy": "sba", "buffer_capacity_s": 120.0, "critical_threshold_s": 12.0,
+                                   "loop_trace": value})
+
+
 def test_run_rejects_capacity_below_chunk():
     manifest = make_manifest(chunks=2)
     with pytest.raises(ValueError, match="must exceed"):

@@ -216,6 +216,13 @@ def test_load_rejects_non_numeric_mid_file(tmp_path):
         load_trace(str(path))
 
 
+def test_load_rejects_an_infinite_sample(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("0,5000\n10,inf\n")
+    with pytest.raises(TraceError, match=re.escape(f"{path}: sample 2 is not finite: (10.0, inf)")):
+        load_trace(str(path))
+
+
 def test_load_missing_file():
     with pytest.raises(TraceError, match="cannot read"):
         load_trace("/nonexistent/t.csv")
