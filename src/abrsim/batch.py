@@ -162,7 +162,7 @@ def resolve_manifest(spec: RunSpec) -> VideoManifest:
 
 
 def manifest_from_recipe(recipe: dict) -> VideoManifest:
-    """The manifest a `synthesize` recipe (a spec's, or `synth-manifest`'s flags) describes.
+    """The manifest a `synthesize` recipe (a spec's, or `synth-manifest --recipe`) describes.
 
     Every field's JSON type and the size of the SSIM table are checked before
     any row of it is built.

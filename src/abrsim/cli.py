@@ -1,8 +1,9 @@
 """Command line surface.
 
 Subcommands: run (batch from a spec file), simulate (one session, events to
-stdout), synth-manifest, validate, replay.  Exit codes: 0 success, 1 partial
-(some sessions failed, or a replay mismatched), 2 invalid input.
+stdout; a flag left out keeps SessionConfig's default), synth-manifest (from
+a spec's `synthesize` recipe), validate, replay.  Exit codes: 0 success, 1
+partial (some sessions failed, or a replay mismatched), 2 invalid input.
 
 `run` takes every setting that shapes results from its spec file; only where
 a batch goes (--output-dir, over the spec's output_dir) and --jobs are flags.
@@ -41,27 +42,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--jobs", type=int, help="parallel worker processes")
     p_run.set_defaults(handler=cmd_run)
 
-    p_sim = sub.add_parser("simulate", help="run one session, stream its event log to stdout")
+    p_sim = sub.add_parser("simulate", help="run one session, stream its event log to stdout",
+                           argument_default=argparse.SUPPRESS)
     p_sim.add_argument("--manifest", required=True)
     p_sim.add_argument("--trace", required=True)
-    p_sim.add_argument("--policy", default="sba", choices=list(POLICIES))
-    p_sim.add_argument("--bs", type=float, default=120.0, help="buffer capacity in seconds")
-    p_sim.add_argument("--lc", type=float, default=12.0, help="critical buffer threshold in seconds")
-    p_sim.add_argument("--loop", action="store_true", help="loop the trace")
-    p_sim.add_argument("--policy-params", default="{}", help="policy parameters as JSON")
-    p_sim.add_argument("--log", help="also write the event log to this file")
+    p_sim.add_argument("--policy", choices=list(POLICIES))
+    p_sim.add_argument("--bs", dest="buffer_capacity_s", type=float, help="buffer capacity in seconds")
+    p_sim.add_argument("--lc", dest="critical_threshold_s", type=float, help="critical threshold in seconds")
+    p_sim.add_argument("--loop", dest="loop_trace", action="store_true", help="loop the trace")
+    p_sim.add_argument("--policy-params", help="policy parameters as JSON")
+    p_sim.add_argument("--log", default=None, help="also write the event log to this file")
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_synth = sub.add_parser("synth-manifest", help="generate a synthetic manifest")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--chunks", type=int, required=True)
-    p_synth.add_argument("--chunk-duration", type=float, default=4.0)
-    p_synth.add_argument("--ladder", help="comma-separated kbps, default a production ladder")
-    p_synth.add_argument("--q-floor", type=float, default=0.70)
-    p_synth.add_argument("--q-ceiling", type=float, default=0.985)
-    p_synth.add_argument("--knee", type=float, default=1200.0)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--spread", type=float, default=0.5)
+    p_synth.add_argument("--recipe", required=True, help="a run spec's `synthesize` object, as JSON")
     p_synth.set_defaults(handler=cmd_synth_manifest)
 
     p_val = sub.add_parser("validate", help="validate manifests and traces")
@@ -94,19 +89,14 @@ def cmd_run(args) -> int:
 def cmd_simulate(args) -> int:
     manifest = load_manifest(args.manifest)
     trace = load_trace(args.trace)
-    params = parse_json(args.policy_params, ValueError, "--policy-params")
-    config = SessionConfig(
-        policy=args.policy,
-        buffer_capacity_s=args.bs,
-        critical_threshold_s=args.lc,
-        loop_trace=args.loop,
-        policy_params=params,
-    )
-    writer, report = run_session(manifest, trace, config, JsonlWriter())
+    given = {name: value for name, value in vars(args).items() if name in SessionConfig.__dataclass_fields__}
+    if "policy_params" in given:
+        given["policy_params"] = parse_json(given["policy_params"], ValueError, "--policy-params")
+    writer, report = run_session(manifest, trace, SessionConfig(**given), JsonlWriter())
     text = "".join(writer.lines)
-    sys.stdout.write(text)
-    if args.log:
+    if args.log:  # before stdout, so a run that cannot keep its log prints none
         write_text_atomically(args.log, text)
+    sys.stdout.write(text)
     summary = (
         f"rebuffering={report.rebuffering_total_s:.3f}s instability={report.instability:g} "
         f"mean_ssim={report.mean_ssim:.4f} mean_bitrate={report.mean_bitrate_kbps:.1f}kbps"
@@ -116,14 +106,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_synth_manifest(args) -> int:
-    recipe = {"chunk_count": args.chunks, "chunk_duration_s": args.chunk_duration, "q_floor": args.q_floor,
-              "q_ceiling": args.q_ceiling, "knee_kbps": args.knee, "jitter_seed": args.seed,
-              "per_chunk_spread": args.spread}
-    if args.ladder is not None:
-        try:
-            recipe["ladder_kbps"] = [float(r) for r in args.ladder.split(",")]
-        except ValueError:
-            raise ValueError(f"--ladder must be comma-separated kbps, got {args.ladder!r}") from None
+    recipe = parse_json(args.recipe, ValueError, "--recipe")
+    if not isinstance(recipe, dict):
+        raise ValueError(f"--recipe must be an object, got {recipe!r}")
     manifest = manifest_from_recipe(recipe)
     save_manifest(manifest, args.out)
     print(f"wrote {args.out}: {manifest.chunk_count} chunks x {manifest.ladder.count} levels")

@@ -147,6 +147,11 @@ class SessionTally:
         )
 
 
+# The field of each kind of stored record on which a SessionTally can trip; all but a level are numbers.
+_TALLIED = {"session_start": "chunk_count", "chunk_display_start": "level", **dict.fromkeys(
+    ("playback_start", "playback_stall", "playback_resume", "session_end", "session_truncated"), "time_s")}
+
+
 def session_metrics(log, manifest: VideoManifest) -> SessionReport:
     """Reduce one stored event log to a SessionReport through a SessionTally."""
     records = log.records
@@ -154,9 +159,17 @@ def session_metrics(log, manifest: VideoManifest) -> SessionReport:
         raise ValueError("log does not start with a session_start record")
     tally = SessionTally()
     record = tally.record
-    for rec in records:
-        record(rec)
-    return tally.report(manifest)
+    try:
+        for rec in records:
+            record(rec)
+        return tally.report(manifest)
+    except (KeyError, TypeError):  # name the first record (counted from 1) whose field the tally cannot read
+        for n, rec in enumerate(records, start=1):
+            name = _TALLIED.get(rec.get("event"))
+            if name and (name not in rec or name != "level" and type(rec[name]) not in (int, float)):
+                what = f"has {name} {rec[name]!r}, not a number" if name in rec else f"lacks {name}"
+                raise ValueError(f"record {n} ({rec['event']}) {what}") from None
+        raise
 
 
 def aggregate(reports) -> AggregateReport:

@@ -69,9 +69,19 @@ def test_parser_rejects_unknown_policy_choice(workspace):
 # --- synth-manifest ---
 
 
+def test_synth_manifest_takes_only_an_output_path_and_a_recipe(workspace):
+    synth = build_parser()._subparsers._group_actions[0].choices["synth-manifest"]
+    assert {flag for action in synth._actions for flag in action.option_strings} == {
+        "-h", "--help", "--out", "--recipe"}
+    with pytest.raises(SystemExit) as exc:  # the per-field flags are gone
+        main(["synth-manifest", "--out", str(workspace / "m.json"), "--chunks", "4"])
+    assert exc.value.code == 2
+
+
 def test_synth_manifest_writes_file(workspace, capsys):
     out = workspace / "synth.json"
-    code = main(["synth-manifest", "--out", str(out), "--chunks", "12", "--seed", "5"])
+    code = main(["synth-manifest", "--out", str(out),
+                 "--recipe", '{"chunk_count": 12, "chunk_duration_s": 4, "jitter_seed": 5}'])
     assert code == 0
     assert "wrote" in capsys.readouterr().out
     manifest = load_manifest(str(out))
@@ -79,49 +89,73 @@ def test_synth_manifest_writes_file(workspace, capsys):
     assert manifest.ladder.count == 10
 
 
+def test_synth_manifest_writes_what_a_spec_with_that_recipe_writes(workspace):
+    recipe = {"chunk_count": 6, "chunk_duration_s": 2.5, "ladder_kbps": [300, 750, 1500], "q_floor": 0.6,
+              "q_ceiling": 0.99, "knee_kbps": 900, "per_chunk_spread": 0.3, "jitter_seed": 9}
+    rewrite_spec(workspace, manifest=None, synthesize=recipe)
+    assert main(["run", "--spec", str(workspace / "spec.json")]) == 0
+    out = workspace / "synth.json"
+    assert main(["synth-manifest", "--out", str(out), "--recipe", json.dumps(recipe)]) == 0
+    assert out.read_bytes() == (workspace / "out" / "manifest.json").read_bytes()
+
+
 def test_synth_manifest_custom_ladder(workspace):
     out = workspace / "two_level.json"
-    assert main(["synth-manifest", "--out", str(out), "--chunks", "4",
-                 "--ladder", "500,900", "--knee", "700"]) == 0
+    assert main(["synth-manifest", "--out", str(out), "--recipe",
+                 '{"chunk_count": 4, "chunk_duration_s": 4, "ladder_kbps": [500, 900], "knee_kbps": 700}']) == 0
     assert load_manifest(str(out)).ladder.levels_kbps == (500.0, 900.0)
 
 
 def test_synth_manifest_invalid_profile_exits_two(workspace, capsys):
     out = workspace / "bad.json"
-    code = main(["synth-manifest", "--out", str(out), "--chunks", "4",
-                 "--ladder", "500,900", "--knee", "5000"])
+    code = main(["synth-manifest", "--out", str(out), "--recipe",
+                 '{"chunk_count": 4, "chunk_duration_s": 4, "ladder_kbps": [500, 900], "knee_kbps": 5000}'])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--chunks", "100001"], "a 100001 x 10 SSIM table"),
-    (["--chunks", "9901", "--ladder", ",".join(map(str, LADDER_101))], "a 9901 x 101 SSIM table"),
+@pytest.mark.parametrize("recipe, message", [
+    ({"chunk_count": 100001, "chunk_duration_s": 4}, "a 100001 x 10 SSIM table"),
+    ({"chunk_count": 9901, "chunk_duration_s": 4, "ladder_kbps": LADDER_101}, "a 9901 x 101 SSIM table"),
 ], ids=["default-ladder", "one-cell-over"])
-def test_synth_manifest_rejects_a_table_over_the_bound(workspace, capsys, flags, message):
+def test_synth_manifest_rejects_a_table_over_the_bound(workspace, capsys, recipe, message):
     out = workspace / "big.json"
-    assert main(["synth-manifest", "--out", str(out), *flags]) == 2
+    assert main(["synth-manifest", "--out", str(out), "--recipe", json.dumps(recipe)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("ladder", ["", "100,abc"])
-def test_synth_manifest_names_a_ladder_it_cannot_read(workspace, capsys, ladder):
+@pytest.mark.parametrize("text, message", [
+    ('[["chunk_count", 4], ["chunk_duration_s", 4]]',
+     "--recipe must be an object, got [['chunk_count', 4], ['chunk_duration_s', 4]]"),
+    ('"chunk_count"', "--recipe must be an object, got 'chunk_count'"),
+    ("null", "--recipe must be an object, got None"),
+    ("{chunk_count: 4}", "--recipe: not valid JSON: Expecting property name enclosed in double quotes"),
+    ('{"chunk_count": 4}', "synthesize needs chunk_count >= 1 and chunk_duration_s > 0"),
+    ('{"chunk_count": 4, "chunk_duration_s": 4, "ladder_kbps": "100,abc"}',
+     "bad synthesize fields: ladder_kbps must be a list of numbers, got '100,abc'"),
+    ('{"chunk_count": 4, "chunk_duration_s": 4, "ladder_kbps": []}',
+     "bad synthesize fields: ladder_kbps needs at least 2 levels, got 0"),
+], ids=["list-of-pairs", "string", "null", "not-json", "no-chunk-duration", "comma-ladder", "empty-ladder"])
+def test_synth_manifest_names_what_is_wrong_with_its_recipe(workspace, capsys, text, message):
     out = workspace / "m.json"
-    assert main(["synth-manifest", "--out", str(out), "--chunks", "4", "--ladder", ladder]) == 2
-    assert capsys.readouterr().err == f"error: --ladder must be comma-separated kbps, got {ladder!r}\n"
+    assert main(["synth-manifest", "--out", str(out), "--recipe", text]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not out.exists()
 
 
 def test_a_write_into_a_missing_directory_names_the_path_given(workspace, capsys):
     out = workspace / "missing" / "m.json"
-    assert main(["synth-manifest", "--out", str(out), "--chunks", "4"]) == 2
+    assert main(["synth-manifest", "--out", str(out),
+                 "--recipe", '{"chunk_count": 4, "chunk_duration_s": 4}']) == 2
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
     log = workspace / "missing" / "s.jsonl"
     assert main(["simulate", "--manifest", str(workspace / "manifest.json"),
                  "--trace", str(workspace / "trace_0.csv"), "--log", str(log)]) == 2
-    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(log)!r}\n"
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 2] No such file or directory: {str(log)!r}\n"
+    assert captured.out == ""  # no log on stdout from a run that could not keep it
 
 
 # --- validate ---
@@ -200,6 +234,18 @@ def test_simulate_streams_jsonl(workspace, capsys):
     assert records[-1]["event"] == "session_end"
     assert "rebuffering=" in captured.err
     assert not captured.err.startswith("PARTIAL")
+
+
+def test_simulate_leaves_each_unset_session_setting_to_session_config(workspace, capsys):
+    args = build_parser().parse_args(["simulate", "--manifest", "m.json", "--trace", "t.csv"])
+    assert not set(vars(args)) & set(SessionConfig.__dataclass_fields__)
+    assert main(["simulate", "--manifest", str(workspace / "manifest.json"),
+                 "--trace", str(workspace / "trace_0.csv"), "--bs", "240"]) == 0
+    header = json.loads(capsys.readouterr().out.splitlines()[0])
+    default = SessionConfig()
+    assert header["buffer_capacity_s"] == 240.0
+    assert [header[name] for name in ("policy", "critical_threshold_s", "loop_trace", "policy_params")] == [
+        default.policy, default.critical_threshold_s, default.loop_trace, default.policy_params]
 
 
 def test_simulate_writes_log_file(workspace, capsys):

@@ -167,6 +167,23 @@ def test_a_stored_level_that_is_no_int_is_named_by_its_display(level):
     assert str(raised.value) == f"display 3 has level {level!r}, not an integer"
 
 
+@pytest.mark.parametrize("index, field, value, text", [
+    (2, "level", None, "record 3 (chunk_display_start) lacks level"),
+    (0, "chunk_count", None, "record 1 (session_start) lacks chunk_count"),
+    (4, "time_s", "1", "record 5 (playback_stall) has time_s '1', not a number"),
+], ids=["display-without-level", "header-without-chunk-count", "stall-time-a-string"])
+def test_a_stored_record_the_tally_cannot_read_is_named(index, field, value, text):
+    # These raised a bare KeyError or TypeError naming no record.
+    log = log_of([1, 2], stalls=[(5.0, 6.0)], end_s=9.0)
+    if value is None:
+        del log.records[index][field]
+    else:
+        log.records[index][field] = value
+    with pytest.raises(ValueError) as raised:
+        session_metrics(log, manifest3(2))
+    assert str(raised.value) == text
+
+
 def test_a_report_needs_the_session_start_record():
     with pytest.raises(ValueError, match="^log does not start with a session_start record$"):
         SessionTally().report(manifest3(1))
