@@ -11,8 +11,8 @@ Four headline metrics per session:
 * mean_ssim - mean SSIM over displayed chunks at their fetched levels.
 * mean_bitrate_kbps - mean ladder bitrate over displayed chunks.
 
-Aggregates are field-wise arithmetic means over sessions of one policy and
-scenario.  Truncated sessions are flagged partial and excluded.
+Aggregates are the arithmetic means of the four over the sessions of one
+policy and scenario.  Truncated sessions are flagged partial and excluded.
 HEADLINE_METRICS is the one list of the four that every CSV, plot file and
 comparison table is built from.
 """
@@ -55,11 +55,9 @@ class AggregateReport:
     loop_trace: bool
     session_count: int
     rebuffering_total_s: float
-    rebuffer_count: float
     instability: float
     mean_ssim: float
     mean_bitrate_kbps: float
-    startup_delay_s: float
 
 
 class SessionTally:
@@ -71,7 +69,9 @@ class SessionTally:
     that is no int (a stored log is outside input), naming its display, and
     prices the levels by direct indexing once their min and max lie in 1..R;
     a list that fails that or the indexing goes through the manifest's
-    checked lookups, which word the error.
+    checked lookups, which word the error.  A stall time `record` subtracts,
+    or a time `report` stores, that is no number (a bool is none) raises
+    TypeError, whose record `session_metrics` names.
     """
 
     def __init__(self) -> None:
@@ -94,7 +94,10 @@ class SessionTally:
         elif kind == "playback_resume":
             if self.stall_open is None:
                 raise ValueError("playback_resume without an open stall")
-            self.stall_total += rec["time_s"] - self.stall_open
+            resumed = rec["time_s"]
+            if not {type(resumed), type(self.stall_open)} <= {int, float}:  # a bool is no number
+                raise TypeError("a stall time is no number")
+            self.stall_total += resumed - self.stall_open
             self.stall_count += 1
             self.stall_open = None
         elif kind == "session_end":
@@ -107,6 +110,9 @@ class SessionTally:
         header = self.header
         if header is None:
             raise ValueError("log does not start with a session_start record")
+        times = (self.startup, self.end_time, self.truncated_at, self.stall_open)
+        if not {*map(type, times)} <= {int, float, type(None)}:  # a bool is no number
+            raise TypeError("a stored time is no number")
         stall_total, stall_count = self.stall_total, self.stall_count
         if self.stall_open is not None:
             # Session cut off mid-stall; count the open interval up to the cut.
@@ -173,7 +179,7 @@ def session_metrics(log, manifest: VideoManifest) -> SessionReport:
 
 
 def aggregate(reports) -> AggregateReport:
-    """Field-wise mean over the complete sessions of one policy and scenario."""
+    """Headline-metric means over the complete sessions of one policy and scenario."""
     pool = [r for r in reports if not r.partial]
     if not pool:
         raise ValueError("no reports to aggregate")
@@ -187,12 +193,7 @@ def aggregate(reports) -> AggregateReport:
         critical_threshold_s=sample.critical_threshold_s,
         loop_trace=sample.loop_trace,
         session_count=len(pool),
-        rebuffering_total_s=mean(r.rebuffering_total_s for r in pool),
-        rebuffer_count=mean(r.rebuffer_count for r in pool),
-        instability=mean(r.instability for r in pool),
-        mean_ssim=mean(r.mean_ssim for r in pool),
-        mean_bitrate_kbps=mean(r.mean_bitrate_kbps for r in pool),
-        startup_delay_s=mean(r.startup_delay_s or 0.0 for r in pool),
+        **{m.attr: mean(getattr(r, m.attr) for r in pool) for m in HEADLINE_METRICS},
     )
 
 

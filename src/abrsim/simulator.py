@@ -7,7 +7,7 @@ event is resolved analytically (no fixed timestep), one pass per chunk:
 1. If the buffer lacks more than one chunk of headroom, wait for the instant
    it drains back to that bound.
 2. Decide the chunk's level (chunk 1 at the startup level) and fetch it.  A
-   non-looping trace that cannot deliver it truncates the session here.
+   trace that cannot deliver it truncates the session here.
 3. If the buffer empties before the download lands, playback stalls.
 4. The download completes: the buffer gains one chunk duration and the
    throughput sample is recorded.  Playback starts with chunk 1; a stall
@@ -24,9 +24,9 @@ each line and tallies the report in the same call.  CHUNK_EVENTS is the one
 schema of the per-chunk records; both sinks' methods for them are compiled
 from it.  `replay_diff` re-runs the engine once, with download completion
 times taken from a log, to verify that every other recorded value -
-decisions, estimates, buffer levels, event times - is reproduced; a third
-sink compares each event with the logged record as the engine emits it and
-keeps the events from the first difference on.
+decisions, estimates, buffer levels, event times - is reproduced exactly;
+a third sink compares each event with the logged record as the engine emits
+it and keeps the events from the first difference on.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ from .abr import Observation, decide, make_policy
 from .manifest import VideoManifest, parse_json, read_text, write_text_atomically
 from .metrics import SessionTally, session_metrics
 from .trace import BandwidthTrace, TraceExhaustedError, download_finish_time
-
-# Largest absolute (and relative) gap between a logged and a replayed number
-# that still counts as reproduced.
-TOLERANCE_S = 1e-9
 
 # The scanner of a whole log decoded in one call: its key memo lasts one call,
 # so all the log's records share it.
@@ -494,7 +490,7 @@ def replay_diff(log: SessionEventLog, manifest: VideoManifest, config: SessionCo
 
     The engine is re-run once with download finish times read from the log;
     every regenerated record (decisions, estimates, buffer levels, event
-    times) must match the logged one within TOLERANCE_S.
+    times) must equal the logged one exactly.
     """
     log.header  # raises LogFormatError on structurally broken logs
     sink = _ReplaySink(log.records)
@@ -511,9 +507,9 @@ def replay_diff(log: SessionEventLog, manifest: VideoManifest, config: SessionCo
 
 
 def _diff_records(original: list[dict], regenerated: list[dict]) -> list[str]:
-    # The field walk finds nothing in an equal record (`_close` accepts equal
-    # numbers), so only unequal records are walked; an equal record still
-    # reaches the cap check, which decides where a long list is cut.
+    # The field walk finds nothing in an equal record, so only unequal records
+    # are walked; an equal record still reaches the cap check, which decides
+    # where a long list is cut.
     diffs = []
     if len(original) != len(regenerated):
         diffs.append(f"record count differs: logged {len(original)}, replay {len(regenerated)}")
@@ -522,23 +518,9 @@ def _diff_records(original: list[dict], regenerated: list[dict]) -> list[str]:
             if set(a.keys()) != set(b.keys()):
                 diffs.append(f"record {idx}: fields {sorted(a)} vs {sorted(b)}")
                 continue
-            for key, logged in a.items():
-                fresh = b[key]
-                if isinstance(logged, bool) or isinstance(fresh, bool):
-                    same = logged == fresh
-                elif isinstance(logged, (int, float)) and isinstance(fresh, (int, float)):
-                    same = _close(float(logged), float(fresh), TOLERANCE_S)
-                else:
-                    same = logged == fresh
-                if not same:
-                    diffs.append(f"record {idx} ({a.get('event')}): {key} logged {logged!r}, replay {fresh!r}")
+            diffs += [f"record {idx} ({a.get('event')}): {key} logged {logged!r}, replay {b[key]!r}"
+                      for key, logged in a.items() if logged != b[key]]
         if len(diffs) >= 20:
             diffs.append("...")
             break
     return diffs
-
-
-def _close(a: float, b: float, tol: float) -> bool:
-    # An infinity matches only itself: its gap to anything else is infinite,
-    # and so is the relative bound.
-    return a == b or math.isfinite(a - b) and abs(a - b) <= max(tol, tol * max(abs(a), abs(b)))

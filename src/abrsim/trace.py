@@ -34,7 +34,8 @@ class TraceError(ValueError):
 
 
 class TraceExhaustedError(RuntimeError):
-    """A requested volume can never complete on a non-looping trace."""
+    """A requested volume can never complete: a non-looping trace runs dry, or a
+    looping one would need more periods than a float counts."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,8 @@ def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits:
     """Earliest t >= start_s at which volume_kilobits have been delivered.
 
     Raises TraceExhaustedError when a non-looping trace ends with zero
-    bandwidth before the volume completes.
+    bandwidth before the volume completes, or when a looping trace needs
+    more periods than a float counts.
     """
     if volume_kilobits <= 0:
         raise ValueError(f"volume must be > 0, got {volume_kilobits}")
@@ -108,14 +110,20 @@ def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits:
         return times[j - 1] + (target - prefix[j - 1]) / rates[j - 1]
     period = times[-1]
     per_loop = prefix[-1]
-    wraps = math.floor(start_s / period)
-    rem = start_s - wraps * period
-    if rem < 0:  # guard against floor/multiply rounding
-        wraps -= 1
-        rem += period
-    i = bisect_right(times, rem) - 1
-    target = wraps * per_loop + (prefix[i] + (rem - times[i]) * rates[i]) + volume_kilobits
-    wraps = math.floor(target / per_loop)
+    try:  # a quotient past the float range has no floor
+        wraps = math.floor(start_s / period)
+        rem = start_s - wraps * period
+        if rem < 0:  # guard against floor/multiply rounding
+            wraps -= 1
+            rem += period
+        i = bisect_right(times, rem) - 1
+        target = wraps * per_loop + (prefix[i] + (rem - times[i]) * rates[i]) + volume_kilobits
+        wraps = math.floor(target / per_loop)
+    except OverflowError:
+        raise TraceExhaustedError(
+            f"looping trace cannot deliver {volume_kilobits} kilobits from {start_s}s: its {period}s "
+            f"period carries {per_loop} kilobits, and the loop count overflows"
+        ) from None
     rem = target - wraps * per_loop
     if rem < 0:
         wraps -= 1

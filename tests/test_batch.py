@@ -52,8 +52,7 @@ def agg_of(policy, *, rebuf=0.0, instability=1.0, ssim=0.9, rate=1000.0,
     return AggregateReport(
         policy=policy, buffer_capacity_s=bs, critical_threshold_s=lc,
         loop_trace=False, session_count=sessions, rebuffering_total_s=rebuf,
-        rebuffer_count=0.0, instability=instability, mean_ssim=ssim,
-        mean_bitrate_kbps=rate, startup_delay_s=0.5,
+        instability=instability, mean_ssim=ssim, mean_bitrate_kbps=rate,
     )
 
 

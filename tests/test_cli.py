@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -11,8 +12,10 @@ from abrsim.batch import RunSpecError, validate_runspec
 from abrsim.cli import build_parser, main
 from abrsim.manifest import save_manifest
 from abrsim.simulator import SessionEventLog
-from abrsim.trace import save_trace
+from abrsim.trace import BandwidthTrace, save_trace
 from helpers import constant_trace, events, make_manifest
+
+SCENARIO_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios", "comparison")
 
 # 101 rungs x 9,901 chunks is one cell over the 10**6 a recipe may ask for.
 LADDER_101 = [100.0 * k for k in range(1, 102)]
@@ -234,6 +237,18 @@ def test_simulate_streams_jsonl(workspace, capsys):
     assert records[-1]["event"] == "session_end"
     assert "rebuffering=" in captured.err
     assert not captured.err.startswith("PARTIAL")
+
+
+def test_simulate_on_a_loop_whose_count_overflows_ends_partial(workspace, capsys):
+    save_trace(BandwidthTrace(((0.0, 1e-320), (10.0, 1e-320))), str(workspace / "tiny.csv"))
+    code = main(["simulate", "--manifest", str(workspace / "manifest.json"),
+                 "--trace", str(workspace / "tiny.csv"), "--loop"])
+    assert code == 1
+    captured = capsys.readouterr()
+    last = json.loads(captured.out.splitlines()[-1])
+    assert last["event"] == "session_truncated" and "the loop count overflows" in last["diagnostic"]
+    assert captured.err.startswith("PARTIAL")
+    assert "Traceback" not in captured.err
 
 
 def test_simulate_leaves_each_unset_session_setting_to_session_config(workspace, capsys):
@@ -469,7 +484,7 @@ def test_replay_missing_log_exits_two(workspace, capsys):
     ("download_complete", 2, "chunk", None, "logged completion is for chunk None, engine expected 3"),
     ("download_complete", 2, "time_s", None, "logged completion time None precedes its fetch"),
     ("download_complete", 2, "time_s", 10**400, "log is not replayable: int too large to convert to float"),
-    ("session_start", 0, "chunk_count", 10**400, "log is not replayable: int too large to convert to float"),
+    ("session_start", 0, "chunk_count", 10**400, f"record 0 (session_start): chunk_count logged {10**400}, replay 8"),
 ], ids=["completion-without-chunk", "completion-without-time", "huge-int-completion-time", "huge-int-in-header"])
 def test_replay_flags_a_record_it_cannot_replay(workspace, capsys, kind, index, field, value, message):
     log_path = workspace / "session.jsonl"
@@ -536,6 +551,27 @@ def test_run_batch_from_spec(workspace, capsys):
     assert code == 0
     assert "4 sessions, 2 aggregate rows" in capsys.readouterr().out
     assert (workspace / "out" / "aggregates.csv").is_file()
+
+
+def test_run_with_a_loop_whose_count_overflows_keeps_the_other_traces(workspace, capsys):
+    traces = workspace / "looped"
+    traces.mkdir()
+    shutil.copy(os.path.join(SCENARIO_DIR, "traces", "trace_00.csv"), traces / "trace_00.csv")
+    save_trace(BandwidthTrace(((0.0, 1e-320), (10.0, 1e-320))), str(traces / "tiny.csv"))
+    (workspace / "spec.json").write_text(json.dumps({
+        "manifest": "manifest.json", "traces": ["looped/*.csv"], "policies": ["sba"],
+        "scenarios": [[120, 12]], "output_dir": "out", "loop_traces": True, "jobs": 1}))
+    code = main(["run", "--spec", str(workspace / "spec.json")])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    out = workspace / "out"
+    (failure,) = json.loads((out / "failures.json").read_text())
+    assert failure["kind"] == "truncated" and failure["trace"].endswith("tiny.csv")
+    assert "its 10.0s period carries 1e-319 kilobits" in failure["detail"]
+    rows = (out / "sessions.csv").read_text().splitlines()
+    assert [row.split(",")[0] + "," + row.split(",")[-1] for row in rows[1:]] == ["tiny,1", "trace_00,0"]
+    assert (out / "sessions" / "sba_bs120_lc12_trace_00.jsonl").is_file()
+    assert len((out / "aggregates.csv").read_text().splitlines()) == 2
 
 
 def test_run_output_dir_flag_wins(workspace, capsys):

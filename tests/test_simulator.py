@@ -8,7 +8,7 @@ import pytest
 from abrsim import POLICIES, SessionConfig, replay_diff, run_session
 from abrsim.abr import Decision, Policy
 from abrsim.simulator import LogFormatError, SessionEventLog
-from abrsim.trace import download_finish_time
+from abrsim.trace import BandwidthTrace, download_finish_time
 from helpers import chunk_volume, constant_trace, events, make_manifest, monotone_rows
 
 
@@ -90,7 +90,7 @@ def test_run_rejects_capacity_equal_to_chunk():
 
 def test_run_rejects_unreachable_resume_threshold():
     manifest = make_manifest(chunks=2)
-    with pytest.raises(ValueError, match="unreachable"):
+    with pytest.raises(ValueError, match=r"7\.0s unreachable: the fetch gate caps a stalled buffer at 6\.0s$"):
         run_session(manifest, constant_trace(1000.0), sba_config(
             buffer_capacity_s=10.0, critical_threshold_s=3.0, resume_threshold_s=7.0))
 
@@ -382,6 +382,19 @@ def test_replay_accepts_truncated_log():
     assert not replay_diff(log, manifest, SessionConfig.from_header(log.header))
 
 
+@pytest.mark.parametrize("samples, rates", [
+    (((0.0, 1e-300), (10.0, 1e-300)), (1e299, 1e300)),
+    (((0.0, 1000.0), (5e-324, 1000.0)), (235.0, 375.0)),
+], ids=["tiny-rate-under-a-huge-ladder", "subnormal-period"])
+def test_a_loop_count_past_the_float_range_truncates_the_session(samples, rates):
+    manifest = make_manifest(chunks=3, rates=rates)
+    log, report = run_session(manifest, BandwidthTrace(samples, loop=True), sba_config(loop_trace=True))
+    assert report.partial
+    assert log.records[-1]["event"] == "session_truncated"
+    assert "the loop count overflows" in report.diagnostic
+    assert not replay_diff(log, manifest, SessionConfig.from_header(log.header))
+
+
 def test_replay_flags_tampered_level():
     manifest, log = replayable_log()
     tampered = SessionEventLog(copy.deepcopy(log.records))
@@ -398,12 +411,18 @@ def test_replay_flags_shifted_completion():
     assert replay_diff(tampered, manifest, SessionConfig.from_header(log.header))
 
 
-def test_replay_tolerates_sub_tolerance_jitter():
+def test_replay_reports_sub_nanosecond_jitter():
+    # Replay is exact: a completion time moved by 1e-12 s moves the throughput
+    # the engine derives from it, and the log no longer verifies.
     manifest, log = replayable_log()
     jittered = SessionEventLog(copy.deepcopy(log.records))
     rec = events(jittered, "download_complete")[2]
     rec["time_s"] += 1e-12
-    assert not replay_diff(jittered, manifest, SessionConfig.from_header(log.header))
+    diffs = replay_diff(jittered, manifest, SessionConfig.from_header(log.header))
+    index = jittered.records.index(rec)
+    assert diffs[0].startswith(f"record {index} (download_complete): throughput_kbps logged "
+                               f"{rec['throughput_kbps']!r}, replay ")
+    assert not any("download_complete): time_s" in d for d in diffs)  # a logged completion is replay's input
 
 
 def test_replay_verifies_startup_policy_header():

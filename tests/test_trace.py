@@ -153,6 +153,18 @@ def test_finish_loop_with_idle_gap():
     assert download_finish_time(trace, 5.0, 1000.0) == 11.0
 
 
+@pytest.mark.parametrize("samples, start_s, volume, message", [
+    (((0.0, 1e-320), (10.0, 1e-320)), 0.0, 940.0,
+     "looping trace cannot deliver 940.0 kilobits from 0.0s: its 10.0s period carries 1e-319 kilobits"),
+    (((0.0, 1000.0), (5e-324, 1000.0)), 1.0, 1.0,
+     "looping trace cannot deliver 1.0 kilobits from 1.0s: its 5e-324s period carries 4.94e-321 kilobits"),
+], ids=["volume-over-a-subnormal-period-volume", "start-over-a-subnormal-period"])
+def test_finish_raises_exhausted_when_the_loop_count_overflows(samples, start_s, volume, message):
+    trace = BandwidthTrace(samples, loop=True)
+    with pytest.raises(TraceExhaustedError, match=re.escape(message)):
+        download_finish_time(trace, start_s, volume)
+
+
 def test_finish_is_left_inverse_of_transferred():
     rng = random.Random(3)
     for _ in range(200):
