@@ -121,8 +121,7 @@ class Bba(Policy):
         r1 = ladder.levels_kbps[0]
         top = ladder.levels_kbps[-1]
         mapped = r1 + (top - r1) * (obs.buffer_s - reservoir) / (cushion - reservoir)
-        level = ladder.highest_level_at_or_below(mapped)
-        return Decision(level if level is not None else 1, "bba_interpolated")
+        return Decision(ladder.highest_level_at_or_below(mapped), "bba_interpolated")
 
 
 class Festive(Policy):

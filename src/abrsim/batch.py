@@ -251,14 +251,12 @@ def run_batch(spec: RunSpec) -> BatchResult:
     except ValueError as exc:
         raise RunSpecError(str(exc)) from None
     trace_paths = resolve_trace_paths(spec)
-    # Each trace file is parsed and validated once, in the spec's loop mode; a
-    # file that fails to load, or cannot loop, fails every session that would
-    # play it, with the same text.
+    # Each trace file is parsed and validated once; a file that fails to load
+    # fails every session that would play it, with the same text.
     traces = {}
     for trace_path in trace_paths:
         try:
-            trace = load_trace(trace_path)
-            traces[trace_path] = replace(trace, loop=True) if spec.loop_traces else trace
+            traces[trace_path] = load_trace(trace_path)
         except TraceError as exc:
             traces[trace_path] = str(exc)
     # Every spec field that shapes the results: not where they go, nor how many workers.

@@ -34,8 +34,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .abr import Observation, decide, make_policy
@@ -247,14 +246,13 @@ def run_session(
 
     A sink that is a SessionTally, as a JsonlWriter is, reports from its own
     tally; `session_metrics` reduces a log.  A trace that cannot carry the session
-    to completion yields a truncated log and a partial report, not an error.
+    to completion yields a truncated log and a partial report; one that cannot loop,
+    in a looping session, raises TraceError at the first download.
     """
     if sink is None:
         sink = SessionEventLog()
-    # A trace already in the config's loop mode (as `run_batch` passes them) is
-    # not rebuilt, so it is not validated again.
-    run_trace = trace if trace.loop == config.loop_trace else replace(trace, loop=config.loop_trace)
-    _drive(manifest, config, partial(download_finish_time, run_trace), sink)
+    loop = config.loop_trace  # a closure: a keyword partial would copy its keywords on every call
+    _drive(manifest, config, lambda t, kilobits: download_finish_time(trace, t, kilobits, loop), sink)
     if isinstance(sink, SessionTally):
         return sink, sink.report(manifest)
     return sink, session_metrics(sink, manifest)
@@ -344,7 +342,7 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
         # Boundaries at or behind the playhead become displayable the moment
         # playback (re)starts.
         nonlocal next_display
-        while next_display <= chunks_done and (next_display - 1) * chunk_len <= play_pos + 1e-12:
+        while next_display <= chunks_done and (next_display - 1) * chunk_len <= play_pos:
             display(t, next_display, levels[next_display - 1])
             next_display += 1
 

@@ -2,12 +2,13 @@
 
 A trace is a list of (timestamp_s, bandwidth_kbps) samples, first timestamp 0,
 strictly increasing.  Bandwidth holds constant from one sample to the next.
-Two tail conventions apply:
+Two tail conventions apply, chosen by `download_finish_time`'s `loop`, not the trace:
 
 * non-looping: the final sample's bandwidth extends indefinitely; a download
   that outlives the trace with a zero tail raises TraceExhaustedError.
 * looping: the trace repeats with period equal to the final timestamp, so the
-  final sample only marks the wrap point and its bandwidth is unused.
+  final sample only marks the wrap point and its bandwidth is unused.  The
+  trace needs at least 2 samples and a positive, finite period volume.
 
 All volume arithmetic is in kilobits.  Integrals are evaluated from a prefix
 table, which makes transferred(a, b) = cum(b) - cum(a) exactly additive in
@@ -40,8 +41,9 @@ class TraceExhaustedError(RuntimeError):
 
 @dataclass(frozen=True)
 class BandwidthTrace:
+    """Validated samples and their prefix table; whether they loop is each download's choice."""
+
     samples: tuple[tuple[float, float], ...]
-    loop: bool = False
 
     def __post_init__(self) -> None:
         samples = tuple((float(t), float(bw)) for t, bw in self.samples)
@@ -59,11 +61,6 @@ class BandwidthTrace:
                 raise TraceError(
                     f"sample {k + 1} timestamp {t} does not increase past {samples[k - 1][0]}"
                 )
-        if self.loop:
-            if len(samples) < 2:
-                raise TraceError("a looping trace needs at least 2 samples to define its period")
-            if not any(bw > 0 for _, bw in samples[:-1]):
-                raise TraceError("a looping trace needs positive bandwidth inside its period")
         times = tuple(t for t, _ in samples)
         rates = tuple(bw for _, bw in samples)
         prefix = [0.0]
@@ -79,12 +76,15 @@ class BandwidthTrace:
         return self._times[-1]
 
 
-def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits: float) -> float:
-    """Earliest t >= start_s at which volume_kilobits have been delivered.
+def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits: float,
+                         loop: bool = False) -> float:
+    """Earliest t >= start_s at which volume_kilobits have been delivered, the
+    trace repeating when `loop` is true.
 
-    Raises TraceExhaustedError when a non-looping trace ends with zero
-    bandwidth before the volume completes, or when a looping trace needs
-    more periods than a float counts.
+    Raises TraceError when a looping trace has fewer than 2 samples or a period
+    volume that is not positive and finite; TraceExhaustedError when a
+    non-looping trace ends with zero bandwidth before the volume completes, or
+    a looping one needs more periods than a float counts.
     """
     if volume_kilobits <= 0:
         raise ValueError(f"volume must be > 0, got {volume_kilobits}")
@@ -93,7 +93,7 @@ def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits:
     # The kilobits delivered by `start_s` plus the volume, then that curve's inverse, inlined:
     # the operations, in order, of `reference_finish_time` in tests/helpers.py.
     times, rates, prefix = trace._times, trace._rates, trace._prefix
-    if not trace.loop:
+    if not loop:
         i = bisect_right(times, start_s) - 1
         target = prefix[i] + (start_s - times[i]) * rates[i] + volume_kilobits
         total = prefix[-1]
@@ -108,8 +108,12 @@ def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits:
             return times[-1] + (target - total) / tail_rate
         j = bisect_left(prefix, target)
         return times[j - 1] + (target - prefix[j - 1]) / rates[j - 1]
-    period = times[-1]
-    per_loop = prefix[-1]
+    if len(times) < 2:
+        raise TraceError("a looping trace needs at least 2 samples to define its period")
+    period, per_loop = times[-1], prefix[-1]
+    if not 0.0 < per_loop < math.inf:
+        raise TraceError(f"a looping trace needs a positive, finite volume per period: its {period}s "
+                         f"period carries {per_loop} kilobits")
     try:  # a quotient past the float range has no floor
         wraps = math.floor(start_s / period)
         rem = start_s - wraps * period
@@ -142,7 +146,7 @@ def load_trace(path: str) -> BandwidthTrace:
     """Parse a `timestamp_s,bandwidth_kbps` CSV.
 
     Blank lines and `#` comments are skipped; one leading non-numeric header
-    line is tolerated.  The returned trace does not loop; opt in per run.
+    line is tolerated.
     """
     samples: list[tuple[float, float]] = []
     lines = read_text(path, TraceError, "trace").split("\n")

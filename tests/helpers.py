@@ -7,7 +7,7 @@ from bisect import bisect_left, bisect_right
 from abrsim.abr import POLICIES, Observation
 from abrsim.manifest import NETFLIX_LADDER_KBPS, BitrateLadder, VideoManifest
 from abrsim.simulator import SessionConfig, run_session
-from abrsim.trace import BandwidthTrace, TraceExhaustedError
+from abrsim.trace import BandwidthTrace, TraceError, TraceExhaustedError
 
 
 def events(log, kind=None):
@@ -17,15 +17,15 @@ def events(log, kind=None):
     return [r for r in log.records if r["event"] == kind]
 
 
-def transferred_kilobits(trace: BandwidthTrace, start_s: float, end_s: float) -> float:
-    """Kilobits the trace delivers over [start_s, end_s]."""
+def transferred_kilobits(trace: BandwidthTrace, start_s: float, end_s: float, loop: bool = False) -> float:
+    """Kilobits the trace delivers over [start_s, end_s], looping when `loop` is true."""
     if start_s < 0 or end_s < start_s:
         raise ValueError(f"need 0 <= start <= end, got [{start_s}, {end_s}]")
-    return cumulative_kilobits(trace, end_s) - cumulative_kilobits(trace, start_s)
+    return cumulative_kilobits(trace, end_s, loop) - cumulative_kilobits(trace, start_s, loop)
 
 
-def cumulative_kilobits(trace: BandwidthTrace, t: float) -> float:
-    """Kilobits the trace delivers over [0, t], looping when the trace loops."""
+def cumulative_kilobits(trace: BandwidthTrace, t: float, loop: bool = False) -> float:
+    """Kilobits the trace delivers over [0, t], looping when `loop` is true."""
     if t < 0:
         raise ValueError(f"trace time must be >= 0, got {t}")
     times, rates, prefix = trace._times, trace._rates, trace._prefix
@@ -35,7 +35,7 @@ def cumulative_kilobits(trace: BandwidthTrace, t: float) -> float:
         i = bisect_right(times, t) - 1
         return prefix[i] + (t - times[i]) * rates[i]
 
-    if not trace.loop:
+    if not loop:
         return segment_cum(t)
     wraps = math.floor(t / times[-1])
     rem = t - wraps * times[-1]
@@ -67,7 +67,8 @@ class RunningMean:
         return self.total / self.count if self.count else empty
 
 
-def reference_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits: float) -> float:
+def reference_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits: float,
+                          loop: bool = False) -> float:
     """`download_finish_time` as first written, through `cumulative_kilobits` and an inverse within one period.
 
     The library inlines these steps; it must agree with this reference bit
@@ -83,8 +84,13 @@ def reference_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits
         raise ValueError(f"volume must be > 0, got {volume_kilobits}")
     if start_s < 0:
         raise ValueError(f"start must be >= 0, got {start_s}")
-    target = cumulative_kilobits(trace, start_s) + volume_kilobits
-    if not trace.loop:
+    if loop and len(times) < 2:
+        raise TraceError("a looping trace needs at least 2 samples to define its period")
+    if loop and not 0.0 < prefix[-1] < math.inf:
+        raise TraceError(f"a looping trace needs a positive, finite volume per period: its {times[-1]}s "
+                         f"period carries {prefix[-1]} kilobits")
+    target = cumulative_kilobits(trace, start_s, loop) + volume_kilobits
+    if not loop:
         total = prefix[-1]
         if target > total:
             if rates[-1] <= 0:
@@ -162,23 +168,21 @@ def chunk_volume(manifest: VideoManifest, chunk: int, level: int) -> float:
     return manifest.ladder.rate_kbps(level) * manifest.chunk_duration_s
 
 
-def constant_trace(kbps: float, until_s: float | None = None, loop=False) -> BandwidthTrace:
+def constant_trace(kbps: float, until_s: float | None = None) -> BandwidthTrace:
     """Constant-rate trace; open-ended unless until_s caps it with a zero tail."""
     if until_s is None:
         return BandwidthTrace(((0.0, float(kbps)),))
-    return BandwidthTrace(((0.0, float(kbps)), (float(until_s), 0.0)), loop=loop)
+    return BandwidthTrace(((0.0, float(kbps)), (float(until_s), 0.0)))
 
 
-def random_trace(rng: random.Random, segments=None, rate_range=(100.0, 8000.0), loop=False):
+def random_trace(rng: random.Random, segments=None, rate_range=(100.0, 8000.0)):
     """Random piecewise-constant trace with strictly increasing timestamps."""
     n = segments if segments is not None else rng.randint(2, 6)
     times = [0.0]
     for _ in range(n - 1):
         times.append(times[-1] + rng.uniform(2.0, 30.0))
     rates = [rng.uniform(*rate_range) for _ in range(n)]
-    if loop:
-        rates[-1] = 0.0  # unused past the wrap point
-    return BandwidthTrace(tuple(zip(times, rates)), loop=loop)
+    return BandwidthTrace(tuple(zip(times, rates)))
 
 
 def make_observation(manifest, chunk=2, buffer_s=60.0, capacity=120.0, critical=12.0,
@@ -201,8 +205,7 @@ def replay_pool():
     entries = []
     manifest = make_manifest(chunks=25, ssim=monotone_rows(25, 10))
     for policy in list(POLICIES) * 3:
-        trace = random_trace(rng, segments=rng.randint(2, 6),
-                             rate_range=(250.0, 7000.0), loop=True)
+        trace = random_trace(rng, segments=rng.randint(2, 6), rate_range=(250.0, 7000.0))
         log, _ = run_session(manifest, trace, SessionConfig(policy=policy, loop_trace=True))
         entries.append((log, manifest))
     sizes = tuple(

@@ -120,8 +120,7 @@ def test_estimator_oracles_over_randomized_logs():
     manifest = make_manifest(chunks=30, ssim=monotone_rows(30, 10))
     floor = manifest.ladder.rate_kbps(1)
     for i in range(20):
-        trace = random_trace(rng, segments=rng.randint(2, 6),
-                             rate_range=(300.0, 7000.0), loop=True)
+        trace = random_trace(rng, segments=rng.randint(2, 6), rate_range=(300.0, 7000.0))
         policy = list(POLICIES)[i % len(POLICIES)]
         log, _ = run_session(manifest, trace, SessionConfig(policy=policy, loop_trace=True))
         dones = {r["chunk"]: r for r in events(log, "download_complete")}
@@ -256,8 +255,7 @@ def test_critical_zone_fetches_stay_on_floor():
     failures = []
     critical_fetches = 0
     for i in range(50):
-        trace = random_trace(rng, segments=rng.randint(3, 8),
-                             rate_range=(200.0, 6000.0), loop=True)
+        trace = random_trace(rng, segments=rng.randint(3, 8), rate_range=(200.0, 6000.0))
         log, report = run_session(
             manifest, trace,
             SessionConfig(policy="sba", buffer_capacity_s=120.0,
@@ -460,14 +458,14 @@ def test_finish_time_matches_fixed_step_integrator():
                 rates[0] = rng.uniform(100.0, 8000.0)
         elif rates[-1] == 0.0:
             rates[-1] = rng.uniform(100.0, 8000.0)
-        trace = BandwidthTrace(tuple(zip(times, rates)), loop=loop)
+        trace = BandwidthTrace(tuple(zip(times, rates)))
         start = round(rng.uniform(0.0, times[-1] * (2.0 if loop else 1.2)), 3)
         span = rng.uniform(0.8, 5.5)
-        volume = transferred_kilobits(trace, start, start + span) * rng.uniform(0.9, 1.0)
+        volume = transferred_kilobits(trace, start, start + span, loop) * rng.uniform(0.9, 1.0)
         if volume <= 0.5:
             continue
         trials += 1
-        analytic = download_finish_time(trace, start, volume)
+        analytic = download_finish_time(trace, start, volume, loop)
         stepped = integrator_finish_s(trace.samples, loop, start, volume)
         gap = abs(analytic - stepped)
         worst = max(worst, gap)

@@ -439,8 +439,7 @@ def test_run_batch_loads_each_trace_once(tmp_path, monkeypatch, jobs):
 
 
 def test_run_batch_validates_each_trace_once(tmp_path, monkeypatch):
-    # Each trace is validated when it loads and when it becomes the looping
-    # variant its sessions play; the sessions reuse it as it is.
+    # Each trace is validated once, when it loads; its looping sessions play it as it is.
     path = write_workspace(tmp_path, loop_traces=True, scenarios=[[120, 12], [60, 6]], jobs=1)
     for i, kbps in enumerate((3000.0, 5000.0)):
         save_trace(BandwidthTrace(((0.0, kbps), (30.0, kbps))), str(tmp_path / f"trace_{i}.csv"))
@@ -448,13 +447,13 @@ def test_run_batch_validates_each_trace_once(tmp_path, monkeypatch):
     validate = BandwidthTrace.__post_init__
 
     def counting_validate(trace):
-        validations.append(trace.loop)
+        validations.append(trace.samples[0][1])
         validate(trace)
 
     monkeypatch.setattr(BandwidthTrace, "__post_init__", counting_validate)
     result = run_batch(load_runspec(path))
     assert not result.failures and len(result.session_reports) == 2 * 2 * 2
-    assert validations == [False, True, False, True]
+    assert validations == [3000.0, 5000.0]
 
 
 def test_run_batch_keeps_the_detail_of_a_trace_that_cannot_loop(tmp_path):

@@ -251,6 +251,20 @@ def test_simulate_on_a_loop_whose_count_overflows_ends_partial(workspace, capsys
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("samples, carries", [
+    (((0.0, 5e-324), (0.5, 0.0)), "its 0.5s period carries 0.0 kilobits"),
+    (((0.0, 1e308), (10.0, 0.0)), "its 10.0s period carries inf kilobits"),
+], ids=["zero-volume-period", "infinite-volume-period"])
+def test_simulate_on_a_loop_without_a_finite_period_volume_exits_two(workspace, capsys, samples, carries):
+    save_trace(BandwidthTrace(samples), str(workspace / "bad.csv"))
+    code = main(["simulate", "--manifest", str(workspace / "manifest.json"),
+                 "--trace", str(workspace / "bad.csv"), "--loop"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: a looping trace needs a positive, finite volume per period: {carries}\n"
+
+
 def test_simulate_leaves_each_unset_session_setting_to_session_config(workspace, capsys):
     args = build_parser().parse_args(["simulate", "--manifest", "m.json", "--trace", "t.csv"])
     assert not set(vars(args)) & set(SessionConfig.__dataclass_fields__)
@@ -572,6 +586,28 @@ def test_run_with_a_loop_whose_count_overflows_keeps_the_other_traces(workspace,
     assert [row.split(",")[0] + "," + row.split(",")[-1] for row in rows[1:]] == ["tiny,1", "trace_00,0"]
     assert (out / "sessions" / "sba_bs120_lc12_trace_00.jsonl").is_file()
     assert len((out / "aggregates.csv").read_text().splitlines()) == 2
+
+
+def test_run_with_a_loop_that_carries_no_volume_keeps_the_other_traces(workspace, capsys):
+    traces = workspace / "looped"
+    traces.mkdir()
+    for name in ("trace_00.csv", "trace_01.csv"):
+        shutil.copy(os.path.join(SCENARIO_DIR, "traces", name), traces / name)
+    save_trace(BandwidthTrace(((0.0, 5e-324), (0.5, 0.0))), str(traces / "empty.csv"))
+    (workspace / "spec.json").write_text(json.dumps({
+        "manifest": "manifest.json", "traces": ["looped/*.csv"], "policies": ["sba", "bba"],
+        "scenarios": [[120, 12], [60, 12]], "output_dir": "out", "loop_traces": True, "jobs": 1}))
+    code = main(["run", "--spec", str(workspace / "spec.json")])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    out = workspace / "out"
+    detail = "a looping trace needs a positive, finite volume per period: its 0.5s period carries 0.0 kilobits"
+    assert sorted((f["policy"], f["BS"], os.path.basename(f["trace"]), f["kind"], f["detail"])
+                  for f in json.loads((out / "failures.json").read_text())) == [
+        (policy, bs, "empty.csv", "error", detail) for policy in ("bba", "sba") for bs in (60, 120)]
+    assert sorted(os.listdir(out / "sessions")) == sorted(
+        f"{policy}_bs{bs}_lc12_{label}.jsonl" for policy in ("sba", "bba") for bs in (120, 60)
+        for label in ("trace_00", "trace_01"))
 
 
 def test_run_output_dir_flag_wins(workspace, capsys):

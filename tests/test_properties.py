@@ -44,10 +44,10 @@ def manifests(draw):
 
 @st.composite
 def traces(draw):
-    """A single sample, zero-rate holes in a finite trace, or a looping trace."""
+    """A single sample, zero-rate holes in a finite trace, or a looping trace; and whether it loops."""
     kind = draw(st.sampled_from(["single", "holes", "loop"]))
     if kind == "single":
-        return BandwidthTrace(((0.0, draw(RATES)),))
+        return BandwidthTrace(((0.0, draw(RATES)),)), False
     n = draw(st.integers(2, 6))
     times = [0.0]
     for gap in draw(st.lists(st.floats(0.1, 30.0), min_size=n - 1, max_size=n - 1)):
@@ -55,13 +55,13 @@ def traces(draw):
     rates = draw(st.lists(RATES, min_size=n, max_size=n))
     if kind == "loop":
         rates[0] = draw(st.floats(20.0, 10000.0))  # the period must carry data
-    return BandwidthTrace(tuple(zip(times, rates)), loop=kind == "loop")
+    return BandwidthTrace(tuple(zip(times, rates))), kind == "loop"
 
 
 @st.composite
 def sessions(draw):
     manifest = draw(manifests())
-    trace = draw(traces())
+    trace, loop = draw(traces())
     chunk_len = manifest.chunk_duration_s
     headroom = draw(st.sampled_from([1e-9, 1e-6, 1e-3]) | st.floats(0.01, 40.0))
     capacity = chunk_len + chunk_len * headroom
@@ -70,7 +70,7 @@ def sessions(draw):
             policy=draw(st.sampled_from(list(POLICIES))),
             buffer_capacity_s=capacity,
             critical_threshold_s=draw(st.floats(0.0, capacity, exclude_min=True, exclude_max=True)),
-            loop_trace=trace.loop,
+            loop_trace=loop,
             resume_threshold_s=draw(st.sampled_from([0.0, capacity - chunk_len])
                                     | st.floats(0.0, capacity - chunk_len)),
         )
@@ -236,7 +236,7 @@ def test_a_power_of_two_time_scale_scales_only_the_times(session):
 
 @st.composite
 def transfers(draw):
-    """A looping or non-looping trace, a start time and a volume.
+    """A trace, a start time, a volume and whether the trace loops.
 
     Whole-number gaps and rates keep the arithmetic exact often enough to
     land starts on period multiples and targets on the wrap point; one draw
@@ -253,7 +253,7 @@ def transfers(draw):
     rates = draw(st.lists(st.just(0.0) | positive, min_size=n, max_size=n))
     if loop:
         rates[0] = draw(positive)  # the period must carry data
-    trace = BandwidthTrace(tuple(zip(times, rates)), loop=loop)
+    trace = BandwidthTrace(tuple(zip(times, rates)))
     period, volume_per_period = times[-1], trace._prefix[-1]
     start = draw(st.floats(0.0, 4 * (period or 30.0))
                  | st.integers(0, 4).map(lambda k: k * period))  # exact period multiples
@@ -264,29 +264,32 @@ def transfers(draw):
         start = draw(st.floats(-10.0, -1e-9))
     elif bad == "volume":
         volume = draw(st.floats(-100.0, 0.0))
-    return trace, start, volume
+    return trace, start, volume, loop
 
 
-def _outcome(finish_time, trace, start_s, volume):
+def _outcome(finish_time, trace, start_s, volume, loop):
     """The finish time, or the error's type and text; floats compare with ==."""
     try:
-        return "finish", finish_time(trace, start_s, volume)
+        return "finish", finish_time(trace, start_s, volume, loop)
     except (ValueError, TraceExhaustedError) as exc:
         return type(exc).__name__, str(exc)
 
 
-WRAP_TRACE = BandwidthTrace(((0.0, 100.0), (5.0, 0.0), (10.0, 0.0)), loop=True)
+WRAP_TRACE = BandwidthTrace(((0.0, 100.0), (5.0, 0.0), (10.0, 0.0)))
 
 
 @seed(20261018)
 @settings(max_examples=400, deadline=None, database=None)
 @given(transfers())
-@example((WRAP_TRACE, 0.0, 500.0))  # lands on the wrap point: finishes at 5 s, not 10 s
-@example((WRAP_TRACE, 10.0, 1000.0))  # from a period multiple onto a later one
-@example((BandwidthTrace(((0.0, 3635.5), (5.3, 4731.8), (30.0, 0.0)), loop=True),
-          84.1, 153.9))  # a start in a later segment of a later period, where rounding shows
-@example((constant_trace(100.0, until_s=10.0), 3.0, 5000.0))  # zero tail: exhausted
-@example((constant_trace(100.0), -1.0, 10.0))
-@example((constant_trace(100.0), 1.0, 0.0))
+@example((WRAP_TRACE, 0.0, 500.0, True))  # lands on the wrap point: finishes at 5 s, not 10 s
+@example((WRAP_TRACE, 10.0, 1000.0, True))  # from a period multiple onto a later one
+@example((BandwidthTrace(((0.0, 3635.5), (5.3, 4731.8), (30.0, 0.0))),
+          84.1, 153.9, True))  # a start in a later segment of a later period, where rounding shows
+@example((constant_trace(100.0), 1.0, 10.0, True))  # one sample: no period
+@example((BandwidthTrace(((0.0, 5e-324), (0.5, 0.0))), 0.0, 10.0, True))  # no volume per period
+@example((BandwidthTrace(((0.0, 1e308), (10.0, 0.0))), 0.0, 10.0, True))  # an infinite one
+@example((constant_trace(100.0, until_s=10.0), 3.0, 5000.0, False))  # zero tail: exhausted
+@example((constant_trace(100.0), -1.0, 10.0, False))
+@example((constant_trace(100.0), 1.0, 0.0, False))
 def test_finish_time_matches_the_reference_bit_for_bit(transfer):
     assert _outcome(download_finish_time, *transfer) == _outcome(reference_finish_time, *transfer)

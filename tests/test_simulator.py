@@ -8,7 +8,7 @@ import pytest
 from abrsim import POLICIES, SessionConfig, replay_diff, run_session
 from abrsim.abr import Decision, Policy
 from abrsim.simulator import LogFormatError, SessionEventLog
-from abrsim.trace import BandwidthTrace, download_finish_time
+from abrsim.trace import BandwidthTrace, TraceError, download_finish_time
 from helpers import chunk_volume, constant_trace, events, make_manifest, monotone_rows
 
 
@@ -279,7 +279,7 @@ def test_fetch_gate_holds_one_chunk_of_headroom():
 
 def test_looping_trace_carries_long_session():
     manifest = make_manifest(chunks=40)
-    trace = constant_trace(5000.0, until_s=30.0, loop=False)
+    trace = constant_trace(5000.0, until_s=30.0)
     log, report = run_session(manifest, trace, sba_config(loop_trace=True))
     assert report.partial is False
     assert len(report.displayed) == 40
@@ -388,11 +388,20 @@ def test_replay_accepts_truncated_log():
 ], ids=["tiny-rate-under-a-huge-ladder", "subnormal-period"])
 def test_a_loop_count_past_the_float_range_truncates_the_session(samples, rates):
     manifest = make_manifest(chunks=3, rates=rates)
-    log, report = run_session(manifest, BandwidthTrace(samples, loop=True), sba_config(loop_trace=True))
+    log, report = run_session(manifest, BandwidthTrace(samples), sba_config(loop_trace=True))
     assert report.partial
     assert log.records[-1]["event"] == "session_truncated"
     assert "the loop count overflows" in report.diagnostic
     assert not replay_diff(log, manifest, SessionConfig.from_header(log.header))
+
+
+def test_only_a_looping_session_refuses_a_period_that_carries_no_volume():
+    manifest = make_manifest(chunks=3, rates=(235.0, 375.0))
+    trace = BandwidthTrace(((0.0, 5e-324), (0.5, 0.0)))  # 5e-324 kbps x 0.5 s rounds to 0 kilobits
+    with pytest.raises(TraceError, match=r"its 0\.5s period carries 0\.0 kilobits$"):
+        run_session(manifest, trace, sba_config(loop_trace=True))
+    log, report = run_session(manifest, trace, sba_config())
+    assert report.partial and log.records[-1]["event"] == "session_truncated"
 
 
 def test_replay_flags_tampered_level():

@@ -47,10 +47,19 @@ def test_negative_bandwidth_rejected():
 
 
 def test_loop_needs_two_samples_and_positive_rate():
-    with pytest.raises(TraceError, match="at least 2"):
-        BandwidthTrace(((0.0, 500.0),), loop=True)
-    with pytest.raises(TraceError, match="positive bandwidth"):
-        BandwidthTrace(((0.0, 0.0), (10.0, 900.0)), loop=True)
+    # Each trace is valid; only looping it is refused, at every download, with
+    # the period volume named: the product of rate and span, not the rate alone.
+    volume = "a looping trace needs a positive, finite volume per period: its "
+    for samples, message in [
+        (((0.0, 500.0),), "a looping trace needs at least 2 samples to define its period"),
+        (((0.0, 0.0), (10.0, 900.0)), volume + "10.0s period carries 0.0 kilobits"),
+        (((0.0, 5e-324), (0.5, 0.0)), volume + "0.5s period carries 0.0 kilobits"),
+        (((0.0, 1e308), (10.0, 0.0)), volume + "10.0s period carries inf kilobits"),
+    ]:
+        trace = BandwidthTrace(samples)
+        for start_s in (0.0, 3.0):
+            with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+                download_finish_time(trace, start_s, 100.0, loop=True)
 
 
 # --- integration ---
@@ -96,11 +105,11 @@ def test_transferred_monotone_in_end():
 
 
 def test_loop_periodicity():
-    trace = BandwidthTrace(((0.0, 3000.0), (4.0, 1000.0), (10.0, 0.0)), loop=True)
-    per_period = transferred_kilobits(trace, 0.0, 10.0)
+    trace = BandwidthTrace(((0.0, 3000.0), (4.0, 1000.0), (10.0, 0.0)))
+    per_period = transferred_kilobits(trace, 0.0, 10.0, loop=True)
     assert per_period == 3000.0 * 4 + 1000.0 * 6
     for n in (2, 3, 7):
-        assert transferred_kilobits(trace, 0.0, n * 10.0) == n * per_period
+        assert transferred_kilobits(trace, 0.0, n * 10.0, loop=True) == n * per_period
 
 
 # --- download finish ---
@@ -139,18 +148,18 @@ def test_finish_validates_inputs():
 
 
 def test_finish_loops_across_periods():
-    trace = BandwidthTrace(((0.0, 1000.0), (10.0, 0.0)), loop=True)
-    assert download_finish_time(trace, 0.0, 25000.0) == 25.0
+    trace = BandwidthTrace(((0.0, 1000.0), (10.0, 0.0)))
+    assert download_finish_time(trace, 0.0, 25000.0, loop=True) == 25.0
     # Landing exactly on a period multiple finishes at the wrap instant.
-    assert download_finish_time(trace, 0.0, 20000.0) == 20.0
+    assert download_finish_time(trace, 0.0, 20000.0, loop=True) == 20.0
 
 
 def test_finish_loop_with_idle_gap():
     # 1000 kbps for 4 s then silence until the 10 s wrap.
-    trace = BandwidthTrace(((0.0, 1000.0), (4.0, 0.0), (10.0, 0.0)), loop=True)
-    assert download_finish_time(trace, 0.0, 4000.0) == 4.0
-    assert download_finish_time(trace, 0.0, 5000.0) == 11.0
-    assert download_finish_time(trace, 5.0, 1000.0) == 11.0
+    trace = BandwidthTrace(((0.0, 1000.0), (4.0, 0.0), (10.0, 0.0)))
+    assert download_finish_time(trace, 0.0, 4000.0, loop=True) == 4.0
+    assert download_finish_time(trace, 0.0, 5000.0, loop=True) == 11.0
+    assert download_finish_time(trace, 5.0, 1000.0, loop=True) == 11.0
 
 
 @pytest.mark.parametrize("samples, start_s, volume, message", [
@@ -160,27 +169,26 @@ def test_finish_loop_with_idle_gap():
      "looping trace cannot deliver 1.0 kilobits from 1.0s: its 5e-324s period carries 4.94e-321 kilobits"),
 ], ids=["volume-over-a-subnormal-period-volume", "start-over-a-subnormal-period"])
 def test_finish_raises_exhausted_when_the_loop_count_overflows(samples, start_s, volume, message):
-    trace = BandwidthTrace(samples, loop=True)
     with pytest.raises(TraceExhaustedError, match=re.escape(message)):
-        download_finish_time(trace, start_s, volume)
+        download_finish_time(BandwidthTrace(samples), start_s, volume, loop=True)
 
 
 def test_finish_is_left_inverse_of_transferred():
     rng = random.Random(3)
     for _ in range(200):
         loop = rng.random() < 0.5
-        trace = random_trace(rng, rate_range=(50.0, 5000.0), loop=loop)
+        trace = random_trace(rng, rate_range=(50.0, 5000.0))
         start = rng.uniform(0.0, trace.duration_s)
         volume = rng.uniform(10.0, 40000.0)
         try:
-            finish = download_finish_time(trace, start, volume)
+            finish = download_finish_time(trace, start, volume, loop)
         except TraceExhaustedError:
             assert not loop
             continue
-        got = transferred_kilobits(trace, start, finish)
+        got = transferred_kilobits(trace, start, finish, loop)
         assert got >= volume - 1e-6
         if finish > start + 1e-6:
-            assert transferred_kilobits(trace, start, finish - 1e-6) < volume
+            assert transferred_kilobits(trace, start, finish - 1e-6, loop) < volume
 
 
 # --- file format ---
@@ -190,7 +198,6 @@ def test_load_basic(tmp_path):
     path.write_text("0,5000\n10,1000\n")
     trace = load_trace(str(path))
     assert trace.samples == ((0.0, 5000.0), (10.0, 1000.0))
-    assert not trace.loop
 
 
 def test_load_tolerates_header_comments_blanks(tmp_path):
