@@ -160,9 +160,8 @@ _TALLIED = {"session_start": "chunk_count", "chunk_display_start": "level", **di
 
 def session_metrics(log, manifest: VideoManifest) -> SessionReport:
     """Reduce one stored event log to a SessionReport through a SessionTally."""
+    log.header  # raises LogFormatError, a ValueError, unless the log opens with session_start
     records = log.records
-    if not records or records[0].get("event") != "session_start":
-        raise ValueError("log does not start with a session_start record")
     tally = SessionTally()
     record = tally.record
     try:

@@ -22,11 +22,11 @@ Each event goes once, as it happens, to a sink: a SessionEventLog keeps the
 records (JSON Lines on disk, fixed field order), and a JsonlWriter encodes
 each line and tallies the report in the same call.  CHUNK_EVENTS is the one
 schema of the per-chunk records; both sinks' methods for them are compiled
-from it.  `replay_diff` re-runs the engine once, with download completion
-times taken from a log, to verify that every other recorded value -
-decisions, estimates, buffer levels, event times - is reproduced exactly;
-a third sink compares each event with the logged record as the engine emits
-it and keeps the events from the first difference on.
+from it.  `replay_diff` re-runs the engine once to verify that every value a
+log records - decisions, estimates, buffer levels, event times - is reproduced
+exactly.  A third sink feeds the run each logged completion time when it
+reaches that chunk, with no separate walk of the log, compares each event with
+the logged record as the engine emits it and keeps all from the first mismatch.
 """
 
 from __future__ import annotations
@@ -415,28 +415,37 @@ class _ReplayInconsistency(Exception):
     """Logged data contradicts the re-derived session."""
 
 
-class _LoggedCompletions:
-    """Download-completion source that feeds finish times back from a log."""
+class _ReplaySink:
+    """Sink that compares each event, as the engine emits it, with the next logged record.
 
-    def __init__(self, log: SessionEventLog):
-        self.completions = completions = []
-        self.truncation = None
-        self.pos = 0
-        for r in log.records:
-            event = r.get("event")
-            if event == "download_complete":  # a missing field reads None, which no check accepts
-                completions.append((r.get("chunk"), r.get("time_s")))
-            elif event == "session_truncated" and self.truncation is None:
-                self.truncation = r
+    Its `fetch`, `complete` and `display`, compiled from CHUNK_EVENTS, compare
+    field by field and build no record while the events match.  From the
+    first event that differs, lacks a field or outlives the log, every event
+    is kept as the record a SessionEventLog would build.  `finish` is the
+    engine's download-completion source: it reads the logged completions on
+    a cursor of its own, so a log that has diverged still feeds them in order.
+    """
 
-    def __call__(self, send_time_s: float, volume_kilobits: float) -> float:
+    def __init__(self, records: list) -> None:
+        self.logged = records
+        self.matched = 0  # leading logged records the engine reproduced
+        self.kept = []  # the records it emitted from the first difference on
+        self.unread = iter(records)  # the records `finish` has not walked yet
+        self.chunk = 0  # the last chunk `finish` was asked for
+
+    def finish(self, send_time_s: float, volume_kilobits: float) -> float:
         # The engine asks for chunks 1, 2, ... in order and stops at the first error.
-        chunk = self.pos + 1
-        if self.pos >= len(self.completions):
-            if self.truncation is not None:
-                raise TraceExhaustedError(str(self.truncation.get("diagnostic", "trace exhausted")))
-            raise _ReplayInconsistency(f"log holds no completion for chunk {chunk}")
-        logged_chunk, logged_time = self.completions[self.pos]
+        self.chunk = chunk = self.chunk + 1
+        for r in self.unread:
+            if r.get("event") == "download_complete":
+                break
+        else:  # the log ran out: it ends where the first truncation says, or it lacks this completion
+            cut = next((r for r in self.logged if r.get("event") == "session_truncated"), None)
+            if cut is None:
+                raise _ReplayInconsistency(f"log holds no completion for chunk {chunk}")
+            raise TraceExhaustedError(str(cut.get("diagnostic", "trace exhausted")))
+        # A missing field reads None, which no check accepts.
+        logged_chunk, logged_time = r.get("chunk"), r.get("time_s")
         if logged_chunk != chunk:
             raise _ReplayInconsistency(
                 f"logged completion is for chunk {logged_chunk}, engine expected {chunk}"
@@ -445,23 +454,7 @@ class _LoggedCompletions:
             raise _ReplayInconsistency(
                 f"logged completion time {logged_time} precedes its fetch at {send_time_s}"
             )
-        self.pos += 1
         return float(logged_time)
-
-
-class _ReplaySink:
-    """Sink that compares each event, as the engine emits it, with the next logged record.
-
-    Its `fetch`, `complete` and `display`, compiled from CHUNK_EVENTS, compare
-    field by field and build no record while the events match.  From the
-    first event that differs, lacks a field or outlives the log, every event
-    is kept as the record a SessionEventLog would build.
-    """
-
-    def __init__(self, records: list) -> None:
-        self.logged = records
-        self.matched = 0  # leading logged records the engine reproduced
-        self.kept = []  # the records it emitted from the first difference on
 
     fetch, complete, display = _chunk_event_methods("""
 def {method}(self, {args}):
@@ -493,7 +486,7 @@ def replay_diff(log: SessionEventLog, manifest: VideoManifest, config: SessionCo
     log.header  # raises LogFormatError on structurally broken logs
     sink = _ReplaySink(log.records)
     try:
-        _drive(manifest, config, _LoggedCompletions(log), sink)
+        _drive(manifest, config, sink.finish, sink)
         if not sink.kept and sink.matched == len(log.records):
             return []
         # Each reproduced record stands in for itself, so the walk skips it.

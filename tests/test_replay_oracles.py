@@ -23,8 +23,8 @@ from abrsim.simulator import (
     SessionEventLog,
     _diff_records,
     _drive,
-    _LoggedCompletions,
     _ReplayInconsistency,
+    _ReplaySink,
 )
 from abrsim.trace import TraceExhaustedError
 from helpers import events, replay_pool
@@ -79,7 +79,7 @@ def assert_replay_matches_reference(log, manifest, header):
     config = SessionConfig.from_header(header)
     try:
         regenerated = SessionEventLog()
-        _drive(manifest, config, _LoggedCompletions(log), regenerated)
+        _drive(manifest, config, _ReplaySink(log.records).finish, regenerated)
         regenerated = regenerated.records
     except _ReplayInconsistency as exc:
         # replay_diff reports these before any record is compared.

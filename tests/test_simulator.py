@@ -1,11 +1,12 @@
 import copy
 import dataclasses
 import json
+import os
 import re
 
 import pytest
 
-from abrsim import POLICIES, SessionConfig, replay_diff, run_session
+from abrsim import POLICIES, SessionConfig, load_manifest, load_trace, replay_diff, run_session
 from abrsim.abr import Decision, Policy
 from abrsim.simulator import LogFormatError, SessionEventLog
 from abrsim.trace import BandwidthTrace, TraceError, download_finish_time
@@ -380,6 +381,19 @@ def test_replay_accepts_truncated_log():
     log, _ = run_session(manifest, constant_trace(100.0, until_s=10.0), sba_config())
     assert log.records[-1]["event"] == "session_truncated"
     assert not replay_diff(log, manifest, SessionConfig.from_header(log.header))
+
+
+def test_replay_names_the_chunk_a_log_lacks_a_completion_for():
+    # No session_truncated record says where the log ends, so the missing last
+    # completion is an inconsistency, not a trace that ran dry.
+    scenario = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios", "comparison")
+    manifest = load_manifest(os.path.join(scenario, "manifest.json"))
+    log, _ = run_session(manifest, load_trace(os.path.join(scenario, "traces", "trace_00.csv")), sba_config())
+    last = events(log, "download_complete")[-1]
+    assert last["chunk"] == 150 and not events(log, "session_truncated")
+    log.records.remove(last)
+    assert replay_diff(log, manifest, SessionConfig.from_header(log.header)) == [
+        "log holds no completion for chunk 150"]
 
 
 @pytest.mark.parametrize("samples, rates", [
