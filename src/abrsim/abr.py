@@ -23,12 +23,11 @@ Adding a policy means one class here and one entry in POLICIES.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from inspect import signature
 from typing import NamedTuple
 
-from .manifest import VideoManifest
+from .manifest import VideoManifest, json_value
 
 
 class Observation(NamedTuple):
@@ -182,28 +181,18 @@ class Osmf(Policy):
 
 POLICIES = {"sba": Sba, "bba": Bba, "festive": Festive, "osmf": Osmf}
 
-# The type of a parameter's default -> the JSON types it accepts; a bool is no number.
-_PARAM_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
-                float: ((int, float), "a number")}
-
 
 def make_policy(name: str, params: dict | None = None) -> Policy:
     """Build the policy registered under `name` from its parameters, each of the
-    JSON type of its default in `__init__` (one without a default is not checked);
-    a float parameter must be finite."""
+    JSON type of its default in `__init__` (one without a default is not checked).
+    A parameter is checked, not converted: a log header echoes it as given."""
     if not isinstance(name, str) or name not in POLICIES:
         raise ValueError(f"unknown policy {name!r}, expected one of {', '.join(POLICIES)}")
     policy = POLICIES[name]
     params = params or {}
-    defaults = {p.name: p.default for p in signature(policy).parameters.values()} if params else {}
-    for key, value in params.items():
-        default = defaults.get(key)
-        accepted = _PARAM_TYPES.get(type(default))
-        if accepted and type(value) not in accepted[0]:
-            raise ValueError(f"bad parameters for policy {name!r}: {key} must be {accepted[1]}, got {value!r}")
-        # A log header must not carry an Infinity or NaN token.
-        if type(default) is float and type(value) is float and not math.isfinite(value):
-            raise ValueError(f"bad parameters for policy {name!r}: {key} must be a finite number, got {value}")
+    for p in signature(policy).parameters.values() if params else ():
+        if p.name in params and p.default is not p.empty:  # an unknown name fails the call below
+            json_value(params[p.name], p.default, f"bad parameters for policy {name!r}: {p.name}", ValueError)
     try:
         return policy(**params)
     except (TypeError, OverflowError) as exc:  # an unknown or mistyped parameter, or an int no C size holds

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import glob
 import json
-import math
 import os
 import shutil
 from dataclasses import dataclass, field, replace
@@ -35,7 +34,8 @@ from multiprocessing import Pool
 
 from .abr import POLICIES, make_policy
 from .manifest import (NETFLIX_LADDER_KBPS, BitrateLadder, ManifestError, SaturationProfile, VideoManifest,
-                       load_manifest, parse_json, read_text, synthesize_manifest, write_text_atomically)
+                       json_value, load_manifest, parse_json, read_text, synthesize_manifest,
+                       write_text_atomically)
 from .metrics import HEADLINE_METRICS, SessionReport, aggregate, aggregates_csv, sessions_csv
 from .simulator import JsonlWriter, SessionConfig, check_capacity, run_session
 from .trace import TraceError, load_trace
@@ -65,9 +65,8 @@ _SPEC_FIELDS = {
 # The largest SSIM table (chunks x ladder rungs) a recipe may ask for:
 # 100,000 chunks on the default ladder.
 MAX_SYNTHESIZED_CELLS = 10**6
-# The JSON types of each `synthesize` field but `ladder_kbps`; a bool is no number.
-_RECIPE_FIELDS = {"chunk_count": (int,), "jitter_seed": (int,), **dict.fromkeys(
-    ("chunk_duration_s", "q_floor", "q_ceiling", "knee_kbps", "per_chunk_spread"), (int, float))}
+# Each `synthesize` field but `ladder_kbps` -> an example of its JSON type (0 and 0.0 for the required two).
+_RECIPE_FIELDS = {"chunk_count": 0, "chunk_duration_s": 0.0, **vars(SaturationProfile())}
 
 
 @dataclass
@@ -110,15 +109,11 @@ def validate_runspec(spec: RunSpec) -> list[SessionConfig]:
         if not value:
             raise RunSpecError(f"spec names no {what}")
     scenarios = []
-    for pair in spec.scenarios:
+    for k, pair in enumerate(spec.scenarios, start=1):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise RunSpecError(f"scenario must be a [BS, Lc] pair, got {pair!r}")
-        try:  # JSON numbers only: a bool or a numeric string is none
-            if not {*map(type, pair)} <= {int, float}:
-                raise TypeError
-            scenarios.append((float(pair[0]), float(pair[1])))
-        except (TypeError, OverflowError):
-            raise RunSpecError(f"scenario values must be numbers, got {pair!r}") from None
+        scenarios.append(tuple(json_value(value, 0.0, f"scenarios[{k}][{j}]", RunSpecError)
+                               for j, value in enumerate(pair, start=1)))
     spec.scenarios = scenarios
     if spec.jobs is not None and spec.jobs < 1:
         raise RunSpecError(f"jobs must be an integer >= 1, got {spec.jobs!r}")
@@ -169,30 +164,23 @@ def manifest_from_recipe(recipe: dict) -> VideoManifest:
     """
     fields = dict(recipe)
     ladder = fields.pop("ladder_kbps", NETFLIX_LADDER_KBPS)
-    try:  # these word the errors for a ladder that is no list and a count or duration that is no number
-        rates = tuple(ladder)
-        chunk_count = int(fields.get("chunk_count", 0))
-        chunk_duration = float(fields.get("chunk_duration_s", 0.0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise RunSpecError(f"bad synthesize fields: {exc}") from exc
-    if not isinstance(ladder, (list, tuple)):
-        raise RunSpecError(f"bad synthesize fields: ladder_kbps must be a list of numbers, got {ladder!r}")
     try:
-        ladder = BitrateLadder(rates)
+        if not isinstance(ladder, (list, tuple)):
+            raise ManifestError(f"ladder_kbps must be a list of numbers, got {ladder!r}")
+        ladder = BitrateLadder(ladder)
+        for name, value in fields.items():
+            if name not in _RECIPE_FIELDS:
+                raise ManifestError(f"unknown field {name!r}")
+            fields[name] = json_value(value, _RECIPE_FIELDS[name], name, ManifestError)
     except ManifestError as exc:
         raise RunSpecError(f"bad synthesize fields: {exc}") from exc
-    for name, value in fields.items():
-        if name not in _RECIPE_FIELDS:
-            raise RunSpecError(f"bad synthesize fields: unknown field {name!r}")
-        if type(value) not in _RECIPE_FIELDS[name]:
-            what = "an integer" if _RECIPE_FIELDS[name] == (int,) else "a number"
-            raise RunSpecError(f"bad synthesize fields: {name} must be {what}, got {value!r}")
-    if chunk_count < 1 or not 0 < chunk_duration < math.inf:
+    chunk_count = fields.pop("chunk_count", 0)
+    chunk_duration = fields.pop("chunk_duration_s", 0.0)
+    if chunk_count < 1 or chunk_duration <= 0:
         raise RunSpecError("synthesize needs chunk_count >= 1 and chunk_duration_s > 0")
     if chunk_count * ladder.count > MAX_SYNTHESIZED_CELLS:
         raise RunSpecError(f"synthesize would build a {chunk_count} x {ladder.count} SSIM table, "
                            f"over the {MAX_SYNTHESIZED_CELLS} cells allowed")
-    del fields["chunk_count"], fields["chunk_duration_s"]
     return synthesize_manifest(ladder, chunk_count, chunk_duration, SaturationProfile(**fields))
 
 

@@ -22,22 +22,8 @@ from dataclasses import dataclass, field
 NETFLIX_LADDER_KBPS = (235.0, 375.0, 560.0, 750.0, 1050.0, 1750.0, 2350.0, 3000.0, 4300.0, 5800.0)
 
 
-# JSON's number types: a bool is no number.
-_NUMBER_TYPES = {int, float}
-
-
 class ManifestError(ValueError):
     """Manifest failed to parse or violates a structural constraint."""
-
-
-def _float(cell: str, value) -> float:
-    """`value`, a JSON number, as a float; anything else raises, naming `cell`."""
-    if type(value) not in _NUMBER_TYPES:
-        raise ManifestError(f"{cell} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ManifestError(f"{cell} must be a number, got an integer too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -47,19 +33,13 @@ class BitrateLadder:
     levels_kbps: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        levels = tuple(self.levels_kbps)
-        if not {*map(type, levels)} <= _NUMBER_TYPES:
-            raise ManifestError(f"ladder_kbps must be a list of numbers, got {list(levels)!r}")
-        try:
-            levels = tuple(map(float, levels))
-        except OverflowError:  # an int beyond float range: name its rung
-            for pos, rate in enumerate(levels, start=1):
-                _float(f"ladder_kbps[{pos}]", rate)
+        levels = tuple(json_value(rate, 0.0, f"ladder_kbps[{pos}]", ManifestError)
+                       for pos, rate in enumerate(self.levels_kbps, start=1))
         object.__setattr__(self, "levels_kbps", levels)
         if len(levels) < 2:
             raise ManifestError(f"ladder_kbps needs at least 2 levels, got {len(levels)}")
         for pos, rate in enumerate(levels, start=1):
-            if not math.isfinite(rate) or rate <= 0:
+            if rate <= 0:
                 raise ManifestError(f"ladder_kbps[{pos}] must be a positive number, got {rate}")
             if pos > 1 and rate <= levels[pos - 2]:
                 raise ManifestError(
@@ -107,12 +87,13 @@ class VideoManifest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "chunk_count", len(self.ssim))
-        object.__setattr__(self, "chunk_duration_s", _float("chunk_duration_s", self.chunk_duration_s))
+        object.__setattr__(self, "chunk_duration_s",
+                           json_value(self.chunk_duration_s, 0.0, "chunk_duration_s", ManifestError))
         if not isinstance(self.ladder, BitrateLadder):
             object.__setattr__(self, "ladder", BitrateLadder(self.ladder))
         if self.chunk_count < 1:
             raise ManifestError(f"chunk_count must be >= 1, got {self.chunk_count}")
-        if not math.isfinite(self.chunk_duration_s) or self.chunk_duration_s <= 0:
+        if self.chunk_duration_s <= 0:
             raise ManifestError(f"chunk_duration_s must be > 0, got {self.chunk_duration_s}")
         levels = self.ladder.count
         for name, top, bound in (("ssim", 1.0, "lie in (0, 1]"), ("chunk_kilobits", math.inf, "be > 0")):
@@ -132,10 +113,10 @@ class VideoManifest:
                     if len(row) != levels:
                         raise ManifestError(f"{name}[{i}] has {len(row)} entries, expected {levels}")
                     for j, value in enumerate(row, start=1):
-                        if type(value) is not float:
-                            value = _float(f"{name}[{i}][{j}]", value)
-                        if not (0.0 < value <= top and math.isfinite(value)):
-                            raise ManifestError(f"{name}[{i}][{j}] must {bound}, got {value}")
+                        if not (type(value) is float and 0.0 < value <= top and math.isfinite(value)):
+                            value = json_value(value, 0.0, f"{name}[{i}][{j}]", ManifestError)
+                            if not 0.0 < value <= top:
+                                raise ManifestError(f"{name}[{i}][{j}] must {bound}, got {value}")
                     done = converted[id(row)] = tuple(map(float, row))
                 table.append(done)
             object.__setattr__(self, name, tuple(table))
@@ -207,6 +188,30 @@ def read_text(path: str, error: type, what: str) -> str:
         raise error(f"{path}: cannot read {what}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+_JSON_TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "true or false", dict: "an object"}
+
+
+def json_value(value, like, what: str, error: type):
+    """`value` if it has the JSON type of the example `like`, else `error` naming `what`.
+
+    The one statement of the rule: a bool is no number, and a number is finite
+    (RFC 8259 has no NaN or Infinity).  A float example takes any finite int or
+    float and returns it as a float; a bool, int or dict example takes only
+    that exact type and returns `value` itself.
+    """
+    kind = type(like)
+    if kind is float and type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:
+            raise error(f"{what} must be a finite number, got an integer too large for a float") from None
+        if math.isfinite(number):
+            return number
+    elif type(value) is kind:
+        return value
+    raise error(f"{what} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def parse_json(text: str, error: type, where: str):

@@ -34,11 +34,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from operator import itemgetter
 
 from .abr import Observation, decide, make_policy
-from .manifest import VideoManifest, parse_json, read_text, write_text_atomically
+from .manifest import VideoManifest, json_value, parse_json, read_text, write_text_atomically
 from .metrics import SessionTally, session_metrics
 from .trace import BandwidthTrace, TraceExhaustedError, download_finish_time
 
@@ -65,18 +65,10 @@ class SessionConfig:
     resume_threshold_s: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("buffer_capacity_s", "critical_threshold_s", "resume_threshold_s"):
-            value = getattr(self, name)
-            try:  # a bool is no number
-                finite = type(value) is not bool and math.isfinite(value)
-            except (TypeError, OverflowError):  # not a number, or an int beyond float range
-                finite = False
-            if not finite:
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if type(self.loop_trace) is not bool:
-            raise ValueError(f"loop_trace must be true or false, got {self.loop_trace!r}")
-        if not isinstance(self.policy_params, dict):
-            raise ValueError(f"policy_params must be an object, got {self.policy_params!r}")
+        # Each field but `policy` has its default's JSON type; checked, not converted, as a header echoes it.
+        for f in fields(self)[1:]:
+            like = f.default if f.default_factory is MISSING else f.default_factory()
+            json_value(getattr(self, f.name), like, f.name, ValueError)
         make_policy(self.policy, self.policy_params)  # raises on an unknown id or bad parameters
         if not 0.0 < self.critical_threshold_s < self.buffer_capacity_s:
             raise ValueError(
@@ -119,8 +111,8 @@ def _chunk_event_methods(body: str, tails: dict) -> list:
     its methods: from `body` formatted with the row's `args`, its record as a dict
     literal, an f-string `template` writing `json.dumps`'s bytes for it, the `guard`
     that the template fits (exact types, finite floats), the test `differs` that a
-    record `r` is not that dict (`!=` on its size, kind and each field) and
-    `tails[method]`."""
+    record `r` is not that dict (`!=` on its size, kind and each field, or a field
+    of another JSON type) and `tails[method]`."""
     source = []
     for method, (kind, fields) in CHUNK_EVENTS.items():
         names = [name for name, _ in fields]
@@ -130,7 +122,7 @@ def _chunk_event_methods(body: str, tails: dict) -> list:
         value = {name: f"{{_ascii_str({name})}}" if typ is str else f"{{{name}!r}}" for name, typ in fields}
         pairs = [f'"event": "{kind}"'] + [f'"{name}": {{}}' for name in names]
         differs = [f"len(r) != {len(fields) + 1}", f'r["event"] != "{kind}"'] + [
-            f'r["{name}"] != {name}' for name in names]
+            f'(v := r["{name}"]) != {name} or type(v) is not {typ.__name__}' for name, typ in fields]
         source.append(body.format(
             method=method, args=", ".join(names), guard=" and ".join(guard), tail=tails.get(method, ""),
             differs=" or ".join(differs),
@@ -450,7 +442,7 @@ class _ReplaySink:
             raise _ReplayInconsistency(
                 f"logged completion is for chunk {logged_chunk}, engine expected {chunk}"
             )
-        if not isinstance(logged_time, (int, float)) or logged_time <= send_time_s:
+        if type(logged_time) not in (int, float) or logged_time <= send_time_s:  # a bool is no time
             raise _ReplayInconsistency(
                 f"logged completion time {logged_time} precedes its fetch at {send_time_s}"
             )
@@ -470,7 +462,7 @@ def {method}(self, {args}):
 """, {})
 
     def record(self, rec: dict) -> None:
-        if not self.kept and self.matched < len(self.logged) and self.logged[self.matched] == rec:
+        if not self.kept and self.matched < len(self.logged) and _same(self.logged[self.matched], rec):
             self.matched += 1
         else:
             self.kept.append(rec)
@@ -505,13 +497,24 @@ def _diff_records(original: list[dict], regenerated: list[dict]) -> list[str]:
     if len(original) != len(regenerated):
         diffs.append(f"record count differs: logged {len(original)}, replay {len(regenerated)}")
     for idx, (a, b) in enumerate(zip(original, regenerated)):
-        if a != b:
+        if not _same(a, b):
             if set(a.keys()) != set(b.keys()):
                 diffs.append(f"record {idx}: fields {sorted(a)} vs {sorted(b)}")
                 continue
             diffs += [f"record {idx} ({a.get('event')}): {key} logged {logged!r}, replay {b[key]!r}"
-                      for key, logged in a.items() if logged != b[key]]
+                      for key, logged in a.items() if not _same(logged, b[key])]
         if len(diffs) >= 20:
             diffs.append("...")
             break
     return diffs
+
+
+def _same(a, b) -> bool:
+    """`a == b`, with every value of the same JSON type: `true` is no 1, and 1 is no 1.0."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same(value, b[key]) for key, value in a.items())
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b

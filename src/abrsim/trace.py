@@ -22,7 +22,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .manifest import read_text
+from .manifest import json_value, read_text
 
 # The oscillating generator's bands (kbps) and phase lengths (s), each a uniform range.
 SYNTH_LOW_KBPS = (1500.0, 2100.0)
@@ -35,8 +35,9 @@ class TraceError(ValueError):
 
 
 class TraceExhaustedError(RuntimeError):
-    """A requested volume can never complete: a non-looping trace runs dry, or a
-    looping one would need more periods than a float counts."""
+    """A requested volume can never complete: a non-looping trace runs dry, a
+    looping one would need more periods than a float counts, or the finish time
+    is past the float range."""
 
 
 @dataclass(frozen=True)
@@ -46,15 +47,15 @@ class BandwidthTrace:
     samples: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        samples = tuple((float(t), float(bw)) for t, bw in self.samples)
+        samples = tuple((json_value(t, 0.0, f"sample {k} timestamp", TraceError),
+                         json_value(bw, 0.0, f"sample {k} bandwidth", TraceError))
+                        for k, (t, bw) in enumerate(self.samples, start=1))
         object.__setattr__(self, "samples", samples)
         if not samples:
             raise TraceError("trace has no samples")
         if samples[0][0] != 0.0:
             raise TraceError(f"first sample must be at timestamp 0, got {samples[0][0]}")
         for k, (t, bw) in enumerate(samples):
-            if not math.isfinite(t) or not math.isfinite(bw):
-                raise TraceError(f"sample {k + 1} is not finite: ({t}, {bw})")
             if bw < 0:
                 raise TraceError(f"sample {k + 1} has negative bandwidth {bw}")
             if k and t <= samples[k - 1][0]:
@@ -83,8 +84,9 @@ def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits:
 
     Raises TraceError when a looping trace has fewer than 2 samples or a period
     volume that is not positive and finite; TraceExhaustedError when a
-    non-looping trace ends with zero bandwidth before the volume completes, or
-    a looping one needs more periods than a float counts.
+    non-looping trace ends with zero bandwidth before the volume completes, a
+    looping one needs more periods than a float counts, or the finish time
+    overflows.
     """
     if volume_kilobits <= 0:
         raise ValueError(f"volume must be > 0, got {volume_kilobits}")
@@ -105,7 +107,11 @@ def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits:
                     f"trace exhausted at {times[-1]}s with {missing:.6g} kilobits "
                     "undelivered and zero residual bandwidth"
                 )
-            return times[-1] + (target - total) / tail_rate
+            finish = times[-1] + (target - total) / tail_rate
+            if finish == math.inf:
+                raise TraceExhaustedError(f"trace cannot deliver {volume_kilobits} kilobits from {start_s}s: "
+                                          f"at its {tail_rate} kbps tail rate the finish time overflows")
+            return finish
         j = bisect_left(prefix, target)
         return times[j - 1] + (target - prefix[j - 1]) / rates[j - 1]
     if len(times) < 2:
@@ -139,7 +145,11 @@ def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits:
         rem = per_loop
     # Earliest offset into one period delivering rem, 0 < rem <= per_loop.
     j = bisect_left(prefix, rem)
-    return wraps * period + (times[j - 1] + (rem - prefix[j - 1]) / rates[j - 1])
+    finish = wraps * period + (times[j - 1] + (rem - prefix[j - 1]) / rates[j - 1])
+    if finish == math.inf:
+        raise TraceExhaustedError(f"looping trace cannot deliver {volume_kilobits} kilobits from {start_s}s: its "
+                                  f"{period}s period carries {per_loop} kilobits, and the finish time overflows")
+    return finish
 
 
 def load_trace(path: str) -> BandwidthTrace:

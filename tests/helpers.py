@@ -98,7 +98,11 @@ def reference_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits
                     f"trace exhausted at {times[-1]}s with {target - total:.6g} kilobits "
                     "undelivered and zero residual bandwidth"
                 )
-            return times[-1] + (target - total) / rates[-1]
+            finish = times[-1] + (target - total) / rates[-1]
+            if finish == math.inf:
+                raise TraceExhaustedError(f"trace cannot deliver {volume_kilobits} kilobits from {start_s}s: "
+                                          f"at its {rates[-1]} kbps tail rate the finish time overflows")
+            return finish
         return invert_within_period(target)
     period, per_loop = times[-1], prefix[-1]
     wraps = math.floor(target / per_loop)
@@ -107,8 +111,13 @@ def reference_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits
         wraps -= 1
         rem += per_loop
     if rem == 0.0:
-        return (wraps - 1) * period + invert_within_period(per_loop)
-    return wraps * period + invert_within_period(rem)
+        finish = (wraps - 1) * period + invert_within_period(per_loop)
+    else:
+        finish = wraps * period + invert_within_period(rem)
+    if finish == math.inf:
+        raise TraceExhaustedError(f"looping trace cannot deliver {volume_kilobits} kilobits from {start_s}s: its "
+                                  f"{period}s period carries {per_loop} kilobits, and the finish time overflows")
+    return finish
 
 
 def reference_ssim_rows(ladder: BitrateLadder, chunk_count: int, profile) -> tuple:

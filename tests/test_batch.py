@@ -327,7 +327,7 @@ def test_run_batch_rechecks_scenarios_set_in_code(tmp_path):
     with pytest.raises(RunSpecError, match=re.escape("scenario must be a [BS, Lc] pair, got (120,)")):
         run_batch(spec)
     spec.scenarios = [("120", "12")]  # a numeric string is no number, from code as in a file
-    with pytest.raises(RunSpecError, match=re.escape("scenario values must be numbers, got ('120', '12')")):
+    with pytest.raises(RunSpecError, match=re.escape("scenarios[1][1] must be a finite number, got '120'")):
         run_batch(spec)
     run_batch(load_runspec(path))
     spec = load_runspec(path)

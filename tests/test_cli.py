@@ -185,10 +185,11 @@ def test_validate_flags_bad_files(workspace, capsys):
 
 @pytest.mark.parametrize("fields, message", [
     ({"ladder_kbps": "58"}, "ladder_kbps must be a list of numbers, got '58'"),
-    ({"chunk_duration_s": "4", "ladder_kbps": ["235", "375"]}, "chunk_duration_s must be a number, got '4'"),
-    ({"ssim": [["0.7", "0.8"]]}, "ssim[1][1] must be a number, got '0.7'"),
-    ({"chunk_kilobits": [[10**400, 1500]]}, "chunk_kilobits[1][1] must be a number, got an integer too large for a float"),
-    ({"ladder_kbps": [235, 10**400]}, "ladder_kbps[2] must be a number, got an integer too large for a float"),
+    ({"chunk_duration_s": "4", "ladder_kbps": ["235", "375"]}, "chunk_duration_s must be a finite number, got '4'"),
+    ({"ssim": [["0.7", "0.8"]]}, "ssim[1][1] must be a finite number, got '0.7'"),
+    ({"chunk_kilobits": [[10**400, 1500]]},
+     "chunk_kilobits[1][1] must be a finite number, got an integer too large for a float"),
+    ({"ladder_kbps": [235, 10**400]}, "ladder_kbps[2] must be a finite number, got an integer too large for a float"),
 ])
 def test_validate_rejects_a_manifest_with_strings_for_numbers(workspace, capsys, fields, message):
     path = workspace / "typed.json"
@@ -249,6 +250,19 @@ def test_simulate_on_a_loop_whose_count_overflows_ends_partial(workspace, capsys
     assert last["event"] == "session_truncated" and "the loop count overflows" in last["diagnostic"]
     assert captured.err.startswith("PARTIAL")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("samples", [((0.0, 3000.0), (10.0, 1e-310)), ((0.0, 1e-320), (600.0, 1e-320))],
+                         ids=["subnormal-tail", "subnormal-throughout"])
+def test_simulate_on_a_tail_too_slow_to_finish_in_the_float_range_ends_partial(workspace, capsys, samples):
+    trace, manifest, log = (str(workspace / name) for name in ("slow.csv", "manifest.json", "slow.jsonl"))
+    save_trace(BandwidthTrace(samples), trace)
+    assert main(["validate", "--trace", trace]) == 0
+    assert main(["simulate", "--manifest", manifest, "--trace", trace, "--log", log]) == 1
+    last = SessionEventLog.read(log).records[-1]
+    assert last["event"] == "session_truncated" and "the finish time overflows" in last["diagnostic"]
+    assert main(["replay", "--log", log, "--manifest", manifest]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("samples, carries", [
@@ -497,9 +511,11 @@ def test_replay_missing_log_exits_two(workspace, capsys):
 @pytest.mark.parametrize("kind, index, field, value, message", [
     ("download_complete", 2, "chunk", None, "logged completion is for chunk None, engine expected 3"),
     ("download_complete", 2, "time_s", None, "logged completion time None precedes its fetch"),
+    ("download_complete", 0, "time_s", True, "logged completion time True precedes its fetch at 0.0"),
     ("download_complete", 2, "time_s", 10**400, "log is not replayable: int too large to convert to float"),
     ("session_start", 0, "chunk_count", 10**400, f"record 0 (session_start): chunk_count logged {10**400}, replay 8"),
-], ids=["completion-without-chunk", "completion-without-time", "huge-int-completion-time", "huge-int-in-header"])
+], ids=["completion-without-chunk", "completion-without-time", "bool-completion-time", "huge-int-completion-time",
+        "huge-int-in-header"])
 def test_replay_flags_a_record_it_cannot_replay(workspace, capsys, kind, index, field, value, message):
     log_path = workspace / "session.jsonl"
     main(["simulate", "--manifest", str(workspace / "manifest.json"),
@@ -844,9 +860,9 @@ def rewrite_spec(workspace, **fields):
     ({"policy_params": {"sba": 5}}, "policy_params must map policy ids to objects of parameters"),
     ({"scenarios": [[120, 12], [12, 12]]}, "critical threshold < buffer capacity"),
     ({"jobs": "2"}, "jobs must be an integer >= 1, got '2'"),
-    ({"scenarios": [[None, 12]]}, "scenario values must be numbers, got [None, 12]"),
+    ({"scenarios": [[None, 12]]}, "scenarios[1][1] must be a finite number, got None"),
     ({"scenarios": [[4, 1]]}, "buffer capacity 4s must exceed the manifest's 4s chunk duration"),
-    ({"scenarios": [[float("inf"), 12]]}, "buffer_capacity_s must be a finite number, got inf"),
+    ({"scenarios": [[float("inf"), 12]]}, "scenarios[1][1] must be a finite number, got inf"),
     ({"seed": None}, "seed must be an integer, got None"),
     ({"traces": 5}, "traces must be a glob or a list of globs, got 5"),
     ({"traces": ["trace_*.csv", 5]}, "traces must be a glob or a list of globs, got ['trace_*.csv', 5]"),
@@ -859,26 +875,26 @@ def rewrite_spec(workspace, **fields):
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"loop_traces": "false"}, "loop_traces must be true or false, got 'false'"),
     ({"manifest": None, "synthesize": {"chunk_count": None, "chunk_duration_s": 4}},
-     "bad synthesize fields: int() argument must be"),
+     "bad synthesize fields: chunk_count must be an integer, got None"),
     ({"manifest": None, "synthesize": {"chunk_count": 8, "chunk_duration_s": 4, "ladder_kbps": 5}},
-     "bad synthesize fields: 'int' object is not iterable"),
+     "bad synthesize fields: ladder_kbps must be a list of numbers, got 5"),
     ({"manifest": None, "synthesize": {"chunk_count": float("inf"), "chunk_duration_s": 4}},
-     "bad synthesize fields: cannot convert float infinity to integer"),
+     "bad synthesize fields: chunk_count must be an integer, got inf"),
     ({"manifest": None, "synthesize": {"chunk_count": 8, "chunk_duration_s": 4, "jitter_seed": [1]}},
      "bad synthesize fields: jitter_seed must be an integer, got [1]"),
     ({"manifest": None, "synthesize": {"chunk_count": 8, "chunk_duration_s": 4, "knee_kbps": "x"}},
-     "bad synthesize fields: knee_kbps must be a number, got 'x'"),
+     "bad synthesize fields: knee_kbps must be a finite number, got 'x'"),
     ({"manifest": None, "synthesize": {"chunk_count": 8, "chunk_duration_s": 4, "ladder_kbps": "58"}},
      "bad synthesize fields: ladder_kbps must be a list of numbers, got '58'"),
     ({"manifest": None, "synthesize": {"chunk_count": 8, "chunk_duration_s": 4, "ladder_kbps": ["235", "375"]}},
-     "bad synthesize fields: ladder_kbps must be a list of numbers, got ['235', '375']"),
+     "bad synthesize fields: ladder_kbps[1] must be a finite number, got '235'"),
     ({"manifest": None, "synthesize": {"chunk_count": True, "chunk_duration_s": 4}},
      "bad synthesize fields: chunk_count must be an integer, got True"),
     ({"manifest": None, "synthesize": {"chunk_count": 5.7, "chunk_duration_s": 4}},
      "bad synthesize fields: chunk_count must be an integer, got 5.7"),
     ({"manifest": None, "synthesize": {"chunk_count": 9901, "chunk_duration_s": 4, "ladder_kbps": LADDER_101}},
      "synthesize would build a 9901 x 101 SSIM table, over the 1000000 cells allowed"),
-    ({"scenarios": [[10**400, 12]]}, "scenario values must be numbers, got [1000"),
+    ({"scenarios": [[10**400, 12]]}, "scenarios[1][1] must be a finite number, got an integer too large for a float"),
     ({"policy_params": {"festive": {"window": 10**400}}}, "bad parameters for policy 'festive'"),
     ({"policies": [["sba"]]}, "policies must be a list of policy ids, got [['sba']]"),
     ({"policy_params": {"sba": {"upgrade_only": "no"}}},
@@ -888,11 +904,11 @@ def rewrite_spec(workspace, **fields):
     ({"policy_params": {"festive": {"window": 5.0}}},
      "bad parameters for policy 'festive': window must be an integer, got 5.0"),
     ({"policy_params": {"bba": {"cushion_frac": True}}},
-     "bad parameters for policy 'bba': cushion_frac must be a number, got True"),
+     "bad parameters for policy 'bba': cushion_frac must be a finite number, got True"),
     ({"policy_params": {"osmf": {"up_ratio": True}}},
-     "bad parameters for policy 'osmf': up_ratio must be a number, got True"),
-    ({"scenarios": [["120", "12"]]}, "scenario values must be numbers, got ['120', '12']"),
-    ({"scenarios": [[True, 12]]}, "scenario values must be numbers, got [True, 12]"),
+     "bad parameters for policy 'osmf': up_ratio must be a finite number, got True"),
+    ({"scenarios": [["120", "12"]]}, "scenarios[1][1] must be a finite number, got '120'"),
+    ({"scenarios": [[True, 12]]}, "scenarios[1][1] must be a finite number, got True"),
     ({"scenarios": []}, "spec names no scenarios"),
     ({"policy_params": {"osmf": {"up_ratio": float("inf")}}},
      "bad parameters for policy 'osmf': up_ratio must be a finite number, got inf"),
@@ -938,7 +954,7 @@ def test_run_rejects_sessions_sharing_a_log_name(workspace, capsys, fields, name
     ({"policies": ["sba", "rate_hog"]}, ["--jobs", "2"], "unknown policy 'rate_hog'"),
     ({"scenarios": [[120, 12], [10, 12]]}, [], "critical threshold < buffer capacity"),
     ({}, ["--jobs", "0"], "jobs must be an integer >= 1, got 0"),
-    ({"scenarios": [[120, "abc"]]}, ["--jobs", "2"], "scenario values must be numbers, got [120, 'abc']"),
+    ({"scenarios": [[120, "abc"]]}, ["--jobs", "2"], "scenarios[1][2] must be a finite number, got 'abc'"),
 ], ids=["unknown-policy", "lc-not-below-bs", "zero-jobs", "scenario-not-a-number"])
 def test_run_rejects_invalid_overrides(workspace, capsys, fields, flags, message):
     # --output-dir and --jobs override the spec, but its rules still hold and

@@ -17,6 +17,10 @@ from abrsim.manifest import (
     save_manifest,
     synthesize_manifest,
 )
+from abrsim.abr import make_policy
+from abrsim.batch import RunSpec, RunSpecError, manifest_from_recipe
+from abrsim.simulator import SessionConfig
+from abrsim.trace import BandwidthTrace, TraceError
 from helpers import chunk_volume, make_ladder, make_manifest, monotone_rows, reference_ssim_rows
 
 
@@ -137,21 +141,69 @@ def test_chunk_kilobits_validated():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: make_manifest(chunks=1, rates=(235, 375), ssim=[[0.8, True]]), "ssim[1][2] must be a number, got True"),
+    (lambda: make_manifest(chunks=1, rates=(235, 375), ssim=[[0.8, True]]),
+     "ssim[1][2] must be a finite number, got True"),
     (lambda: make_manifest(chunks=1, rates=(235, 375), sizes=[[900, "1500"]]),
-     "chunk_kilobits[1][2] must be a number, got '1500'"),
+     "chunk_kilobits[1][2] must be a finite number, got '1500'"),
     (lambda: make_manifest(chunks=1, rates=(235, 375), sizes=[[900, 10**400]]),
-     "chunk_kilobits[1][2] must be a number, got an integer too large for a float"),
+     "chunk_kilobits[1][2] must be a finite number, got an integer too large for a float"),
     (lambda: make_manifest(chunks=1, rates=(235, 375), sizes=[[900, math.nan]]),
-     "chunk_kilobits[1][2] must be > 0, got nan"),
-    (lambda: make_manifest(duration="4"), "chunk_duration_s must be a number, got '4'"),
-    (lambda: BitrateLadder((235, "375")), "ladder_kbps must be a list of numbers, got [235, '375']"),
-    (lambda: BitrateLadder((235, 10**400)), "ladder_kbps[2] must be a number, got an integer too large for a float"),
+     "chunk_kilobits[1][2] must be a finite number, got nan"),
+    (lambda: make_manifest(duration="4"), "chunk_duration_s must be a finite number, got '4'"),
+    (lambda: BitrateLadder((235, "375")), "ladder_kbps[2] must be a finite number, got '375'"),
+    (lambda: BitrateLadder((235, 10**400)),
+     "ladder_kbps[2] must be a finite number, got an integer too large for a float"),
 ], ids=["bool-ssim", "string-size", "huge-int-size", "nan-after-a-valid-size", "string-duration",
         "string-rung", "huge-int-rung"])
 def test_the_types_reject_what_is_no_json_number(build, message):
     with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
         build()
+
+
+# Each boundary a loaded or built value crosses: (the call that takes the value, its error, what the
+# message names, an example of the JSON type it takes).
+JSON_BOUNDARIES = {
+    "ladder-rung": (lambda v: BitrateLadder((235.0, v)), ManifestError, "ladder_kbps[2]", 0.0),
+    "chunk-duration": (lambda v: make_manifest(duration=v), ManifestError, "chunk_duration_s", 0.0),
+    "ssim-cell": (lambda v: make_manifest(chunks=1, rates=(235, 375), ssim=[[0.8, v]]), ManifestError,
+                  "ssim[1][2]", 0.0),
+    "size-cell": (lambda v: make_manifest(chunks=1, rates=(235, 375), sizes=[[900, v]]), ManifestError,
+                  "chunk_kilobits[1][2]", 0.0),
+    "trace-rate": (lambda v: BandwidthTrace(((0, v), (60, 0))), TraceError, "sample 1 bandwidth", 0.0),
+    "trace-time": (lambda v: BandwidthTrace(((0, 3000), (v, 2000), (60, 0))), TraceError,
+                   "sample 2 timestamp", 0.0),
+    "scenario-value": (lambda v: RunSpec(["*.csv"], ["sba"], [[120, v]], "out", "m.json"), RunSpecError,
+                       "scenarios[1][2]", 0.0),
+    "recipe-float": (lambda v: manifest_from_recipe({"chunk_count": 8, "chunk_duration_s": 4, "knee_kbps": v}),
+                     RunSpecError, "bad synthesize fields: knee_kbps", 0.0),
+    "recipe-int": (lambda v: manifest_from_recipe({"chunk_count": v, "chunk_duration_s": 4}), RunSpecError,
+                   "bad synthesize fields: chunk_count", 0),
+    "param-float": (lambda v: make_policy("bba", {"cushion_frac": v}), ValueError,
+                    "bad parameters for policy 'bba': cushion_frac", 0.0),
+    "param-int": (lambda v: make_policy("festive", {"window": v}), ValueError,
+                  "bad parameters for policy 'festive': window", 0),
+    "param-bool": (lambda v: make_policy("sba", {"upgrade_only": v}), ValueError,
+                   "bad parameters for policy 'sba': upgrade_only", False),
+    "config-float": (lambda v: SessionConfig(buffer_capacity_s=v), ValueError, "buffer_capacity_s", 0.0),
+    "config-bool": (lambda v: SessionConfig(loop_trace=v), ValueError, "loop_trace", False),
+    "config-dict": (lambda v: SessionConfig(policy_params=v), ValueError, "policy_params", {}),
+}
+JSON_TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "true or false", dict: "an object"}
+NO_JSON_VALUE = {"true": True, "string": "1", "null": None, "nan": math.nan, "inf": math.inf, "huge-int": 10**400}
+
+
+@pytest.mark.parametrize("boundary, value", [
+    pytest.param(boundary, NO_JSON_VALUE[name], id=f"{boundary}-{name}")
+    for boundary, (_, _, _, like) in JSON_BOUNDARIES.items() for name in NO_JSON_VALUE
+    # true is a JSON bool and 10**400 a JSON integer; a float must also be finite
+    if type(NO_JSON_VALUE[name]) is not type(like) or type(like) is float
+])
+def test_every_boundary_words_the_json_value_rule_alike(boundary, value):
+    build, error, what, like = JSON_BOUNDARIES[boundary]
+    got = "an integer too large for a float" if type(like) is float and value == 10**400 else repr(value)
+    with pytest.raises(error) as exc:
+        build(value)
+    assert str(exc.value) == f"{what} must be {JSON_TYPE_NAMES[type(like)]}, got {got}"
 
 
 def test_a_size_table_whose_sum_overflows_stays_valid():
@@ -196,14 +248,14 @@ def test_load_rejects_missing_fields(tmp_path):
 
 @pytest.mark.parametrize("fields, message", [
     ({"ladder_kbps": "58"}, "ladder_kbps must be a list of numbers, got '58'"),
-    ({"ladder_kbps": ["235", "375"]}, "ladder_kbps must be a list of numbers"),
-    ({"ladder_kbps": [235, True]}, "ladder_kbps must be a list of numbers, got [235, True]"),
-    ({"chunk_duration_s": "4"}, "chunk_duration_s must be a number, got '4'"),
-    ({"chunk_duration_s": True}, "chunk_duration_s must be a number, got True"),
-    ({"ssim": [[0.7, "0.8"]]}, "ssim[1][2] must be a number, got '0.8'"),
-    ({"ssim": [[0.7, 0.8], [None, 0.9]]}, "ssim[2][1] must be a number, got None"),
-    ({"chunk_kilobits": [[1000, False]]}, "chunk_kilobits[1][2] must be a number, got False"),
-    ({"chunk_kilobits": [["1000", 2000]]}, "chunk_kilobits[1][1] must be a number, got '1000'"),
+    ({"ladder_kbps": ["235", "375"]}, "ladder_kbps[1] must be a finite number, got '235'"),
+    ({"ladder_kbps": [235, True]}, "ladder_kbps[2] must be a finite number, got True"),
+    ({"chunk_duration_s": "4"}, "chunk_duration_s must be a finite number, got '4'"),
+    ({"chunk_duration_s": True}, "chunk_duration_s must be a finite number, got True"),
+    ({"ssim": [[0.7, "0.8"]]}, "ssim[1][2] must be a finite number, got '0.8'"),
+    ({"ssim": [[0.7, 0.8], [None, 0.9]]}, "ssim[2][1] must be a finite number, got None"),
+    ({"chunk_kilobits": [[1000, False]]}, "chunk_kilobits[1][2] must be a finite number, got False"),
+    ({"chunk_kilobits": [["1000", 2000]]}, "chunk_kilobits[1][1] must be a finite number, got '1000'"),
 ])
 def test_load_rejects_strings_and_bools_for_numbers(tmp_path, fields, message):
     path = tmp_path / "m.json"

@@ -289,6 +289,8 @@ WRAP_TRACE = BandwidthTrace(((0.0, 100.0), (5.0, 0.0), (10.0, 0.0)))
 @example((BandwidthTrace(((0.0, 5e-324), (0.5, 0.0))), 0.0, 10.0, True))  # no volume per period
 @example((BandwidthTrace(((0.0, 1e308), (10.0, 0.0))), 0.0, 10.0, True))  # an infinite one
 @example((constant_trace(100.0, until_s=10.0), 3.0, 5000.0, False))  # zero tail: exhausted
+@example((BandwidthTrace(((0.0, 3000.0), (10.0, 1e-310))), 5.0, 20000.0, False))  # a finish past the float range
+@example((BandwidthTrace(((0.0, 1e-310), (1e10, 0.0))), 0.0, 940.0, True))  # the same, looping
 @example((constant_trace(100.0), -1.0, 10.0, False))
 @example((constant_trace(100.0), 1.0, 0.0, False))
 def test_finish_time_matches_the_reference_bit_for_bit(transfer):

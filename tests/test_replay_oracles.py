@@ -4,7 +4,8 @@
 compares each event as the engine emits it, and `from_jsonl` decodes a whole
 log in one call when its guard holds. The reference functions below are the
 plain versions they replaced; the fast paths must return what they return
-for every input. Two values match only when they are equal.
+for every input. Two values match only when they are equal and of one JSON
+type at every depth.
 """
 
 import copy
@@ -30,6 +31,17 @@ from abrsim.trace import TraceExhaustedError
 from helpers import events, replay_pool
 
 
+def same_json_value(a, b):
+    """a == b, where a bool, an int and a float are three JSON types (True == 1 == 1.0 is no match)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return sorted(a) == sorted(b) and all(same_json_value(a[key], b[key]) for key in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(same_json_value(x, y) for x, y in zip(a, b))
+    return a == b
+
+
 def reference_diff_records(original, regenerated):
     diffs = []
     if len(original) != len(regenerated):
@@ -40,7 +52,7 @@ def reference_diff_records(original, regenerated):
             continue
         for key, logged in a.items():
             fresh = b[key]
-            if logged != fresh:
+            if not same_json_value(logged, fresh):
                 diffs.append(f"record {idx} ({a.get('event')}): {key} logged {logged!r}, replay {fresh!r}")
         if len(diffs) >= 20:
             diffs.append("...")

@@ -383,17 +383,45 @@ def test_replay_accepts_truncated_log():
     assert not replay_diff(log, manifest, SessionConfig.from_header(log.header))
 
 
+def bundled_session():
+    """The bundled manifest and the log of a default-config session on its `trace_00.csv`."""
+    scenario = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios", "comparison")
+    manifest = load_manifest(os.path.join(scenario, "manifest.json"))
+    log, _ = run_session(manifest, load_trace(os.path.join(scenario, "traces", "trace_00.csv")), SessionConfig())
+    return manifest, log
+
+
 def test_replay_names_the_chunk_a_log_lacks_a_completion_for():
     # No session_truncated record says where the log ends, so the missing last
     # completion is an inconsistency, not a trace that ran dry.
-    scenario = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios", "comparison")
-    manifest = load_manifest(os.path.join(scenario, "manifest.json"))
-    log, _ = run_session(manifest, load_trace(os.path.join(scenario, "traces", "trace_00.csv")), sba_config())
+    manifest, log = bundled_session()
     last = events(log, "download_complete")[-1]
     assert last["chunk"] == 150 and not events(log, "session_truncated")
     log.records.remove(last)
     assert replay_diff(log, manifest, SessionConfig.from_header(log.header)) == [
         "log holds no completion for chunk 150"]
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("fetch_issued", "level", True),
+    ("fetch_issued", "chunk", 1.0),
+    ("fetch_issued", "time_s", 0),
+    ("fetch_issued", "time_s", False),
+    ("session_start", "chunk_count", 150.0),
+    ("session_start", "chunk_duration_s", 4),
+    ("session_start", "ladder_kbps", [235, 375.0, 560.0, 750.0, 1050.0, 1750.0, 2350.0, 3000.0, 4300.0, 5800.0]),
+], ids=["bool-level", "float-chunk", "int-time", "bool-time", "float-chunk-count", "int-duration", "int-rung"])
+def test_replay_reports_a_value_of_another_json_type(kind, field, value):
+    # Each edit is == to the value the engine writes (True == 1 == 1.0), yet no log the engine writes holds it.
+    manifest, log = bundled_session()
+    record = events(log, kind)[0]
+    replayed = record[field]
+    assert value == replayed
+    record[field] = value
+    log = SessionEventLog.from_jsonl(log.to_jsonl())
+    index = [r["event"] for r in log.records].index(kind)
+    assert replay_diff(log, manifest, SessionConfig.from_header(log.header)) == [
+        f"record {index} ({kind}): {field} logged {value!r}, replay {replayed!r}"]
 
 
 @pytest.mark.parametrize("samples, rates", [

@@ -173,6 +173,20 @@ def test_finish_raises_exhausted_when_the_loop_count_overflows(samples, start_s,
         download_finish_time(BandwidthTrace(samples), start_s, volume, loop=True)
 
 
+@pytest.mark.parametrize("samples, loop, start_s, volume, message", [
+    (((0.0, 3000.0), (10.0, 1e-310)), False, 5.0, 20000.0,
+     "trace cannot deliver 20000.0 kilobits from 5.0s: at its 1e-310 kbps tail rate the finish time overflows"),
+    (((0.0, 1e-320), (600.0, 1e-320)), False, 0.0, 940.0,
+     "trace cannot deliver 940.0 kilobits from 0.0s: at its 1e-320 kbps tail rate the finish time overflows"),
+    (((0.0, 1e-310), (1e10, 0.0)), True, 0.0, 940.0,
+     "looping trace cannot deliver 940.0 kilobits from 0.0s: its 10000000000.0s period carries "
+     "9.999999999999969e-301 kilobits, and the finish time overflows"),
+], ids=["subnormal-tail", "subnormal-throughout", "subnormal-rate-over-a-long-period"])
+def test_finish_raises_exhausted_when_the_finish_time_overflows(samples, loop, start_s, volume, message):
+    with pytest.raises(TraceExhaustedError, match=f"^{re.escape(message)}$"):
+        download_finish_time(BandwidthTrace(samples), start_s, volume, loop)
+
+
 def test_finish_is_left_inverse_of_transferred():
     rng = random.Random(3)
     for _ in range(200):
@@ -238,7 +252,7 @@ def test_load_rejects_non_numeric_mid_file(tmp_path):
 def test_load_rejects_an_infinite_sample(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("0,5000\n10,inf\n")
-    with pytest.raises(TraceError, match=re.escape(f"{path}: sample 2 is not finite: (10.0, inf)")):
+    with pytest.raises(TraceError, match=re.escape(f"{path}: sample 2 bandwidth must be a finite number, got inf")):
         load_trace(str(path))
 
 
