@@ -10,8 +10,8 @@ the submodules (abr, batch, estimators, manifest, metrics, simulator, trace).
 from .abr import POLICIES, decide, make_policy
 from .batch import load_runspec, run_batch
 from .manifest import load_manifest
-from .metrics import aggregate, session_metrics
-from .simulator import SessionConfig, replay_diff, run_session
+from .metrics import aggregate
+from .simulator import SessionConfig, replay_diff, run_session, session_metrics
 from .trace import load_trace
 
 __version__ = "0.1.0"

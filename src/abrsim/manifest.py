@@ -190,7 +190,8 @@ def read_text(path: str, error: type, what: str) -> str:
         raise error(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-_JSON_TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "true or false", dict: "an object"}
+_JSON_TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string",
+                    list: "an array", dict: "an object"}
 
 
 def json_value(value, like, what: str, error: type):
@@ -198,19 +199,18 @@ def json_value(value, like, what: str, error: type):
 
     The one statement of the rule: a bool is no number, and a number is finite
     (RFC 8259 has no NaN or Infinity).  A float example takes any finite int or
-    float and returns it as a float; a bool, int or dict example takes only
-    that exact type and returns `value` itself.
+    float and returns it as a float; a bool, int, str, list or dict example
+    takes only that exact type and returns `value` itself.
     """
     kind = type(like)
-    if kind is float and type(value) in (int, float):
+    if type(value) is kind:
+        if kind is not float or math.isfinite(value):
+            return value
+    elif kind is float and type(value) is int:
         try:
-            number = float(value)
+            return float(value)  # finite, or too large to convert
         except OverflowError:
             raise error(f"{what} must be a finite number, got an integer too large for a float") from None
-        if math.isfinite(number):
-            return number
-    elif type(value) is kind:
-        return value
     raise error(f"{what} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
 
 

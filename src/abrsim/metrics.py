@@ -63,15 +63,14 @@ class AggregateReport:
 class SessionTally:
     """Online reduction of one session's event records to a SessionReport.
 
-    `record` takes every record: a display adds its level, and the header and
-    the playback, stall, end and truncation records their times; fetches and
-    completions carry nothing the report needs.  `report` rejects a level
-    that is no int (a stored log is outside input), naming its display, and
-    prices the levels by direct indexing once their min and max lie in 1..R;
-    a list that fails that or the indexing goes through the manifest's
-    checked lookups, which word the error.  A stall time `record` subtracts,
-    or a time `report` stores, that is no number (a bool is none) raises
-    TypeError, whose record `session_metrics` names.
+    Its feeder appends each displayed level to `levels` and passes every
+    record that is not per-chunk to `record`, which keeps the header and the
+    playback, stall, end and truncation times.  It checks no value's type: a
+    JsonlWriter feeds it what the engine builds, and `session_metrics` a
+    stored log's records once they fit their EVENTS rows.  `report` prices the
+    levels by direct indexing once their min and max lie in 1..R; a list that
+    fails that or the indexing goes through the manifest's checked lookups,
+    which word the error.
     """
 
     def __init__(self) -> None:
@@ -83,9 +82,7 @@ class SessionTally:
 
     def record(self, rec: dict) -> None:
         kind = rec["event"]
-        if kind == "chunk_display_start":
-            self.levels.append(rec["level"])
-        elif kind == "session_start" and self.header is None:
+        if kind == "session_start" and self.header is None:
             self.header = rec
         elif kind == "playback_start":
             self.startup = rec["time_s"]
@@ -94,25 +91,19 @@ class SessionTally:
         elif kind == "playback_resume":
             if self.stall_open is None:
                 raise ValueError("playback_resume without an open stall")
-            resumed = rec["time_s"]
-            if not {type(resumed), type(self.stall_open)} <= {int, float}:  # a bool is no number
-                raise TypeError("a stall time is no number")
-            self.stall_total += resumed - self.stall_open
+            self.stall_total += rec["time_s"] - self.stall_open
             self.stall_count += 1
             self.stall_open = None
         elif kind == "session_end":
             self.end_time = rec["time_s"]
         elif kind == "session_truncated":
             self.truncated_at = rec["time_s"]
-            self.diagnostic = rec.get("diagnostic", "")
+            self.diagnostic = rec["diagnostic"]
 
     def report(self, manifest: VideoManifest) -> SessionReport:
         header = self.header
         if header is None:
             raise ValueError("log does not start with a session_start record")
-        times = (self.startup, self.end_time, self.truncated_at, self.stall_open)
-        if not {*map(type, times)} <= {int, float, type(None)}:  # a bool is no number
-            raise TypeError("a stored time is no number")
         stall_total, stall_count = self.stall_total, self.stall_count
         if self.stall_open is not None:
             # Session cut off mid-stall; count the open interval up to the cut.
@@ -122,9 +113,6 @@ class SessionTally:
         levels = self.levels
         partial = (self.truncated_at is not None or self.end_time is None
                    or len(levels) < header["chunk_count"])
-        if not {*map(type, levels)} <= {int}:  # a bool is no level
-            i = next(i for i, lvl in enumerate(levels, start=1) if type(lvl) is not int)
-            raise ValueError(f"display {i} has level {levels[i - 1]!r}, not an integer")
         ladder = manifest.ladder
         try:
             if levels and not 1 <= min(levels) <= max(levels) <= ladder.count:
@@ -151,30 +139,6 @@ class SessionTally:
             partial=partial,
             diagnostic=self.diagnostic,
         )
-
-
-# The field of each kind of stored record on which a SessionTally can trip; all but a level are numbers.
-_TALLIED = {"session_start": "chunk_count", "chunk_display_start": "level", **dict.fromkeys(
-    ("playback_start", "playback_stall", "playback_resume", "session_end", "session_truncated"), "time_s")}
-
-
-def session_metrics(log, manifest: VideoManifest) -> SessionReport:
-    """Reduce one stored event log to a SessionReport through a SessionTally."""
-    log.header  # raises LogFormatError, a ValueError, unless the log opens with session_start
-    records = log.records
-    tally = SessionTally()
-    record = tally.record
-    try:
-        for rec in records:
-            record(rec)
-        return tally.report(manifest)
-    except (KeyError, TypeError):  # name the first record (counted from 1) whose field the tally cannot read
-        for n, rec in enumerate(records, start=1):
-            name = _TALLIED.get(rec.get("event"))
-            if name and (name not in rec or name != "level" and type(rec[name]) not in (int, float)):
-                what = f"has {name} {rec[name]!r}, not a number" if name in rec else f"lacks {name}"
-                raise ValueError(f"record {n} ({rec['event']}) {what}") from None
-        raise
 
 
 def aggregate(reports) -> AggregateReport:

@@ -20,13 +20,17 @@ playing; after the last chunk it drains out and the session ends.
 
 Each event goes once, as it happens, to a sink: a SessionEventLog keeps the
 records (JSON Lines on disk, fixed field order), and a JsonlWriter encodes
-each line and tallies the report in the same call.  CHUNK_EVENTS is the one
-schema of the per-chunk records; both sinks' methods for them are compiled
-from it.  `replay_diff` re-runs the engine once to verify that every value a
-log records - decisions, estimates, buffer levels, event times - is reproduced
-exactly.  A third sink feeds the run each logged completion time when it
-reaches that chunk, with no separate walk of the log, compares each event with
-the logged record as the engine emits it and keeps all from the first mismatch.
+each line and tallies the report in the same call.  EVENTS is the one schema
+of all nine record kinds.  Both sinks' per-chunk methods are compiled from it,
+and `check_record` checks a stored record against it in `json_value`'s one
+wording (`record 7 (playback_stall): time_s must be a finite number, got 'x'`,
+`record 1 (session_start) lacks policy`) wherever a stored log is read:
+`session_metrics`, `SessionConfig.from_header` and the replay.  `replay_diff`
+re-runs the engine once to verify that every value a log records -
+decisions, estimates, buffer levels, event times - is reproduced exactly.
+A third sink feeds the run each logged completion time when it reaches that
+chunk, with no separate walk of the log, compares each event with the logged
+record as the engine emits it and keeps all from the first mismatch.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from operator import itemgetter
 
 from .abr import Observation, decide, make_policy
 from .manifest import VideoManifest, json_value, parse_json, read_text, write_text_atomically
-from .metrics import SessionTally, session_metrics
+from .metrics import SessionReport, SessionTally
 from .trace import BandwidthTrace, TraceExhaustedError, download_finish_time
 
 # The scanner of a whole log decoded in one call: its key memo lasts one call,
@@ -52,7 +56,7 @@ _event_of = itemgetter("event")
 
 
 class LogFormatError(ValueError):
-    """Event log text is structurally unusable."""
+    """Event log text is structurally unusable, or a record does not fit its EVENTS row."""
 
 
 @dataclass(frozen=True)
@@ -80,41 +84,56 @@ class SessionConfig:
 
     @classmethod
     def from_header(cls, header: dict) -> "SessionConfig":
-        """The config a log's `session_start` record (written by `_drive`) holds."""
-        missing = [k for k in ("policy", "buffer_capacity_s", "critical_threshold_s") if k not in header]
-        if missing:
-            raise LogFormatError(f"session_start record lacks {', '.join(missing)}")
-        return cls(
-            policy=header["policy"],
-            buffer_capacity_s=header["buffer_capacity_s"],
-            critical_threshold_s=header["critical_threshold_s"],
-            loop_trace=header.get("loop_trace", False),
-            policy_params=header.get("policy_params", {}),
-            resume_threshold_s=header.get("resume_threshold_s", 0.0),
-        )
+        """The config a log's `session_start` record (written by `_drive`, checked against its row) holds."""
+        check_record(header, 1)
+        return cls(**{f.name: header[f.name] for f in fields(cls)})
 
 
-# The one schema of the per-chunk records: sink method -> event kind and the
-# fields after "event", in order, with their JSON types.  Both sinks' `fetch`,
-# `complete` and `display` are compiled from it at import.
-CHUNK_EVENTS = {
-    "fetch": ("fetch_issued", (("time_s", float), ("chunk", int), ("level", int), ("buffer_s", float),
-                               ("bandwidth_estimate_kbps", float), ("ssim_delta_mean", float),
-                               ("reason", str))),
-    "complete": ("download_complete", (("time_s", float), ("chunk", int), ("throughput_kbps", float))),
-    "display": ("chunk_display_start", (("time_s", float), ("chunk", int), ("level", int))),
+# The one schema of the event records: each kind's fields after "event", in order, each with an
+# example of its JSON type (`json_value`'s `like`).  `check_record` checks a stored record against
+# its row; both sinks' `fetch`, `complete` and `display` are compiled at import from the rows
+# SINK_METHODS names.
+EVENTS = {
+    "session_start": (("policy", ""), ("policy_params", {}), ("buffer_capacity_s", 0.0),
+                      ("critical_threshold_s", 0.0), ("startup_policy", ""), ("resume_threshold_s", 0.0),
+                      ("loop_trace", False), ("chunk_count", 0), ("chunk_duration_s", 0.0), ("ladder_kbps", [])),
+    "fetch_issued": (("time_s", 0.0), ("chunk", 0), ("level", 0), ("buffer_s", 0.0),
+                     ("bandwidth_estimate_kbps", 0.0), ("ssim_delta_mean", 0.0), ("reason", "")),
+    "download_complete": (("time_s", 0.0), ("chunk", 0), ("throughput_kbps", 0.0)),
+    "playback_start": (("time_s", 0.0),),
+    "chunk_display_start": (("time_s", 0.0), ("chunk", 0), ("level", 0)),
+    "playback_stall": (("time_s", 0.0),),
+    "playback_resume": (("time_s", 0.0),),
+    "session_end": (("time_s", 0.0),),
+    "session_truncated": (("time_s", 0.0), ("chunk", 0), ("diagnostic", "")),
 }
+SINK_METHODS = {"fetch": "fetch_issued", "complete": "download_complete", "display": "chunk_display_start"}
+
+
+def check_record(rec: dict, n: int) -> None:
+    """Raise LogFormatError unless stored record `n` (counted from 1) has every field of its
+    EVENTS row with that field's JSON type, as `json_value` words it."""
+    kind = rec["event"]
+    row = EVENTS[kind]
+    try:  # the record's name is only formatted for an error
+        for name, like in row:
+            json_value(rec[name], like, name, LogFormatError)
+    except KeyError:
+        raise LogFormatError(f"record {n} ({kind}) lacks {name}") from None
+    except LogFormatError as exc:
+        raise LogFormatError(f"record {n} ({kind}): {exc}") from None
 
 
 def _chunk_event_methods(body: str, tails: dict) -> list:
-    """One function per CHUNK_EVENTS row, compiled as `collections.namedtuple` builds
+    """One function per SINK_METHODS row, compiled as `collections.namedtuple` builds
     its methods: from `body` formatted with the row's `args`, its record as a dict
     literal, an f-string `template` writing `json.dumps`'s bytes for it, the `guard`
     that the template fits (exact types, finite floats), the test `differs` that a
     record `r` is not that dict (`!=` on its size, kind and each field, or a field
     of another JSON type) and `tails[method]`."""
     source = []
-    for method, (kind, fields) in CHUNK_EVENTS.items():
+    for method, kind in SINK_METHODS.items():
+        fields = [(name, type(like)) for name, like in EVENTS[kind]]
         names = [name for name, _ in fields]
         by_type = {typ: [name for name, t in fields if t is typ] for typ in (float, int, str)}
         guard = [" is ".join([f"type({name})" for name in group] + [typ.__name__])
@@ -131,7 +150,7 @@ def _chunk_event_methods(body: str, tails: dict) -> list:
     namespace = {"__name__": __name__, "_isfinite": math.isfinite, "_ascii_str": _ascii_str,
                  "_dumps": json.dumps}
     exec(compile("".join(source), "<chunk event sinks>", "exec"), namespace)
-    return [namespace[method] for method in CHUNK_EVENTS]
+    return [namespace[method] for method in SINK_METHODS]
 
 
 @dataclass
@@ -139,7 +158,7 @@ class SessionEventLog:
     """Ordered event records; one JSON object per line on disk.
 
     Also the engine's default sink: `fetch`, `complete` and `display`, compiled
-    from CHUNK_EVENTS, build the three per-chunk records, and `record` appends
+    from their EVENTS rows, build the three per-chunk records, and `record` appends
     any other one.
     """
 
@@ -206,8 +225,8 @@ class JsonlWriter(SessionTally):
     """Sink that encodes each event as its log line and tallies it in the same call.
 
     `"".join(lines)` is byte for byte what `SessionEventLog.to_jsonl` gives.  Its
-    `fetch`, `complete` and `display`, compiled from CHUNK_EVENTS, format a
-    per-chunk event whose fields have exactly their table types (a `bool` is no
+    `fetch`, `complete` and `display`, compiled from their EVENTS rows, format a
+    per-chunk event whose fields have exactly their row's types (a `bool` is no
     `int`) and whose floats are finite from a template with the calls
     `json.dumps` makes (`repr`, `encode_basestring_ascii`); any other goes
     through `json.dumps`.  `display` also tallies the displayed level.
@@ -250,6 +269,35 @@ def run_session(
     return sink, session_metrics(sink, manifest)
 
 
+_CHECKED_IN_FULL = EVENTS.keys() - SINK_METHODS.values()  # every kind but the per-chunk ones
+
+
+def session_metrics(log, manifest: VideoManifest) -> SessionReport:
+    """Reduce one stored event log to a SessionReport through a SessionTally.
+
+    Each record of a kind in _CHECKED_IN_FULL goes through `check_record` and
+    then the tally.  Of a per-chunk record the tally reads only a display's
+    level: the levels are gathered and checked in bulk, and the displays go
+    through `check_record` only to name the first that fails.
+    """
+    log.header  # raises LogFormatError, a ValueError, unless the log opens with session_start
+    records = log.records
+    tally = SessionTally()
+    levels, record = tally.levels, tally.record
+    for n, rec in enumerate(records, start=1):
+        kind = rec["event"]
+        if kind == "chunk_display_start":
+            levels.append(rec.get("level"))  # None where it lacks one
+        elif kind in _CHECKED_IN_FULL:
+            check_record(rec, n)
+            record(rec)
+    if not {*map(type, levels)} <= {int}:  # the type of the display row's level
+        for n, rec in enumerate(records, start=1):
+            if rec["event"] == "chunk_display_start":
+                check_record(rec, n)
+    return tally.report(manifest)
+
+
 def check_capacity(capacity_s: float, chunk_duration_s: float) -> None:
     # A buffer must hold one chunk with room to spare: at capacity == chunk duration the
     # fetch gate opens only on an empty buffer, where round-off can leave it a hair below zero.
@@ -289,22 +337,13 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
     drift_total, drift_count = 0.0, 0
     policy = make_policy(config.policy, config.policy_params)
 
-    sink.record(
-        {
-            "event": "session_start",
-            "policy": config.policy,
-            "policy_params": dict(config.policy_params),
-            "buffer_capacity_s": capacity,
-            "critical_threshold_s": critical,
-            # The only startup rule; still written, so replay still checks it.
-            "startup_policy": "play_after_first_chunk",
-            "resume_threshold_s": config.resume_threshold_s,
-            "loop_trace": config.loop_trace,
-            "chunk_count": total_chunks,
-            "chunk_duration_s": chunk_len,
-            "ladder_kbps": list(manifest.ladder.levels_kbps),
-        }
-    )
+    # The header, in its EVENTS row's order.  "startup_policy" names the only startup rule;
+    # it is still written, so replay still checks it.
+    sink.record({"event": "session_start", "policy": config.policy, "policy_params": dict(config.policy_params),
+                 "buffer_capacity_s": capacity, "critical_threshold_s": critical,
+                 "startup_policy": "play_after_first_chunk", "resume_threshold_s": config.resume_threshold_s,
+                 "loop_trace": config.loop_trace, "chunk_count": total_chunks, "chunk_duration_s": chunk_len,
+                 "ladder_kbps": list(manifest.ladder.levels_kbps)})
     fetch, complete, display = sink.fetch, sink.complete, sink.display
 
     now = 0.0
@@ -366,10 +405,6 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
             sink.record({"event": "session_truncated", "time_s": send_t, "chunk": chunk,
                          "diagnostic": str(exc)})
             return
-        if not finish_t > send_t:  # a large clock can round a short download away
-            raise ValueError(
-                f"chunk {chunk} download finishes at {finish_t}s, not after its fetch at {send_t}s"
-            )
         levels.append(level)
         if playing and now + buffer < finish_t:
             # Buffer empties before the download lands: stall.
@@ -410,7 +445,7 @@ class _ReplayInconsistency(Exception):
 class _ReplaySink:
     """Sink that compares each event, as the engine emits it, with the next logged record.
 
-    Its `fetch`, `complete` and `display`, compiled from CHUNK_EVENTS, compare
+    Its `fetch`, `complete` and `display`, compiled from their EVENTS rows, compare
     field by field and build no record while the events match.  From the
     first event that differs, lacks a field or outlives the log, every event
     is kept as the record a SessionEventLog would build.  `finish` is the
@@ -422,31 +457,27 @@ class _ReplaySink:
         self.logged = records
         self.matched = 0  # leading logged records the engine reproduced
         self.kept = []  # the records it emitted from the first difference on
-        self.unread = iter(records)  # the records `finish` has not walked yet
+        # The logged completions `finish` has not read yet, each with its number (counted from 1).
+        self.completions = ((n, r) for n, r in enumerate(records, start=1) if r.get("event") == "download_complete")
         self.chunk = 0  # the last chunk `finish` was asked for
 
     def finish(self, send_time_s: float, volume_kilobits: float) -> float:
         # The engine asks for chunks 1, 2, ... in order and stops at the first error.
         self.chunk = chunk = self.chunk + 1
-        for r in self.unread:
-            if r.get("event") == "download_complete":
-                break
-        else:  # the log ran out: it ends where the first truncation says, or it lacks this completion
-            cut = next((r for r in self.logged if r.get("event") == "session_truncated"), None)
-            if cut is None:
+        n, r = next(self.completions, (0, None))
+        if r is None:  # the log ran out: it ends where the first truncation says, or it lacks this completion
+            n, r = next(((n, r) for n, r in enumerate(self.logged, start=1)
+                         if r.get("event") == "session_truncated"), (0, None))
+            if r is None:
                 raise _ReplayInconsistency(f"log holds no completion for chunk {chunk}")
-            raise TraceExhaustedError(str(cut.get("diagnostic", "trace exhausted")))
-        # A missing field reads None, which no check accepts.
-        logged_chunk, logged_time = r.get("chunk"), r.get("time_s")
-        if logged_chunk != chunk:
-            raise _ReplayInconsistency(
-                f"logged completion is for chunk {logged_chunk}, engine expected {chunk}"
-            )
-        if type(logged_time) not in (int, float) or logged_time <= send_time_s:  # a bool is no time
-            raise _ReplayInconsistency(
-                f"logged completion time {logged_time} precedes its fetch at {send_time_s}"
-            )
-        return float(logged_time)
+            check_record(r, n)
+            raise TraceExhaustedError(r["diagnostic"])
+        check_record(r, n)
+        if r["chunk"] != chunk:
+            raise _ReplayInconsistency(f"logged completion is for chunk {r['chunk']}, engine expected {chunk}")
+        if r["time_s"] <= send_time_s:
+            raise _ReplayInconsistency(f"logged completion time {r['time_s']} precedes its fetch at {send_time_s}")
+        return float(r["time_s"])
 
     fetch, complete, display = _chunk_event_methods("""
 def {method}(self, {args}):
@@ -485,7 +516,7 @@ def replay_diff(log: SessionEventLog, manifest: VideoManifest, config: SessionCo
         return _diff_records(log.records, log.records[:sink.matched] + sink.kept)
     except _ReplayInconsistency as exc:
         return [str(exc)]
-    except (ValueError, TraceExhaustedError, OverflowError) as exc:  # OverflowError: an int no float holds
+    except (ValueError, TraceExhaustedError) as exc:
         return [f"log is not replayable: {exc}"]
 
 

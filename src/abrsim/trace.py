@@ -37,7 +37,7 @@ class TraceError(ValueError):
 class TraceExhaustedError(RuntimeError):
     """A requested volume can never complete: a non-looping trace runs dry, a
     looping one would need more periods than a float counts, or the finish time
-    is past the float range."""
+    is past the float range or within the clock's rounding step of the start."""
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits:
     volume that is not positive and finite; TraceExhaustedError when a
     non-looping trace ends with zero bandwidth before the volume completes, a
     looping one needs more periods than a float counts, or the finish time
-    overflows.
+    overflows or rounds onto `start_s`.
     """
     if volume_kilobits <= 0:
         raise ValueError(f"volume must be > 0, got {volume_kilobits}")
@@ -111,44 +111,48 @@ def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits:
             if finish == math.inf:
                 raise TraceExhaustedError(f"trace cannot deliver {volume_kilobits} kilobits from {start_s}s: "
                                           f"at its {tail_rate} kbps tail rate the finish time overflows")
-            return finish
-        j = bisect_left(prefix, target)
-        return times[j - 1] + (target - prefix[j - 1]) / rates[j - 1]
-    if len(times) < 2:
-        raise TraceError("a looping trace needs at least 2 samples to define its period")
-    period, per_loop = times[-1], prefix[-1]
-    if not 0.0 < per_loop < math.inf:
-        raise TraceError(f"a looping trace needs a positive, finite volume per period: its {period}s "
-                         f"period carries {per_loop} kilobits")
-    try:  # a quotient past the float range has no floor
-        wraps = math.floor(start_s / period)
-        rem = start_s - wraps * period
-        if rem < 0:  # guard against floor/multiply rounding
+        else:
+            j = bisect_left(prefix, target)
+            finish = times[j - 1] + (target - prefix[j - 1]) / rates[j - 1]
+    else:
+        if len(times) < 2:
+            raise TraceError("a looping trace needs at least 2 samples to define its period")
+        period, per_loop = times[-1], prefix[-1]
+        if not 0.0 < per_loop < math.inf:
+            raise TraceError(f"a looping trace needs a positive, finite volume per period: its {period}s "
+                             f"period carries {per_loop} kilobits")
+        try:  # a quotient past the float range has no floor
+            wraps = math.floor(start_s / period)
+            rem = start_s - wraps * period
+            if rem < 0:  # guard against floor/multiply rounding
+                wraps -= 1
+                rem += period
+            i = bisect_right(times, rem) - 1
+            target = wraps * per_loop + (prefix[i] + (rem - times[i]) * rates[i]) + volume_kilobits
+            wraps = math.floor(target / per_loop)
+        except OverflowError:
+            raise TraceExhaustedError(
+                f"looping trace cannot deliver {volume_kilobits} kilobits from {start_s}s: its {period}s "
+                f"period carries {per_loop} kilobits, and the loop count overflows"
+            ) from None
+        rem = target - wraps * per_loop
+        if rem < 0:
             wraps -= 1
-            rem += period
-        i = bisect_right(times, rem) - 1
-        target = wraps * per_loop + (prefix[i] + (rem - times[i]) * rates[i]) + volume_kilobits
-        wraps = math.floor(target / per_loop)
-    except OverflowError:
-        raise TraceExhaustedError(
-            f"looping trace cannot deliver {volume_kilobits} kilobits from {start_s}s: its {period}s "
-            f"period carries {per_loop} kilobits, and the loop count overflows"
-        ) from None
-    rem = target - wraps * per_loop
-    if rem < 0:
-        wraps -= 1
-        rem += per_loop
-    if rem == 0.0:
-        # Landed exactly on a period multiple; finish inside the previous
-        # period at the earliest point covering a full period's volume.
-        wraps -= 1
-        rem = per_loop
-    # Earliest offset into one period delivering rem, 0 < rem <= per_loop.
-    j = bisect_left(prefix, rem)
-    finish = wraps * period + (times[j - 1] + (rem - prefix[j - 1]) / rates[j - 1])
-    if finish == math.inf:
-        raise TraceExhaustedError(f"looping trace cannot deliver {volume_kilobits} kilobits from {start_s}s: its "
-                                  f"{period}s period carries {per_loop} kilobits, and the finish time overflows")
+            rem += per_loop
+        if rem == 0.0:
+            # Landed exactly on a period multiple; finish inside the previous
+            # period at the earliest point covering a full period's volume.
+            wraps -= 1
+            rem = per_loop
+        # Earliest offset into one period delivering rem, 0 < rem <= per_loop.
+        j = bisect_left(prefix, rem)
+        finish = wraps * period + (times[j - 1] + (rem - prefix[j - 1]) / rates[j - 1])
+        if finish == math.inf:
+            raise TraceExhaustedError(f"looping trace cannot deliver {volume_kilobits} kilobits from {start_s}s: its "
+                                      f"{period}s period carries {per_loop} kilobits, and the finish time overflows")
+    if not finish > start_s:  # a large clock can round a short download away
+        raise TraceExhaustedError(f"trace delivers {volume_kilobits} kilobits from {start_s}s at its {rates[i]} kbps "
+                                  "rate there in less than the clock's rounding step")
     return finish
 
 

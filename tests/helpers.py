@@ -37,12 +37,19 @@ def cumulative_kilobits(trace: BandwidthTrace, t: float, loop: bool = False) -> 
 
     if not loop:
         return segment_cum(t)
-    wraps = math.floor(t / times[-1])
-    rem = t - wraps * times[-1]
+    wraps, rem = period_offset(trace, t)
+    return wraps * prefix[-1] + segment_cum(rem)
+
+
+def period_offset(trace: BandwidthTrace, t: float) -> tuple:
+    """The whole periods of a looping trace before time t, and t's offset into the next."""
+    period = trace._times[-1]
+    wraps = math.floor(t / period)
+    rem = t - wraps * period
     if rem < 0:  # guard against floor/multiply rounding
         wraps -= 1
-        rem += times[-1]
-    return wraps * prefix[-1] + segment_cum(rem)
+        rem += period
+    return wraps, rem
 
 
 class RunningMean:
@@ -80,6 +87,15 @@ def reference_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits
         j = bisect_left(prefix, kilobits)
         return times[j - 1] + (kilobits - prefix[j - 1]) / rates[j - 1]
 
+    def after_start(finish):
+        # A finish time the clock cannot tell from the start: name the rate at the start.
+        if not finish > start_s:
+            offset = period_offset(trace, start_s)[1] if loop else start_s
+            raise TraceExhaustedError(
+                f"trace delivers {volume_kilobits} kilobits from {start_s}s at its "
+                f"{rates[bisect_right(times, offset) - 1]} kbps rate there in less than the clock's rounding step")
+        return finish
+
     if volume_kilobits <= 0:
         raise ValueError(f"volume must be > 0, got {volume_kilobits}")
     if start_s < 0:
@@ -102,8 +118,9 @@ def reference_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits
             if finish == math.inf:
                 raise TraceExhaustedError(f"trace cannot deliver {volume_kilobits} kilobits from {start_s}s: "
                                           f"at its {rates[-1]} kbps tail rate the finish time overflows")
-            return finish
-        return invert_within_period(target)
+        else:
+            finish = invert_within_period(target)
+        return after_start(finish)
     period, per_loop = times[-1], prefix[-1]
     wraps = math.floor(target / per_loop)
     rem = target - wraps * per_loop
@@ -117,7 +134,7 @@ def reference_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits
     if finish == math.inf:
         raise TraceExhaustedError(f"looping trace cannot deliver {volume_kilobits} kilobits from {start_s}s: its "
                                   f"{period}s period carries {per_loop} kilobits, and the finish time overflows")
-    return finish
+    return after_start(finish)
 
 
 def reference_ssim_rows(ladder: BitrateLadder, chunk_count: int, profile) -> tuple:

@@ -279,9 +279,9 @@ def test_run_batch_reports_a_download_that_rounds_to_no_time(tmp_path):
     sizes = ((1e20, 1e20),) + ((1.0, 2.0),) * 4  # chunk 2 lands in no time at a 3e16 s clock
     save_manifest(make_manifest(chunks=5, rates=(235, 375), sizes=sizes), str(tmp_path / "manifest.json"))
     result = run_batch(load_runspec(path))
-    errors = [f for f in result.failures if f["kind"] == "error"]
-    assert len(errors) == 1 and result.session_reports == []
-    assert errors[0]["detail"].startswith("chunk 2 download finishes at ")
+    assert [f["kind"] for f in result.failures] == ["truncated", "no_complete_sessions"]
+    assert result.failures[0]["detail"].endswith("in less than the clock's rounding step")
+    assert [r.partial for r in result.session_reports] == [True]
 
 
 def test_run_batch_reports_bad_policy_params(tmp_path):

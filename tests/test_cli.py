@@ -329,13 +329,33 @@ def test_simulate_partial_session_exits_one(workspace, capsys):
     assert capsys.readouterr().err.startswith("PARTIAL")
 
 
-def test_simulate_download_that_rounds_to_no_time_exits_two(workspace, capsys):
+def test_simulate_download_that_rounds_to_no_time_ends_partial(workspace, capsys):
     sizes = ((1e20, 1e20),) + ((1.0, 2.0),) * 4  # chunk 2 lands in no time at a 3e16 s clock
     save_manifest(make_manifest(chunks=5, rates=(235, 375), sizes=sizes), str(workspace / "huge.json"))
     code = main(["simulate", "--manifest", str(workspace / "huge.json"),
                  "--trace", str(workspace / "trace_0.csv")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: chunk 2 download finishes at ")
+    assert code == 1
+    captured = capsys.readouterr()
+    last = json.loads(captured.out.splitlines()[-1])
+    assert last["event"] == "session_truncated" and last["chunk"] == 2
+    assert last["diagnostic"].endswith("in less than the clock's rounding step")
+    assert captured.err.startswith("PARTIAL")
+
+
+@pytest.mark.parametrize("loop", [[], ["--loop"]], ids=["once", "looping"])
+def test_simulate_on_a_rate_too_fast_for_the_clock_ends_partial(workspace, capsys, loop):
+    # At 1e18 kbps the bundled manifest's chunk 104 downloads in under half a float step of its 296 s fetch.
+    trace, log = str(workspace / "fast.csv"), str(workspace / "fast.jsonl")
+    manifest = os.path.join(SCENARIO_DIR, "manifest.json")
+    save_trace(BandwidthTrace(((0.0, 1e18), (600.0, 1e18))), trace)
+    assert main(["validate", "--trace", trace]) == 0
+    assert main(["simulate", "--manifest", manifest, "--trace", trace, "--log", log, *loop]) == 1
+    assert SessionEventLog.read(log).records[-1] == {
+        "event": "session_truncated", "time_s": 296.0, "chunk": 104,
+        "diagnostic": "trace delivers 23200.0 kilobits from 296.0s at its 1e+18 kbps rate there "
+                      "in less than the clock's rounding step"}
+    assert main(["replay", "--log", log, "--manifest", manifest]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_simulate_rejects_bad_policy_params(workspace, capsys):
@@ -442,7 +462,7 @@ def test_replay_garbage_log_exits_two(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["policy", "buffer_capacity_s", "critical_threshold_s"])
+@pytest.mark.parametrize("field", ["policy", "buffer_capacity_s", "critical_threshold_s", "loop_trace"])
 def test_replay_header_missing_field_exits_two(workspace, capsys, field):
     log_path = workspace / "session.jsonl"
     main(["simulate", "--manifest", str(workspace / "manifest.json"),
@@ -454,7 +474,7 @@ def test_replay_header_missing_field_exits_two(workspace, capsys, field):
     code = main(["replay", "--log", str(log_path),
                  "--manifest", str(workspace / "manifest.json")])
     assert code == 2
-    assert f"error: session_start record lacks {field}" in capsys.readouterr().err
+    assert f"error: record 1 (session_start) lacks {field}" in capsys.readouterr().err
 
 
 def test_replay_header_with_a_mistyped_policy_parameter_exits_two(workspace, capsys):
@@ -482,7 +502,23 @@ def test_replay_header_with_a_loop_trace_that_is_no_bool_exits_two(workspace, ca
     log.write(str(log_path))
     code = main(["replay", "--log", str(log_path), "--manifest", str(workspace / "manifest.json")])
     assert code == 2
-    assert "error: loop_trace must be true or false, got 'yes'" in capsys.readouterr().err
+    assert "error: record 1 (session_start): loop_trace must be true or false, got 'yes'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, 150.5], ids=["true", "fractional"])
+def test_replay_header_with_a_chunk_count_that_is_no_integer_exits_two(workspace, capsys, value):
+    # Replay reported such a header as a mismatch (exit 1); like any mistyped header field it is bad input.
+    log_path = workspace / "session.jsonl"
+    main(["simulate", "--manifest", str(workspace / "manifest.json"),
+          "--trace", str(workspace / "trace_0.csv"), "--log", str(log_path)])
+    capsys.readouterr()
+    log = SessionEventLog.read(str(log_path))
+    log.header["chunk_count"] = value
+    log.write(str(log_path))
+    code = main(["replay", "--log", str(log_path), "--manifest", str(workspace / "manifest.json")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: record 1 (session_start): chunk_count must be an integer, got {value!r}\n"
 
 
 def test_replay_header_with_an_infinite_policy_parameter_exits_two(workspace, capsys):
@@ -509,10 +545,12 @@ def test_replay_missing_log_exits_two(workspace, capsys):
 
 
 @pytest.mark.parametrize("kind, index, field, value, message", [
-    ("download_complete", 2, "chunk", None, "logged completion is for chunk None, engine expected 3"),
-    ("download_complete", 2, "time_s", None, "logged completion time None precedes its fetch"),
-    ("download_complete", 0, "time_s", True, "logged completion time True precedes its fetch at 0.0"),
-    ("download_complete", 2, "time_s", 10**400, "log is not replayable: int too large to convert to float"),
+    ("download_complete", 2, "chunk", None, "log is not replayable: record {n} (download_complete) lacks chunk"),
+    ("download_complete", 2, "time_s", None, "log is not replayable: record {n} (download_complete) lacks time_s"),
+    ("download_complete", 0, "time_s", True,
+     "log is not replayable: record {n} (download_complete): time_s must be a finite number, got True"),
+    ("download_complete", 2, "time_s", 10**400, "log is not replayable: record {n} (download_complete): "
+     "time_s must be a finite number, got an integer too large for a float"),
     ("session_start", 0, "chunk_count", 10**400, f"record 0 (session_start): chunk_count logged {10**400}, replay 8"),
 ], ids=["completion-without-chunk", "completion-without-time", "bool-completion-time", "huge-int-completion-time",
         "huge-int-in-header"])
@@ -533,7 +571,7 @@ def test_replay_flags_a_record_it_cannot_replay(workspace, capsys, kind, index, 
     captured = capsys.readouterr()
     out = captured.out.splitlines()
     assert out[0] == f"{log_path}: MISMATCH"
-    assert out[1].startswith(f"  {message}")
+    assert out[1].startswith("  " + message.format(n=log.records.index(record) + 1))
     assert "Traceback" not in captured.err
 
 

@@ -19,9 +19,9 @@ from abrsim.manifest import (
 )
 from abrsim.abr import make_policy
 from abrsim.batch import RunSpec, RunSpecError, manifest_from_recipe
-from abrsim.simulator import SessionConfig
+from abrsim.simulator import LogFormatError, SessionConfig, run_session
 from abrsim.trace import BandwidthTrace, TraceError
-from helpers import chunk_volume, make_ladder, make_manifest, monotone_rows, reference_ssim_rows
+from helpers import chunk_volume, constant_trace, make_ladder, make_manifest, monotone_rows, reference_ssim_rows
 
 
 def test_ladder_count_and_rates():
@@ -160,6 +160,11 @@ def test_the_types_reject_what_is_no_json_number(build, message):
         build()
 
 
+def config_from_header_with(field, value):
+    header = run_session(make_manifest(chunks=2), constant_trace(1000.0), SessionConfig())[0].header
+    return SessionConfig.from_header({**header, field: value})
+
+
 # Each boundary a loaded or built value crosses: (the call that takes the value, its error, what the
 # message names, an example of the JSON type it takes).
 JSON_BOUNDARIES = {
@@ -187,8 +192,17 @@ JSON_BOUNDARIES = {
     "config-float": (lambda v: SessionConfig(buffer_capacity_s=v), ValueError, "buffer_capacity_s", 0.0),
     "config-bool": (lambda v: SessionConfig(loop_trace=v), ValueError, "loop_trace", False),
     "config-dict": (lambda v: SessionConfig(policy_params=v), ValueError, "policy_params", {}),
+    "header-float": (lambda v: config_from_header_with("buffer_capacity_s", v), LogFormatError,
+                     "record 1 (session_start): buffer_capacity_s", 0.0),
+    "header-int": (lambda v: config_from_header_with("chunk_count", v), LogFormatError,
+                   "record 1 (session_start): chunk_count", 0),
+    "header-string": (lambda v: config_from_header_with("policy", v), LogFormatError,
+                      "record 1 (session_start): policy", ""),
+    "header-array": (lambda v: config_from_header_with("ladder_kbps", v), LogFormatError,
+                     "record 1 (session_start): ladder_kbps", []),
 }
-JSON_TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "true or false", dict: "an object"}
+JSON_TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string",
+                   list: "an array", dict: "an object"}
 NO_JSON_VALUE = {"true": True, "string": "1", "null": None, "nan": math.nan, "inf": math.inf, "huge-int": 10**400}
 
 

@@ -125,8 +125,9 @@ def test_startup_delay_reported_separately():
 def test_a_time_that_is_no_number_is_named(event, value, n):
     log = log_of([1, 2], stalls=((6.0, 7.0),), end_s=9.0)
     next(r for r in log.records if r["event"] == event)["time_s"] = value
-    with pytest.raises(ValueError, match=f"^record {n} \\({event}\\) has time_s {value!r}, not a number$"):
+    with pytest.raises(ValueError) as raised:
         session_metrics(log, manifest3(2))
+    assert str(raised.value) == f"record {n} ({event}): time_s must be a finite number, got {value!r}"
 
 
 def test_a_second_session_start_keeps_the_first_header():
@@ -180,13 +181,13 @@ def test_a_stored_level_that_is_no_int_is_named_by_its_display(level):
     # `true` would price as level 1 and 2.0 or null would raise a bare TypeError.
     with pytest.raises(ValueError) as raised:
         session_metrics(log_of([1, 1, level], end_s=13.0), manifest3(3))
-    assert str(raised.value) == f"display 3 has level {level!r}, not an integer"
+    assert str(raised.value) == f"record 5 (chunk_display_start): level must be an integer, got {level!r}"
 
 
 @pytest.mark.parametrize("index, field, value, text", [
     (2, "level", None, "record 3 (chunk_display_start) lacks level"),
     (0, "chunk_count", None, "record 1 (session_start) lacks chunk_count"),
-    (4, "time_s", "1", "record 5 (playback_stall) has time_s '1', not a number"),
+    (4, "time_s", "1", "record 5 (playback_stall): time_s must be a finite number, got '1'"),
 ], ids=["display-without-level", "header-without-chunk-count", "stall-time-a-string"])
 def test_a_stored_record_the_tally_cannot_read_is_named(index, field, value, text):
     # These raised a bare KeyError or TypeError naming no record.
@@ -198,6 +199,39 @@ def test_a_stored_record_the_tally_cannot_read_is_named(index, field, value, tex
     with pytest.raises(ValueError) as raised:
         session_metrics(log, manifest3(2))
     assert str(raised.value) == text
+
+
+@pytest.mark.parametrize("field", ["policy", "loop_trace", "buffer_capacity_s", "critical_threshold_s"])
+def test_a_header_without_a_field_the_report_reads_is_named(field):
+    # These raised a bare KeyError.
+    log = log_of([1, 2], end_s=9.0)
+    del log.header[field]
+    with pytest.raises(ValueError) as raised:
+        session_metrics(log, manifest3(2))
+    assert str(raised.value) == f"record 1 (session_start) lacks {field}"
+
+
+@pytest.mark.parametrize("field, value, text", [
+    ("chunk_count", True, "chunk_count must be an integer, got True"),
+    ("chunk_count", 2.5, "chunk_count must be an integer, got 2.5"),
+    ("policy", 7, "policy must be a string, got 7"),
+    ("loop_trace", 0, "loop_trace must be true or false, got 0"),
+    ("buffer_capacity_s", "120", "buffer_capacity_s must be a finite number, got '120'"),
+], ids=["true-chunk-count", "fractional-chunk-count", "numeric-policy", "numeric-loop-trace", "string-capacity"])
+def test_a_header_field_of_another_json_type_is_named(field, value, text):
+    # `true` counted one chunk, so two displays made a complete session; 2.5 made it partial.
+    log = log_of([1, 2], end_s=9.0)
+    log.header[field] = value
+    with pytest.raises(ValueError) as raised:
+        session_metrics(log, manifest3(2))
+    assert str(raised.value) == f"record 1 (session_start): {text}"
+
+
+def test_a_truncation_record_is_checked_against_its_row():
+    log = log_of([1], chunk_count=2, truncated_s=6.0)
+    del log.records[-1]["diagnostic"]
+    with pytest.raises(ValueError, match=r"^record 4 \(session_truncated\) lacks diagnostic$"):
+        session_metrics(log, manifest3(2))
 
 
 def test_a_report_needs_the_session_start_record():

@@ -291,6 +291,8 @@ WRAP_TRACE = BandwidthTrace(((0.0, 100.0), (5.0, 0.0), (10.0, 0.0)))
 @example((constant_trace(100.0, until_s=10.0), 3.0, 5000.0, False))  # zero tail: exhausted
 @example((BandwidthTrace(((0.0, 3000.0), (10.0, 1e-310))), 5.0, 20000.0, False))  # a finish past the float range
 @example((BandwidthTrace(((0.0, 1e-310), (1e10, 0.0))), 0.0, 940.0, True))  # the same, looping
+@example((BandwidthTrace(((0.0, 1e18), (600.0, 1e18))), 296.0, 23200.0, False))  # a finish the clock rounds away
+@example((BandwidthTrace(((0.0, 1e18), (600.0, 1e18))), 896.0, 23200.0, True))  # the same, in a later period
 @example((constant_trace(100.0), -1.0, 10.0, False))
 @example((constant_trace(100.0), 1.0, 0.0, False))
 def test_finish_time_matches_the_reference_bit_for_bit(transfer):

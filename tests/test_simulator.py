@@ -66,9 +66,9 @@ def test_config_loop_trace_must_be_a_bool(value):
     # A truthy "no" would loop the trace and be written into the log header as "no".
     with pytest.raises(ValueError, match=f"^loop_trace must be true or false, got {re.escape(repr(value))}$"):
         SessionConfig(loop_trace=value)
+    header = run_session(make_manifest(chunks=2), constant_trace(1000.0), SessionConfig())[0].header
     with pytest.raises(ValueError, match="loop_trace must be true or false"):
-        SessionConfig.from_header({"policy": "sba", "buffer_capacity_s": 120.0, "critical_threshold_s": 12.0,
-                                   "loop_trace": value})
+        SessionConfig.from_header({**header, "loop_trace": value})
 
 
 def test_run_rejects_capacity_below_chunk():
@@ -115,24 +115,28 @@ def test_engine_rejects_a_policy_level_outside_the_ladder(monkeypatch):
 
 
 def test_replay_rejects_an_estimate_that_is_not_positive_and_finite():
-    # A first completion logged at Infinity makes the next estimate 0.0; one
-    # logged a denormal after its fetch makes it inf.  Either stops the replay.
+    # A first completion logged a denormal after its fetch makes the next estimate inf,
+    # which stops the replay.  One logged at Infinity, which made it 0.0, is no JSON number.
     manifest, log = replayable_log()
-    for time_s, estimate in ((float("inf"), "0.0"), (5e-324, "inf")):
+    n = log.records.index(events(log, "download_complete")[0]) + 1
+    for time_s, error in ((float("inf"), f"record {n} (download_complete): time_s must be a finite number, got inf"),
+                          (5e-324, "bandwidth estimate must be > 0, got inf")):
         tampered = SessionEventLog(copy.deepcopy(log.records))
         events(tampered, "download_complete")[0]["time_s"] = time_s
         assert replay_diff(tampered, manifest, SessionConfig.from_header(log.header)) == [
-            f"log is not replayable: bandwidth estimate must be > 0, got {estimate}"]
+            f"log is not replayable: {error}"]
 
 
-def test_a_download_that_rounds_to_no_time_is_a_value_error():
+def test_a_download_that_rounds_to_no_time_truncates_the_session():
     # Chunk 1 weighs 1e20 kilobits, so the clock reaches 1e17 s and the
     # millisecond download of chunk 2 rounds to no time at all.
     sizes = ((1e20, 1e20),) + ((1.0, 2.0),) * 4
     manifest = make_manifest(chunks=5, rates=(235, 375), sizes=sizes)
-    with pytest.raises(ValueError, match=re.escape(
-            "chunk 2 download finishes at 1e+17s, not after its fetch at 1e+17s")):
-        run_session(manifest, constant_trace(1000.0), SessionConfig())
+    log, report = run_session(manifest, constant_trace(1000.0), SessionConfig())
+    assert report.partial and report.diagnostic == (
+        "trace delivers 1.0 kilobits from 1e+17s at its 1000.0 kbps rate there in less than the clock's rounding step")
+    assert log.records[-1]["chunk"] == 2
+    assert replay_diff(log, manifest, SessionConfig.from_header(log.header)) == []
 
 
 # --- full-session walkthrough on a constant trace ---
@@ -420,7 +424,7 @@ def test_replay_reports_a_value_of_another_json_type(kind, field, value):
     record[field] = value
     log = SessionEventLog.from_jsonl(log.to_jsonl())
     index = [r["event"] for r in log.records].index(kind)
-    assert replay_diff(log, manifest, SessionConfig.from_header(log.header)) == [
+    assert replay_diff(log, manifest, SessionConfig()) == [
         f"record {index} ({kind}): {field} logged {value!r}, replay {replayed!r}"]
 
 

@@ -187,6 +187,19 @@ def test_finish_raises_exhausted_when_the_finish_time_overflows(samples, loop, s
         download_finish_time(BandwidthTrace(samples), start_s, volume, loop)
 
 
+@pytest.mark.parametrize("samples, loop", [
+    (((0.0, 1e18), (600.0, 1e18)), False),
+    (((0.0, 1e18), (1.0, 1e18)), False),
+    (((0.0, 1e18), (600.0, 1e18)), True),
+], ids=["inside-the-trace", "at-the-tail-rate", "looping"])
+def test_finish_raises_exhausted_when_the_download_is_shorter_than_the_clock_step(samples, loop):
+    # 23,200 kilobits at 1e18 kbps take 2.3e-14 s, under half the spacing of floats near 296.
+    message = ("trace delivers 23200.0 kilobits from 296.0s at its 1e+18 kbps rate there "
+               "in less than the clock's rounding step")
+    with pytest.raises(TraceExhaustedError, match=f"^{re.escape(message)}$"):
+        download_finish_time(BandwidthTrace(samples), 296.0, 23200.0, loop)
+
+
 def test_finish_is_left_inverse_of_transferred():
     rng = random.Random(3)
     for _ in range(200):
