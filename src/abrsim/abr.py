@@ -183,13 +183,14 @@ POLICIES = {"sba": Sba, "bba": Bba, "festive": Festive, "osmf": Osmf}
 
 
 def make_policy(name: str, params: dict | None = None) -> Policy:
-    """Build the policy registered under `name` from its parameters, each of the
-    JSON type of its default in `__init__` (one without a default is not checked).
-    A parameter is checked, not converted: a log header echoes it as given."""
+    """Build the policy registered under `name` from its parameters, an object
+    whose values each have the JSON type of their default in `__init__` (one
+    without a default is not checked).  A parameter is checked, not converted:
+    a log header echoes it as given."""
     if not isinstance(name, str) or name not in POLICIES:
         raise ValueError(f"unknown policy {name!r}, expected one of {', '.join(POLICIES)}")
     policy = POLICIES[name]
-    params = params or {}
+    params = {} if params is None else json_value(params, {}, f"parameters for policy {name!r}", ValueError)
     for p in signature(policy).parameters.values() if params else ():
         if p.name in params and p.default is not p.empty:  # an unknown name fails the call below
             json_value(params[p.name], p.default, f"bad parameters for policy {name!r}: {p.name}", ValueError)

@@ -45,20 +45,20 @@ class RunSpecError(ValueError):
     """Run spec failed to parse or validate."""
 
 
-# One row per spec field: JSON name -> (RunSpec attribute, accepted types, what
-# it holds), in `run_config.json`'s order; code may set a tuple for a list.  A
-# bool is no integer: it passes only the field whose type is bool.
+# One row per spec field: JSON name -> (RunSpec attribute, an example of its JSON
+# type, `json_value`'s `like`), in `run_config.json`'s order.  A field may be null
+# exactly where RunSpec's default is None, and `traces` a lone glob.
 _SPEC_FIELDS = {
-    "manifest": ("manifest_path", (str, type(None)), "a path"),
-    "synthesize": ("synthesize", (dict, type(None)), "an object"),
-    "traces": ("trace_globs", (str, list, tuple), "a glob or a list of globs"),
-    "policies": ("policies", (list, tuple), "a list of policy ids"),
-    "scenarios": ("scenarios", (list, tuple), "a list of [BS, Lc] pairs"),
-    "loop_traces": ("loop_traces", bool, "true or false"),
-    "seed": ("seed", int, "an integer"),
-    "policy_params": ("policy_params", dict, "an object"),
-    "output_dir": ("output_dir", (str, type(None)), "a path"),
-    "jobs": ("jobs", (int, type(None)), "an integer >= 1"),
+    "manifest": ("manifest_path", ""),
+    "synthesize": ("synthesize", {}),
+    "traces": ("trace_globs", [""]),
+    "policies": ("policies", [""]),
+    "scenarios": ("scenarios", [[0.0]]),
+    "loop_traces": ("loop_traces", False),
+    "seed": ("seed", 0),
+    "policy_params": ("policy_params", {}),
+    "output_dir": ("output_dir", ""),
+    "jobs": ("jobs", 0),
 }
 
 
@@ -89,37 +89,29 @@ class RunSpec:
 
 def validate_runspec(spec: RunSpec) -> list[SessionConfig]:
     """The one check of a spec's values; returns one config per scenario x
-    policy, scenario-major.  A lone trace glob becomes a list and each scenario
-    a pair of floats, in place.  Runs when a spec is built and again when a
-    batch starts, because code may change it.
+    policy, scenario-major.  A lone trace glob becomes a list, each array field
+    a list and each scenario a tuple of two floats, in place.  Runs when a spec
+    is built and again when a batch starts, because code may change it.
     """
-    for name, (attr, types, what) in _SPEC_FIELDS.items():
-        value = getattr(spec, attr)
-        if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-            raise RunSpecError(f"{name} must be {what}, got {value!r}")
     if isinstance(spec.trace_globs, str):
         spec.trace_globs = [spec.trace_globs]
-    for name, items in (("traces", spec.trace_globs), ("policies", spec.policies)):
-        if not all(isinstance(item, str) for item in items):
-            raise RunSpecError(f"{name} must be {_SPEC_FIELDS[name][2]}, got {items!r}")
+    for name, (attr, like) in _SPEC_FIELDS.items():
+        value = getattr(spec, attr)
+        if value is not None or RunSpec.__dataclass_fields__[attr].default is not None:
+            setattr(spec, attr, json_value(value, like, name, RunSpecError))
     if (spec.manifest_path is None) == (spec.synthesize is None):
         raise RunSpecError("spec needs exactly one of `manifest` or `synthesize`")
     for what, value in (("traces", spec.trace_globs), ("policies", spec.policies),
                         ("scenarios", spec.scenarios), ("output directory", spec.output_dir)):
         if not value:
             raise RunSpecError(f"spec names no {what}")
-    scenarios = []
-    for k, pair in enumerate(spec.scenarios, start=1):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+    spec.scenarios = [tuple(pair) for pair in spec.scenarios]
+    for pair in spec.scenarios:
+        if len(pair) != 2:
             raise RunSpecError(f"scenario must be a [BS, Lc] pair, got {pair!r}")
-        scenarios.append(tuple(json_value(value, 0.0, f"scenarios[{k}][{j}]", RunSpecError)
-                               for j, value in enumerate(pair, start=1)))
-    spec.scenarios = scenarios
     if spec.jobs is not None and spec.jobs < 1:
         raise RunSpecError(f"jobs must be an integer >= 1, got {spec.jobs!r}")
     params = spec.policy_params
-    if not all(isinstance(p, dict) for p in params.values()):
-        raise RunSpecError("policy_params must map policy ids to objects of parameters")
     stray = sorted(set(params) - set(POLICIES))
     if stray:
         raise RunSpecError(f"policy_params names unknown policies: {', '.join(stray)}")
@@ -165,8 +157,6 @@ def manifest_from_recipe(recipe: dict) -> VideoManifest:
     fields = dict(recipe)
     ladder = fields.pop("ladder_kbps", NETFLIX_LADDER_KBPS)
     try:
-        if not isinstance(ladder, (list, tuple)):
-            raise ManifestError(f"ladder_kbps must be a list of numbers, got {ladder!r}")
         ladder = BitrateLadder(ladder)
         for name, value in fields.items():
             if name not in _RECIPE_FIELDS:
@@ -248,7 +238,7 @@ def run_batch(spec: RunSpec) -> BatchResult:
         except TraceError as exc:
             traces[trace_path] = str(exc)
     # Every spec field that shapes the results: not where they go, nor how many workers.
-    echo = {name: getattr(spec, attr) for name, (attr, _, _) in _SPEC_FIELDS.items()
+    echo = {name: getattr(spec, attr) for name, (attr, _) in _SPEC_FIELDS.items()
             if name not in ("output_dir", "jobs")}
     echo["traces"] = trace_paths
     out_dir = os.path.join(spec.base_dir, spec.output_dir)

@@ -17,7 +17,7 @@ import sys
 
 from .abr import POLICIES
 from .batch import load_runspec, manifest_from_recipe, run_batch
-from .manifest import ManifestError, load_manifest, parse_json, save_manifest, write_text_atomically
+from .manifest import ManifestError, json_value, load_manifest, parse_json, save_manifest, write_text_atomically
 from .simulator import JsonlWriter, SessionConfig, SessionEventLog, replay_diff, run_session
 from .trace import TraceError, load_trace
 
@@ -106,9 +106,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_synth_manifest(args) -> int:
-    recipe = parse_json(args.recipe, ValueError, "--recipe")
-    if not isinstance(recipe, dict):
-        raise ValueError(f"--recipe must be an object, got {recipe!r}")
+    recipe = json_value(parse_json(args.recipe, ValueError, "--recipe"), {}, "--recipe", ValueError)
     manifest = manifest_from_recipe(recipe)
     save_manifest(manifest, args.out)
     print(f"wrote {args.out}: {manifest.chunk_count} chunks x {manifest.ladder.count} levels")

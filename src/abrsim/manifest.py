@@ -33,8 +33,7 @@ class BitrateLadder:
     levels_kbps: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        levels = tuple(json_value(rate, 0.0, f"ladder_kbps[{pos}]", ManifestError)
-                       for pos, rate in enumerate(self.levels_kbps, start=1))
+        levels = tuple(json_value(self.levels_kbps, [0.0], "ladder_kbps", ManifestError))
         object.__setattr__(self, "levels_kbps", levels)
         if len(levels) < 2:
             raise ManifestError(f"ladder_kbps needs at least 2 levels, got {len(levels)}")
@@ -86,13 +85,13 @@ class VideoManifest:
     chunk_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "chunk_count", len(self.ssim))
+        object.__setattr__(self, "chunk_count", len(json_value(self.ssim, [], "ssim", ManifestError)))
         object.__setattr__(self, "chunk_duration_s",
                            json_value(self.chunk_duration_s, 0.0, "chunk_duration_s", ManifestError))
         if not isinstance(self.ladder, BitrateLadder):
             object.__setattr__(self, "ladder", BitrateLadder(self.ladder))
         if self.chunk_count < 1:
-            raise ManifestError(f"chunk_count must be >= 1, got {self.chunk_count}")
+            raise ManifestError(f"ssim needs at least 1 row, got {self.chunk_count}")
         if self.chunk_duration_s <= 0:
             raise ManifestError(f"chunk_duration_s must be > 0, got {self.chunk_duration_s}")
         levels = self.ladder.count
@@ -100,7 +99,7 @@ class VideoManifest:
             rows = getattr(self, name)
             if rows is None:
                 continue
-            if len(rows) != self.chunk_count:  # ssim's rows are chunk_count: only sizes can miss it
+            if len(json_value(rows, [], name, ManifestError)) != self.chunk_count:  # only sizes can miss it
                 raise ManifestError(f"{name} has {len(rows)} rows, expected chunk_count={self.chunk_count}")
             # Each distinct row object is checked and converted once, at its first
             # occurrence; every occurrence then shares the converted tuple.  `rows`
@@ -110,7 +109,7 @@ class VideoManifest:
             for i, row in enumerate(rows, start=1):
                 done = converted.get(id(row))
                 if done is None:
-                    if len(row) != levels:
+                    if len(json_value(row, [], f"{name}[{i}]", ManifestError)) != levels:
                         raise ManifestError(f"{name}[{i}] has {len(row)} entries, expected {levels}")
                     for j, value in enumerate(row, start=1):
                         if not (type(value) is float and 0.0 < value <= top and math.isfinite(value)):
@@ -150,20 +149,11 @@ def manifest_from_dict(doc: dict) -> VideoManifest:
     for field in ("chunk_duration_s", "ladder_kbps", "ssim"):
         if field not in doc:
             raise ManifestError(f"missing required field {field}")
-    rates = doc["ladder_kbps"]
-    if not isinstance(rates, list):
-        raise ManifestError(f"ladder_kbps must be a list of numbers, got {rates!r}")
-    ssim = doc["ssim"]
-    if not isinstance(ssim, list) or not ssim or not all(isinstance(r, list) for r in ssim):
-        raise ManifestError("ssim must be a non-empty list of per-chunk rows")
-    sizes = doc.get("chunk_kilobits")
-    if sizes is not None and (not isinstance(sizes, list) or not all(isinstance(r, list) for r in sizes)):
-        raise ManifestError("chunk_kilobits must be a list of per-chunk rows")
     return VideoManifest(
         chunk_duration_s=doc["chunk_duration_s"],
-        ladder=rates,
-        ssim=ssim,
-        chunk_kilobits=sizes,
+        ladder=doc["ladder_kbps"],
+        ssim=doc["ssim"],
+        chunk_kilobits=doc.get("chunk_kilobits"),
     )
 
 
@@ -199,12 +189,23 @@ def json_value(value, like, what: str, error: type):
 
     The one statement of the rule: a bool is no number, and a number is finite
     (RFC 8259 has no NaN or Infinity).  A float example takes any finite int or
-    float and returns it as a float; a bool, int, str, list or dict example
-    takes only that exact type and returns `value` itself.
+    float and returns it as a float; a bool, int, str or dict example takes
+    only that exact type and returns `value` itself.  A list example takes a
+    list or, built in code, a tuple: an empty one returns `value` itself, and
+    one with an item checks each item against it, naming item k (counted from
+    1) `what[k]`, and returns the checked items as a list.
     """
     kind = type(like)
-    if type(value) is kind:
-        if kind is not float or math.isfinite(value):
+    if type(value) is kind or kind is list and type(value) is tuple:
+        if kind is float:
+            if math.isfinite(value):
+                return value
+        elif kind is list and like:  # a loop, not a comprehension, keeps the arguments plain locals
+            items = []
+            for k, item in enumerate(value, start=1):
+                items.append(json_value(item, like[0], f"{what}[{k}]", error))
+            return items
+        else:
             return value
     elif kind is float and type(value) is int:
         try:

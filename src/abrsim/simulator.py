@@ -96,7 +96,7 @@ class SessionConfig:
 EVENTS = {
     "session_start": (("policy", ""), ("policy_params", {}), ("buffer_capacity_s", 0.0),
                       ("critical_threshold_s", 0.0), ("startup_policy", ""), ("resume_threshold_s", 0.0),
-                      ("loop_trace", False), ("chunk_count", 0), ("chunk_duration_s", 0.0), ("ladder_kbps", [])),
+                      ("loop_trace", False), ("chunk_count", 0), ("chunk_duration_s", 0.0), ("ladder_kbps", [0.0])),
     "fetch_issued": (("time_s", 0.0), ("chunk", 0), ("level", 0), ("buffer_s", 0.0),
                      ("bandwidth_estimate_kbps", 0.0), ("ssim_delta_mean", 0.0), ("reason", "")),
     "download_complete": (("time_s", 0.0), ("chunk", 0), ("throughput_kbps", 0.0)),
@@ -527,7 +527,7 @@ def _diff_records(original: list[dict], regenerated: list[dict]) -> list[str]:
     diffs = []
     if len(original) != len(regenerated):
         diffs.append(f"record count differs: logged {len(original)}, replay {len(regenerated)}")
-    for idx, (a, b) in enumerate(zip(original, regenerated)):
+    for idx, (a, b) in enumerate(zip(original, regenerated), start=1):
         if not _same(a, b):
             if set(a.keys()) != set(b.keys()):
                 diffs.append(f"record {idx}: fields {sorted(a)} vs {sorted(b)}")

@@ -22,7 +22,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .manifest import json_value, read_text
+from .manifest import json_value, read_text, write_text_atomically
 
 # The oscillating generator's bands (kbps) and phase lengths (s), each a uniform range.
 SYNTH_LOW_KBPS = (1500.0, 2100.0)
@@ -184,11 +184,9 @@ def load_trace(path: str) -> BandwidthTrace:
 
 
 def save_trace(trace: BandwidthTrace, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("timestamp_s,bandwidth_kbps\n")
-        for t, bw in trace.samples:
-            # repr round-trips floats exactly, so load(save(t)) == t
-            fh.write(f"{t!r},{bw!r}\n")
+    # repr round-trips floats exactly, so load(save(t)) == t
+    rows = "".join([f"{t!r},{bw!r}\n" for t, bw in trace.samples])
+    write_text_atomically(path, "timestamp_s,bandwidth_kbps\n" + rows)
 
 
 def synthesize_oscillating_trace(seed: int, duration_s: float = 300.0) -> BandwidthTrace:

@@ -309,6 +309,14 @@ def test_make_policy_rejects_bad_params():
     assert list(policy.samples_kbps) == [900.0, 900.0]
 
 
+@pytest.mark.parametrize("params", [0, [], "window", [1]], ids=["zero", "empty-list", "string", "list"])
+def test_make_policy_takes_only_an_object_of_parameters(params):
+    # 0 and [] built the default policy, and "window" raised a bare TypeError.
+    with pytest.raises(ValueError) as raised:
+        make_policy("festive", params)
+    assert str(raised.value) == f"parameters for policy 'festive' must be an object, got {params!r}"
+
+
 def test_decisions_are_repeatable():
     obs = make_observation(dyadic_manifest(), prev_level=4, estimate=2500.0)
     policy = Sba()

@@ -324,7 +324,7 @@ def test_run_batch_rechecks_scenarios_set_in_code(tmp_path):
     path = write_workspace(tmp_path, output_dir="from_file", jobs=1)
     spec = load_runspec(path)
     spec.scenarios = [(120,)]
-    with pytest.raises(RunSpecError, match=re.escape("scenario must be a [BS, Lc] pair, got (120,)")):
+    with pytest.raises(RunSpecError, match=re.escape("scenario must be a [BS, Lc] pair, got (120.0,)")):
         run_batch(spec)
     spec.scenarios = [("120", "12")]  # a numeric string is no number, from code as in a file
     with pytest.raises(RunSpecError, match=re.escape("scenarios[1][1] must be a finite number, got '120'")):

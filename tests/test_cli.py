@@ -137,7 +137,7 @@ def test_synth_manifest_rejects_a_table_over_the_bound(workspace, capsys, recipe
     ("{chunk_count: 4}", "--recipe: not valid JSON: Expecting property name enclosed in double quotes"),
     ('{"chunk_count": 4}', "synthesize needs chunk_count >= 1 and chunk_duration_s > 0"),
     ('{"chunk_count": 4, "chunk_duration_s": 4, "ladder_kbps": "100,abc"}',
-     "bad synthesize fields: ladder_kbps must be a list of numbers, got '100,abc'"),
+     "bad synthesize fields: ladder_kbps must be an array, got '100,abc'"),
     ('{"chunk_count": 4, "chunk_duration_s": 4, "ladder_kbps": []}',
      "bad synthesize fields: ladder_kbps needs at least 2 levels, got 0"),
 ], ids=["list-of-pairs", "string", "null", "not-json", "no-chunk-duration", "comma-ladder", "empty-ladder"])
@@ -184,7 +184,7 @@ def test_validate_flags_bad_files(workspace, capsys):
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"ladder_kbps": "58"}, "ladder_kbps must be a list of numbers, got '58'"),
+    ({"ladder_kbps": "58"}, "ladder_kbps must be an array, got '58'"),
     ({"chunk_duration_s": "4", "ladder_kbps": ["235", "375"]}, "chunk_duration_s must be a finite number, got '4'"),
     ({"ssim": [["0.7", "0.8"]]}, "ssim[1][1] must be a finite number, got '0.7'"),
     ({"chunk_kilobits": [[10**400, 1500]]},
@@ -521,6 +521,21 @@ def test_replay_header_with_a_chunk_count_that_is_no_integer_exits_two(workspace
     assert captured.err == f"error: record 1 (session_start): chunk_count must be an integer, got {value!r}\n"
 
 
+def test_replay_header_with_a_rung_that_is_no_number_exits_two(workspace, capsys):
+    # Replay reported such a rung as a mismatch (exit 1): the row check took any array.
+    log_path = workspace / "session.jsonl"
+    main(["simulate", "--manifest", str(workspace / "manifest.json"),
+          "--trace", str(workspace / "trace_0.csv"), "--log", str(log_path)])
+    capsys.readouterr()
+    log = SessionEventLog.read(str(log_path))
+    log.header["ladder_kbps"][0] = "x"
+    log.write(str(log_path))
+    code = main(["replay", "--log", str(log_path), "--manifest", str(workspace / "manifest.json")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: record 1 (session_start): ladder_kbps[1] must be a finite number, got 'x'\n"
+
+
 def test_replay_header_with_an_infinite_policy_parameter_exits_two(workspace, capsys):
     log_path = workspace / "session.jsonl"
     main(["simulate", "--manifest", str(workspace / "manifest.json"), "--trace",
@@ -551,7 +566,7 @@ def test_replay_missing_log_exits_two(workspace, capsys):
      "log is not replayable: record {n} (download_complete): time_s must be a finite number, got True"),
     ("download_complete", 2, "time_s", 10**400, "log is not replayable: record {n} (download_complete): "
      "time_s must be a finite number, got an integer too large for a float"),
-    ("session_start", 0, "chunk_count", 10**400, f"record 0 (session_start): chunk_count logged {10**400}, replay 8"),
+    ("session_start", 0, "chunk_count", 10**400, f"record 1 (session_start): chunk_count logged {10**400}, replay 8"),
 ], ids=["completion-without-chunk", "completion-without-time", "bool-completion-time", "huge-int-completion-time",
         "huge-int-in-header"])
 def test_replay_flags_a_record_it_cannot_replay(workspace, capsys, kind, index, field, value, message):
@@ -895,27 +910,27 @@ def rewrite_spec(workspace, **fields):
     ({"policies": ["sba", "rate_hog"]}, "unknown policy 'rate_hog'"),
     ({"policy_params": {"bba": {"bogus": 1}}}, "bad parameters for policy 'bba'"),
     ({"policy_params": {"rate_hog": {}}}, "policy_params names unknown policies: rate_hog"),
-    ({"policy_params": {"sba": 5}}, "policy_params must map policy ids to objects of parameters"),
+    ({"policy_params": {"sba": 5}}, "parameters for policy 'sba' must be an object, got 5"),
     ({"scenarios": [[120, 12], [12, 12]]}, "critical threshold < buffer capacity"),
-    ({"jobs": "2"}, "jobs must be an integer >= 1, got '2'"),
+    ({"jobs": "2"}, "jobs must be an integer, got '2'"),
     ({"scenarios": [[None, 12]]}, "scenarios[1][1] must be a finite number, got None"),
     ({"scenarios": [[4, 1]]}, "buffer capacity 4s must exceed the manifest's 4s chunk duration"),
     ({"scenarios": [[float("inf"), 12]]}, "scenarios[1][1] must be a finite number, got inf"),
     ({"seed": None}, "seed must be an integer, got None"),
-    ({"traces": 5}, "traces must be a glob or a list of globs, got 5"),
-    ({"traces": ["trace_*.csv", 5]}, "traces must be a glob or a list of globs, got ['trace_*.csv', 5]"),
+    ({"traces": 5}, "traces must be an array, got 5"),
+    ({"traces": ["trace_*.csv", 5]}, "traces[2] must be a string, got 5"),
     ({"traces": ["trace_*.csv", "nosuchdir/*.csv"]}, "no trace files matched 'nosuchdir/*.csv'"),
-    ({"manifest": 7}, "manifest must be a path, got 7"),
+    ({"manifest": 7}, "manifest must be a string, got 7"),
     ({"manifest": None, "synthesize": [1]}, "synthesize must be an object, got [1]"),
-    ({"policies": "sba"}, "policies must be a list of policy ids, got 'sba'"),
-    ({"scenarios": 5}, "scenarios must be a list of [BS, Lc] pairs, got 5"),
-    ({"output_dir": 5}, "output_dir must be a path, got 5"),
+    ({"policies": "sba"}, "policies must be an array, got 'sba'"),
+    ({"scenarios": 5}, "scenarios must be an array, got 5"),
+    ({"output_dir": 5}, "output_dir must be a string, got 5"),
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"loop_traces": "false"}, "loop_traces must be true or false, got 'false'"),
     ({"manifest": None, "synthesize": {"chunk_count": None, "chunk_duration_s": 4}},
      "bad synthesize fields: chunk_count must be an integer, got None"),
     ({"manifest": None, "synthesize": {"chunk_count": 8, "chunk_duration_s": 4, "ladder_kbps": 5}},
-     "bad synthesize fields: ladder_kbps must be a list of numbers, got 5"),
+     "bad synthesize fields: ladder_kbps must be an array, got 5"),
     ({"manifest": None, "synthesize": {"chunk_count": float("inf"), "chunk_duration_s": 4}},
      "bad synthesize fields: chunk_count must be an integer, got inf"),
     ({"manifest": None, "synthesize": {"chunk_count": 8, "chunk_duration_s": 4, "jitter_seed": [1]}},
@@ -923,7 +938,7 @@ def rewrite_spec(workspace, **fields):
     ({"manifest": None, "synthesize": {"chunk_count": 8, "chunk_duration_s": 4, "knee_kbps": "x"}},
      "bad synthesize fields: knee_kbps must be a finite number, got 'x'"),
     ({"manifest": None, "synthesize": {"chunk_count": 8, "chunk_duration_s": 4, "ladder_kbps": "58"}},
-     "bad synthesize fields: ladder_kbps must be a list of numbers, got '58'"),
+     "bad synthesize fields: ladder_kbps must be an array, got '58'"),
     ({"manifest": None, "synthesize": {"chunk_count": 8, "chunk_duration_s": 4, "ladder_kbps": ["235", "375"]}},
      "bad synthesize fields: ladder_kbps[1] must be a finite number, got '235'"),
     ({"manifest": None, "synthesize": {"chunk_count": True, "chunk_duration_s": 4}},
@@ -934,7 +949,7 @@ def rewrite_spec(workspace, **fields):
      "synthesize would build a 9901 x 101 SSIM table, over the 1000000 cells allowed"),
     ({"scenarios": [[10**400, 12]]}, "scenarios[1][1] must be a finite number, got an integer too large for a float"),
     ({"policy_params": {"festive": {"window": 10**400}}}, "bad parameters for policy 'festive'"),
-    ({"policies": [["sba"]]}, "policies must be a list of policy ids, got [['sba']]"),
+    ({"policies": [["sba"]]}, "policies[1] must be a string, got ['sba']"),
     ({"policy_params": {"sba": {"upgrade_only": "no"}}},
      "bad parameters for policy 'sba': upgrade_only must be true or false, got 'no'"),
     ({"policy_params": {"festive": {"window": True}}},

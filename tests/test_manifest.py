@@ -123,7 +123,7 @@ def test_ssim_range_validated_with_indices():
 
 
 def test_ssim_shape_validated():
-    with pytest.raises(ManifestError, match="chunk_count must be >= 1, got 0"):
+    with pytest.raises(ManifestError, match="ssim needs at least 1 row, got 0"):
         make_manifest(ssim=())
     bad = [list(r) for r in monotone_rows(2, 10)]
     bad[1] = bad[1][:9]
@@ -200,6 +200,16 @@ JSON_BOUNDARIES = {
                       "record 1 (session_start): policy", ""),
     "header-array": (lambda v: config_from_header_with("ladder_kbps", v), LogFormatError,
                      "record 1 (session_start): ladder_kbps", []),
+    "header-array-item": (lambda v: config_from_header_with("ladder_kbps", [v, 375.0]), LogFormatError,
+                          "record 1 (session_start): ladder_kbps[1]", 0.0),
+    "spec-trace-item": (lambda v: RunSpec([v], ["sba"], [[120, 12]], "out", "m.json"), RunSpecError,
+                        "traces[1]", ""),
+    "spec-policy-item": (lambda v: RunSpec(["*.csv"], [v], [[120, 12]], "out", "m.json"), RunSpecError,
+                         "policies[1]", ""),
+    "ssim-row": (lambda v: manifest_from_dict({"chunk_duration_s": 4.0, "ladder_kbps": [235, 375], "ssim": [v]}),
+                 ManifestError, "ssim[1]", []),
+    "recipe-ladder": (lambda v: manifest_from_recipe({"chunk_count": 8, "chunk_duration_s": 4, "ladder_kbps": v}),
+                      RunSpecError, "bad synthesize fields: ladder_kbps", []),
 }
 JSON_TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string",
                    list: "an array", dict: "an object"}
@@ -261,7 +271,7 @@ def test_load_rejects_missing_fields(tmp_path):
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"ladder_kbps": "58"}, "ladder_kbps must be a list of numbers, got '58'"),
+    ({"ladder_kbps": "58"}, "ladder_kbps must be an array, got '58'"),
     ({"ladder_kbps": ["235", "375"]}, "ladder_kbps[1] must be a finite number, got '235'"),
     ({"ladder_kbps": [235, True]}, "ladder_kbps[2] must be a finite number, got True"),
     ({"chunk_duration_s": "4"}, "chunk_duration_s must be a finite number, got '4'"),
@@ -281,9 +291,9 @@ def test_load_rejects_strings_and_bools_for_numbers(tmp_path, fields, message):
 
 @pytest.mark.parametrize("fields, message", [
     ({"chunk_duration_s": 0}, "chunk_duration_s must be > 0, got 0.0"),
-    ({"ssim": []}, "ssim must be a non-empty list of per-chunk rows"),
-    ({"ssim": [0.7, 0.8]}, "ssim must be a non-empty list of per-chunk rows"),
-    ({"chunk_kilobits": 5}, "chunk_kilobits must be a list of per-chunk rows"),
+    ({"ssim": []}, "ssim needs at least 1 row, got 0"),
+    ({"ssim": [0.7, 0.8]}, "ssim[1] must be an array, got 0.7"),
+    ({"chunk_kilobits": 5}, "chunk_kilobits must be an array, got 5"),
 ], ids=["zero-chunk-duration", "empty-ssim", "flat-ssim", "number-chunk-kilobits"])
 def test_load_rejects_a_manifest_of_the_wrong_shape(tmp_path, fields, message):
     path = tmp_path / "m.json"

@@ -217,7 +217,9 @@ def test_a_header_without_a_field_the_report_reads_is_named(field):
     ("policy", 7, "policy must be a string, got 7"),
     ("loop_trace", 0, "loop_trace must be true or false, got 0"),
     ("buffer_capacity_s", "120", "buffer_capacity_s must be a finite number, got '120'"),
-], ids=["true-chunk-count", "fractional-chunk-count", "numeric-policy", "numeric-loop-trace", "string-capacity"])
+    ("ladder_kbps", ["x", 375.0, 560.0], "ladder_kbps[1] must be a finite number, got 'x'"),
+], ids=["true-chunk-count", "fractional-chunk-count", "numeric-policy", "numeric-loop-trace", "string-capacity",
+        "string-rung"])
 def test_a_header_field_of_another_json_type_is_named(field, value, text):
     # `true` counted one chunk, so two displays made a complete session; 2.5 made it partial.
     log = log_of([1, 2], end_s=9.0)

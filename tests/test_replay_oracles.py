@@ -46,7 +46,7 @@ def reference_diff_records(original, regenerated):
     diffs = []
     if len(original) != len(regenerated):
         diffs.append(f"record count differs: logged {len(original)}, replay {len(regenerated)}")
-    for idx, (a, b) in enumerate(zip(original, regenerated)):
+    for idx, (a, b) in enumerate(zip(original, regenerated), start=1):
         if set(a.keys()) != set(b.keys()):
             diffs.append(f"record {idx}: fields {sorted(a)} vs {sorted(b)}")
             continue
@@ -145,7 +145,7 @@ def test_jitter_nan_and_missing_keys_diff_like_the_reference():
             if isinstance(value, float):
                 rec[key] = value + 1e-12
     assert assert_replay_matches_reference(jittered, manifest, log.header)[0] == (
-        "record 1 (fetch_issued): time_s logged 1e-12, replay 0.0")
+        "record 2 (fetch_issued): time_s logged 1e-12, replay 0.0")
 
     for event, key in [("fetch_issued", "buffer_s"), ("chunk_display_start", "time_s"),
                        ("fetch_issued", "bandwidth_estimate_kbps")]:
@@ -251,9 +251,9 @@ def test_infinite_tamper_is_reported():
     assert tampered.records[display]["time_s"] == math.inf
     diffs = replay_diff(tampered, manifest, SessionConfig.from_header(tampered.header))
     assert diffs == [
-        f"record {display} (chunk_display_start): time_s logged inf, "
+        f"record {display + 1} (chunk_display_start): time_s logged inf, "
         f"replay {log.records[display]['time_s']!r}",
-        f"record {fetch} (fetch_issued): buffer_s logged -inf, replay {log.records[fetch]['buffer_s']!r}",
+        f"record {fetch + 1} (fetch_issued): buffer_s logged -inf, replay {log.records[fetch]['buffer_s']!r}",
     ]
 
 

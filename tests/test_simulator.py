@@ -423,7 +423,7 @@ def test_replay_reports_a_value_of_another_json_type(kind, field, value):
     assert value == replayed
     record[field] = value
     log = SessionEventLog.from_jsonl(log.to_jsonl())
-    index = [r["event"] for r in log.records].index(kind)
+    index = [r["event"] for r in log.records].index(kind) + 1  # records are counted from 1
     assert replay_diff(log, manifest, SessionConfig()) == [
         f"record {index} ({kind}): {field} logged {value!r}, replay {replayed!r}"]
 
@@ -474,7 +474,7 @@ def test_replay_reports_sub_nanosecond_jitter():
     rec = events(jittered, "download_complete")[2]
     rec["time_s"] += 1e-12
     diffs = replay_diff(jittered, manifest, SessionConfig.from_header(log.header))
-    index = jittered.records.index(rec)
+    index = jittered.records.index(rec) + 1  # records are counted from 1
     assert diffs[0].startswith(f"record {index} (download_complete): throughput_kbps logged "
                                f"{rec['throughput_kbps']!r}, replay ")
     assert not any("download_complete): time_s" in d for d in diffs)  # a logged completion is replay's input
@@ -488,7 +488,7 @@ def test_replay_verifies_startup_policy_header():
     edited.records[0]["startup_policy"] = "play_after_two_chunks"
     diffs = replay_diff(edited, manifest, SessionConfig.from_header(log.header))
     assert diffs == [
-        "record 0 (session_start): startup_policy logged 'play_after_two_chunks', "
+        "record 1 (session_start): startup_policy logged 'play_after_two_chunks', "
         "replay 'play_after_first_chunk'"
     ]
 

@@ -290,6 +290,21 @@ def test_save_load_roundtrip_exact(tmp_path):
         assert load_trace(str(path)).samples == trace.samples
 
 
+def test_failed_save_keeps_the_old_trace(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    save_trace(two_rate_trace(), str(path))
+    before = path.read_bytes()
+
+    def fail_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("abrsim.manifest.os.replace", fail_replace)
+    with pytest.raises(OSError, match="No space left"):
+        save_trace(constant_trace(3000.0), str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+
+
 # --- synthesis ---
 
 def test_synth_deterministic_and_valid():
