@@ -6,8 +6,8 @@ event is resolved analytically (no fixed timestep), one pass per chunk:
 
 1. If the buffer lacks more than one chunk of headroom, wait for the instant
    it drains back to that bound.
-2. Decide the chunk's level (chunk 1 at the startup level) and fetch it.  A
-   trace that cannot deliver it truncates the session here.
+2. Decide the chunk's level (chunk 1 at the startup level) and fetch it.  An
+   estimate out of the float range, or a trace that cannot deliver, truncates.
 3. If the buffer empties before the download lands, playback stalls.
 4. The download completes: the buffer gains one chunk duration and the
    throughput sample is recorded.  Playback starts with chunk 1; a stall
@@ -350,7 +350,6 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
     play_pos = 0.0
     buffer = 0.0
     playing = False
-    stalled = False
     chunks_done = 0
     next_display = 1
     levels: list[int] = []
@@ -386,8 +385,11 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
         drift = drift_total / drift_count if drift_count else 0.0
         if not 0.0 <= buffer <= capacity:  # round-off in the drain arithmetic
             raise ValueError(f"buffer {buffer} outside [0, {capacity}]")
-        if not 0.0 < estimate < math.inf:  # a replayed completion time can make it 0 or inf
-            raise ValueError(f"bandwidth estimate must be > 0, got {estimate}")
+        if not 0.0 < estimate < math.inf:  # throughputs near the float range's end, or a replayed completion time
+            sink.record({"event": "session_truncated", "time_s": now, "chunk": chunk,
+                         "diagnostic": f"the mean throughput of chunks 1-{chunk - 1} is {estimate:g} kbps, "
+                                       f"after chunk {chunk - 1} downloaded at {throughput:g} kbps"})
+            return
         decision = decide(policy, Observation(chunk, buffer, capacity, critical, prev_level,
                                               estimate, drift, manifest))
         level = decision.level
@@ -412,7 +414,6 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
             play_pos = chunks_done * chunk_len
             buffer = 0.0
             playing = False
-            stalled = True
             sink.record({"event": "playback_stall", "time_s": now})
         advance_to(finish_t)
         chunks_done += 1
@@ -427,8 +428,7 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
             playing = True
             sink.record({"event": "playback_start", "time_s": now})
             emit_due_display_starts(now)
-        elif stalled and (buffer >= config.resume_threshold_s or chunk == total_chunks):
-            stalled = False
+        elif not playing and (buffer >= config.resume_threshold_s or chunk == total_chunks):
             playing = True
             sink.record({"event": "playback_resume", "time_s": now})
             emit_due_display_starts(now)
@@ -449,8 +449,8 @@ class _ReplaySink:
     field by field and build no record while the events match.  From the
     first event that differs, lacks a field or outlives the log, every event
     is kept as the record a SessionEventLog would build.  `finish` is the
-    engine's download-completion source: it reads the logged completions on
-    a cursor of its own, so a log that has diverged still feeds them in order.
+    engine's download-completion source: it reads the logged completions up to a
+    truncation on a cursor of its own, so a diverged log still feeds them in order.
     """
 
     def __init__(self, records: list) -> None:
@@ -458,21 +458,19 @@ class _ReplaySink:
         self.matched = 0  # leading logged records the engine reproduced
         self.kept = []  # the records it emitted from the first difference on
         # The logged completions `finish` has not read yet, each with its number (counted from 1).
-        self.completions = ((n, r) for n, r in enumerate(records, start=1) if r.get("event") == "download_complete")
+        self.completions = ((n, r) for n, r in enumerate(records, start=1)
+                            if r.get("event") in ("download_complete", "session_truncated"))
         self.chunk = 0  # the last chunk `finish` was asked for
 
     def finish(self, send_time_s: float, volume_kilobits: float) -> float:
         # The engine asks for chunks 1, 2, ... in order and stops at the first error.
         self.chunk = chunk = self.chunk + 1
         n, r = next(self.completions, (0, None))
-        if r is None:  # the log ran out: it ends where the first truncation says, or it lacks this completion
-            n, r = next(((n, r) for n, r in enumerate(self.logged, start=1)
-                         if r.get("event") == "session_truncated"), (0, None))
-            if r is None:
-                raise _ReplayInconsistency(f"log holds no completion for chunk {chunk}")
-            check_record(r, n)
-            raise TraceExhaustedError(r["diagnostic"])
+        if r is None:
+            raise _ReplayInconsistency(f"log holds no completion for chunk {chunk}")
         check_record(r, n)
+        if r["event"] == "session_truncated":  # the log ends here, as the truncation says
+            raise TraceExhaustedError(r["diagnostic"])
         if r["chunk"] != chunk:
             raise _ReplayInconsistency(f"logged completion is for chunk {r['chunk']}, engine expected {chunk}")
         if r["time_s"] <= send_time_s:

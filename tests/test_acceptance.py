@@ -366,7 +366,10 @@ def test_time_conservation_and_batch_determinism(tmp_path, bundled_batch):
     if len(log_paths) != 192:
         failures.append(f"expected 192 session logs, found {len(log_paths)}")
     for path in log_paths:
-        report = session_metrics(SessionEventLog.read(path), manifest)
+        log = SessionEventLog.read(path)
+        if replay_diff(log, manifest, SessionConfig.from_header(log.header)):
+            failures.append(f"{os.path.basename(path)}: does not replay")
+        report = session_metrics(log, manifest)
         if report.partial:
             failures.append(f"{os.path.basename(path)}: partial")
             continue
@@ -393,8 +396,8 @@ def test_time_conservation_and_batch_determinism(tmp_path, bundled_batch):
         diffs = [rel for rel in first if first[rel] != second[rel]]
         failures.extend(f"{rel}: bytes differ between runs" for rel in diffs[:5])
     conclude(
-        "startup + content + stalls equals wall clock (<=1e-6s) on all 192 "
-        "sessions and the batch is byte-identical across runs", failures,
+        "all 192 session logs replay, startup + content + stalls equals wall clock (<=1e-6s) "
+        "on each, and the batch is byte-identical across runs", failures,
     )
 
 

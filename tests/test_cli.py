@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import shutil
 import subprocess
@@ -13,7 +12,7 @@ from abrsim.cli import build_parser, main
 from abrsim.manifest import save_manifest
 from abrsim.simulator import SessionEventLog
 from abrsim.trace import BandwidthTrace, save_trace
-from helpers import constant_trace, events, make_manifest
+from helpers import constant_trace, make_manifest
 
 SCENARIO_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios", "comparison")
 
@@ -322,11 +321,12 @@ def test_simulate_encodes_the_log_once(workspace, monkeypatch, capsys):
 
 
 def test_simulate_partial_session_exits_one(workspace, capsys):
+    # A trace that runs dry: the replay reads the log's truncation in place of a completion.
     save_trace(constant_trace(100.0, until_s=10.0), str(workspace / "starved.csv"))
-    code = main(["simulate", "--manifest", str(workspace / "manifest.json"),
-                 "--trace", str(workspace / "starved.csv")])
-    assert code == 1
+    manifest, log = str(workspace / "manifest.json"), str(workspace / "starved.jsonl")
+    assert main(["simulate", "--manifest", manifest, "--trace", str(workspace / "starved.csv"), "--log", log]) == 1
     assert capsys.readouterr().err.startswith("PARTIAL")
+    assert main(["replay", "--log", log, "--manifest", manifest]) == 0
 
 
 def test_simulate_download_that_rounds_to_no_time_ends_partial(workspace, capsys):
@@ -356,6 +356,20 @@ def test_simulate_on_a_rate_too_fast_for_the_clock_ends_partial(workspace, capsy
                       "in less than the clock's rounding step"}
     assert main(["replay", "--log", log, "--manifest", manifest]) == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_simulate_on_a_rate_too_fast_for_the_estimate_ends_partial(workspace, capsys):
+    # At 1e308 kbps two throughputs already total more than the largest float.
+    trace, log = str(workspace / "fast.csv"), str(workspace / "fast.jsonl")
+    manifest = os.path.join(SCENARIO_DIR, "manifest.json")
+    save_trace(BandwidthTrace(((0.0, 1e308), (600.0, 1e308))), trace)
+    assert main(["validate", "--trace", trace]) == 0
+    assert main(["simulate", "--manifest", manifest, "--trace", trace, "--log", log]) == 1
+    assert SessionEventLog.read(log).records[-1] == {
+        "event": "session_truncated", "time_s": 1.88e-305, "chunk": 3,
+        "diagnostic": "the mean throughput of chunks 1-2 is inf kbps, after chunk 2 downloaded at 1e+308 kbps"}
+    assert main(["replay", "--log", log, "--manifest", manifest]) == 0
+    assert capsys.readouterr().err.startswith("PARTIAL")
 
 
 def test_simulate_rejects_bad_policy_params(workspace, capsys):
@@ -438,21 +452,6 @@ def test_replay_verifies_clean_log(workspace, capsys):
     assert "verified" in capsys.readouterr().out
 
 
-def test_replay_flags_tampered_log(workspace, capsys):
-    log_path = workspace / "session.jsonl"
-    main(["simulate", "--manifest", str(workspace / "manifest.json"),
-          "--trace", str(workspace / "trace_0.csv"), "--log", str(log_path)])
-    capsys.readouterr()
-    log = SessionEventLog.read(str(log_path))
-    events(log, "fetch_issued")[2]["buffer_s"] += 1.0
-    log.write(str(log_path))
-    code = main(["replay", "--log", str(log_path),
-                 "--manifest", str(workspace / "manifest.json")])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "MISMATCH" in out and "buffer_s" in out
-
-
 def test_replay_garbage_log_exits_two(workspace, capsys):
     garbage = workspace / "garbage.jsonl"
     garbage.write_text("hello\n")
@@ -462,96 +461,6 @@ def test_replay_garbage_log_exits_two(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["policy", "buffer_capacity_s", "critical_threshold_s", "loop_trace"])
-def test_replay_header_missing_field_exits_two(workspace, capsys, field):
-    log_path = workspace / "session.jsonl"
-    main(["simulate", "--manifest", str(workspace / "manifest.json"),
-          "--trace", str(workspace / "trace_0.csv"), "--log", str(log_path)])
-    capsys.readouterr()
-    log = SessionEventLog.read(str(log_path))
-    del log.header[field]
-    log.write(str(log_path))
-    code = main(["replay", "--log", str(log_path),
-                 "--manifest", str(workspace / "manifest.json")])
-    assert code == 2
-    assert f"error: record 1 (session_start) lacks {field}" in capsys.readouterr().err
-
-
-def test_replay_header_with_a_mistyped_policy_parameter_exits_two(workspace, capsys):
-    log_path = workspace / "session.jsonl"
-    main(["simulate", "--manifest", str(workspace / "manifest.json"),
-          "--trace", str(workspace / "trace_0.csv"), "--log", str(log_path)])
-    capsys.readouterr()
-    log = SessionEventLog.read(str(log_path))
-    log.header["policy_params"] = {"upgrade_only": "no"}
-    log.write(str(log_path))
-    code = main(["replay", "--log", str(log_path),
-                 "--manifest", str(workspace / "manifest.json")])
-    assert code == 2
-    assert ("error: bad parameters for policy 'sba': upgrade_only must be true or false, got 'no'"
-            in capsys.readouterr().err)
-
-
-def test_replay_header_with_a_loop_trace_that_is_no_bool_exits_two(workspace, capsys):
-    log_path = workspace / "session.jsonl"
-    main(["simulate", "--manifest", str(workspace / "manifest.json"),
-          "--trace", str(workspace / "trace_0.csv"), "--log", str(log_path)])
-    capsys.readouterr()
-    log = SessionEventLog.read(str(log_path))
-    log.header["loop_trace"] = "yes"
-    log.write(str(log_path))
-    code = main(["replay", "--log", str(log_path), "--manifest", str(workspace / "manifest.json")])
-    assert code == 2
-    assert "error: record 1 (session_start): loop_trace must be true or false, got 'yes'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", [True, 150.5], ids=["true", "fractional"])
-def test_replay_header_with_a_chunk_count_that_is_no_integer_exits_two(workspace, capsys, value):
-    # Replay reported such a header as a mismatch (exit 1); like any mistyped header field it is bad input.
-    log_path = workspace / "session.jsonl"
-    main(["simulate", "--manifest", str(workspace / "manifest.json"),
-          "--trace", str(workspace / "trace_0.csv"), "--log", str(log_path)])
-    capsys.readouterr()
-    log = SessionEventLog.read(str(log_path))
-    log.header["chunk_count"] = value
-    log.write(str(log_path))
-    code = main(["replay", "--log", str(log_path), "--manifest", str(workspace / "manifest.json")])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err == f"error: record 1 (session_start): chunk_count must be an integer, got {value!r}\n"
-
-
-def test_replay_header_with_a_rung_that_is_no_number_exits_two(workspace, capsys):
-    # Replay reported such a rung as a mismatch (exit 1): the row check took any array.
-    log_path = workspace / "session.jsonl"
-    main(["simulate", "--manifest", str(workspace / "manifest.json"),
-          "--trace", str(workspace / "trace_0.csv"), "--log", str(log_path)])
-    capsys.readouterr()
-    log = SessionEventLog.read(str(log_path))
-    log.header["ladder_kbps"][0] = "x"
-    log.write(str(log_path))
-    code = main(["replay", "--log", str(log_path), "--manifest", str(workspace / "manifest.json")])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err == "error: record 1 (session_start): ladder_kbps[1] must be a finite number, got 'x'\n"
-
-
-def test_replay_header_with_an_infinite_policy_parameter_exits_two(workspace, capsys):
-    log_path = workspace / "session.jsonl"
-    main(["simulate", "--manifest", str(workspace / "manifest.json"), "--trace",
-          str(workspace / "trace_0.csv"), "--policy", "osmf", "--log", str(log_path)])
-    capsys.readouterr()
-    log = SessionEventLog.read(str(log_path))
-    log.header["policy_params"] = {"up_ratio": math.inf}
-    log.write(str(log_path))
-    assert '"up_ratio": Infinity' in log_path.read_text()
-    code = main(["replay", "--log", str(log_path),
-                 "--manifest", str(workspace / "manifest.json")])
-    assert code == 2
-    assert ("error: bad parameters for policy 'osmf': up_ratio must be a finite number, got inf"
-            in capsys.readouterr().err)
-
-
 def test_replay_missing_log_exits_two(workspace, capsys):
     code = main(["replay", "--log", str(workspace / "absent.jsonl"),
                  "--manifest", str(workspace / "manifest.json")])
@@ -559,35 +468,68 @@ def test_replay_missing_log_exits_two(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind, index, field, value, message", [
-    ("download_complete", 2, "chunk", None, "log is not replayable: record {n} (download_complete) lacks chunk"),
-    ("download_complete", 2, "time_s", None, "log is not replayable: record {n} (download_complete) lacks time_s"),
-    ("download_complete", 0, "time_s", True,
-     "log is not replayable: record {n} (download_complete): time_s must be a finite number, got True"),
-    ("download_complete", 2, "time_s", 10**400, "log is not replayable: record {n} (download_complete): "
-     "time_s must be a finite number, got an integer too large for a float"),
-    ("session_start", 0, "chunk_count", 10**400, f"record 1 (session_start): chunk_count logged {10**400}, replay 8"),
-], ids=["completion-without-chunk", "completion-without-time", "bool-completion-time", "huge-int-completion-time",
-        "huge-int-in-header"])
-def test_replay_flags_a_record_it_cannot_replay(workspace, capsys, kind, index, field, value, message):
-    log_path = workspace / "session.jsonl"
-    main(["simulate", "--manifest", str(workspace / "manifest.json"),
-          "--trace", str(workspace / "trace_0.csv"), "--log", str(log_path)])
-    capsys.readouterr()
-    log = SessionEventLog.read(str(log_path))
-    record = events(log, kind)[index]
-    if value is None:
-        del record[field]
-    else:
-        record[field] = value
-    log.write(str(log_path))
-    code = main(["replay", "--log", str(log_path), "--manifest", str(workspace / "manifest.json")])
-    assert code == 1
+@pytest.fixture(scope="module")
+def stored_log(tmp_path_factory):
+    """The manifest path and log text of `workspace`'s session on trace_0.csv, simulated once."""
+    manifest = make_manifest(chunks=8)
+    path = str(tmp_path_factory.mktemp("stored") / "manifest.json")
+    save_manifest(manifest, path)
+    return path, run_session(manifest, constant_trace(3000.0), SessionConfig())[0].to_jsonl()
+
+
+# Each row replaces every `old` in the stored log's text with `new`. Exit 2 (bad input) must print
+# `error: <line>` and nothing on stdout; exit 1 (a mismatch) must print `<line>` first after MISMATCH.
+@pytest.mark.parametrize("old, new, code, line", [
+    pytest.param('"buffer_s": 15.06,', '"buffer_s": 16.06,', 1,
+                 "record 12 (fetch_issued): buffer_s logged 16.06, replay 15.06", id="tampered-buffer"),
+    pytest.param('"level": 1,', '"level": true,', 1, "record 2 (fetch_issued): level logged True, replay 1",
+                 id="retyped-level"),
+    pytest.param('"policy": "sba", ', "", 2, "record 1 (session_start) lacks policy", id="header-without-policy"),
+    pytest.param('"buffer_capacity_s": 120.0, ', "", 2, "record 1 (session_start) lacks buffer_capacity_s",
+                 id="header-without-buffer_capacity_s"),
+    pytest.param('"critical_threshold_s": 12.0, ', "", 2, "record 1 (session_start) lacks critical_threshold_s",
+                 id="header-without-critical_threshold_s"),
+    pytest.param('"loop_trace": false, ', "", 2, "record 1 (session_start) lacks loop_trace",
+                 id="header-without-loop_trace"),
+    pytest.param('"policy_params": {}', '"policy_params": {"upgrade_only": "no"}', 2,
+                 "bad parameters for policy 'sba': upgrade_only must be true or false, got 'no'",
+                 id="string-sba-upgrade-only"),
+    pytest.param('"policy": "sba", "policy_params": {}', '"policy": "osmf", "policy_params": {"up_ratio": Infinity}',
+                 2, "bad parameters for policy 'osmf': up_ratio must be a finite number, got inf",
+                 id="infinite-osmf-up-ratio"),
+    pytest.param('"loop_trace": false', '"loop_trace": "yes"', 2,
+                 "record 1 (session_start): loop_trace must be true or false, got 'yes'", id="string-loop-trace"),
+    pytest.param('"chunk_count": 8,', '"chunk_count": true,', 2,
+                 "record 1 (session_start): chunk_count must be an integer, got True", id="true-chunk-count"),
+    pytest.param('"chunk_count": 8,', '"chunk_count": 150.5,', 2,
+                 "record 1 (session_start): chunk_count must be an integer, got 150.5", id="fractional-chunk-count"),
+    pytest.param('"chunk_count": 8,', f'"chunk_count": {10**400},', 1,
+                 f"record 1 (session_start): chunk_count logged {10**400}, replay 8", id="huge-int-in-header"),
+    pytest.param('"ladder_kbps": [235.0', '"ladder_kbps": ["x"', 2,
+                 "record 1 (session_start): ladder_kbps[1] must be a finite number, got 'x'", id="string-rung"),
+    pytest.param('"chunk": 3, "throughput_kbps"', '"throughput_kbps"', 1,
+                 "log is not replayable: record 9 (download_complete) lacks chunk", id="completion-without-chunk"),
+    pytest.param('"download_complete", "time_s": 0.94, ', '"download_complete", ', 1,
+                 "log is not replayable: record 9 (download_complete) lacks time_s", id="completion-without-time"),
+    pytest.param('"download_complete", "time_s": 0.31333333333333335,', '"download_complete", "time_s": true,', 1,
+                 "log is not replayable: record 3 (download_complete): time_s must be a finite number, got True",
+                 id="bool-completion-time"),
+    pytest.param('"download_complete", "time_s": 0.94,', f'"download_complete", "time_s": {10**400},', 1,
+                 "log is not replayable: record 9 (download_complete): "
+                 "time_s must be a finite number, got an integer too large for a float", id="huge-int-completion-time"),
+])
+def test_replay_on_an_edited_log(stored_log, tmp_path, capsys, old, new, code, line):
+    manifest, text = stored_log
+    assert old in text
+    log = tmp_path / "edited.jsonl"
+    log.write_text(text.replace(old, new))
+    assert main(["replay", "--log", str(log), "--manifest", manifest]) == code
     captured = capsys.readouterr()
-    out = captured.out.splitlines()
-    assert out[0] == f"{log_path}: MISMATCH"
-    assert out[1].startswith("  " + message.format(n=log.records.index(record) + 1))
-    assert "Traceback" not in captured.err
+    if code == 2:
+        assert (captured.out, captured.err) == ("", f"error: {line}\n")
+    else:
+        assert captured.out.splitlines()[:2] == [f"{log}: MISMATCH", f"  {line}"]
+        assert captured.err == ""
 
 
 # --- every JSON input: a parse error exits 2 naming the file or log line ---

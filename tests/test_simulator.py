@@ -115,16 +115,21 @@ def test_engine_rejects_a_policy_level_outside_the_ladder(monkeypatch):
 
 
 def test_replay_rejects_an_estimate_that_is_not_positive_and_finite():
-    # A first completion logged a denormal after its fetch makes the next estimate inf,
-    # which stops the replay.  One logged at Infinity, which made it 0.0, is no JSON number.
+    # A first completion logged a denormal after its fetch makes the next estimate inf, which
+    # truncates the replay there: the fetch logged next differs.  One logged at Infinity, which
+    # made it 0.0, is no JSON number.
     manifest, log = replayable_log()
     n = log.records.index(events(log, "download_complete")[0]) + 1
-    for time_s, error in ((float("inf"), f"record {n} (download_complete): time_s must be a finite number, got inf"),
-                          (5e-324, "bandwidth estimate must be > 0, got inf")):
+
+    def replayed(time_s):
         tampered = SessionEventLog(copy.deepcopy(log.records))
         events(tampered, "download_complete")[0]["time_s"] = time_s
-        assert replay_diff(tampered, manifest, SessionConfig.from_header(log.header)) == [
-            f"log is not replayable: {error}"]
+        return replay_diff(tampered, manifest, SessionConfig.from_header(log.header))
+
+    assert replayed(float("inf")) == [
+        f"log is not replayable: record {n} (download_complete): time_s must be a finite number, got inf"]
+    fetch = sorted(events(log, "fetch_issued")[1])
+    assert replayed(5e-324)[-1] == f"record {n + 3}: fields {fetch} vs ['chunk', 'diagnostic', 'event', 'time_s']"
 
 
 def test_a_download_that_rounds_to_no_time_truncates_the_session():
