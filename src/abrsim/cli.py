@@ -32,41 +32,48 @@ def main(argv=None) -> int:
         return 2
 
 
+def nonempty_path(text: str) -> str:
+    """The type of every flag that names a file or directory: an empty one names none."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names nothing")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="abrsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a batch of sessions from a spec file")
-    p_run.add_argument("--spec", required=True, help="run spec JSON")
-    p_run.add_argument("--output-dir", help="override the spec's output directory")
+    p_run.add_argument("--spec", required=True, type=nonempty_path, help="run spec JSON")
+    p_run.add_argument("--output-dir", type=nonempty_path, help="override the spec's output directory")
     p_run.add_argument("--jobs", type=int, help="parallel worker processes")
     p_run.set_defaults(handler=cmd_run)
 
     p_sim = sub.add_parser("simulate", help="run one session, stream its event log to stdout",
                            argument_default=argparse.SUPPRESS)
-    p_sim.add_argument("--manifest", required=True)
-    p_sim.add_argument("--trace", required=True)
+    p_sim.add_argument("--manifest", required=True, type=nonempty_path)
+    p_sim.add_argument("--trace", required=True, type=nonempty_path)
     p_sim.add_argument("--policy", choices=list(POLICIES))
     p_sim.add_argument("--bs", dest="buffer_capacity_s", type=float, help="buffer capacity in seconds")
     p_sim.add_argument("--lc", dest="critical_threshold_s", type=float, help="critical threshold in seconds")
     p_sim.add_argument("--loop", dest="loop_trace", action="store_true", help="loop the trace")
     p_sim.add_argument("--policy-params", help="policy parameters as JSON")
-    p_sim.add_argument("--log", default=None, help="also write the event log to this file")
+    p_sim.add_argument("--log", default=None, type=nonempty_path, help="also write the event log to this file")
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_synth = sub.add_parser("synth-manifest", help="generate a synthetic manifest")
-    p_synth.add_argument("--out", required=True)
+    p_synth.add_argument("--out", required=True, type=nonempty_path)
     p_synth.add_argument("--recipe", required=True, help="a run spec's `synthesize` object, as JSON")
     p_synth.set_defaults(handler=cmd_synth_manifest)
 
     p_val = sub.add_parser("validate", help="validate manifests and traces")
-    p_val.add_argument("--manifest", action="append", default=[], help="manifest path (repeatable)")
-    p_val.add_argument("--trace", action="append", default=[], help="trace path (repeatable)")
+    p_val.add_argument("--manifest", action="append", default=[], type=nonempty_path, help="manifest path (repeatable)")
+    p_val.add_argument("--trace", action="append", default=[], type=nonempty_path, help="trace path (repeatable)")
     p_val.set_defaults(handler=cmd_validate)
 
     p_replay = sub.add_parser("replay", help="verify an event log against its manifest")
-    p_replay.add_argument("--log", required=True)
-    p_replay.add_argument("--manifest", required=True)
+    p_replay.add_argument("--log", required=True, type=nonempty_path)
+    p_replay.add_argument("--manifest", required=True, type=nonempty_path)
     p_replay.set_defaults(handler=cmd_replay)
     return parser
 

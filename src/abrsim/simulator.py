@@ -368,14 +368,6 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
             buffer = chunks_done * chunk_len - play_pos
         now = t
 
-    def emit_due_display_starts(t: float) -> None:
-        # Boundaries at or behind the playhead become displayable the moment
-        # playback (re)starts.
-        nonlocal next_display
-        while next_display <= chunks_done and (next_display - 1) * chunk_len <= play_pos:
-            display(t, next_display, levels[next_display - 1])
-            next_display += 1
-
     for chunk in range(1, total_chunks + 1):
         if not capacity - buffer > chunk_len:
             # One chunk of headroom or less: wait for the drain to capacity - chunk_len.
@@ -385,23 +377,21 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
         drift = drift_total / drift_count if drift_count else 0.0
         if not 0.0 <= buffer <= capacity:  # round-off in the drain arithmetic
             raise ValueError(f"buffer {buffer} outside [0, {capacity}]")
-        if not 0.0 < estimate < math.inf:  # throughputs near the float range's end, or a replayed completion time
-            sink.record({"event": "session_truncated", "time_s": now, "chunk": chunk,
-                         "diagnostic": f"the mean throughput of chunks 1-{chunk - 1} is {estimate:g} kbps, "
-                                       f"after chunk {chunk - 1} downloaded at {throughput:g} kbps"})
-            return
-        decision = decide(policy, Observation(chunk, buffer, capacity, critical, prev_level,
-                                              estimate, drift, manifest))
-        level = decision.level
-        if not 1 <= level <= level_count:
-            raise IndexError(f"level {level} outside 1..{level_count}")
-        if chunk >= 2:
-            drift_total += ssim[chunk - 1][level - 1] - ssim[chunk - 2][prev_level - 1]
-            drift_count += 1
-        fetch(now, chunk, level, buffer, estimate, drift, decision.reason)
         send_t = now
-        volume = volumes[chunk - 1][level - 1]
-        try:
+        try:  # an estimate or a download the float clock cannot carry truncates the session at this fetch
+            if not 0.0 < estimate < math.inf:  # throughputs near the float range's end, or a replayed completion time
+                raise TraceExhaustedError(f"the mean throughput of chunks 1-{chunk - 1} is {estimate:g} kbps, "
+                                          f"after chunk {chunk - 1} downloaded at {throughput:g} kbps")
+            decision = decide(policy, Observation(chunk, buffer, capacity, critical, prev_level,
+                                                  estimate, drift, manifest))
+            level = decision.level
+            if not 1 <= level <= level_count:
+                raise IndexError(f"level {level} outside 1..{level_count}")
+            if chunk >= 2:
+                drift_total += ssim[chunk - 1][level - 1] - ssim[chunk - 2][prev_level - 1]
+                drift_count += 1
+            fetch(send_t, chunk, level, buffer, estimate, drift, decision.reason)
+            volume = volumes[chunk - 1][level - 1]
             finish_t = finish_fn(send_t, volume)
         except TraceExhaustedError as exc:
             sink.record({"event": "session_truncated", "time_s": send_t, "chunk": chunk,
@@ -424,14 +414,14 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
         throughput_total += throughput
         throughput_count += 1
         policy.observe(throughput, duration)
-        if chunk == 1:
+        if not playing and (chunk == 1 or buffer >= config.resume_threshold_s or chunk == total_chunks):
             playing = True
-            sink.record({"event": "playback_start", "time_s": now})
-            emit_due_display_starts(now)
-        elif not playing and (buffer >= config.resume_threshold_s or chunk == total_chunks):
-            playing = True
-            sink.record({"event": "playback_resume", "time_s": now})
-            emit_due_display_starts(now)
+            sink.record({"event": "playback_start", "time_s": now} if chunk == 1
+                        else {"event": "playback_resume", "time_s": now})
+            # Boundaries at or behind the playhead become displayable the moment playback (re)starts.
+            while next_display <= chunks_done and (next_display - 1) * chunk_len <= play_pos:
+                display(now, next_display, levels[next_display - 1])
+                next_display += 1
 
     # Everything downloaded: drain out and close the session.
     advance_to(now + buffer)

@@ -160,6 +160,23 @@ def test_a_write_into_a_missing_directory_names_the_path_given(workspace, capsys
     assert captured.out == ""  # no log on stdout from a run that could not keep it
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--spec", "spec.json", "--output-dir", ""], "--output-dir"),
+    (["simulate", "--manifest", "manifest.json", "--trace", "trace_0.csv", "--log", ""], "--log"),
+], ids=["run-output-dir", "simulate-log"])
+def test_an_empty_path_flag_exits_two_naming_it(workspace, monkeypatch, capsys, argv, flag):
+    # "" names no file: it is bad input, not "use the default" and not "write no log".
+    monkeypatch.chdir(workspace)
+    before = sorted(os.listdir(workspace))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: argument {flag}: an empty path names nothing" in captured.err
+    assert captured.out == ""
+    assert sorted(os.listdir(workspace)) == before
+
+
 # --- validate ---
 
 

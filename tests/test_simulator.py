@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -251,6 +252,33 @@ def test_resume_threshold_delays_restart():
     assert report.rebuffering_total_s == pytest.approx(5.188 - 4.094, abs=1e-9)
     stalled_fetch = events(log, "fetch_issued")[2]
     assert stalled_fetch["buffer_s"] == pytest.approx(4.0, abs=1e-9)
+    # Chunks 2 and 3 landed during the stall: the resume shows chunk 2, at the
+    # playhead, at once; chunk 3 follows one chunk duration later.
+    n = log.records.index(resumes[0])
+    assert [(r["event"], r.get("chunk")) for r in log.records[n + 1:n + 3]] == [
+        ("chunk_display_start", 2), ("fetch_issued", 4)]
+    assert log.records[n + 1]["time_s"] == resumes[0]["time_s"]
+    displays = {r["chunk"]: r["time_s"] for r in events(log, "chunk_display_start")}
+    assert displays[3] == pytest.approx(5.188 + 4.0, abs=1e-9)
+
+
+def test_a_resume_at_a_large_clock_shows_every_chunk_at_or_behind_the_playhead():
+    # Chunk 1 weighs 1e20 kilobits, so the clock reaches 1e17 s, where its step is 16 s:
+    # each 16 s download stalls playback, and the drain into the stall rounds to no time,
+    # so the playhead jumps past chunks it wrote no display for.  The resume writes them.
+    sizes = ((1e20, 1e20),) + ((16000.0, 16000.0),) * 5
+    manifest = make_manifest(chunks=6, rates=(235, 375), sizes=sizes, duration=2.0)
+    log, report = run_session(manifest, constant_trace(1000.0), SessionConfig(resume_threshold_s=4.0))
+
+    def shown_at(resume):
+        after = log.records[log.records.index(resume) + 1:]
+        return [r["chunk"] for r in itertools.takewhile(
+            lambda r: r["event"] == "chunk_display_start" and r["time_s"] == resume["time_s"], after)]
+
+    assert [shown_at(r) for r in events(log, "playback_resume")] == [[2], [3, 4], [5, 6]]
+    assert sorted(r["chunk"] for r in events(log, "chunk_display_start")) == [1, 2, 3, 4, 5, 6]
+    assert not report.partial
+    assert replay_diff(log, manifest, SessionConfig.from_header(log.header)) == []
 
 
 def test_stall_ends_when_the_last_chunk_lands_below_the_resume_threshold():
