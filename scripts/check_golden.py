@@ -4,11 +4,13 @@
     python3 scripts/check_golden.py
 
 Runs `perfbench/make_golden.py --check` under each interpreter it finds, as
-`python3.X` on PATH or under pyenv (`$PYENV_ROOT`, default `~/.pyenv`), and
-compares the digest each run prints with the digest of the files pinned in
-`perfbench/golden.json`.  Names every interpreter it ran and every version it
-could not find.  Exits 0 only when at least one interpreter ran and every run
-printed the pinned digest over the pinned number of files.
+`python3.X` on PATH or under pyenv (`$PYENV_ROOT`, default `~/.pyenv`), once
+under each of two string-hash seeds (`PYTHONHASHSEED` 0 and 1), so no output
+byte may depend on set or dict iteration over hashed strings.  Compares the
+digest each run prints with the digest of the files pinned in
+`perfbench/golden.json`.  Names every interpreter and seed it ran and every
+version it could not find.  Exits 0 only when at least one interpreter ran and
+every run printed the pinned digest over the pinned number of files.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 VERSIONS = ("3.10", "3.11", "3.12", "3.13")
+HASH_SEEDS = ("0", "1")
 
 sys.path.insert(0, PERFBENCH)
 from run import GOLDEN_PATH, digest_of  # noqa: E402  (perfbench/run.py, as make_golden.py uses it)
@@ -62,14 +65,16 @@ def main() -> int:
             print(f"python{version}: not found")
             continue
         ran += 1
-        proc = subprocess.run([exe, os.path.join(PERFBENCH, "make_golden.py"), "--check"],
-                              cwd=ROOT, capture_output=True, text=True)
-        match = re.search(r"^python (\S+): (\d+) files, digest ([0-9a-f]+)$", proc.stdout, re.M)
-        ok = proc.returncode == 0 and match is not None and match.group(2, 3) == (str(count), digest)
-        bad += not ok
-        print(f"{exe}: {'ok' if ok else 'MISMATCH'}: {match.group(0) if match else 'no digest printed'}")
-        if proc.returncode != 0:
-            print(proc.stderr.strip()[-2000:], file=sys.stderr)
+        for hash_seed in HASH_SEEDS:
+            proc = subprocess.run([exe, os.path.join(PERFBENCH, "make_golden.py"), "--check"], cwd=ROOT,
+                                  capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": hash_seed})
+            match = re.search(r"^python (\S+): (\d+) files, digest ([0-9a-f]+)$", proc.stdout, re.M)
+            ok = proc.returncode == 0 and match is not None and match.group(2, 3) == (str(count), digest)
+            bad += not ok
+            print(f"{exe} PYTHONHASHSEED={hash_seed}: {'ok' if ok else 'MISMATCH'}: "
+                  f"{match.group(0) if match else 'no digest printed'}")
+            if proc.returncode != 0:
+                print(proc.stderr.strip()[-2000:], file=sys.stderr)
     if not ran:
         print("no CPython 3.10 to 3.13 found")
     return 1 if bad or not ran else 0

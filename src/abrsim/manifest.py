@@ -144,8 +144,11 @@ class VideoManifest:
 def manifest_from_dict(doc: dict) -> VideoManifest:
     """The manifest a parsed manifest file holds; every value must have its JSON type.
 
-    A string or a bool where a number belongs is rejected, not converted.
+    A string or a bool where a number belongs is rejected, not converted, and so is a field it does not know.
     """
+    unknown = doc.keys() - {"chunk_duration_s", "ladder_kbps", "ssim", "chunk_kilobits"}
+    if unknown:
+        raise ManifestError(f"unknown manifest fields: {', '.join(sorted(unknown))}")
     for field in ("chunk_duration_s", "ladder_kbps", "ssim"):
         if field not in doc:
             raise ManifestError(f"missing required field {field}")

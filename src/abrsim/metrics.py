@@ -65,12 +65,11 @@ class SessionTally:
 
     Its feeder appends each displayed level to `levels` and passes every
     record that is not per-chunk to `record`, which keeps the header and the
-    playback, stall, end and truncation times.  It checks no value's type: a
+    playback, stall, end and truncation times.  It checks no record: a
     JsonlWriter feeds it what the engine builds, and `session_metrics` a
-    stored log's records once they fit their EVENTS rows.  `report` prices the
-    levels by direct indexing once their min and max lie in 1..R; a list that
-    fails that or the indexing goes through the manifest's checked lookups,
-    which word the error.
+    stored log's records once they fit their EVENTS rows, each resume closes
+    a stall, and each level is an int in 1..R on one of the manifest's
+    chunks.  So `report` prices the levels by direct indexing.
     """
 
     def __init__(self) -> None:
@@ -89,8 +88,6 @@ class SessionTally:
         elif kind == "playback_stall":
             self.stall_open = rec["time_s"]
         elif kind == "playback_resume":
-            if self.stall_open is None:
-                raise ValueError("playback_resume without an open stall")
             self.stall_total += rec["time_s"] - self.stall_open
             self.stall_count += 1
             self.stall_open = None
@@ -113,15 +110,9 @@ class SessionTally:
         levels = self.levels
         partial = (self.truncated_at is not None or self.end_time is None
                    or len(levels) < header["chunk_count"])
-        ladder = manifest.ladder
-        try:
-            if levels and not 1 <= min(levels) <= max(levels) <= ladder.count:
-                raise IndexError  # level 0 would wrap to the top rung
-            ssim, levels_kbps = manifest.ssim, ladder.levels_kbps
-            ssims = [ssim[i][lvl - 1] for i, lvl in enumerate(levels)]  # a display past the last chunk raises
-            rates = [levels_kbps[lvl - 1] for lvl in levels]
-        except IndexError:  # the checked lookups raise, naming the chunk or level out of range
-            ssims = [manifest.ssim_at(i, lvl) for i, lvl in enumerate(levels, start=1)]
+        ssim, levels_kbps = manifest.ssim, manifest.ladder.levels_kbps
+        ssims = [ssim[i][lvl - 1] for i, lvl in enumerate(levels)]
+        rates = [levels_kbps[lvl - 1] for lvl in levels]
         return SessionReport(
             policy=header["policy"],
             buffer_capacity_s=header["buffer_capacity_s"],

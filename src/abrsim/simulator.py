@@ -275,10 +275,12 @@ _CHECKED_IN_FULL = EVENTS.keys() - SINK_METHODS.values()  # every kind but the p
 def session_metrics(log, manifest: VideoManifest) -> SessionReport:
     """Reduce one stored event log to a SessionReport through a SessionTally.
 
-    Each record of a kind in _CHECKED_IN_FULL goes through `check_record` and
-    then the tally.  Of a per-chunk record the tally reads only a display's
-    level: the levels are gathered and checked in bulk, and the displays go
-    through `check_record` only to name the first that fails.
+    Each record of a kind in _CHECKED_IN_FULL goes through `check_record`, and
+    a resume must close a stall, before the tally reads it.  Of a per-chunk
+    record the tally reads only a display's level: the levels are checked in
+    bulk (ints in 1..R, no more displays than chunks), and only to name the
+    first that fails do the displays go through `check_record` and `ssim_at`.
+    Every fault is a LogFormatError that names its record.
     """
     log.header  # raises LogFormatError, a ValueError, unless the log opens with session_start
     records = log.records
@@ -290,11 +292,18 @@ def session_metrics(log, manifest: VideoManifest) -> SessionReport:
             levels.append(rec.get("level"))  # None where it lacks one
         elif kind in _CHECKED_IN_FULL:
             check_record(rec, n)
+            if kind == "playback_resume" and tally.stall_open is None:
+                raise LogFormatError(f"record {n} (playback_resume): no playback_stall is open")
             record(rec)
-    if not {*map(type, levels)} <= {int}:  # the type of the display row's level
-        for n, rec in enumerate(records, start=1):
-            if rec["event"] == "chunk_display_start":
-                check_record(rec, n)
+    if not ({*map(type, levels)} <= {int} and {*levels} <= {*range(1, manifest.ladder.count + 1)}
+            and len(levels) <= manifest.chunk_count):
+        displays = [(n, rec) for n, rec in enumerate(records, start=1) if rec["event"] == "chunk_display_start"]
+        for chunk, (n, rec) in enumerate(displays, start=1):
+            check_record(rec, n)
+            try:
+                manifest.ssim_at(chunk, rec["level"])
+            except IndexError as exc:  # the checked lookup names the chunk or the level out of range
+                raise LogFormatError(f"record {n} (chunk_display_start): {exc}") from None
     return tally.report(manifest)
 
 
@@ -428,10 +437,6 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
     sink.record({"event": "session_end", "time_s": now})
 
 
-class _ReplayInconsistency(Exception):
-    """Logged data contradicts the re-derived session."""
-
-
 class _ReplaySink:
     """Sink that compares each event, as the engine emits it, with the next logged record.
 
@@ -457,14 +462,15 @@ class _ReplaySink:
         self.chunk = chunk = self.chunk + 1
         n, r = next(self.completions, (0, None))
         if r is None:
-            raise _ReplayInconsistency(f"log holds no completion for chunk {chunk}")
+            raise LogFormatError(f"log holds no completion for chunk {chunk}")
         check_record(r, n)
         if r["event"] == "session_truncated":  # the log ends here, as the truncation says
             raise TraceExhaustedError(r["diagnostic"])
         if r["chunk"] != chunk:
-            raise _ReplayInconsistency(f"logged completion is for chunk {r['chunk']}, engine expected {chunk}")
+            raise LogFormatError(f"record {n} (download_complete): chunk logged {r['chunk']!r}, replay {chunk!r}")
         if r["time_s"] <= send_time_s:
-            raise _ReplayInconsistency(f"logged completion time {r['time_s']} precedes its fetch at {send_time_s}")
+            raise LogFormatError(f"record {n} (download_complete): time_s {r['time_s']} "
+                                 f"precedes its fetch at {send_time_s}")
         return float(r["time_s"])
 
     fetch, complete, display = _chunk_event_methods("""
@@ -502,9 +508,7 @@ def replay_diff(log: SessionEventLog, manifest: VideoManifest, config: SessionCo
             return []
         # Each reproduced record stands in for itself, so the walk skips it.
         return _diff_records(log.records, log.records[:sink.matched] + sink.kept)
-    except _ReplayInconsistency as exc:
-        return [str(exc)]
-    except (ValueError, TraceExhaustedError) as exc:
+    except ValueError as exc:  # a config the engine refuses, or a completion `finish` cannot feed it
         return [f"log is not replayable: {exc}"]
 
 

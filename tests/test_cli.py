@@ -534,6 +534,12 @@ def stored_log(tmp_path_factory):
     pytest.param('"download_complete", "time_s": 0.94,', f'"download_complete", "time_s": {10**400},', 1,
                  "log is not replayable: record 9 (download_complete): "
                  "time_s must be a finite number, got an integer too large for a float", id="huge-int-completion-time"),
+    pytest.param('"time_s": 0.94, "chunk": 3,', '"time_s": 0.94, "chunk": 9,', 1,
+                 "log is not replayable: record 9 (download_complete): chunk logged 9, replay 3",
+                 id="completion-for-another-chunk"),
+    pytest.param('"download_complete", "time_s": 0.94,', '"download_complete", "time_s": 0.6266666666666667,', 1,
+                 "log is not replayable: record 9 (download_complete): "
+                 "time_s 0.6266666666666667 precedes its fetch at 0.6266666666666667", id="completion-at-its-fetch"),
 ])
 def test_replay_on_an_edited_log(stored_log, tmp_path, capsys, old, new, code, line):
     manifest, text = stored_log

@@ -106,7 +106,9 @@ def test_record_download_guards():
     done["time_s"] = next(
         r["time_s"] for r in log.records if r["event"] == "fetch_issued" and r["chunk"] == 2
     )
-    assert "precedes its fetch" in replay_diff(log, manifest, config)[0]
+    sent, n = done["time_s"], log.records.index(done) + 1
+    assert replay_diff(log, manifest, config) == [
+        f"log is not replayable: record {n} (download_complete): time_s {sent} precedes its fetch at {sent}"]
     sizes = [[940.0] * 10 for _ in range(3)]
     sizes[1][0] = 0.0
     with pytest.raises(ManifestError):

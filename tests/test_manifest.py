@@ -294,7 +294,9 @@ def test_load_rejects_strings_and_bools_for_numbers(tmp_path, fields, message):
     ({"ssim": []}, "ssim needs at least 1 row, got 0"),
     ({"ssim": [0.7, 0.8]}, "ssim[1] must be an array, got 0.7"),
     ({"chunk_kilobits": 5}, "chunk_kilobits must be an array, got 5"),
-], ids=["zero-chunk-duration", "empty-ssim", "flat-ssim", "number-chunk-kilobits"])
+    # Once dropped silently, so every chunk was priced at its nominal size.
+    ({"chunk_kilobit": [[1000, 2000]]}, "unknown manifest fields: chunk_kilobit"),
+], ids=["zero-chunk-duration", "empty-ssim", "flat-ssim", "number-chunk-kilobits", "misspelled-chunk-kilobits"])
 def test_load_rejects_a_manifest_of_the_wrong_shape(tmp_path, fields, message):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"chunk_duration_s": 4.0, "ladder_kbps": [235, 375],

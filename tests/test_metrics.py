@@ -109,8 +109,9 @@ def test_open_stall_without_truncation_counts_zero_span():
 def test_resume_without_stall_rejected():
     log = log_of([1], end_s=5.0)
     log.records.insert(2, {"event": "playback_resume", "time_s": 2.0})
-    with pytest.raises(ValueError, match="playback_resume"):
+    with pytest.raises(ValueError) as raised:
         session_metrics(log, manifest3(1))
+    assert str(raised.value) == "record 3 (playback_resume): no playback_stall is open"
 
 
 def test_startup_delay_reported_separately():
@@ -158,20 +159,23 @@ def test_metrics_needs_session_start():
 
 
 def test_stored_log_levels_stay_checked():
-    # A stored log is outside input: the reducer prices its levels with the
-    # manifest's checked lookups, so level 0 cannot wrap to the top rung.
+    # A stored log is outside input: its levels are range-checked before the
+    # report indexes the manifest by them, so level 0 cannot wrap to the top rung.
     for level in (0, -1, 4):
-        with pytest.raises(IndexError, match=f"level {level} outside 1..3"):
+        with pytest.raises(ValueError) as raised:
             session_metrics(log_of([1, level], end_s=9.0), manifest3(2))
+        assert str(raised.value) == f"record 4 (chunk_display_start): level {level} outside 1..3"
 
 
-@pytest.mark.parametrize("levels, error, text", [
-    ([1, 0], IndexError, "level 0 outside 1..3"),
-    ([1, 4], IndexError, "level 4 outside 1..3"),
-    ([1, 2, 3], IndexError, "chunk 3 outside 1..2"),  # one display more than the manifest has chunks
+@pytest.mark.parametrize("levels, text", [
+    ([1, 0], "record 4 (chunk_display_start): level 0 outside 1..3"),
+    ([1, 4], "record 4 (chunk_display_start): level 4 outside 1..3"),
+    ([1, 2, 3], "record 5 (chunk_display_start): chunk 3 outside 1..2"),  # one display more than chunks
+    ([4, 2.0], "record 3 (chunk_display_start): level 4 outside 1..3"),  # the first display that fails
 ])
-def test_a_level_list_failing_the_range_check_raises_the_checked_lookup_error(levels, error, text):
-    with pytest.raises(error) as raised:
+def test_a_level_list_failing_the_range_check_raises_the_checked_lookup_error(levels, text):
+    # These raised the manifest's IndexError, which names no record and is no ValueError.
+    with pytest.raises(ValueError) as raised:
         session_metrics(log_of(levels, end_s=9.0), manifest3(2))
     assert str(raised.value) == text
 

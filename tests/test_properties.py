@@ -295,5 +295,9 @@ WRAP_TRACE = BandwidthTrace(((0.0, 100.0), (5.0, 0.0), (10.0, 0.0)))
 @example((BandwidthTrace(((0.0, 1e18), (600.0, 1e18))), 896.0, 23200.0, True))  # the same, in a later period
 @example((constant_trace(100.0), -1.0, 10.0, False))
 @example((constant_trace(100.0), 1.0, 0.0, False))
+# floor(start / period) * period overshoots the start: without the first `rem < 0` guard, 31734.14855
+@example((BandwidthTrace(((0.0, 1000.0), (0.35, 7.0))), 31733.799999999996, 1.0, True))
+# floor(target / per_loop) * per_loop overshoots the target: without the second guard, 108086.88599999998
+@example((BandwidthTrace(((0.0, 3.3), (2.9, 5.0))), 0.0, 356683.4699999999, True))
 def test_finish_time_matches_the_reference_bit_for_bit(transfer):
     assert _outcome(download_finish_time, *transfer) == _outcome(reference_finish_time, *transfer)

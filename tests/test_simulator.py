@@ -436,7 +436,7 @@ def test_replay_names_the_chunk_a_log_lacks_a_completion_for():
     assert last["chunk"] == 150 and not events(log, "session_truncated")
     log.records.remove(last)
     assert replay_diff(log, manifest, SessionConfig.from_header(log.header)) == [
-        "log holds no completion for chunk 150"]
+        "log is not replayable: log holds no completion for chunk 150"]
 
 
 @pytest.mark.parametrize("kind, field, value", [
