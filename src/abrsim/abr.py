@@ -75,7 +75,8 @@ class Sba(Policy):
     only when switching to it would change SSIM, relative to the previous
     chunk as displayed, by more than the mean SSIM drift seen so far.
     Anything else holds the previous level.  With upgrade_only, a candidate
-    below the previous level is never taken.
+    below the previous level is never taken.  The SSIM table is indexed
+    directly: the engine's checks cover the chunk and the previous level.
     """
 
     def __init__(self, upgrade_only: bool = False):
@@ -87,9 +88,8 @@ class Sba(Policy):
         candidate = obs.manifest.ladder.highest_level_below(obs.bandwidth_estimate_kbps)
         if candidate is None:
             candidate = 1
-        gain = obs.manifest.ssim_at(obs.chunk, candidate) - obs.manifest.ssim_at(
-            obs.chunk - 1, obs.prev_level
-        )
+        ssim = obs.manifest.ssim
+        gain = ssim[obs.chunk - 1][candidate - 1] - ssim[obs.chunk - 2][obs.prev_level - 1]
         take = gain > obs.ssim_delta_mean
         if self.upgrade_only:
             take = take and candidate > obs.prev_level
@@ -173,7 +173,7 @@ class Osmf(Policy):
         if ratio > self.up_ratio:
             return Decision(min(obs.prev_level + 1, ladder.count), "osmf_up")
         if ratio < self.down_ratio:
-            implied = ladder.rate_kbps(obs.prev_level) * ratio
+            implied = ladder.levels_kbps[obs.prev_level - 1] * ratio
             level = ladder.highest_level_at_or_below(implied)
             return Decision(level if level is not None else 1, "osmf_down")
         return Decision(obs.prev_level, "osmf_hold")

@@ -50,11 +50,6 @@ class BitrateLadder:
     def count(self) -> int:
         return len(self.levels_kbps)
 
-    def rate_kbps(self, level: int) -> float:
-        if not 1 <= level <= len(self.levels_kbps):
-            raise IndexError(f"level {level} outside 1..{len(self.levels_kbps)}")
-        return self.levels_kbps[level - 1]
-
     def highest_level_below(self, rate_kbps: float) -> int | None:
         """Highest level whose bitrate is strictly below rate_kbps, else None."""
         return bisect_left(self.levels_kbps, rate_kbps) or None
@@ -119,16 +114,6 @@ class VideoManifest:
                     done = converted[id(row)] = tuple(map(float, row))
                 table.append(done)
             object.__setattr__(self, name, tuple(table))
-
-    def _check_indices(self, chunk: int, level: int) -> None:
-        if not 1 <= chunk <= self.chunk_count:
-            raise IndexError(f"chunk {chunk} outside 1..{self.chunk_count}")
-        if not 1 <= level <= self.ladder.count:
-            raise IndexError(f"level {level} outside 1..{self.ladder.count}")
-
-    def ssim_at(self, chunk: int, level: int) -> float:
-        self._check_indices(chunk, level)
-        return self.ssim[chunk - 1][level - 1]
 
     def to_dict(self) -> dict:
         doc = {

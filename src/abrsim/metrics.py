@@ -65,11 +65,11 @@ class SessionTally:
 
     Its feeder appends each displayed level to `levels` and passes every
     record that is not per-chunk to `record`, which keeps the header and the
-    playback, stall, end and truncation times.  It checks no record: a
+    playback, stall, end and truncation times.  It checks nothing: a
     JsonlWriter feeds it what the engine builds, and `session_metrics` a
-    stored log's records once they fit their EVENTS rows, each resume closes
-    a stall, and each level is an int in 1..R on one of the manifest's
-    chunks.  So `report` prices the levels by direct indexing.
+    stored log once it opens with a header, its records fit their EVENTS
+    rows, each resume closes a stall, and each level is an int in 1..R on
+    one of the manifest's chunks, so `report` prices them by direct indexing.
     """
 
     def __init__(self) -> None:
@@ -99,8 +99,6 @@ class SessionTally:
 
     def report(self, manifest: VideoManifest) -> SessionReport:
         header = self.header
-        if header is None:
-            raise ValueError("log does not start with a session_start record")
         stall_total, stall_count = self.stall_total, self.stall_count
         if self.stall_open is not None:
             # Session cut off mid-stall; count the open interval up to the cut.

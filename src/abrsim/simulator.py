@@ -279,7 +279,7 @@ def session_metrics(log, manifest: VideoManifest) -> SessionReport:
     a resume must close a stall, before the tally reads it.  Of a per-chunk
     record the tally reads only a display's level: the levels are checked in
     bulk (ints in 1..R, no more displays than chunks), and only to name the
-    first that fails do the displays go through `check_record` and `ssim_at`.
+    first that fails do the displays go through `check_record` and a range test.
     Every fault is a LogFormatError that names its record.
     """
     log.header  # raises LogFormatError, a ValueError, unless the log opens with session_start
@@ -295,15 +295,15 @@ def session_metrics(log, manifest: VideoManifest) -> SessionReport:
             if kind == "playback_resume" and tally.stall_open is None:
                 raise LogFormatError(f"record {n} (playback_resume): no playback_stall is open")
             record(rec)
-    if not ({*map(type, levels)} <= {int} and {*levels} <= {*range(1, manifest.ladder.count + 1)}
+    level_count = manifest.ladder.count
+    if not ({*map(type, levels)} <= {int} and {*levels} <= {*range(1, level_count + 1)}
             and len(levels) <= manifest.chunk_count):
         displays = [(n, rec) for n, rec in enumerate(records, start=1) if rec["event"] == "chunk_display_start"]
         for chunk, (n, rec) in enumerate(displays, start=1):
             check_record(rec, n)
-            try:
-                manifest.ssim_at(chunk, rec["level"])
-            except IndexError as exc:  # the checked lookup names the chunk or the level out of range
-                raise LogFormatError(f"record {n} (chunk_display_start): {exc}") from None
+            for name, index, top in (("chunk", chunk, manifest.chunk_count), ("level", rec["level"], level_count)):
+                if not 1 <= index <= top:  # the chunk is named before the level
+                    raise LogFormatError(f"record {n} (chunk_display_start): {name} {index} outside 1..{top}")
     return tally.report(manifest)
 
 

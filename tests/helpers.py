@@ -186,12 +186,13 @@ def chunk_volume(manifest: VideoManifest, chunk: int, level: int) -> float:
     """Kilobits to transfer for one chunk at one level.
 
     Uses the measured size table when present, else the nominal
-    bitrate x duration product.
+    bitrate x duration product.  Either index out of range is an IndexError.
     """
-    manifest._check_indices(chunk, level)
+    if not (1 <= chunk <= manifest.chunk_count and 1 <= level <= manifest.ladder.count):
+        raise IndexError(f"chunk {chunk} or level {level} outside the manifest")
     if manifest.chunk_kilobits is not None:
         return manifest.chunk_kilobits[chunk - 1][level - 1]
-    return manifest.ladder.rate_kbps(level) * manifest.chunk_duration_s
+    return manifest.ladder.levels_kbps[level - 1] * manifest.chunk_duration_s
 
 
 def constant_trace(kbps: float, until_s: float | None = None) -> BandwidthTrace:

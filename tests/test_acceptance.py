@@ -91,7 +91,7 @@ def test_estimator_oracles_over_randomized_logs():
 
         samples = [v / (f - s) for s, f, v in downloads]
         deltas = [
-            manifest.ssim_at(c, levels[c - 1]) - manifest.ssim_at(c - 1, levels[c - 2])
+            manifest.ssim[c - 1][levels[c - 1] - 1] - manifest.ssim[c - 2][levels[c - 2] - 1]
             for c in range(2, chunks + 1)
         ]
 
@@ -118,7 +118,7 @@ def test_estimator_oracles_over_randomized_logs():
 
     # The same recomputation must hold against real session logs.
     manifest = make_manifest(chunks=30, ssim=monotone_rows(30, 10))
-    floor = manifest.ladder.rate_kbps(1)
+    floor = manifest.ladder.levels_kbps[0]
     for i in range(20):
         trace = random_trace(rng, segments=rng.randint(2, 6), rate_range=(300.0, 7000.0))
         policy = list(POLICIES)[i % len(POLICIES)]
@@ -143,8 +143,8 @@ def test_estimator_oracles_over_randomized_logs():
                 failures.append(f"log {i}: drift at chunk {chunk}")
             if chunk >= 2:
                 deltas.append(
-                    manifest.ssim_at(chunk, fetch["level"])
-                    - manifest.ssim_at(chunk - 1, level_of[chunk - 1])
+                    manifest.ssim[chunk - 1][fetch["level"] - 1]
+                    - manifest.ssim[chunk - 2][level_of[chunk - 1] - 1]
                 )
             level_of[chunk] = fetch["level"]
             sent_at[chunk] = fetch["time_s"]
@@ -177,9 +177,7 @@ def oracle_decision(obs):
             candidate = idx
     if candidate is None:
         candidate = 1
-    gain = obs.manifest.ssim_at(obs.chunk, candidate) - obs.manifest.ssim_at(
-        obs.chunk - 1, obs.prev_level
-    )
+    gain = obs.manifest.ssim[obs.chunk - 1][candidate - 1] - obs.manifest.ssim[obs.chunk - 2][obs.prev_level - 1]
     if gain > obs.ssim_delta_mean:
         return candidate, "upgrade"
     return obs.prev_level, "hold"
@@ -286,7 +284,7 @@ def test_critical_zone_fetches_stay_on_floor():
 def test_zero_rebuffering_on_steady_links():
     rng = random.Random(404)
     manifest = make_manifest(chunks=60, ssim=monotone_rows(60, 10))
-    floor_rate = manifest.ladder.rate_kbps(1)
+    floor_rate = manifest.ladder.levels_kbps[0]
     failures = []
     rates = [1.5 * floor_rate] + [rng.uniform(1.5 * floor_rate, 8000.0) for _ in range(19)]
     for kbps in rates:

@@ -438,6 +438,31 @@ def test_run_batch_loads_each_trace_once(tmp_path, monkeypatch, jobs):
     assert set(loads.values()) == {1}
 
 
+@pytest.mark.parametrize("jobs, pools", [(8, [2]), (1, [])])
+def test_run_batch_sizes_its_pool_to_the_sessions(tmp_path, monkeypatch, jobs, pools):
+    # A pool never outnumbers the sessions, and one job builds none.  The fake
+    # pool records its size and maps in this process, so no process starts.
+    built = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            built.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(batch, "Pool", InlinePool)
+    result = run_batch(load_runspec(write_workspace(tmp_path, policies=["sba"], jobs=jobs)))
+    assert not result.failures and len(result.session_reports) == 2
+    assert built == pools
+
+
 def test_run_batch_validates_each_trace_once(tmp_path, monkeypatch):
     # Each trace is validated once, when it loads; its looping sessions play it as it is.
     path = write_workspace(tmp_path, loop_traces=True, scenarios=[[120, 12], [60, 6]], jobs=1)

@@ -30,7 +30,7 @@ def test_estimate_falls_back_before_first_download():
     assert RunningMean().mean(235.0) == 235.0
     manifest = make_manifest(chunks=3)
     _, fetches, _ = session_events(manifest, constant_trace(3000.0))
-    assert fetches[0]["bandwidth_estimate_kbps"] == manifest.ladder.rate_kbps(1)
+    assert fetches[0]["bandwidth_estimate_kbps"] == manifest.ladder.levels_kbps[0]
 
 
 def test_estimate_mean_of_prior_samples():
@@ -135,7 +135,7 @@ def test_mean_delta_eligibility_prefix():
     trace = BandwidthTrace(((0.0, 900.0), (3.0, 4000.0), (9.0, 1500.0), (20.0, 6000.0)))
     _, fetches, _ = session_events(manifest, trace, critical_threshold_s=1.0)
     levels = [f["level"] for f in fetches]
-    deltas = [manifest.ssim_at(c, levels[c - 1]) - manifest.ssim_at(c - 1, levels[c - 2])
+    deltas = [manifest.ssim[c - 1][levels[c - 1] - 1] - manifest.ssim[c - 2][levels[c - 2] - 1]
               for c in range(2, len(levels) + 1)]
     for fetch in fetches:
         chunk = fetch["chunk"]

@@ -27,8 +27,8 @@ from helpers import chunk_volume, constant_trace, make_ladder, make_manifest, mo
 def test_ladder_count_and_rates():
     ladder = make_ladder()
     assert ladder.count == 10
-    assert ladder.rate_kbps(1) == 235.0
-    assert ladder.rate_kbps(10) == 5800.0
+    assert ladder.levels_kbps[0] == 235.0
+    assert ladder.levels_kbps[9] == 5800.0
 
 
 def test_ladder_needs_two_levels():
@@ -46,14 +46,6 @@ def test_ladder_rejects_nonpositive_rates():
         BitrateLadder((0.0, 375.0))
     with pytest.raises(ManifestError, match="positive"):
         BitrateLadder((-5.0, 375.0))
-
-
-def test_ladder_level_bounds():
-    ladder = make_ladder()
-    with pytest.raises(IndexError):
-        ladder.rate_kbps(0)
-    with pytest.raises(IndexError):
-        ladder.rate_kbps(11)
 
 
 def test_highest_level_below_is_strict():
@@ -111,8 +103,6 @@ def test_chunk_volume_bounds():
     manifest = make_manifest(chunks=2)
     with pytest.raises(IndexError, match="chunk 3"):
         chunk_volume(manifest, 3, 1)
-    with pytest.raises(IndexError, match="level 11"):
-        manifest.ssim_at(1, 11)
 
 
 def test_ssim_range_validated_with_indices():
@@ -356,8 +346,8 @@ def test_synthesize_knee_position_controls_saturation():
     profile = SaturationProfile(knee_kbps=380.0, jitter_seed=1, per_chunk_spread=0.0)
     manifest = synthesize_manifest(make_ladder(), 5, 4.0, profile)
     for i in range(1, 6):
-        first_step = manifest.ssim_at(i, 2) - manifest.ssim_at(i, 1)
-        last_step = manifest.ssim_at(i, 10) - manifest.ssim_at(i, 9)
+        first_step = manifest.ssim[i - 1][1] - manifest.ssim[i - 1][0]
+        last_step = manifest.ssim[i - 1][9] - manifest.ssim[i - 1][8]
         assert first_step > 0.1
         assert last_step < 1e-6
 

@@ -8,7 +8,6 @@ from abrsim.metrics import (
     AGGREGATE_CSV_COLUMNS,
     SESSION_CSV_COLUMNS,
     SessionReport,
-    SessionTally,
     aggregates_csv,
     sessions_csv,
 )
@@ -241,8 +240,10 @@ def test_a_truncation_record_is_checked_against_its_row():
 
 
 def test_a_report_needs_the_session_start_record():
+    log = log_of([1], end_s=5.0)
+    del log.records[0]
     with pytest.raises(ValueError, match="^log does not start with a session_start record$"):
-        SessionTally().report(manifest3(1))
+        session_metrics(log, manifest3(1))
 
 
 def test_displayed_holds_the_levels_that_price_the_means():

@@ -11,11 +11,13 @@ import math
 import re
 import sys
 from dataclasses import replace
+from unittest import mock
 
 from hypothesis import HealthCheck, assume, example, given, reject, seed, settings
 from hypothesis import strategies as st
 
-from abrsim.abr import POLICIES
+from abrsim import simulator
+from abrsim.abr import POLICIES, decide
 from abrsim.manifest import BitrateLadder, VideoManifest
 from abrsim.simulator import JsonlWriter, SessionConfig, SessionEventLog, replay_diff, run_session
 from abrsim.trace import BandwidthTrace, TraceExhaustedError, download_finish_time
@@ -85,8 +87,20 @@ def sessions(draw):
 @given(sessions())
 def test_every_valid_session_completes_or_truncates(session):
     manifest, trace, config = session
-    log, report = run_session(manifest, trace, config)
+    asked = []  # (chunk, previous level) of each observation the engine hands a policy
+
+    def recording_decide(policy, obs):
+        asked.append((obs.chunk, obs.prev_level))
+        return decide(policy, obs)
+
+    with mock.patch.object(simulator, "decide", recording_decide):
+        log, report = run_session(manifest, trace, config)
     kinds = [r["event"] for r in log.records]
+    # Policies index the manifest's tables unchecked: chunk 1 is the startup rule's, and
+    # every later observation names a chunk and a previous level that the tables hold.
+    assert asked[0] == (1, None)
+    for chunk, prev_level in asked[1:]:
+        assert 2 <= chunk <= manifest.chunk_count and 1 <= prev_level <= manifest.ladder.count
 
     assert report.partial == ("session_truncated" in kinds)
     if report.partial:
