@@ -190,13 +190,16 @@ def make_policy(name: str, params: dict | None = None) -> Policy:
     if not isinstance(name, str) or name not in POLICIES:
         raise ValueError(f"unknown policy {name!r}, expected one of {', '.join(POLICIES)}")
     policy = POLICIES[name]
-    params = {} if params is None else json_value(params, {}, f"parameters for policy {name!r}", ValueError)
-    for p in signature(policy).parameters.values() if params else ():
-        if p.name in params and p.default is not p.empty:  # an unknown name fails the call below
-            json_value(params[p.name], p.default, f"bad parameters for policy {name!r}: {p.name}", ValueError)
+    params = {} if params is None else json_value(params, {}, f"parameters for policy {name!r}")
+    known = signature(policy).parameters if params else {}
+    for key, value in params.items():  # in the order given
+        if key not in known:
+            raise ValueError(f"bad parameters for policy {name!r}: unknown parameter {key!r}")
+        if known[key].default is not known[key].empty:
+            json_value(value, known[key].default, f"bad parameters for policy {name!r}: {key}")
     try:
         return policy(**params)
-    except (TypeError, OverflowError) as exc:  # an unknown or mistyped parameter, or an int no C size holds
+    except (TypeError, OverflowError) as exc:  # a parameter without a default, or an int no C size holds
         raise ValueError(f"bad parameters for policy {name!r}: {exc}") from exc
 
 

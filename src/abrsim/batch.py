@@ -33,16 +33,11 @@ from dataclasses import dataclass, field, replace
 from multiprocessing import Pool
 
 from .abr import POLICIES, make_policy
-from .manifest import (NETFLIX_LADDER_KBPS, BitrateLadder, ManifestError, SaturationProfile, VideoManifest,
-                       json_value, load_manifest, parse_json, read_text, synthesize_manifest,
-                       write_text_atomically)
+from .manifest import (NETFLIX_LADDER_KBPS, BitrateLadder, SaturationProfile, VideoManifest, json_value,
+                       load_manifest, parse_json, read_text, synthesize_manifest, write_text_atomically)
 from .metrics import HEADLINE_METRICS, SessionReport, aggregate, aggregates_csv, sessions_csv
 from .simulator import JsonlWriter, SessionConfig, check_capacity, run_session
-from .trace import TraceError, load_trace
-
-
-class RunSpecError(ValueError):
-    """Run spec failed to parse or validate."""
+from .trace import load_trace
 
 
 # One row per spec field: JSON name -> (RunSpec attribute, an example of its JSON
@@ -98,48 +93,45 @@ def validate_runspec(spec: RunSpec) -> list[SessionConfig]:
     for name, (attr, like) in _SPEC_FIELDS.items():
         value = getattr(spec, attr)
         if value is not None or RunSpec.__dataclass_fields__[attr].default is not None:
-            setattr(spec, attr, json_value(value, like, name, RunSpecError))
+            setattr(spec, attr, json_value(value, like, name))
     if (spec.manifest_path is None) == (spec.synthesize is None):
-        raise RunSpecError("spec needs exactly one of `manifest` or `synthesize`")
+        raise ValueError("spec needs exactly one of `manifest` or `synthesize`")
     for what, value in (("traces", spec.trace_globs), ("policies", spec.policies),
                         ("scenarios", spec.scenarios), ("output directory", spec.output_dir)):
         if not value:
-            raise RunSpecError(f"spec names no {what}")
+            raise ValueError(f"spec names no {what}")
     spec.scenarios = [tuple(pair) for pair in spec.scenarios]
     for pair in spec.scenarios:
         if len(pair) != 2:
-            raise RunSpecError(f"scenario must be a [BS, Lc] pair, got {pair!r}")
+            raise ValueError(f"scenario must be a [BS, Lc] pair, got {pair!r}")
     if spec.jobs is not None and spec.jobs < 1:
-        raise RunSpecError(f"jobs must be an integer >= 1, got {spec.jobs!r}")
+        raise ValueError(f"jobs must be an integer >= 1, got {spec.jobs!r}")
     params = spec.policy_params
     stray = sorted(set(params) - set(POLICIES))
     if stray:
-        raise RunSpecError(f"policy_params names unknown policies: {', '.join(stray)}")
-    try:
-        for policy, kwargs in params.items():  # also the parameters of policies the spec does not run
-            make_policy(policy, kwargs)
-        return [
-            SessionConfig(policy=policy, buffer_capacity_s=bs, critical_threshold_s=lc,
-                          loop_trace=spec.loop_traces, policy_params=params.get(policy, {}))
-            for bs, lc in spec.scenarios
-            for policy in spec.policies
-        ]
-    except ValueError as exc:
-        raise RunSpecError(str(exc)) from None
+        raise ValueError(f"policy_params names unknown policies: {', '.join(stray)}")
+    for policy, kwargs in params.items():  # also the parameters of policies the spec does not run
+        make_policy(policy, kwargs)
+    return [
+        SessionConfig(policy=policy, buffer_capacity_s=bs, critical_threshold_s=lc,
+                      loop_trace=spec.loop_traces, policy_params=params.get(policy, {}))
+        for bs, lc in spec.scenarios
+        for policy in spec.policies
+    ]
 
 
 def load_runspec(path: str) -> RunSpec:
-    doc = parse_json(read_text(path, RunSpecError, "spec"), RunSpecError, path)
+    doc = parse_json(read_text(path, "spec"), path)
     if not isinstance(doc, dict):
-        raise RunSpecError(f"{path}: spec must be a JSON object")
+        raise ValueError(f"{path}: spec must be a JSON object")
     unknown = set(doc) - set(_SPEC_FIELDS)
     if unknown:
-        raise RunSpecError(f"{path}: unknown spec fields: {', '.join(sorted(unknown))}")
+        raise ValueError(f"{path}: unknown spec fields: {', '.join(sorted(unknown))}")
     try:
         return RunSpec(**{_SPEC_FIELDS[name][0]: value for name, value in doc.items()},
                        base_dir=os.path.dirname(os.path.abspath(path)) or ".")
-    except RunSpecError as exc:
-        raise RunSpecError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def resolve_manifest(spec: RunSpec) -> VideoManifest:
@@ -160,17 +152,17 @@ def manifest_from_recipe(recipe: dict) -> VideoManifest:
         ladder = BitrateLadder(ladder)
         for name, value in fields.items():
             if name not in _RECIPE_FIELDS:
-                raise ManifestError(f"unknown field {name!r}")
-            fields[name] = json_value(value, _RECIPE_FIELDS[name], name, ManifestError)
-    except ManifestError as exc:
-        raise RunSpecError(f"bad synthesize fields: {exc}") from exc
+                raise ValueError(f"unknown field {name!r}")
+            fields[name] = json_value(value, _RECIPE_FIELDS[name], name)
+    except ValueError as exc:
+        raise ValueError(f"bad synthesize fields: {exc}") from exc
     chunk_count = fields.pop("chunk_count", 0)
     chunk_duration = fields.pop("chunk_duration_s", 0.0)
     if chunk_count < 1 or chunk_duration <= 0:
-        raise RunSpecError("synthesize needs chunk_count >= 1 and chunk_duration_s > 0")
+        raise ValueError("synthesize needs chunk_count >= 1 and chunk_duration_s > 0")
     if chunk_count * ladder.count > MAX_SYNTHESIZED_CELLS:
-        raise RunSpecError(f"synthesize would build a {chunk_count} x {ladder.count} SSIM table, "
-                           f"over the {MAX_SYNTHESIZED_CELLS} cells allowed")
+        raise ValueError(f"synthesize would build a {chunk_count} x {ladder.count} SSIM table, "
+                         f"over the {MAX_SYNTHESIZED_CELLS} cells allowed")
     return synthesize_manifest(ladder, chunk_count, chunk_duration, SaturationProfile(**fields))
 
 
@@ -180,7 +172,7 @@ def resolve_trace_paths(spec: RunSpec) -> list[str]:
     for pattern in spec.trace_globs:
         matches = glob.glob(os.path.join(glob.escape(spec.base_dir), pattern))
         if not matches:
-            raise RunSpecError(f"no trace files matched {pattern!r}")
+            raise ValueError(f"no trace files matched {pattern!r}")
         paths.update(matches)
     return sorted(paths)
 
@@ -205,7 +197,7 @@ def _run_one(task) -> tuple[SessionReport | None, str | None]:
         return None, trace
     try:
         writer, report = run_session(manifest, trace, config, JsonlWriter())
-    except ValueError as exc:  # a TraceError among them
+    except ValueError as exc:  # a trace that cannot loop among them
         return None, str(exc)
     write_text_atomically(log_path, "".join(writer.lines))
     return replace(report, trace_label=label), None
@@ -223,11 +215,8 @@ def run_batch(spec: RunSpec) -> BatchResult:
     """
     configs = validate_runspec(spec)
     manifest = resolve_manifest(spec)
-    try:
-        for bs, _ in spec.scenarios:
-            check_capacity(bs, manifest.chunk_duration_s)
-    except ValueError as exc:
-        raise RunSpecError(str(exc)) from None
+    for bs, _ in spec.scenarios:
+        check_capacity(bs, manifest.chunk_duration_s)
     trace_paths = resolve_trace_paths(spec)
     # Each trace file is parsed and validated once; a file that fails to load
     # fails every session that would play it, with the same text.
@@ -235,7 +224,7 @@ def run_batch(spec: RunSpec) -> BatchResult:
     for trace_path in trace_paths:
         try:
             traces[trace_path] = load_trace(trace_path)
-        except TraceError as exc:
+        except ValueError as exc:
             traces[trace_path] = str(exc)
     # Every spec field that shapes the results: not where they go, nor how many workers.
     echo = {name: getattr(spec, attr) for name, (attr, _) in _SPEC_FIELDS.items()
@@ -252,7 +241,7 @@ def run_batch(spec: RunSpec) -> BatchResult:
         for trace_path in trace_paths:
             name = log_name(config, trace_path)
             if name in log_names:
-                raise RunSpecError(
+                raise ValueError(
                     f"two sessions would write sessions/{name}: policies, scenarios "
                     f"(as printed with %g) and trace file names must be unique"
                 )
@@ -303,12 +292,12 @@ def run_batch(spec: RunSpec) -> BatchResult:
 
 
 def _check_replaceable(out: str, spec: RunSpec, trace_paths: list, echo: dict) -> None:
-    """Raise RunSpecError unless real path `out` holds neither the spec's directory
+    """Raise a ValueError unless real path `out` holds neither the spec's directory
     nor a trace file, and is missing, empty or an earlier batch: one whose
     run_config.json parses to an object with `echo`'s keys."""
     for path in (spec.base_dir, *trace_paths):
         if os.path.commonpath([out, os.path.realpath(path)]) == out:
-            raise RunSpecError(f"output directory {out} holds {path}, which the batch would replace")
+            raise ValueError(f"output directory {out} holds {path}, which the batch would replace")
     if not os.path.exists(out) or os.path.isdir(out) and not os.listdir(out):
         return
     try:
@@ -317,8 +306,8 @@ def _check_replaceable(out: str, spec: RunSpec, trace_paths: list, echo: dict) -
                 return
     except (OSError, ValueError, RecursionError, AttributeError):  # none, unreadable, or not an object
         pass
-    raise RunSpecError(f"output directory {out} is neither empty nor an earlier batch: "
-                       f"it holds no run_config.json that abrsim run wrote")
+    raise ValueError(f"output directory {out} is neither empty nor an earlier batch: "
+                     f"it holds no run_config.json that abrsim run wrote")
 
 
 def render_batch(configs, trace_paths, outcomes, echo, manifest=None):

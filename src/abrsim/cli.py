@@ -17,9 +17,9 @@ import sys
 
 from .abr import POLICIES
 from .batch import load_runspec, manifest_from_recipe, run_batch
-from .manifest import ManifestError, json_value, load_manifest, parse_json, save_manifest, write_text_atomically
+from .manifest import json_value, load_manifest, parse_json, save_manifest, write_text_atomically
 from .simulator import JsonlWriter, SessionConfig, SessionEventLog, replay_diff, run_session
-from .trace import TraceError, load_trace
+from .trace import load_trace
 
 
 def main(argv=None) -> int:
@@ -98,7 +98,7 @@ def cmd_simulate(args) -> int:
     trace = load_trace(args.trace)
     given = {name: value for name, value in vars(args).items() if name in SessionConfig.__dataclass_fields__}
     if "policy_params" in given:
-        given["policy_params"] = parse_json(given["policy_params"], ValueError, "--policy-params")
+        given["policy_params"] = parse_json(given["policy_params"], "--policy-params")
     writer, report = run_session(manifest, trace, SessionConfig(**given), JsonlWriter())
     text = "".join(writer.lines)
     if args.log:  # before stdout, so a run that cannot keep its log prints none
@@ -113,7 +113,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_synth_manifest(args) -> int:
-    recipe = json_value(parse_json(args.recipe, ValueError, "--recipe"), {}, "--recipe", ValueError)
+    recipe = json_value(parse_json(args.recipe, "--recipe"), {}, "--recipe")
     manifest = manifest_from_recipe(recipe)
     save_manifest(manifest, args.out)
     print(f"wrote {args.out}: {manifest.chunk_count} chunks x {manifest.ladder.count} levels")
@@ -129,14 +129,14 @@ def cmd_validate(args) -> int:
         try:
             m = load_manifest(path)
             print(f"{path}: ok ({m.chunk_count} chunks x {m.ladder.count} levels)")
-        except ManifestError as exc:
+        except ValueError as exc:
             print(f"{path}: INVALID: {exc}")
             bad += 1
     for path in args.trace:
         try:
             t = load_trace(path)
             print(f"{path}: ok ({len(t.samples)} samples, {t.duration_s:g}s)")
-        except TraceError as exc:
+        except ValueError as exc:
             print(f"{path}: INVALID: {exc}")
             bad += 1
     return 2 if bad else 0

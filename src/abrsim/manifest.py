@@ -22,10 +22,6 @@ from dataclasses import dataclass, field
 NETFLIX_LADDER_KBPS = (235.0, 375.0, 560.0, 750.0, 1050.0, 1750.0, 2350.0, 3000.0, 4300.0, 5800.0)
 
 
-class ManifestError(ValueError):
-    """Manifest failed to parse or violates a structural constraint."""
-
-
 @dataclass(frozen=True)
 class BitrateLadder:
     """Strictly increasing encoding bitrates in kbps, levels numbered 1..R."""
@@ -33,15 +29,15 @@ class BitrateLadder:
     levels_kbps: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        levels = tuple(json_value(self.levels_kbps, [0.0], "ladder_kbps", ManifestError))
+        levels = tuple(json_value(self.levels_kbps, [0.0], "ladder_kbps"))
         object.__setattr__(self, "levels_kbps", levels)
         if len(levels) < 2:
-            raise ManifestError(f"ladder_kbps needs at least 2 levels, got {len(levels)}")
+            raise ValueError(f"ladder_kbps needs at least 2 levels, got {len(levels)}")
         for pos, rate in enumerate(levels, start=1):
             if rate <= 0:
-                raise ManifestError(f"ladder_kbps[{pos}] must be a positive number, got {rate}")
+                raise ValueError(f"ladder_kbps[{pos}] must be a positive number, got {rate}")
             if pos > 1 and rate <= levels[pos - 2]:
-                raise ManifestError(
+                raise ValueError(
                     f"ladder_kbps[{pos}] must exceed its predecessor "
                     f"({rate} listed after {levels[pos - 2]})"
                 )
@@ -80,22 +76,21 @@ class VideoManifest:
     chunk_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "chunk_count", len(json_value(self.ssim, [], "ssim", ManifestError)))
-        object.__setattr__(self, "chunk_duration_s",
-                           json_value(self.chunk_duration_s, 0.0, "chunk_duration_s", ManifestError))
+        object.__setattr__(self, "chunk_count", len(json_value(self.ssim, [], "ssim")))
+        object.__setattr__(self, "chunk_duration_s", json_value(self.chunk_duration_s, 0.0, "chunk_duration_s"))
         if not isinstance(self.ladder, BitrateLadder):
             object.__setattr__(self, "ladder", BitrateLadder(self.ladder))
         if self.chunk_count < 1:
-            raise ManifestError(f"ssim needs at least 1 row, got {self.chunk_count}")
+            raise ValueError(f"ssim needs at least 1 row, got {self.chunk_count}")
         if self.chunk_duration_s <= 0:
-            raise ManifestError(f"chunk_duration_s must be > 0, got {self.chunk_duration_s}")
+            raise ValueError(f"chunk_duration_s must be > 0, got {self.chunk_duration_s}")
         levels = self.ladder.count
         for name, top, bound in (("ssim", 1.0, "lie in (0, 1]"), ("chunk_kilobits", math.inf, "be > 0")):
             rows = getattr(self, name)
             if rows is None:
                 continue
-            if len(json_value(rows, [], name, ManifestError)) != self.chunk_count:  # only sizes can miss it
-                raise ManifestError(f"{name} has {len(rows)} rows, expected chunk_count={self.chunk_count}")
+            if len(json_value(rows, [], name)) != self.chunk_count:  # only sizes can miss it
+                raise ValueError(f"{name} has {len(rows)} rows, expected chunk_count={self.chunk_count}")
             # Each distinct row object is checked and converted once, at its first
             # occurrence; every occurrence then shares the converted tuple.  `rows`
             # keeps each row alive for the walk, so no id is reused within it.
@@ -104,13 +99,13 @@ class VideoManifest:
             for i, row in enumerate(rows, start=1):
                 done = converted.get(id(row))
                 if done is None:
-                    if len(json_value(row, [], f"{name}[{i}]", ManifestError)) != levels:
-                        raise ManifestError(f"{name}[{i}] has {len(row)} entries, expected {levels}")
+                    if len(json_value(row, [], f"{name}[{i}]")) != levels:
+                        raise ValueError(f"{name}[{i}] has {len(row)} entries, expected {levels}")
                     for j, value in enumerate(row, start=1):
                         if not (type(value) is float and 0.0 < value <= top and math.isfinite(value)):
-                            value = json_value(value, 0.0, f"{name}[{i}][{j}]", ManifestError)
+                            value = json_value(value, 0.0, f"{name}[{i}][{j}]")
                             if not 0.0 < value <= top:
-                                raise ManifestError(f"{name}[{i}][{j}] must {bound}, got {value}")
+                                raise ValueError(f"{name}[{i}][{j}] must {bound}, got {value}")
                     done = converted[id(row)] = tuple(map(float, row))
                 table.append(done)
             object.__setattr__(self, name, tuple(table))
@@ -133,10 +128,10 @@ def manifest_from_dict(doc: dict) -> VideoManifest:
     """
     unknown = doc.keys() - {"chunk_duration_s", "ladder_kbps", "ssim", "chunk_kilobits"}
     if unknown:
-        raise ManifestError(f"unknown manifest fields: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown manifest fields: {', '.join(sorted(unknown))}")
     for field in ("chunk_duration_s", "ladder_kbps", "ssim"):
         if field not in doc:
-            raise ManifestError(f"missing required field {field}")
+            raise ValueError(f"missing required field {field}")
     return VideoManifest(
         chunk_duration_s=doc["chunk_duration_s"],
         ladder=doc["ladder_kbps"],
@@ -147,33 +142,33 @@ def manifest_from_dict(doc: dict) -> VideoManifest:
 
 def load_manifest(path: str) -> VideoManifest:
     """Read and validate a manifest JSON file."""
-    doc = parse_json(read_text(path, ManifestError, "manifest"), ManifestError, path)
+    doc = parse_json(read_text(path, "manifest"), path)
     if not isinstance(doc, dict):
-        raise ManifestError(f"{path}: manifest must be a JSON object")
+        raise ValueError(f"{path}: manifest must be a JSON object")
     try:
         return manifest_from_dict(doc)
-    except ManifestError as exc:
-        raise ManifestError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
-def read_text(path: str, error: type, what: str) -> str:
+def read_text(path: str, what: str) -> str:
     """The UTF-8 text of the file at `path`, which holds a `what`; a file that
-    cannot be read or decoded raises `error` naming it."""
+    cannot be read or decoded raises a ValueError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise error(f"{path}: cannot read {what}: {exc}") from exc
+        raise ValueError(f"{path}: cannot read {what}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 _JSON_TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string",
                     list: "an array", dict: "an object"}
 
 
-def json_value(value, like, what: str, error: type):
-    """`value` if it has the JSON type of the example `like`, else `error` naming `what`.
+def json_value(value, like, what: str):
+    """`value` if it has the JSON type of the example `like`, else a ValueError naming `what`.
 
     The one statement of the rule: a bool is no number, and a number is finite
     (RFC 8259 has no NaN or Infinity).  A float example takes any finite int or
@@ -191,7 +186,7 @@ def json_value(value, like, what: str, error: type):
         elif kind is list and like:  # a loop, not a comprehension, keeps the arguments plain locals
             items = []
             for k, item in enumerate(value, start=1):
-                items.append(json_value(item, like[0], f"{what}[{k}]", error))
+                items.append(json_value(item, like[0], f"{what}[{k}]"))
             return items
         else:
             return value
@@ -199,18 +194,18 @@ def json_value(value, like, what: str, error: type):
         try:
             return float(value)  # finite, or too large to convert
         except OverflowError:
-            raise error(f"{what} must be a finite number, got an integer too large for a float") from None
-    raise error(f"{what} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+            raise ValueError(f"{what} must be a finite number, got an integer too large for a float") from None
+    raise ValueError(f"{what} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
 
 
-def parse_json(text: str, error: type, where: str):
+def parse_json(text: str, where: str):
     """The value `text` holds.  Anything `json.loads` rejects (a syntax error,
     an integer over the interpreter's digit limit, nesting deeper than its
-    recursion limit) raises `error` naming `where`, a file or a log line."""
+    recursion limit) raises a ValueError naming `where`, a file or a log line."""
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise error(f"{where}: not valid JSON: {exc}") from exc
+        raise ValueError(f"{where}: not valid JSON: {exc}") from exc
 
 
 def save_manifest(manifest: VideoManifest, path: str) -> None:
@@ -257,11 +252,11 @@ class SaturationProfile:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.q_floor <= self.q_ceiling <= 1.0:
-            raise ManifestError(
+            raise ValueError(
                 f"need 0 < q_floor <= q_ceiling <= 1, got {self.q_floor}, {self.q_ceiling}"
             )
         if not 0.0 <= self.per_chunk_spread <= 1.0:
-            raise ManifestError(f"per_chunk_spread must lie in [0, 1], got {self.per_chunk_spread}")
+            raise ValueError(f"per_chunk_spread must lie in [0, 1], got {self.per_chunk_spread}")
 
 
 def synthesize_manifest(
@@ -278,7 +273,7 @@ def synthesize_manifest(
     with m_i = 1 (full lift) is one shared tuple.
     """
     if not ladder.levels_kbps[0] <= profile.knee_kbps <= ladder.levels_kbps[-1]:
-        raise ManifestError(
+        raise ValueError(
             f"knee_kbps {profile.knee_kbps} outside ladder span "
             f"[{ladder.levels_kbps[0]}, {ladder.levels_kbps[-1]}]"
         )

@@ -55,10 +55,6 @@ _objects_on_one_line = re.compile(r"\}[ \t]*,[ \t]*\{").search
 _event_of = itemgetter("event")
 
 
-class LogFormatError(ValueError):
-    """Event log text is structurally unusable, or a record does not fit its EVENTS row."""
-
-
 @dataclass(frozen=True)
 class SessionConfig:
     policy: str = "sba"
@@ -72,7 +68,7 @@ class SessionConfig:
         # Each field but `policy` has its default's JSON type; checked, not converted, as a header echoes it.
         for f in fields(self)[1:]:
             like = f.default if f.default_factory is MISSING else f.default_factory()
-            json_value(getattr(self, f.name), like, f.name, ValueError)
+            json_value(getattr(self, f.name), like, f.name)
         make_policy(self.policy, self.policy_params)  # raises on an unknown id or bad parameters
         if not 0.0 < self.critical_threshold_s < self.buffer_capacity_s:
             raise ValueError(
@@ -111,17 +107,17 @@ SINK_METHODS = {"fetch": "fetch_issued", "complete": "download_complete", "displ
 
 
 def check_record(rec: dict, n: int) -> None:
-    """Raise LogFormatError unless stored record `n` (counted from 1) has every field of its
+    """Raise a ValueError unless stored record `n` (counted from 1) has every field of its
     EVENTS row with that field's JSON type, as `json_value` words it."""
     kind = rec["event"]
     row = EVENTS[kind]
     try:  # the record's name is only formatted for an error
         for name, like in row:
-            json_value(rec[name], like, name, LogFormatError)
+            json_value(rec[name], like, name)
     except KeyError:
-        raise LogFormatError(f"record {n} ({kind}) lacks {name}") from None
-    except LogFormatError as exc:
-        raise LogFormatError(f"record {n} ({kind}): {exc}") from None
+        raise ValueError(f"record {n} ({kind}) lacks {name}") from None
+    except ValueError as exc:
+        raise ValueError(f"record {n} ({kind}): {exc}") from None
 
 
 def _chunk_event_methods(body: str, tails: dict) -> list:
@@ -175,7 +171,7 @@ def {method}(self, {args}):
     @property
     def header(self) -> dict:
         if not self.records or self.records[0].get("event") != "session_start":
-            raise LogFormatError("log does not start with a session_start record")
+            raise ValueError("log does not start with a session_start record")
         return self.records[0]
 
     def to_jsonl(self) -> str:
@@ -205,12 +201,12 @@ def {method}(self, {args}):
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            rec = parse_json(line, LogFormatError, f"line {lineno}")
+            rec = parse_json(line, f"line {lineno}")
             if not isinstance(rec, dict) or not isinstance(rec.get("event"), str):
-                raise LogFormatError(f"line {lineno}: record must be an object with an `event` field")
+                raise ValueError(f"line {lineno}: record must be an object with an `event` field")
             records.append(rec)
         if not records:
-            raise LogFormatError("log is empty")
+            raise ValueError("log is empty")
         return cls(records)
 
     def write(self, path: str) -> None:
@@ -218,7 +214,7 @@ def {method}(self, {args}):
 
     @classmethod
     def read(cls, path: str) -> "SessionEventLog":
-        return cls.from_jsonl(read_text(path, LogFormatError, "log"))
+        return cls.from_jsonl(read_text(path, "log"))
 
 
 class JsonlWriter(SessionTally):
@@ -258,7 +254,8 @@ def run_session(
     A sink that is a SessionTally, as a JsonlWriter is, reports from its own
     tally; `session_metrics` reduces a log.  A trace that cannot carry the session
     to completion yields a truncated log and a partial report; one that cannot loop,
-    in a looping session, raises TraceError at the first download.
+    in a looping session, raises a ValueError at the first download.  No
+    TraceExhaustedError leaves it: `_drive` turns each into a truncation.
     """
     if sink is None:
         sink = SessionEventLog()
@@ -276,13 +273,14 @@ def session_metrics(log, manifest: VideoManifest) -> SessionReport:
     """Reduce one stored event log to a SessionReport through a SessionTally.
 
     Each record of a kind in _CHECKED_IN_FULL goes through `check_record`, and
-    a resume must close a stall, before the tally reads it.  Of a per-chunk
-    record the tally reads only a display's level: the levels are checked in
-    bulk (ints in 1..R, no more displays than chunks), and only to name the
-    first that fails do the displays go through `check_record` and a range test.
-    Every fault is a LogFormatError that names its record.
+    a resume must close a stall, before the tally reads it; a kind outside
+    EVENTS is refused.  Of a per-chunk record the tally reads only a display's
+    level: the levels are checked in bulk (ints in 1..R, no more displays than
+    chunks), and only to name the first that fails do the displays go through
+    `check_record` and a range test.  Every fault is a ValueError that names
+    its record.
     """
-    log.header  # raises LogFormatError, a ValueError, unless the log opens with session_start
+    log.header  # raises unless the log opens with session_start
     records = log.records
     tally = SessionTally()
     levels, record = tally.levels, tally.record
@@ -293,8 +291,10 @@ def session_metrics(log, manifest: VideoManifest) -> SessionReport:
         elif kind in _CHECKED_IN_FULL:
             check_record(rec, n)
             if kind == "playback_resume" and tally.stall_open is None:
-                raise LogFormatError(f"record {n} (playback_resume): no playback_stall is open")
+                raise ValueError(f"record {n} (playback_resume): no playback_stall is open")
             record(rec)
+        elif kind not in EVENTS:
+            raise ValueError(f"record {n} ({kind}): no such event kind")
     level_count = manifest.ladder.count
     if not ({*map(type, levels)} <= {int} and {*levels} <= {*range(1, level_count + 1)}
             and len(levels) <= manifest.chunk_count):
@@ -303,7 +303,7 @@ def session_metrics(log, manifest: VideoManifest) -> SessionReport:
             check_record(rec, n)
             for name, index, top in (("chunk", chunk, manifest.chunk_count), ("level", rec["level"], level_count)):
                 if not 1 <= index <= top:  # the chunk is named before the level
-                    raise LogFormatError(f"record {n} (chunk_display_start): {name} {index} outside 1..{top}")
+                    raise ValueError(f"record {n} (chunk_display_start): {name} {index} outside 1..{top}")
     return tally.report(manifest)
 
 
@@ -434,7 +434,11 @@ def _drive(manifest: VideoManifest, config: SessionConfig, finish_fn, sink) -> N
 
     # Everything downloaded: drain out and close the session.
     advance_to(now + buffer)
-    sink.record({"event": "session_end", "time_s": now})
+    if next_display <= total_chunks:  # past about 2**53 chunk durations the drains round away
+        sink.record({"event": "session_truncated", "time_s": now, "chunk": next_display, "diagnostic":
+                     f"the clock at {now:g}s cannot advance by the {buffer:g}s of buffer left to play"})
+    else:
+        sink.record({"event": "session_end", "time_s": now})
 
 
 class _ReplaySink:
@@ -462,15 +466,15 @@ class _ReplaySink:
         self.chunk = chunk = self.chunk + 1
         n, r = next(self.completions, (0, None))
         if r is None:
-            raise LogFormatError(f"log holds no completion for chunk {chunk}")
+            raise ValueError(f"log holds no completion for chunk {chunk}")
         check_record(r, n)
         if r["event"] == "session_truncated":  # the log ends here, as the truncation says
             raise TraceExhaustedError(r["diagnostic"])
         if r["chunk"] != chunk:
-            raise LogFormatError(f"record {n} (download_complete): chunk logged {r['chunk']!r}, replay {chunk!r}")
+            raise ValueError(f"record {n} (download_complete): chunk logged {r['chunk']!r}, replay {chunk!r}")
         if r["time_s"] <= send_time_s:
-            raise LogFormatError(f"record {n} (download_complete): time_s {r['time_s']} "
-                                 f"precedes its fetch at {send_time_s}")
+            raise ValueError(f"record {n} (download_complete): time_s {r['time_s']} "
+                             f"precedes its fetch at {send_time_s}")
         return float(r["time_s"])
 
     fetch, complete, display = _chunk_event_methods("""
@@ -500,7 +504,7 @@ def replay_diff(log: SessionEventLog, manifest: VideoManifest, config: SessionCo
     every regenerated record (decisions, estimates, buffer levels, event
     times) must equal the logged one exactly.
     """
-    log.header  # raises LogFormatError on structurally broken logs
+    log.header  # raises a ValueError on structurally broken logs
     sink = _ReplaySink(log.records)
     try:
         _drive(manifest, config, sink.finish, sink)

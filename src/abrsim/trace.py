@@ -30,10 +30,6 @@ SYNTH_HIGH_KBPS = (3200.0, 4200.0)
 SYNTH_PHASE_S = (16.0, 44.0)
 
 
-class TraceError(ValueError):
-    """Trace failed to parse or violates a structural constraint."""
-
-
 class TraceExhaustedError(RuntimeError):
     """A requested volume can never complete: a non-looping trace runs dry, a
     looping one would need more periods than a float counts, or the finish time
@@ -47,19 +43,19 @@ class BandwidthTrace:
     samples: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        samples = tuple((json_value(t, 0.0, f"sample {k} timestamp", TraceError),
-                         json_value(bw, 0.0, f"sample {k} bandwidth", TraceError))
+        samples = tuple((json_value(t, 0.0, f"sample {k} timestamp"),
+                         json_value(bw, 0.0, f"sample {k} bandwidth"))
                         for k, (t, bw) in enumerate(self.samples, start=1))
         object.__setattr__(self, "samples", samples)
         if not samples:
-            raise TraceError("trace has no samples")
+            raise ValueError("trace has no samples")
         if samples[0][0] != 0.0:
-            raise TraceError(f"first sample must be at timestamp 0, got {samples[0][0]}")
+            raise ValueError(f"first sample must be at timestamp 0, got {samples[0][0]}")
         for k, (t, bw) in enumerate(samples):
             if bw < 0:
-                raise TraceError(f"sample {k + 1} has negative bandwidth {bw}")
+                raise ValueError(f"sample {k + 1} has negative bandwidth {bw}")
             if k and t <= samples[k - 1][0]:
-                raise TraceError(
+                raise ValueError(
                     f"sample {k + 1} timestamp {t} does not increase past {samples[k - 1][0]}"
                 )
         times = tuple(t for t, _ in samples)
@@ -82,7 +78,7 @@ def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits:
     """Earliest t >= start_s at which volume_kilobits have been delivered, the
     trace repeating when `loop` is true.
 
-    Raises TraceError when a looping trace has fewer than 2 samples or a period
+    Raises ValueError when a looping trace has fewer than 2 samples or a period
     volume that is not positive and finite; TraceExhaustedError when a
     non-looping trace ends with zero bandwidth before the volume completes, a
     looping one needs more periods than a float counts, or the finish time
@@ -116,10 +112,10 @@ def download_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits:
             finish = times[j - 1] + (target - prefix[j - 1]) / rates[j - 1]
     else:
         if len(times) < 2:
-            raise TraceError("a looping trace needs at least 2 samples to define its period")
+            raise ValueError("a looping trace needs at least 2 samples to define its period")
         period, per_loop = times[-1], prefix[-1]
         if not 0.0 < per_loop < math.inf:
-            raise TraceError(f"a looping trace needs a positive, finite volume per period: its {period}s "
+            raise ValueError(f"a looping trace needs a positive, finite volume per period: its {period}s "
                              f"period carries {per_loop} kilobits")
         try:  # a quotient past the float range has no floor
             wraps = math.floor(start_s / period)
@@ -163,24 +159,24 @@ def load_trace(path: str) -> BandwidthTrace:
     line is tolerated.
     """
     samples: list[tuple[float, float]] = []
-    lines = read_text(path, TraceError, "trace").split("\n")
+    lines = read_text(path, "trace").split("\n")
     content = [(lineno, line) for lineno, line in enumerate((raw.strip() for raw in lines), start=1)
                if line and not line.startswith("#")]
     for k, (lineno, line) in enumerate(content):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
-            raise TraceError(f"{path}:{lineno}: expected `timestamp_s,bandwidth_kbps`, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected `timestamp_s,bandwidth_kbps`, got {line!r}")
         try:
             t, bw = float(parts[0]), float(parts[1])
         except ValueError:
             if k == 0:
                 continue  # header row
-            raise TraceError(f"{path}:{lineno}: non-numeric sample {line!r}") from None
+            raise ValueError(f"{path}:{lineno}: non-numeric sample {line!r}") from None
         samples.append((t, bw))
     try:
         return BandwidthTrace(tuple(samples))
-    except TraceError as exc:
-        raise TraceError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_trace(trace: BandwidthTrace, path: str) -> None:

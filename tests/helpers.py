@@ -7,7 +7,7 @@ from bisect import bisect_left, bisect_right
 from abrsim.abr import POLICIES, Observation
 from abrsim.manifest import NETFLIX_LADDER_KBPS, BitrateLadder, VideoManifest
 from abrsim.simulator import SessionConfig, run_session
-from abrsim.trace import BandwidthTrace, TraceError, TraceExhaustedError
+from abrsim.trace import BandwidthTrace, TraceExhaustedError
 
 
 def events(log, kind=None):
@@ -101,9 +101,9 @@ def reference_finish_time(trace: BandwidthTrace, start_s: float, volume_kilobits
     if start_s < 0:
         raise ValueError(f"start must be >= 0, got {start_s}")
     if loop and len(times) < 2:
-        raise TraceError("a looping trace needs at least 2 samples to define its period")
+        raise ValueError("a looping trace needs at least 2 samples to define its period")
     if loop and not 0.0 < prefix[-1] < math.inf:
-        raise TraceError(f"a looping trace needs a positive, finite volume per period: its {times[-1]}s "
+        raise ValueError(f"a looping trace needs a positive, finite volume per period: its {times[-1]}s "
                          f"period carries {prefix[-1]} kilobits")
     target = cumulative_kilobits(trace, start_s, loop) + volume_kilobits
     if not loop:

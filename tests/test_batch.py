@@ -9,7 +9,6 @@ import pytest
 from abrsim import POLICIES, batch, load_runspec, run_batch, session_metrics
 from abrsim.batch import (
     RunSpec,
-    RunSpecError,
     emit_comparison_table,
     manifest_from_recipe,
     resolve_manifest,
@@ -25,7 +24,7 @@ from abrsim.manifest import (
 )
 from abrsim.metrics import AggregateReport
 from abrsim.simulator import SessionEventLog
-from abrsim.trace import BandwidthTrace, TraceError, load_trace, save_trace
+from abrsim.trace import BandwidthTrace, load_trace, save_trace
 from helpers import constant_trace, make_manifest
 
 
@@ -78,63 +77,63 @@ def test_load_runspec_accepts_single_trace_string(tmp_path):
 
 def test_load_runspec_rejects_unknown_fields(tmp_path):
     path = write_workspace(tmp_path, mystery=1)
-    with pytest.raises(RunSpecError, match="unknown spec fields: mystery"):
+    with pytest.raises(ValueError, match="unknown spec fields: mystery"):
         load_runspec(path)
 
 
 def test_spec_needs_exactly_one_content_source(tmp_path):
-    with pytest.raises(RunSpecError, match="exactly one"):
+    with pytest.raises(ValueError, match="exactly one"):
         load_runspec(write_workspace(tmp_path, manifest=None))
     both = write_workspace(tmp_path, synthesize={"chunk_count": 4, "chunk_duration_s": 4.0})
-    with pytest.raises(RunSpecError, match="exactly one"):
+    with pytest.raises(ValueError, match="exactly one"):
         load_runspec(both)
 
 
 def test_spec_rejects_empty_lists(tmp_path):
-    with pytest.raises(RunSpecError, match="no traces"):
+    with pytest.raises(ValueError, match="no traces"):
         load_runspec(write_workspace(tmp_path, traces=[]))
-    with pytest.raises(RunSpecError, match="no policies"):
+    with pytest.raises(ValueError, match="no policies"):
         load_runspec(write_workspace(tmp_path, policies=[]))
-    with pytest.raises(RunSpecError, match="no scenarios"):
+    with pytest.raises(ValueError, match="no scenarios"):
         load_runspec(write_workspace(tmp_path, scenarios=[]))
-    with pytest.raises(RunSpecError, match="no output directory"):
+    with pytest.raises(ValueError, match="no output directory"):
         load_runspec(write_workspace(tmp_path, output_dir=""))
 
 
 def test_spec_rejects_malformed_scenario(tmp_path):
-    with pytest.raises(RunSpecError, match=r"\[BS, Lc\] pair"):
+    with pytest.raises(ValueError, match=r"\[BS, Lc\] pair"):
         load_runspec(write_workspace(tmp_path, scenarios=[[120]]))
 
 
 def test_spec_rejects_bad_jobs(tmp_path):
-    with pytest.raises(RunSpecError, match="jobs"):
+    with pytest.raises(ValueError, match="jobs"):
         load_runspec(write_workspace(tmp_path, jobs=0))
 
 
 @pytest.mark.parametrize("name", ["seed", "jobs"])
 def test_spec_rejects_a_bool_for_an_integer_field(tmp_path, name):
-    with pytest.raises(RunSpecError, match=f"spec.json: {name} must be an integer.*, got True$"):
+    with pytest.raises(ValueError, match=f"spec.json: {name} must be an integer.*, got True$"):
         load_runspec(write_workspace(tmp_path, **{name: True}))
 
 
 def test_load_runspec_io_errors(tmp_path):
     missing = tmp_path / "nope.json"
-    with pytest.raises(RunSpecError, match="cannot read"):
+    with pytest.raises(ValueError, match="cannot read"):
         load_runspec(str(missing))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(RunSpecError, match="not valid JSON"):
+    with pytest.raises(ValueError, match="not valid JSON"):
         load_runspec(str(bad))
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]")
-    with pytest.raises(RunSpecError, match="JSON object"):
+    with pytest.raises(ValueError, match="JSON object"):
         load_runspec(str(arr))
 
 
 def test_load_runspec_names_a_spec_that_is_not_utf8(tmp_path):
     path = tmp_path / "spec.json"
     path.write_bytes(b'{"policies": ["\xff"]}')
-    with pytest.raises(RunSpecError, match=f"^{re.escape(str(path))}: not UTF-8 text: 'utf-8' codec"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text: 'utf-8' codec"):
         load_runspec(str(path))
 
 
@@ -183,13 +182,13 @@ def test_readme_synthesize_example_runs(tmp_path):
 
 def test_resolve_manifest_rejects_bad_recipe(tmp_path):
     no_count = write_workspace(tmp_path, manifest=None, synthesize={"chunk_duration_s": 4.0})
-    with pytest.raises(RunSpecError, match="chunk_count"):
+    with pytest.raises(ValueError, match="chunk_count"):
         resolve_manifest(load_runspec(no_count))
     bogus = write_workspace(
         tmp_path, manifest=None,
         synthesize={"chunk_count": 4, "chunk_duration_s": 4.0, "bogus": 1},
     )
-    with pytest.raises(RunSpecError, match="bad synthesize fields"):
+    with pytest.raises(ValueError, match="bad synthesize fields"):
         resolve_manifest(load_runspec(bogus))
 
 
@@ -202,7 +201,7 @@ def test_recipe_bound_counts_cells_before_building_any_row(monkeypatch):
         raise AssertionError("a table over the bound was built")
 
     monkeypatch.setattr(batch, "synthesize_manifest", no_rows)
-    with pytest.raises(RunSpecError, match="a 11 x 2 SSIM table, over the 20 cells allowed"):
+    with pytest.raises(ValueError, match="a 11 x 2 SSIM table, over the 20 cells allowed"):
         manifest_from_recipe({**two_rungs, "chunk_count": 11})
 
 
@@ -214,7 +213,7 @@ def test_resolve_trace_paths_sorted_unique(tmp_path):
 
 def test_resolve_trace_paths_requires_a_match(tmp_path):
     spec = load_runspec(write_workspace(tmp_path, traces=["absent_*.csv"]))
-    with pytest.raises(RunSpecError, match="no trace files matched"):
+    with pytest.raises(ValueError, match="no trace files matched"):
         resolve_trace_paths(spec)
 
 
@@ -289,11 +288,11 @@ def test_run_batch_reports_bad_policy_params(tmp_path):
     # runs or any output is written, both at load and when set afterwards.
     bad = {"sba": {"bogus": True}}
     path = write_workspace(tmp_path, policies=["sba"], jobs=1, policy_params=bad)
-    with pytest.raises(RunSpecError, match="bad parameters for policy 'sba'"):
+    with pytest.raises(ValueError, match="bad parameters for policy 'sba'"):
         load_runspec(path)
     spec = load_runspec(write_workspace(tmp_path, policies=["sba"], jobs=1))
     spec.policy_params = bad
-    with pytest.raises(RunSpecError, match="bad parameters for policy 'sba'"):
+    with pytest.raises(ValueError, match="bad parameters for policy 'sba'"):
         run_batch(spec)
     assert not (tmp_path / "out").exists()
 
@@ -307,7 +306,7 @@ def test_run_batch_rechecks_an_output_dir_emptied_in_code(tmp_path):
     spec = load_runspec(write_workspace(tmp_path, jobs=1))
     spec.output_dir = ""
     before = tree(tmp_path)
-    with pytest.raises(RunSpecError, match="spec names no output directory"):
+    with pytest.raises(ValueError, match="spec names no output directory"):
         run_batch(spec)
     assert tree(tmp_path) == before
 
@@ -315,7 +314,7 @@ def test_run_batch_rechecks_an_output_dir_emptied_in_code(tmp_path):
 def test_run_batch_rechecks_a_second_content_source_set_in_code(tmp_path):
     spec = load_runspec(write_workspace(tmp_path, jobs=1))
     spec.synthesize = {"chunk_count": 4, "chunk_duration_s": 4.0}
-    with pytest.raises(RunSpecError, match="exactly one of `manifest` or `synthesize`"):
+    with pytest.raises(ValueError, match="exactly one of `manifest` or `synthesize`"):
         run_batch(spec)
     assert not (tmp_path / "out").exists()
 
@@ -324,10 +323,10 @@ def test_run_batch_rechecks_scenarios_set_in_code(tmp_path):
     path = write_workspace(tmp_path, output_dir="from_file", jobs=1)
     spec = load_runspec(path)
     spec.scenarios = [(120,)]
-    with pytest.raises(RunSpecError, match=re.escape("scenario must be a [BS, Lc] pair, got (120.0,)")):
+    with pytest.raises(ValueError, match=re.escape("scenario must be a [BS, Lc] pair, got (120.0,)")):
         run_batch(spec)
     spec.scenarios = [("120", "12")]  # a numeric string is no number, from code as in a file
-    with pytest.raises(RunSpecError, match=re.escape("scenarios[1][1] must be a finite number, got '120'")):
+    with pytest.raises(ValueError, match=re.escape("scenarios[1][1] must be a finite number, got '120'")):
         run_batch(spec)
     run_batch(load_runspec(path))
     spec = load_runspec(path)
@@ -341,7 +340,7 @@ def test_run_batch_rechecks_scenarios_set_in_code(tmp_path):
 def test_run_batch_rechecks_field_types_set_in_code(tmp_path):
     spec = load_runspec(write_workspace(tmp_path, jobs=1))
     spec.seed = None
-    with pytest.raises(RunSpecError, match="seed must be an integer, got None"):
+    with pytest.raises(ValueError, match="seed must be an integer, got None"):
         run_batch(spec)
     assert not (tmp_path / "out").exists()
 
@@ -362,7 +361,7 @@ def test_run_batch_spec_level_errors_raise(tmp_path):
     spec = load_runspec(write_workspace(tmp_path, traces=["trace_*.csv"]))
     for f in tmp_path.glob("trace_*.csv"):
         f.unlink()
-    with pytest.raises(RunSpecError, match="no trace files matched"):
+    with pytest.raises(ValueError, match="no trace files matched"):
         run_batch(spec)
 
 
@@ -497,7 +496,7 @@ def test_run_batch_reports_an_unloadable_trace_per_config(tmp_path):
     bad = tmp_path / "trace_1.csv"
     bad.write_text("timestamp_s,bandwidth_kbps\n0,3000\n5,oops\n")
     (tmp_path / "trace_2.csv").write_bytes(b"timestamp_s,bandwidth_kbps\n0,\xff\n")
-    with pytest.raises(TraceError, match=f"^{re.escape(str(tmp_path / 'trace_2.csv'))}: not UTF-8 text") as undecodable:
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'trace_2.csv'))}: not UTF-8 text") as undecodable:
         load_trace(str(tmp_path / "trace_2.csv"))
     failures = {}
     for jobs in (1, 2):

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from abrsim import POLICIES, SessionConfig, batch, load_manifest, load_runspec, load_trace, run_session
-from abrsim.batch import RunSpecError, validate_runspec
+from abrsim.batch import validate_runspec
 from abrsim.cli import build_parser, main
 from abrsim.manifest import save_manifest
 from abrsim.simulator import SessionEventLog
@@ -55,7 +55,7 @@ def test_every_entry_point_accepts_exactly_the_registered_policies(workspace):
     for name in POLICIES:
         assert SessionConfig(policy=name).policy == name
     spec.policies = ["rate_hog"]
-    with pytest.raises(RunSpecError, match="unknown policy"):
+    with pytest.raises(ValueError, match="unknown policy"):
         validate_runspec(spec)
     with pytest.raises(ValueError, match="unknown policy"):
         SessionConfig(policy="rate_hog")
@@ -404,6 +404,21 @@ def test_simulate_rejects_non_object_policy_params(workspace, capsys, params):
     assert f"policy_params must be an object, got {json.loads(params)!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["simulate", "run"])
+def test_an_unknown_policy_parameter_is_named_alike_on_every_interpreter(workspace, capsys, entry):
+    # The text came from Python's TypeError, which 3.13 ends with ". Did you mean 'window'?".
+    spec = workspace / "spec.json"
+    rewrite_spec(workspace, policy_params={"festive": {"windw": 3}})
+    argv = {"simulate": ["simulate", "--manifest", str(workspace / "manifest.json"), "--trace",
+                         str(workspace / "trace_0.csv"), "--policy", "festive", "--policy-params", '{"windw": 3}'],
+            "run": ["run", "--spec", str(spec)]}[entry]
+    where = f"{spec}: " if entry == "run" else ""
+    assert main(argv) == 2
+    text = "bad parameters for policy 'festive': unknown parameter 'windw'"
+    assert capsys.readouterr() == ("", f"error: {where}{text}\n")
+    assert not (workspace / "out").exists()
+
+
 def test_simulate_rejects_a_policy_parameter_of_the_wrong_type(workspace, capsys):
     code = main(["simulate", "--manifest", str(workspace / "manifest.json"), "--trace",
                  str(workspace / "trace_0.csv"), "--policy", "festive", "--policy-params", '{"window": true}'])
@@ -514,6 +529,8 @@ def stored_log(tmp_path_factory):
     pytest.param('"policy": "sba", "policy_params": {}', '"policy": "osmf", "policy_params": {"up_ratio": Infinity}',
                  2, "bad parameters for policy 'osmf': up_ratio must be a finite number, got inf",
                  id="infinite-osmf-up-ratio"),
+    pytest.param('"policy_params": {}', '"policy_params": {"upgrade_onyl": true}', 2,
+                 "bad parameters for policy 'sba': unknown parameter 'upgrade_onyl'", id="misspelled-sba-parameter"),
     pytest.param('"loop_trace": false', '"loop_trace": "yes"', 2,
                  "record 1 (session_start): loop_trace must be true or false, got 'yes'", id="string-loop-trace"),
     pytest.param('"chunk_count": 8,', '"chunk_count": true,', 2,

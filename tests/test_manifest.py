@@ -10,7 +10,6 @@ from abrsim import load_manifest
 from abrsim.manifest import (
     NETFLIX_LADDER_KBPS,
     BitrateLadder,
-    ManifestError,
     SaturationProfile,
     VideoManifest,
     manifest_from_dict,
@@ -18,9 +17,9 @@ from abrsim.manifest import (
     synthesize_manifest,
 )
 from abrsim.abr import make_policy
-from abrsim.batch import RunSpec, RunSpecError, manifest_from_recipe
-from abrsim.simulator import LogFormatError, SessionConfig, run_session
-from abrsim.trace import BandwidthTrace, TraceError
+from abrsim.batch import RunSpec, manifest_from_recipe
+from abrsim.simulator import SessionConfig, run_session
+from abrsim.trace import BandwidthTrace
 from helpers import chunk_volume, constant_trace, make_ladder, make_manifest, monotone_rows, reference_ssim_rows
 
 
@@ -32,19 +31,19 @@ def test_ladder_count_and_rates():
 
 
 def test_ladder_needs_two_levels():
-    with pytest.raises(ManifestError, match="at least 2"):
+    with pytest.raises(ValueError, match="at least 2"):
         BitrateLadder((235.0,))
 
 
 def test_ladder_must_increase():
-    with pytest.raises(ManifestError, match=r"ladder_kbps\[2\]"):
+    with pytest.raises(ValueError, match=r"ladder_kbps\[2\]"):
         BitrateLadder((375.0, 235.0))
 
 
 def test_ladder_rejects_nonpositive_rates():
-    with pytest.raises(ManifestError, match=r"ladder_kbps\[1\]"):
+    with pytest.raises(ValueError, match=r"ladder_kbps\[1\]"):
         BitrateLadder((0.0, 375.0))
-    with pytest.raises(ManifestError, match="positive"):
+    with pytest.raises(ValueError, match="positive"):
         BitrateLadder((-5.0, 375.0))
 
 
@@ -108,25 +107,25 @@ def test_chunk_volume_bounds():
 def test_ssim_range_validated_with_indices():
     rows = [list(r) for r in monotone_rows(4, 10)]
     rows[2][1] = 1.2
-    with pytest.raises(ManifestError, match=r"ssim\[3\]\[2\]"):
+    with pytest.raises(ValueError, match=r"ssim\[3\]\[2\]"):
         make_manifest(chunks=4, ssim=rows)
 
 
 def test_ssim_shape_validated():
-    with pytest.raises(ManifestError, match="ssim needs at least 1 row, got 0"):
+    with pytest.raises(ValueError, match="ssim needs at least 1 row, got 0"):
         make_manifest(ssim=())
     bad = [list(r) for r in monotone_rows(2, 10)]
     bad[1] = bad[1][:9]
-    with pytest.raises(ManifestError, match=r"ssim\[2\] has 9"):
+    with pytest.raises(ValueError, match=r"ssim\[2\] has 9"):
         make_manifest(chunks=2, ssim=bad)
 
 
 def test_chunk_kilobits_validated():
     sizes = [[1000.0] * 10 for _ in range(2)]
     sizes[1][3] = 0.0
-    with pytest.raises(ManifestError, match=r"chunk_kilobits\[2\]\[4\]"):
+    with pytest.raises(ValueError, match=r"chunk_kilobits\[2\]\[4\]"):
         make_manifest(chunks=2, sizes=sizes)
-    with pytest.raises(ManifestError, match="chunk_kilobits has 3 rows, expected chunk_count=2"):
+    with pytest.raises(ValueError, match="chunk_kilobits has 3 rows, expected chunk_count=2"):
         make_manifest(chunks=2, sizes=[[1000.0] * 10] * 3)
 
 
@@ -146,8 +145,9 @@ def test_chunk_kilobits_validated():
 ], ids=["bool-ssim", "string-size", "huge-int-size", "nan-after-a-valid-size", "string-duration",
         "string-rung", "huge-int-rung"])
 def test_the_types_reject_what_is_no_json_number(build, message):
-    with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
         build()
+    assert type(exc.value) is ValueError
 
 
 def config_from_header_with(field, value):
@@ -155,51 +155,41 @@ def config_from_header_with(field, value):
     return SessionConfig.from_header({**header, field: value})
 
 
-# Each boundary a loaded or built value crosses: (the call that takes the value, its error, what the
-# message names, an example of the JSON type it takes).
+# Each boundary a loaded or built value crosses: (the call that takes the value, what the message
+# names, an example of the JSON type it takes).  Every one raises a plain ValueError.
 JSON_BOUNDARIES = {
-    "ladder-rung": (lambda v: BitrateLadder((235.0, v)), ManifestError, "ladder_kbps[2]", 0.0),
-    "chunk-duration": (lambda v: make_manifest(duration=v), ManifestError, "chunk_duration_s", 0.0),
-    "ssim-cell": (lambda v: make_manifest(chunks=1, rates=(235, 375), ssim=[[0.8, v]]), ManifestError,
-                  "ssim[1][2]", 0.0),
-    "size-cell": (lambda v: make_manifest(chunks=1, rates=(235, 375), sizes=[[900, v]]), ManifestError,
-                  "chunk_kilobits[1][2]", 0.0),
-    "trace-rate": (lambda v: BandwidthTrace(((0, v), (60, 0))), TraceError, "sample 1 bandwidth", 0.0),
-    "trace-time": (lambda v: BandwidthTrace(((0, 3000), (v, 2000), (60, 0))), TraceError,
-                   "sample 2 timestamp", 0.0),
-    "scenario-value": (lambda v: RunSpec(["*.csv"], ["sba"], [[120, v]], "out", "m.json"), RunSpecError,
-                       "scenarios[1][2]", 0.0),
+    "ladder-rung": (lambda v: BitrateLadder((235.0, v)), "ladder_kbps[2]", 0.0),
+    "chunk-duration": (lambda v: make_manifest(duration=v), "chunk_duration_s", 0.0),
+    "ssim-cell": (lambda v: make_manifest(chunks=1, rates=(235, 375), ssim=[[0.8, v]]), "ssim[1][2]", 0.0),
+    "size-cell": (lambda v: make_manifest(chunks=1, rates=(235, 375), sizes=[[900, v]]), "chunk_kilobits[1][2]", 0.0),
+    "trace-rate": (lambda v: BandwidthTrace(((0, v), (60, 0))), "sample 1 bandwidth", 0.0),
+    "trace-time": (lambda v: BandwidthTrace(((0, 3000), (v, 2000), (60, 0))), "sample 2 timestamp", 0.0),
+    "scenario-value": (lambda v: RunSpec(["*.csv"], ["sba"], [[120, v]], "out", "m.json"), "scenarios[1][2]", 0.0),
     "recipe-float": (lambda v: manifest_from_recipe({"chunk_count": 8, "chunk_duration_s": 4, "knee_kbps": v}),
-                     RunSpecError, "bad synthesize fields: knee_kbps", 0.0),
-    "recipe-int": (lambda v: manifest_from_recipe({"chunk_count": v, "chunk_duration_s": 4}), RunSpecError,
+                     "bad synthesize fields: knee_kbps", 0.0),
+    "recipe-int": (lambda v: manifest_from_recipe({"chunk_count": v, "chunk_duration_s": 4}),
                    "bad synthesize fields: chunk_count", 0),
-    "param-float": (lambda v: make_policy("bba", {"cushion_frac": v}), ValueError,
+    "param-float": (lambda v: make_policy("bba", {"cushion_frac": v}),
                     "bad parameters for policy 'bba': cushion_frac", 0.0),
-    "param-int": (lambda v: make_policy("festive", {"window": v}), ValueError,
-                  "bad parameters for policy 'festive': window", 0),
-    "param-bool": (lambda v: make_policy("sba", {"upgrade_only": v}), ValueError,
+    "param-int": (lambda v: make_policy("festive", {"window": v}), "bad parameters for policy 'festive': window", 0),
+    "param-bool": (lambda v: make_policy("sba", {"upgrade_only": v}),
                    "bad parameters for policy 'sba': upgrade_only", False),
-    "config-float": (lambda v: SessionConfig(buffer_capacity_s=v), ValueError, "buffer_capacity_s", 0.0),
-    "config-bool": (lambda v: SessionConfig(loop_trace=v), ValueError, "loop_trace", False),
-    "config-dict": (lambda v: SessionConfig(policy_params=v), ValueError, "policy_params", {}),
-    "header-float": (lambda v: config_from_header_with("buffer_capacity_s", v), LogFormatError,
+    "config-float": (lambda v: SessionConfig(buffer_capacity_s=v), "buffer_capacity_s", 0.0),
+    "config-bool": (lambda v: SessionConfig(loop_trace=v), "loop_trace", False),
+    "config-dict": (lambda v: SessionConfig(policy_params=v), "policy_params", {}),
+    "header-float": (lambda v: config_from_header_with("buffer_capacity_s", v),
                      "record 1 (session_start): buffer_capacity_s", 0.0),
-    "header-int": (lambda v: config_from_header_with("chunk_count", v), LogFormatError,
-                   "record 1 (session_start): chunk_count", 0),
-    "header-string": (lambda v: config_from_header_with("policy", v), LogFormatError,
-                      "record 1 (session_start): policy", ""),
-    "header-array": (lambda v: config_from_header_with("ladder_kbps", v), LogFormatError,
-                     "record 1 (session_start): ladder_kbps", []),
-    "header-array-item": (lambda v: config_from_header_with("ladder_kbps", [v, 375.0]), LogFormatError,
+    "header-int": (lambda v: config_from_header_with("chunk_count", v), "record 1 (session_start): chunk_count", 0),
+    "header-string": (lambda v: config_from_header_with("policy", v), "record 1 (session_start): policy", ""),
+    "header-array": (lambda v: config_from_header_with("ladder_kbps", v), "record 1 (session_start): ladder_kbps", []),
+    "header-array-item": (lambda v: config_from_header_with("ladder_kbps", [v, 375.0]),
                           "record 1 (session_start): ladder_kbps[1]", 0.0),
-    "spec-trace-item": (lambda v: RunSpec([v], ["sba"], [[120, 12]], "out", "m.json"), RunSpecError,
-                        "traces[1]", ""),
-    "spec-policy-item": (lambda v: RunSpec(["*.csv"], [v], [[120, 12]], "out", "m.json"), RunSpecError,
-                         "policies[1]", ""),
+    "spec-trace-item": (lambda v: RunSpec([v], ["sba"], [[120, 12]], "out", "m.json"), "traces[1]", ""),
+    "spec-policy-item": (lambda v: RunSpec(["*.csv"], [v], [[120, 12]], "out", "m.json"), "policies[1]", ""),
     "ssim-row": (lambda v: manifest_from_dict({"chunk_duration_s": 4.0, "ladder_kbps": [235, 375], "ssim": [v]}),
-                 ManifestError, "ssim[1]", []),
+                 "ssim[1]", []),
     "recipe-ladder": (lambda v: manifest_from_recipe({"chunk_count": 8, "chunk_duration_s": 4, "ladder_kbps": v}),
-                      RunSpecError, "bad synthesize fields: ladder_kbps", []),
+                      "bad synthesize fields: ladder_kbps", []),
 }
 JSON_TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string",
                    list: "an array", dict: "an object"}
@@ -208,15 +198,16 @@ NO_JSON_VALUE = {"true": True, "string": "1", "null": None, "nan": math.nan, "in
 
 @pytest.mark.parametrize("boundary, value", [
     pytest.param(boundary, NO_JSON_VALUE[name], id=f"{boundary}-{name}")
-    for boundary, (_, _, _, like) in JSON_BOUNDARIES.items() for name in NO_JSON_VALUE
+    for boundary, (_, _, like) in JSON_BOUNDARIES.items() for name in NO_JSON_VALUE
     # true is a JSON bool and 10**400 a JSON integer; a float must also be finite
     if type(NO_JSON_VALUE[name]) is not type(like) or type(like) is float
 ])
 def test_every_boundary_words_the_json_value_rule_alike(boundary, value):
-    build, error, what, like = JSON_BOUNDARIES[boundary]
+    build, what, like = JSON_BOUNDARIES[boundary]
     got = "an integer too large for a float" if type(like) is float and value == 10**400 else repr(value)
-    with pytest.raises(error) as exc:
+    with pytest.raises(ValueError) as exc:
         build(value)
+    assert type(exc.value) is ValueError  # no subclass at any boundary
     assert str(exc.value) == f"{what} must be {JSON_TYPE_NAMES[type(like)]}, got {got}"
 
 
@@ -256,7 +247,7 @@ def test_failed_save_keeps_the_old_manifest(tmp_path, monkeypatch):
 def test_load_rejects_missing_fields(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"ladder_kbps": [235, 375], "ssim": [[0.7, 0.8]]}))
-    with pytest.raises(ManifestError, match="chunk_duration_s"):
+    with pytest.raises(ValueError, match="chunk_duration_s"):
         load_manifest(str(path))
 
 
@@ -275,7 +266,7 @@ def test_load_rejects_strings_and_bools_for_numbers(tmp_path, fields, message):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"chunk_duration_s": 4.0, "ladder_kbps": [235, 375],
                                 "ssim": [[0.7, 0.8]], **fields}))
-    with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
         load_manifest(str(path))
 
 
@@ -291,7 +282,7 @@ def test_load_rejects_a_manifest_of_the_wrong_shape(tmp_path, fields, message):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"chunk_duration_s": 4.0, "ladder_kbps": [235, 375],
                                 "ssim": [[0.7, 0.8]], **fields}))
-    with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
         load_manifest(str(path))
 
 
@@ -307,17 +298,17 @@ def test_load_accepts_json_integers_as_numbers(tmp_path):
 def test_load_names_a_manifest_that_is_not_utf8(tmp_path):
     path = tmp_path / "m.json"
     path.write_bytes(b'{"chunk_duration_s": 4.0, "note": "\xff"}')
-    with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: not UTF-8 text: 'utf-8' codec"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text: 'utf-8' codec"):
         load_manifest(str(path))
 
 
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("{nope")
-    with pytest.raises(ManifestError, match="not valid JSON"):
+    with pytest.raises(ValueError, match="not valid JSON"):
         load_manifest(str(path))
     path.write_text("[1, 2]")
-    with pytest.raises(ManifestError, match="JSON object"):
+    with pytest.raises(ValueError, match="JSON object"):
         load_manifest(str(path))
 
 
@@ -393,7 +384,7 @@ def test_manifest_checks_a_shared_row_once_and_reports_its_first_index():
     good = tuple(monotone_rows(1, 10)[0])
     bad = good[:3] + (1.5,) + good[4:]
     rows = (good, bad, good, bad, bad)
-    with pytest.raises(ManifestError, match=re.escape("ssim[2][4] must lie in (0, 1], got 1.5")):
+    with pytest.raises(ValueError, match=re.escape("ssim[2][4] must lie in (0, 1], got 1.5")):
         VideoManifest(4.0, make_ladder(), rows)
     n = 7
     shared = VideoManifest(4.0, make_ladder(), (good,) * n)
@@ -406,14 +397,14 @@ def test_manifest_checks_a_shared_row_once_and_reports_its_first_index():
 
 
 def test_synthesize_knee_outside_span_rejected():
-    with pytest.raises(ManifestError, match="knee_kbps"):
+    with pytest.raises(ValueError, match="knee_kbps"):
         synthesize_manifest(make_ladder(), 5, 4.0, SaturationProfile(knee_kbps=9000.0))
 
 
 def test_profile_validation():
-    with pytest.raises(ManifestError):
+    with pytest.raises(ValueError):
         SaturationProfile(q_floor=0.9, q_ceiling=0.8)
-    with pytest.raises(ManifestError):
+    with pytest.raises(ValueError):
         SaturationProfile(per_chunk_spread=1.5)
 
 

@@ -239,6 +239,14 @@ def test_a_truncation_record_is_checked_against_its_row():
         session_metrics(log, manifest3(2))
 
 
+def test_a_record_of_no_event_kind_is_named():
+    # It was skipped, so the log reported complete where replay calls it a mismatch.
+    log = log_of([1, 2], end_s=9.0)
+    log.records.insert(2, {"event": "bogus"})
+    with pytest.raises(ValueError, match=r"^record 3 \(bogus\): no such event kind$"):
+        session_metrics(log, manifest3(2))
+
+
 def test_a_report_needs_the_session_start_record():
     log = log_of([1], end_s=5.0)
     del log.records[0]

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from abrsim import replay_diff, simulator
 from abrsim.simulator import (
-    LogFormatError,
     SessionConfig,
     SessionEventLog,
     _diff_records,
@@ -66,12 +65,12 @@ def reference_from_jsonl(text):
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise LogFormatError(f"line {lineno}: not valid JSON: {exc}") from exc
+            raise ValueError(f"line {lineno}: not valid JSON: {exc}") from exc
         if not isinstance(rec, dict) or not isinstance(rec.get("event"), str):
-            raise LogFormatError(f"line {lineno}: record must be an object with an `event` field")
+            raise ValueError(f"line {lineno}: record must be an object with an `event` field")
         records.append(rec)
     if not records:
-        raise LogFormatError("log is empty")
+        raise ValueError("log is empty")
     return records
 
 
@@ -258,7 +257,7 @@ def test_infinite_tamper_is_reported():
 def decode_outcome(parse, text):
     try:
         records = parse(text)
-    except LogFormatError as exc:
+    except ValueError as exc:
         return "error", str(exc)
     # json.dumps tells 1 from 1.0 and True from 1, and writes NaN as NaN.
     return "records", json.dumps(records)

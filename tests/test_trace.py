@@ -11,7 +11,6 @@ from abrsim.trace import (
     SYNTH_HIGH_KBPS,
     SYNTH_LOW_KBPS,
     BandwidthTrace,
-    TraceError,
     TraceExhaustedError,
     download_finish_time,
     save_trace,
@@ -27,22 +26,22 @@ def two_rate_trace():
 # --- construction ---
 
 def test_requires_samples():
-    with pytest.raises(TraceError, match="no samples"):
+    with pytest.raises(ValueError, match="no samples"):
         BandwidthTrace(())
 
 
 def test_first_timestamp_must_be_zero():
-    with pytest.raises(TraceError, match="timestamp 0"):
+    with pytest.raises(ValueError, match="timestamp 0"):
         BandwidthTrace(((1.0, 500.0),))
 
 
 def test_timestamps_strictly_increase():
-    with pytest.raises(TraceError, match="does not increase"):
+    with pytest.raises(ValueError, match="does not increase"):
         BandwidthTrace(((0.0, 500.0), (5.0, 600.0), (5.0, 700.0)))
 
 
 def test_negative_bandwidth_rejected():
-    with pytest.raises(TraceError, match="negative bandwidth"):
+    with pytest.raises(ValueError, match="negative bandwidth"):
         BandwidthTrace(((0.0, -1.0),))
 
 
@@ -58,7 +57,7 @@ def test_loop_needs_two_samples_and_positive_rate():
     ]:
         trace = BandwidthTrace(samples)
         for start_s in (0.0, 3.0):
-            with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 download_finish_time(trace, start_s, 100.0, loop=True)
 
 
@@ -237,47 +236,47 @@ def test_load_tolerates_header_comments_blanks(tmp_path):
 def test_load_rejects_unsorted(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("0,5000\n10,1000\n5,2000\n")
-    with pytest.raises(TraceError, match="does not increase"):
+    with pytest.raises(ValueError, match="does not increase"):
         load_trace(str(path))
 
 
 def test_load_rejects_empty(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("")
-    with pytest.raises(TraceError, match="no samples"):
+    with pytest.raises(ValueError, match="no samples"):
         load_trace(str(path))
 
 
 def test_load_rejects_wrong_column_count(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("0,5000\n10\n")
-    with pytest.raises(TraceError, match="t.csv:2"):
+    with pytest.raises(ValueError, match="t.csv:2"):
         load_trace(str(path))
 
 
 def test_load_rejects_non_numeric_mid_file(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("0,5000\nten,1000\n")
-    with pytest.raises(TraceError, match="t.csv:2"):
+    with pytest.raises(ValueError, match="t.csv:2"):
         load_trace(str(path))
 
 
 def test_load_rejects_an_infinite_sample(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("0,5000\n10,inf\n")
-    with pytest.raises(TraceError, match=re.escape(f"{path}: sample 2 bandwidth must be a finite number, got inf")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: sample 2 bandwidth must be a finite number, got inf")):
         load_trace(str(path))
 
 
 def test_load_missing_file():
-    with pytest.raises(TraceError, match="cannot read"):
+    with pytest.raises(ValueError, match="cannot read"):
         load_trace("/nonexistent/t.csv")
 
 
 def test_load_names_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"timestamp_s,bandwidth_kbps\n0,\xff\n")
-    with pytest.raises(TraceError, match=f"^{re.escape(str(path))}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"):
         load_trace(str(path))
 
 
