@@ -199,7 +199,7 @@ def make_policy(name: str, params: dict | None = None) -> Policy:
             json_value(value, known[key].default, f"bad parameters for policy {name!r}: {key}")
     try:
         return policy(**params)
-    except (TypeError, OverflowError) as exc:  # a parameter without a default, or an int no C size holds
+    except (TypeError, OverflowError, ValueError) as exc:  # no default, an int no C size holds, or out of range
         raise ValueError(f"bad parameters for policy {name!r}: {exc}") from exc
 
 

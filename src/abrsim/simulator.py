@@ -51,7 +51,7 @@ from .trace import BandwidthTrace, TraceExhaustedError, download_finish_time
 _scan_once = json.JSONDecoder().scan_once
 _ascii_str = json.encoder.encode_basestring_ascii
 # Two objects on one line, which a whole-file decode would split into two records.
-_objects_on_one_line = re.compile(r"\}[ \t]*,[ \t]*\{").search
+_objects_on_one_line = re.compile(r"\}[ \t\r]*,[ \t\r]*\{").search
 _event_of = itemgetter("event")
 
 
@@ -180,12 +180,12 @@ def {method}(self, {args}):
     @classmethod
     def from_jsonl(cls, text: str) -> "SessionEventLog":
         # One decode of the whole text as a JSON array, kept only where it must
-        # give what the line-by-line loop below gives.  In ASCII text without
-        # "\r", "\n" is the only line break valid JSON can hold.  With one item
-        # per line and every item an object, a comma joining two lines can be
-        # off the top level only if some line holds a top-level comma, that is
-        # two objects on one line.
-        if text.endswith("\n") and text.isascii() and "\r" not in text and not _objects_on_one_line(text):
+        # give what the line-by-line loop below gives.  A log's lines are its
+        # "\n"-separated lines, as in JSON Lines, and valid JSON holds a "\n"
+        # only between tokens.  With one item per line and every item an object,
+        # a comma joining two lines can be off the top level only if some line
+        # holds a top-level comma, that is two objects on one line.
+        if text.endswith("\n") and not _objects_on_one_line(text):
             joined = "[" + text[:-1].replace("\n", ",") + "]"
             try:
                 records, end = _scan_once(joined, 0)
@@ -198,7 +198,7 @@ def {method}(self, {args}):
                 return cls(records)
         # Line by line, which words every error.
         records = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
             rec = parse_json(line, f"line {lineno}")
@@ -467,15 +467,19 @@ class _ReplaySink:
         n, r = next(self.completions, (0, None))
         if r is None:
             raise ValueError(f"log holds no completion for chunk {chunk}")
-        check_record(r, n)
-        if r["event"] == "session_truncated":  # the log ends here, as the truncation says
-            raise TraceExhaustedError(r["diagnostic"])
-        if r["chunk"] != chunk:
-            raise ValueError(f"record {n} (download_complete): chunk logged {r['chunk']!r}, replay {chunk!r}")
-        if r["time_s"] <= send_time_s:
-            raise ValueError(f"record {n} (download_complete): time_s {r['time_s']} "
-                             f"precedes its fetch at {send_time_s}")
-        return float(r["time_s"])
+        time_s, logged, kbps = r.get("time_s"), r.get("chunk"), r.get("throughput_kbps")
+        # A completion in its row's exact types with finite floats is one `check_record` passes unchanged.
+        if not (r["event"] == "download_complete" and type(time_s) is type(kbps) is float
+                and type(logged) is int and math.isfinite(time_s + kbps)):
+            check_record(r, n)
+            if r["event"] == "session_truncated":  # the log ends here, as the truncation says
+                raise TraceExhaustedError(r["diagnostic"])
+            time_s, logged = r["time_s"], r["chunk"]
+        if logged != chunk:
+            raise ValueError(f"record {n} (download_complete): chunk logged {logged!r}, replay {chunk!r}")
+        if time_s <= send_time_s:
+            raise ValueError(f"record {n} (download_complete): time_s {time_s} precedes its fetch at {send_time_s}")
+        return float(time_s)
 
     fetch, complete, display = _chunk_event_methods("""
 def {method}(self, {args}):

@@ -557,12 +557,24 @@ def stored_log(tmp_path_factory):
     pytest.param('"download_complete", "time_s": 0.94,', '"download_complete", "time_s": 0.6266666666666667,', 1,
                  "log is not replayable: record 9 (download_complete): "
                  "time_s 0.6266666666666667 precedes its fetch at 0.6266666666666667", id="completion-at-its-fetch"),
+    pytest.param('"chunk": 1, "throughput_kbps"', '"chunk": true, "throughput_kbps"', 1,
+                 "log is not replayable: record 3 (download_complete): chunk must be an integer, got True",
+                 id="bool-completion-chunk"),
+    pytest.param('"chunk": 1, "throughput_kbps": 3000.0}', '"chunk": 1, "throughput_kbps": "x"}', 1,
+                 "log is not replayable: record 3 (download_complete): "
+                 "throughput_kbps must be a finite number, got 'x'",
+                 id="string-completion-throughput"),
+    pytest.param('"download_complete", "time_s": 0.94,', '"download_complete", "time_s": 1,', 1,
+                 "record 9 (download_complete): time_s logged 1, replay 1.0", id="int-completion-time"),
+    # JSON Lines breaks lines at "\n" alone, so a raw U+2028 inside a string is part of the value.
+    pytest.param('"reason": "startup"', '"reason": "start\u2028up"', 1,
+                 "record 2 (fetch_issued): reason logged 'start\\u2028up', replay 'startup'", id="raw-line-separator"),
 ])
 def test_replay_on_an_edited_log(stored_log, tmp_path, capsys, old, new, code, line):
     manifest, text = stored_log
     assert old in text
     log = tmp_path / "edited.jsonl"
-    log.write_text(text.replace(old, new))
+    log.write_text(text.replace(old, new), encoding="utf-8")
     assert main(["replay", "--log", str(log), "--manifest", manifest]) == code
     captured = capsys.readouterr()
     if code == 2:
@@ -949,6 +961,11 @@ def rewrite_spec(workspace, **fields):
      "bad parameters for policy 'osmf': up_ratio must be a finite number, got inf"),
     ({"policy_params": {"bba": {"cushion_frac": float("nan")}}},
      "bad parameters for policy 'bba': cushion_frac must be a finite number, got nan"),
+    ({"policy_params": {"festive": {"window": 0}}}, "bad parameters for policy 'festive': window must be >= 1, got 0"),
+    ({"policy_params": {"bba": {"reservoir_frac": 0.9, "cushion_frac": 0.1}}},
+     "bad parameters for policy 'bba': need 0 < reservoir_frac < cushion_frac <= 1, got 0.9, 0.1"),
+    ({"policy_params": {"osmf": {"up_ratio": 0.5}}},
+     "bad parameters for policy 'osmf': need 0 < down_ratio < up_ratio, got 0.9, 0.5"),
 ], ids=["unknown-policy", "bad-params", "params-of-unknown-policy", "number-sba-params", "lc-not-below-bs",
         "string-jobs",
         "null-capacity", "capacity-not-above-chunk", "infinite-capacity", "null-seed", "number-traces",
@@ -961,7 +978,7 @@ def rewrite_spec(workspace, **fields):
         "huge-int-capacity", "huge-int-festive-window", "list-in-policies", "string-sba-upgrade-only",
         "bool-festive-window", "float-festive-window", "bool-bba-cushion", "bool-osmf-up-ratio",
         "string-scenario-values", "bool-scenario-value", "no-scenarios", "infinite-osmf-up-ratio",
-        "nan-bba-cushion"])
+        "nan-bba-cushion", "zero-festive-window", "bba-reservoir-above-cushion", "osmf-up-below-down"])
 def test_run_rejects_invalid_spec(workspace, capsys, fields, message):
     rewrite_spec(workspace, **fields)
     assert main(["run", "--spec", str(workspace / "spec.json")]) == 2

@@ -59,7 +59,7 @@ def reference_diff_records(original, regenerated):
 
 def reference_from_jsonl(text):
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -300,6 +300,7 @@ def assert_same_decoding(text):
     # Unguarded, a whole-file decode reads the next two as three objects from three lines.
     '{"event": "a", "k": [1\n{"x": 2}]}\n{"event": "b"},{"event": "c"}\n',
     '{"event": "a", "k": [1\n{"x": 2}]}\n{"event": "b"} ,\t{"event": "c"}\n',
+    '{"event": "a", "k": [1\n{"x": 2}]}\n{"event": "b"}\r,\r{"event": "c"}\n',
     '{"event": "a", "s": "x\u2028y"}\n',
     '{"event": "a", "s": "x\x85y"}\n',
     '{"event": "a"}\n{"event": "b"}',

@@ -439,6 +439,19 @@ def test_replay_accepts_truncated_log():
     assert not replay_diff(log, manifest, SessionConfig.from_header(log.header))
 
 
+def test_replay_checks_a_truncation_shaped_like_a_completion():
+    # With a float throughput_kbps in place of its diagnostic, the truncation has every
+    # field of a completion in its exact type; it must still be checked as a truncation.
+    manifest = make_manifest(chunks=8, duration=2.0)
+    log, _ = run_session(manifest, constant_trace(3000.0, until_s=1.0), SessionConfig())
+    last = log.records[-1]
+    assert (last["event"], len(log.records)) == ("session_truncated", 17)
+    del last["diagnostic"]
+    last["throughput_kbps"] = 3000.0
+    assert replay_diff(log, manifest, SessionConfig.from_header(log.header)) == [
+        "log is not replayable: record 17 (session_truncated) lacks diagnostic"]
+
+
 def bundled_session():
     """The bundled manifest and the log of a default-config session on its `trace_00.csv`."""
     scenario = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios", "comparison")
