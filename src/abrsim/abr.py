@@ -86,8 +86,6 @@ class Sba(Policy):
         if obs.buffer_s <= obs.critical_threshold_s:
             return Decision(1, "critical_drop")
         candidate = obs.manifest.ladder.highest_level_below(obs.bandwidth_estimate_kbps)
-        if candidate is None:
-            candidate = 1
         ssim = obs.manifest.ssim
         gain = ssim[obs.chunk - 1][candidate - 1] - ssim[obs.chunk - 2][obs.prev_level - 1]
         take = gain > obs.ssim_delta_mean
@@ -140,8 +138,6 @@ class Festive(Policy):
             inverse_total += 1.0 / v
         harmonic_mean = len(self.samples_kbps) / inverse_total  # not 1 / mean: that rounds twice
         target = obs.manifest.ladder.highest_level_at_or_below(harmonic_mean)
-        if target is None:
-            target = 1
         if target > obs.prev_level:
             return Decision(obs.prev_level + 1, "festive_up")
         if target < obs.prev_level:
@@ -174,8 +170,7 @@ class Osmf(Policy):
             return Decision(min(obs.prev_level + 1, ladder.count), "osmf_up")
         if ratio < self.down_ratio:
             implied = ladder.levels_kbps[obs.prev_level - 1] * ratio
-            level = ladder.highest_level_at_or_below(implied)
-            return Decision(level if level is not None else 1, "osmf_down")
+            return Decision(ladder.highest_level_at_or_below(implied), "osmf_down")
         return Decision(obs.prev_level, "osmf_hold")
 
 

@@ -46,15 +46,15 @@ class BitrateLadder:
     def count(self) -> int:
         return len(self.levels_kbps)
 
-    def highest_level_below(self, rate_kbps: float) -> int | None:
-        """Highest level whose bitrate is strictly below rate_kbps, else None."""
-        return bisect_left(self.levels_kbps, rate_kbps) or None
+    def highest_level_below(self, rate_kbps: float) -> int:
+        """Highest level whose bitrate is strictly below rate_kbps, else the floor level 1."""
+        return bisect_left(self.levels_kbps, rate_kbps) or 1
 
-    def highest_level_at_or_below(self, rate_kbps: float) -> int | None:
-        """Highest level whose bitrate is at most rate_kbps, else None."""
+    def highest_level_at_or_below(self, rate_kbps: float) -> int:
+        """Highest level whose bitrate is at most rate_kbps, else the floor level 1."""
         level = bisect_right(self.levels_kbps, rate_kbps)
         # bisect_right puts NaN past the top rung, which is not at or below it.
-        return level if level and self.levels_kbps[level - 1] <= rate_kbps else None
+        return level if level and self.levels_kbps[level - 1] <= rate_kbps else 1
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
-"""Quality-of-experience metrics computed from session events.
+"""Quality-of-experience reports, their aggregates and their CSV files.
 
-Four headline metrics per session:
+`abrsim.simulator.SessionTally`, beside the event table it reads, reduces
+one session's events to a SessionReport.  Four headline metrics per session:
 
 * rebuffering_total_s - wall time spent in mid-session stalls.  The startup
   delay (first fetch to first displayed frame) is never counted as
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .estimators import mean
-from .manifest import VideoManifest
 
 
 @dataclass(frozen=True)
@@ -58,76 +58,6 @@ class AggregateReport:
     instability: float
     mean_ssim: float
     mean_bitrate_kbps: float
-
-
-class SessionTally:
-    """Online reduction of one session's event records to a SessionReport.
-
-    Its feeder appends each displayed level to `levels` and passes every
-    record that is not per-chunk to `record`, which keeps the header and the
-    playback, stall, end and truncation times.  It checks nothing: a
-    JsonlWriter feeds it what the engine builds, and `session_metrics` a
-    stored log once it opens with a header, its records fit their EVENTS
-    rows, each resume closes a stall, and each level is an int in 1..R on
-    one of the manifest's chunks, so `report` prices them by direct indexing.
-    """
-
-    def __init__(self) -> None:
-        self.header: dict | None = None
-        self.levels: list[int] = []
-        self.startup = self.end_time = self.truncated_at = self.stall_open = None  # times in s
-        self.diagnostic = ""
-        self.stall_total, self.stall_count = 0.0, 0
-
-    def record(self, rec: dict) -> None:
-        kind = rec["event"]
-        if kind == "session_start" and self.header is None:
-            self.header = rec
-        elif kind == "playback_start":
-            self.startup = rec["time_s"]
-        elif kind == "playback_stall":
-            self.stall_open = rec["time_s"]
-        elif kind == "playback_resume":
-            self.stall_total += rec["time_s"] - self.stall_open
-            self.stall_count += 1
-            self.stall_open = None
-        elif kind == "session_end":
-            self.end_time = rec["time_s"]
-        elif kind == "session_truncated":
-            self.truncated_at = rec["time_s"]
-            self.diagnostic = rec["diagnostic"]
-
-    def report(self, manifest: VideoManifest) -> SessionReport:
-        header = self.header
-        stall_total, stall_count = self.stall_total, self.stall_count
-        if self.stall_open is not None:
-            # Session cut off mid-stall; count the open interval up to the cut.
-            cut = self.truncated_at if self.truncated_at is not None else self.stall_open
-            stall_total += cut - self.stall_open
-            stall_count += 1
-        levels = self.levels
-        partial = (self.truncated_at is not None or self.end_time is None
-                   or len(levels) < header["chunk_count"])
-        ssim, levels_kbps = manifest.ssim, manifest.ladder.levels_kbps
-        ssims = [ssim[i][lvl - 1] for i, lvl in enumerate(levels)]
-        rates = [levels_kbps[lvl - 1] for lvl in levels]
-        return SessionReport(
-            policy=header["policy"],
-            buffer_capacity_s=header["buffer_capacity_s"],
-            critical_threshold_s=header["critical_threshold_s"],
-            loop_trace=header["loop_trace"],
-            trace_label="",
-            startup_delay_s=self.startup,
-            rebuffering_total_s=stall_total,
-            rebuffer_count=stall_count,
-            instability=float(sum(1 for a, b in zip(levels, levels[1:]) if a != b)),
-            mean_ssim=mean(ssims),
-            mean_bitrate_kbps=mean(rates),
-            displayed=tuple(levels),
-            wall_clock_s=self.end_time if self.end_time is not None else self.truncated_at,
-            partial=partial,
-            diagnostic=self.diagnostic,
-        )
 
 
 def aggregate(reports) -> AggregateReport:

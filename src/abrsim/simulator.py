@@ -25,7 +25,9 @@ of all nine record kinds.  Both sinks' per-chunk methods are compiled from it,
 and `check_record` checks a stored record against it in `json_value`'s one
 wording (`record 7 (playback_stall): time_s must be a finite number, got 'x'`,
 `record 1 (session_start) lacks policy`) wherever a stored log is read:
-`session_metrics`, `SessionConfig.from_header` and the replay.  `replay_diff`
+`session_metrics`, `SessionConfig.from_header` and the replay.  A SessionTally
+reduces the records to a report; `session_metrics` feeds one a stored log in
+one walk that checks each record as the tally reads it.  `replay_diff`
 re-runs the engine once to verify that every value a log records -
 decisions, estimates, buffer levels, event times - is reproduced exactly.
 A third sink feeds the run each logged completion time when it reaches that
@@ -42,8 +44,9 @@ from dataclasses import MISSING, dataclass, field, fields
 from operator import itemgetter
 
 from .abr import Observation, decide, make_policy
+from .estimators import mean
 from .manifest import VideoManifest, json_value, parse_json, read_text, write_text_atomically
-from .metrics import SessionReport, SessionTally
+from .metrics import SessionReport
 from .trace import BandwidthTrace, TraceExhaustedError, download_finish_time
 
 # The scanner of a whole log decoded in one call: its key memo lasts one call,
@@ -118,6 +121,77 @@ def check_record(rec: dict, n: int) -> None:
         raise ValueError(f"record {n} ({kind}) lacks {name}") from None
     except ValueError as exc:
         raise ValueError(f"record {n} ({kind}): {exc}") from None
+
+
+_TALLIED = EVENTS.keys() - SINK_METHODS.values()  # the kinds `SessionTally.record` reads: all but the per-chunk ones
+
+
+class SessionTally:
+    """Online reduction of one session's event records to a SessionReport.
+
+    Its feeder appends each displayed level to `levels` and passes every
+    record of a _TALLIED kind to `record`, which keeps the header and the
+    playback, stall, end and truncation times.  It checks nothing, and
+    `report` prices the levels by direct indexing: a JsonlWriter feeds it
+    what the engine builds, and `session_metrics` what it has checked.
+    """
+
+    def __init__(self) -> None:
+        self.header: dict | None = None
+        self.levels: list[int] = []
+        self.startup = self.end_time = self.truncated_at = self.stall_open = None  # times in s
+        self.diagnostic = ""
+        self.stall_total, self.stall_count = 0.0, 0
+
+    def record(self, rec: dict) -> None:
+        kind = rec["event"]
+        if kind == "session_start" and self.header is None:
+            self.header = rec
+        elif kind == "playback_start":
+            self.startup = rec["time_s"]
+        elif kind == "playback_stall":
+            self.stall_open = rec["time_s"]
+        elif kind == "playback_resume":
+            self.stall_total += rec["time_s"] - self.stall_open
+            self.stall_count += 1
+            self.stall_open = None
+        elif kind == "session_end":
+            self.end_time = rec["time_s"]
+        elif kind == "session_truncated":
+            self.truncated_at = rec["time_s"]
+            self.diagnostic = rec["diagnostic"]
+
+    def report(self, manifest: VideoManifest) -> SessionReport:
+        header = self.header
+        stall_total, stall_count = self.stall_total, self.stall_count
+        if self.stall_open is not None:
+            # Session cut off mid-stall; count the open interval up to the cut.
+            cut = self.truncated_at if self.truncated_at is not None else self.stall_open
+            stall_total += cut - self.stall_open
+            stall_count += 1
+        levels = self.levels
+        partial = (self.truncated_at is not None or self.end_time is None
+                   or len(levels) < header["chunk_count"])
+        ssim, levels_kbps = manifest.ssim, manifest.ladder.levels_kbps
+        ssims = [ssim[i][lvl - 1] for i, lvl in enumerate(levels)]
+        rates = [levels_kbps[lvl - 1] for lvl in levels]
+        return SessionReport(
+            policy=header["policy"],
+            buffer_capacity_s=header["buffer_capacity_s"],
+            critical_threshold_s=header["critical_threshold_s"],
+            loop_trace=header["loop_trace"],
+            trace_label="",
+            startup_delay_s=self.startup,
+            rebuffering_total_s=stall_total,
+            rebuffer_count=stall_count,
+            instability=float(sum(1 for a, b in zip(levels, levels[1:]) if a != b)),
+            mean_ssim=mean(ssims),
+            mean_bitrate_kbps=mean(rates),
+            displayed=tuple(levels),
+            wall_clock_s=self.end_time if self.end_time is not None else self.truncated_at,
+            partial=partial,
+            diagnostic=self.diagnostic,
+        )
 
 
 def _chunk_event_methods(body: str, tails: dict) -> list:
@@ -199,7 +273,7 @@ def {method}(self, {args}):
         # Line by line, which words every error.
         records = []
         for lineno, line in enumerate(text.split("\n"), start=1):
-            if not line.strip():
+            if not line.strip(" \t\r"):  # JSON's whitespace only: `strip()` would drop "\x0c" too
                 continue
             rec = parse_json(line, f"line {lineno}")
             if not isinstance(rec, dict) or not isinstance(rec.get("event"), str):
@@ -266,44 +340,37 @@ def run_session(
     return sink, session_metrics(sink, manifest)
 
 
-_CHECKED_IN_FULL = EVENTS.keys() - SINK_METHODS.values()  # every kind but the per-chunk ones
-
-
 def session_metrics(log, manifest: VideoManifest) -> SessionReport:
-    """Reduce one stored event log to a SessionReport through a SessionTally.
+    """Reduce one stored event log to a SessionReport in one walk through a SessionTally.
 
-    Each record of a kind in _CHECKED_IN_FULL goes through `check_record`, and
-    a resume must close a stall, before the tally reads it; a kind outside
-    EVENTS is refused.  Of a per-chunk record the tally reads only a display's
-    level: the levels are checked in bulk (ints in 1..R, no more displays than
-    chunks), and only to name the first that fails do the displays go through
-    `check_record` and a range test.  Every fault is a ValueError that names
-    its record.
+    Each record is checked as the tally reads it, so a ValueError names the
+    first that fails.  A display is appended while its level is an int in
+    1..R on one of the manifest's chunks; any other goes through
+    `check_record` and a range test.  A record of a _TALLIED kind goes
+    through `check_record`, and a resume must close a stall; a kind outside
+    EVENTS is refused.  Of a per-chunk record only a display's level is read.
     """
     log.header  # raises unless the log opens with session_start
-    records = log.records
     tally = SessionTally()
     levels, record = tally.levels, tally.record
-    for n, rec in enumerate(records, start=1):
+    level_count, chunk_count = manifest.ladder.count, manifest.chunk_count
+    for n, rec in enumerate(log.records, start=1):
         kind = rec["event"]
         if kind == "chunk_display_start":
-            levels.append(rec.get("level"))  # None where it lacks one
-        elif kind in _CHECKED_IN_FULL:
+            level = rec.get("level")
+            if not (type(level) is int and 0 < level <= level_count and len(levels) < chunk_count):
+                check_record(rec, n)
+                for name, index, top in (("chunk", len(levels) + 1, chunk_count), ("level", level, level_count)):
+                    if not 1 <= index <= top:  # the chunk is named before the level
+                        raise ValueError(f"record {n} (chunk_display_start): {name} {index} outside 1..{top}")
+            levels.append(level)
+        elif kind in _TALLIED:
             check_record(rec, n)
             if kind == "playback_resume" and tally.stall_open is None:
                 raise ValueError(f"record {n} (playback_resume): no playback_stall is open")
             record(rec)
         elif kind not in EVENTS:
             raise ValueError(f"record {n} ({kind}): no such event kind")
-    level_count = manifest.ladder.count
-    if not ({*map(type, levels)} <= {int} and {*levels} <= {*range(1, level_count + 1)}
-            and len(levels) <= manifest.chunk_count):
-        displays = [(n, rec) for n, rec in enumerate(records, start=1) if rec["event"] == "chunk_display_start"]
-        for chunk, (n, rec) in enumerate(displays, start=1):
-            check_record(rec, n)
-            for name, index, top in (("chunk", chunk, manifest.chunk_count), ("level", rec["level"], level_count)):
-                if not 1 <= index <= top:  # the chunk is named before the level
-                    raise ValueError(f"record {n} (chunk_display_start): {name} {index} outside 1..{top}")
     return tally.report(manifest)
 
 

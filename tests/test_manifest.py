@@ -49,7 +49,7 @@ def test_ladder_rejects_nonpositive_rates():
 
 def test_highest_level_below_is_strict():
     ladder = make_ladder()
-    assert ladder.highest_level_below(235.0) is None
+    assert ladder.highest_level_below(235.0) == 1
     assert ladder.highest_level_below(236.0) == 1
     assert ladder.highest_level_below(2500.0) == 7
     assert ladder.highest_level_below(5800.0) == 9
@@ -58,14 +58,14 @@ def test_highest_level_below_is_strict():
 
 def test_highest_level_at_or_below_is_inclusive():
     ladder = make_ladder()
-    assert ladder.highest_level_at_or_below(234.0) is None
+    assert ladder.highest_level_at_or_below(234.0) == 1
     assert ladder.highest_level_at_or_below(235.0) == 1
     assert ladder.highest_level_at_or_below(3000.0) == 8
 
 
 def test_level_lookups_match_a_linear_scan():
     def scan(rates, accept):
-        best = None
+        best = 1  # the floor level, where no rung is accepted
         for level, rate in enumerate(rates, start=1):
             if accept(rate):
                 best = level
@@ -82,7 +82,7 @@ def test_level_lookups_match_a_linear_scan():
         for x in probes:
             assert ladder.highest_level_below(x) == scan(rates, lambda r: r < x)
             assert ladder.highest_level_at_or_below(x) == scan(rates, lambda r: r <= x)
-    assert make_ladder().highest_level_at_or_below(math.nan) is None
+    assert make_ladder().highest_level_at_or_below(math.nan) == 1
 
 
 def test_nominal_chunk_volume():

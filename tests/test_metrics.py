@@ -247,6 +247,43 @@ def test_a_record_of_no_event_kind_is_named():
         session_metrics(log, manifest3(2))
 
 
+DISPLAY = {"event": "chunk_display_start", "time_s": 5.0}
+
+
+@pytest.mark.parametrize("levels, display, other, display_first_text, other_first_text", [
+    ([1], {**DISPLAY, "chunk": 2, "level": 0}, {"event": "session_end", "time_s": "x"},
+     "record 4 (chunk_display_start): level 0 outside 1..3",
+     "record 4 (session_end): time_s must be a finite number, got 'x'"),
+    ([1, 2], {**DISPLAY, "chunk": 3, "level": 1}, {"event": "playback_resume", "time_s": 6.0},
+     "record 5 (chunk_display_start): chunk 3 outside 1..2",
+     "record 5 (playback_resume): no playback_stall is open"),
+    ([1], {**DISPLAY, "chunk": 2}, {"event": "bogus"},
+     "record 4 (chunk_display_start) lacks level",
+     "record 4 (bogus): no such event kind"),
+], ids=["level-0-and-string-end", "display-past-the-chunks-and-unmatched-resume", "display-without-level-and-bogus"])
+@pytest.mark.parametrize("display_first", [True, False], ids=["display-first", "display-second"])
+def test_of_two_faulty_records_the_first_is_named(levels, display, other, display_first_text, other_first_text,
+                                                  display_first):
+    # The log is checked in the one walk the tally reads it in, so a bad
+    # display is named before a later bad record of any other kind.
+    log = log_of(levels)
+    log.records += [display, other] if display_first else [other, display]
+    with pytest.raises(ValueError) as raised:
+        session_metrics(log, manifest3(2))
+    assert str(raised.value) == (display_first_text if display_first else other_first_text)
+
+
+def test_of_a_display_only_the_level_is_read():
+    log = log_of([1, 2], end_s=9.0)
+    log.records[2]["time_s"] = "x"
+    assert session_metrics(log, manifest3(2)).displayed == (1, 2)
+    # A later display that fails does not bring the first one's time into the check.
+    log.records[3]["level"] = 0
+    with pytest.raises(ValueError) as raised:
+        session_metrics(log, manifest3(2))
+    assert str(raised.value) == "record 4 (chunk_display_start): level 0 outside 1..3"
+
+
 def test_a_report_needs_the_session_start_record():
     log = log_of([1], end_s=5.0)
     del log.records[0]

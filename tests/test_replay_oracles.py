@@ -60,7 +60,7 @@ def reference_diff_records(original, regenerated):
 def reference_from_jsonl(text):
     records = []
     for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
+        if not line.strip(" \t\r"):  # a blank line holds only JSON's whitespace
             continue
         try:
             rec = json.loads(line)

@@ -412,6 +412,14 @@ def test_from_jsonl_rejects_broken_text():
         SessionEventLog.from_jsonl('{"time_s": 1.0}\n')
 
 
+@pytest.mark.parametrize("line", ["\x0c", "\x85", "\u2028", "\x0c \t"])
+def test_a_line_of_whitespace_json_does_not_allow_is_refused(line):
+    # `str.strip()` empties these lines, so they were skipped as blank.
+    with pytest.raises(ValueError) as raised:
+        SessionEventLog.from_jsonl('{"event": "a"}\n' + line + "\n")
+    assert str(raised.value) == "line 2: not valid JSON: Expecting value: line 1 column 1 (char 0)"
+
+
 def test_header_requires_session_start():
     log = SessionEventLog([{"event": "fetch_issued"}])
     with pytest.raises(ValueError, match="session_start"):
