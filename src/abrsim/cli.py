@@ -18,7 +18,7 @@ import sys
 from .abr import POLICIES
 from .batch import load_runspec, manifest_from_recipe, run_batch
 from .manifest import json_value, load_manifest, parse_json, save_manifest, write_text_atomically
-from .simulator import JsonlWriter, SessionConfig, SessionEventLog, replay_diff, run_session
+from .simulator import JsonlWriter, SessionConfig, SessionEventLog, open_log, replay_diff, run_session
 from .trace import load_trace
 
 
@@ -145,7 +145,7 @@ def cmd_validate(args) -> int:
 def cmd_replay(args) -> int:
     log = SessionEventLog.read(args.log)
     manifest = load_manifest(args.manifest)
-    diffs = replay_diff(log, manifest, SessionConfig.from_header(log.header))
+    diffs = replay_diff(log, manifest, open_log(log, manifest))
     if not diffs:
         print(f"{args.log}: verified")
         return 0

@@ -24,15 +24,15 @@ each line and tallies the report in the same call.  EVENTS is the one schema
 of all nine record kinds.  Both sinks' per-chunk methods are compiled from it,
 and `check_record` checks a stored record against it in `json_value`'s one
 wording (`record 7 (playback_stall): time_s must be a finite number, got 'x'`,
-`record 1 (session_start) lacks policy`) wherever a stored log is read:
-`session_metrics`, `SessionConfig.from_header` and the replay.  A SessionTally
-reduces the records to a report; `session_metrics` feeds one a stored log in
-one walk that checks each record as the tally reads it.  `replay_diff`
-re-runs the engine once to verify that every value a log records -
-decisions, estimates, buffer levels, event times - is reproduced exactly.
-A third sink feeds the run each logged completion time when it reaches that
-chunk, with no separate walk of the log, compares each event with the logged
-record as the engine emits it and keeps all from the first mismatch.
+`record 1 (session_start) lacks policy`) wherever a stored log is read; a log
+opens only through `open_log`, which also holds its header to the manifest's
+grid.  A SessionTally reduces the records to a report; `session_metrics` feeds
+one a stored log in one walk that checks each record as the tally reads it.
+`replay_diff` re-runs the engine once to verify that every value a log
+records (decisions, estimates, buffer levels, event times) is reproduced
+exactly.  A third sink feeds it each logged completion time as it reaches
+that chunk, with no separate walk of the log, compares each event with the
+logged record as the engine emits it and keeps all from the first mismatch.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import json
 import math
 import re
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import islice
 from operator import itemgetter
 
 from .abr import Observation, decide, make_policy
@@ -81,12 +82,6 @@ class SessionConfig:
         if self.resume_threshold_s < 0:
             raise ValueError(f"resume threshold must be >= 0, got {self.resume_threshold_s}")
 
-    @classmethod
-    def from_header(cls, header: dict) -> "SessionConfig":
-        """The config a log's `session_start` record (written by `_drive`, checked against its row) holds."""
-        check_record(header, 1)
-        return cls(**{f.name: header[f.name] for f in fields(cls)})
-
 
 # The one schema of the event records: each kind's fields after "event", in order, each with an
 # example of its JSON type (`json_value`'s `like`).  `check_record` checks a stored record against
@@ -123,21 +118,31 @@ def check_record(rec: dict, n: int) -> None:
         raise ValueError(f"record {n} ({kind}): {exc}") from None
 
 
-_TALLIED = EVENTS.keys() - SINK_METHODS.values()  # the kinds `SessionTally.record` reads: all but the per-chunk ones
+def open_log(log: SessionEventLog, manifest: VideoManifest) -> SessionConfig:
+    """The config a stored log's header holds, once it fits its EVENTS row and the manifest's grid."""
+    header = log.header
+    check_record(header, 1)
+    for name, value in (("chunk_count", manifest.chunk_count), ("chunk_duration_s", manifest.chunk_duration_s),
+                        ("ladder_kbps", list(manifest.ladder.levels_kbps))):
+        if not _same(header[name], value):
+            raise ValueError(f"record 1 (session_start): {name} {header[name]!r} is not the manifest's {value!r}")
+    return SessionConfig(**{f.name: header[f.name] for f in fields(SessionConfig)})
+
+
+_TALLIED = EVENTS.keys() - SINK_METHODS.values() - {"session_start"}  # the kinds `SessionTally.record` reads
 
 
 class SessionTally:
     """Online reduction of one session's event records to a SessionReport.
 
     Its feeder appends each displayed level to `levels` and passes every
-    record of a _TALLIED kind to `record`, which keeps the header and the
-    playback, stall, end and truncation times.  It checks nothing, and
-    `report` prices the levels by direct indexing: a JsonlWriter feeds it
-    what the engine builds, and `session_metrics` what it has checked.
+    record of a _TALLIED kind to `record`, which keeps the playback, stall,
+    end and truncation times.  It checks nothing; `report` takes the config
+    and prices the levels by direct indexing: a JsonlWriter feeds it what
+    the engine builds, and `session_metrics` what it has checked.
     """
 
     def __init__(self) -> None:
-        self.header: dict | None = None
         self.levels: list[int] = []
         self.startup = self.end_time = self.truncated_at = self.stall_open = None  # times in s
         self.diagnostic = ""
@@ -145,9 +150,7 @@ class SessionTally:
 
     def record(self, rec: dict) -> None:
         kind = rec["event"]
-        if kind == "session_start" and self.header is None:
-            self.header = rec
-        elif kind == "playback_start":
+        if kind == "playback_start":
             self.startup = rec["time_s"]
         elif kind == "playback_stall":
             self.stall_open = rec["time_s"]
@@ -161,8 +164,7 @@ class SessionTally:
             self.truncated_at = rec["time_s"]
             self.diagnostic = rec["diagnostic"]
 
-    def report(self, manifest: VideoManifest) -> SessionReport:
-        header = self.header
+    def report(self, config: SessionConfig, manifest: VideoManifest) -> SessionReport:
         stall_total, stall_count = self.stall_total, self.stall_count
         if self.stall_open is not None:
             # Session cut off mid-stall; count the open interval up to the cut.
@@ -170,16 +172,14 @@ class SessionTally:
             stall_total += cut - self.stall_open
             stall_count += 1
         levels = self.levels
-        partial = (self.truncated_at is not None or self.end_time is None
-                   or len(levels) < header["chunk_count"])
         ssim, levels_kbps = manifest.ssim, manifest.ladder.levels_kbps
         ssims = [ssim[i][lvl - 1] for i, lvl in enumerate(levels)]
         rates = [levels_kbps[lvl - 1] for lvl in levels]
         return SessionReport(
-            policy=header["policy"],
-            buffer_capacity_s=header["buffer_capacity_s"],
-            critical_threshold_s=header["critical_threshold_s"],
-            loop_trace=header["loop_trace"],
+            policy=config.policy,
+            buffer_capacity_s=config.buffer_capacity_s,
+            critical_threshold_s=config.critical_threshold_s,
+            loop_trace=config.loop_trace,
             trace_label="",
             startup_delay_s=self.startup,
             rebuffering_total_s=stall_total,
@@ -189,7 +189,7 @@ class SessionTally:
             mean_bitrate_kbps=mean(rates),
             displayed=tuple(levels),
             wall_clock_s=self.end_time if self.end_time is not None else self.truncated_at,
-            partial=partial,
+            partial=self.truncated_at is not None or self.end_time is None or len(levels) < manifest.chunk_count,
             diagnostic=self.diagnostic,
         )
 
@@ -336,25 +336,26 @@ def run_session(
     loop = config.loop_trace  # a closure: a keyword partial would copy its keywords on every call
     _drive(manifest, config, lambda t, kilobits: download_finish_time(trace, t, kilobits, loop), sink)
     if isinstance(sink, SessionTally):
-        return sink, sink.report(manifest)
+        return sink, sink.report(config, manifest)
     return sink, session_metrics(sink, manifest)
 
 
 def session_metrics(log, manifest: VideoManifest) -> SessionReport:
     """Reduce one stored event log to a SessionReport in one walk through a SessionTally.
 
-    Each record is checked as the tally reads it, so a ValueError names the
-    first that fails.  A display is appended while its level is an int in
-    1..R on one of the manifest's chunks; any other goes through
-    `check_record` and a range test.  A record of a _TALLIED kind goes
-    through `check_record`, and a resume must close a stall; a kind outside
-    EVENTS is refused.  Of a per-chunk record only a display's level is read.
+    `open_log` checks the header; each later record is checked as the tally
+    reads it, so a ValueError names the first that fails.  A display is
+    appended while its level is an int in 1..R on one of the manifest's
+    chunks; any other goes through `check_record` and a range test.  A record
+    of a _TALLIED kind goes through `check_record`, and a resume must close a
+    stall; a second header and a kind outside EVENTS are refused.  Of a
+    per-chunk record only a display's level is read.
     """
-    log.header  # raises unless the log opens with session_start
+    config = open_log(log, manifest)
     tally = SessionTally()
     levels, record = tally.levels, tally.record
     level_count, chunk_count = manifest.ladder.count, manifest.chunk_count
-    for n, rec in enumerate(log.records, start=1):
+    for n, rec in enumerate(islice(log.records, 1, None), start=2):
         kind = rec["event"]
         if kind == "chunk_display_start":
             level = rec.get("level")
@@ -369,9 +370,11 @@ def session_metrics(log, manifest: VideoManifest) -> SessionReport:
             if kind == "playback_resume" and tally.stall_open is None:
                 raise ValueError(f"record {n} (playback_resume): no playback_stall is open")
             record(rec)
+        elif kind == "session_start":
+            raise ValueError(f"record {n} (session_start): only record 1 opens a session")
         elif kind not in EVENTS:
             raise ValueError(f"record {n} ({kind}): no such event kind")
-    return tally.report(manifest)
+    return tally.report(config, manifest)
 
 
 def check_capacity(capacity_s: float, chunk_duration_s: float) -> None:
@@ -575,7 +578,6 @@ def replay_diff(log: SessionEventLog, manifest: VideoManifest, config: SessionCo
     every regenerated record (decisions, estimates, buffer levels, event
     times) must equal the logged one exactly.
     """
-    log.header  # raises a ValueError on structurally broken logs
     sink = _ReplaySink(log.records)
     try:
         _drive(manifest, config, sink.finish, sink)

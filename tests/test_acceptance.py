@@ -31,7 +31,7 @@ from abrsim import (
     session_metrics,
 )
 from abrsim.abr import Observation, Sba
-from abrsim.simulator import SessionEventLog
+from abrsim.simulator import SessionEventLog, open_log
 from abrsim.trace import BandwidthTrace, download_finish_time
 from helpers import (
     RunningMean,
@@ -365,7 +365,7 @@ def test_time_conservation_and_batch_determinism(tmp_path, bundled_batch):
         failures.append(f"expected 192 session logs, found {len(log_paths)}")
     for path in log_paths:
         log = SessionEventLog.read(path)
-        if replay_diff(log, manifest, SessionConfig.from_header(log.header)):
+        if replay_diff(log, manifest, open_log(log, manifest)):
             failures.append(f"{os.path.basename(path)}: does not replay")
         report = session_metrics(log, manifest)
         if report.partial:
@@ -489,7 +489,7 @@ def test_replay_verifies_and_detects_tampering():
     entries = replay_pool()
     failures = []
     for idx, (log, manifest) in enumerate(entries):
-        if replay_diff(log, manifest, SessionConfig.from_header(log.header)):
+        if replay_diff(log, manifest, open_log(log, manifest)):
             failures.append(f"log {idx}: clean log failed verification")
 
     # The header is the replay contract (it configures the re-run) and the
@@ -520,7 +520,7 @@ def test_replay_verifies_and_detects_tampering():
         else:
             rec[key] = str(value) + "_tampered"
         trials += 1
-        if not replay_diff(tampered, manifest, SessionConfig.from_header(log.header)):
+        if not replay_diff(tampered, manifest, open_log(log, manifest)):
             undetected.append(f"trial {trials}: {rec.get('event')}.{key} = {rec[key]!r}")
     failures.extend(undetected)
     conclude(

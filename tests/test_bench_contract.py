@@ -2,7 +2,8 @@
 
 `perfbench/run.py` imports this checkout afresh, builds the long-session
 inputs, rebuilds a session config from a log header and wraps its
-`TRACE_TARGETS` to split time by layer.  A target the code no longer has is
+`TRACE_TARGETS` to split time by layer.  Its frozen header reader must give
+the config the library's `open_log` gives, so the two cannot drift.  A target the code no longer has is
 skipped silently and its layer reads 0, so this test pins the set of
 unresolved targets: a rename that drops another layer fails here.  It runs
 the benchmark's own functions in a subprocess, as the benchmark does, and
@@ -44,6 +45,7 @@ print(json.dumps({
     "displayed": len(report.displayed),
     "partial": report.partial,
     "header_config_matches": run.config_from_header(simulator, log.header) == config,
+    "open_log_matches": simulator.open_log(log, manifest) == run.config_from_header(simulator, log.header),
     "spans": sorted({span[0] for span in tracer.spans}),
     "missing": missing,
 }))
@@ -58,6 +60,7 @@ def test_benchmark_imports_the_checkout_and_resolves_its_trace_targets():
     seen = json.loads(done.stdout)
     assert (seen["chunks"], seen["displayed"], seen["partial"]) == (150, 150, False)
     assert seen["header_config_matches"]
+    assert seen["open_log_matches"]
     assert {"simulator.run_session", "abr.decide", "trace.finish_time",
             "metrics.session_metrics"} <= set(seen["spans"])
     assert set(seen["missing"]) == KNOWN_UNRESOLVED

@@ -9,7 +9,7 @@ import pytest
 from abrsim import POLICIES, SessionConfig, batch, load_manifest, load_runspec, load_trace, run_session
 from abrsim.batch import validate_runspec
 from abrsim.cli import build_parser, main
-from abrsim.manifest import save_manifest
+from abrsim.manifest import NETFLIX_LADDER_KBPS, save_manifest
 from abrsim.simulator import SessionEventLog
 from abrsim.trace import BandwidthTrace, save_trace
 from helpers import constant_trace, make_manifest
@@ -537,8 +537,19 @@ def stored_log(tmp_path_factory):
                  "record 1 (session_start): chunk_count must be an integer, got True", id="true-chunk-count"),
     pytest.param('"chunk_count": 8,', '"chunk_count": 150.5,', 2,
                  "record 1 (session_start): chunk_count must be an integer, got 150.5", id="fractional-chunk-count"),
-    pytest.param('"chunk_count": 8,', f'"chunk_count": {10**400},', 1,
-                 f"record 1 (session_start): chunk_count logged {10**400}, replay 8", id="huge-int-in-header"),
+    pytest.param('"chunk_count": 8,', f'"chunk_count": {10**400},', 2,
+                 f"record 1 (session_start): chunk_count {10**400} is not the manifest's 8", id="huge-int-in-header"),
+    # A header whose grid is not the manifest's: the log was written against another manifest.
+    pytest.param('"chunk_count": 8,', '"chunk_count": 5,', 2,
+                 "record 1 (session_start): chunk_count 5 is not the manifest's 8", id="another-chunk-count"),
+    pytest.param('"chunk_duration_s": 4.0,', '"chunk_duration_s": 2.0,', 2,
+                 "record 1 (session_start): chunk_duration_s 2.0 is not the manifest's 4.0",
+                 id="another-chunk-duration"),
+    pytest.param('"chunk_duration_s": 4.0,', '"chunk_duration_s": 4,', 2,
+                 "record 1 (session_start): chunk_duration_s 4 is not the manifest's 4.0", id="int-chunk-duration"),
+    pytest.param('"ladder_kbps": [235.0', '"ladder_kbps": [100.0', 2,
+                 f"record 1 (session_start): ladder_kbps {[100.0, *NETFLIX_LADDER_KBPS[1:]]} "
+                 f"is not the manifest's {list(NETFLIX_LADDER_KBPS)}", id="another-ladder"),
     pytest.param('"ladder_kbps": [235.0', '"ladder_kbps": ["x"', 2,
                  "record 1 (session_start): ladder_kbps[1] must be a finite number, got 'x'", id="string-rung"),
     pytest.param('"chunk": 3, "throughput_kbps"', '"throughput_kbps"', 1,

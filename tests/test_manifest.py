@@ -18,7 +18,7 @@ from abrsim.manifest import (
 )
 from abrsim.abr import make_policy
 from abrsim.batch import RunSpec, manifest_from_recipe
-from abrsim.simulator import SessionConfig, run_session
+from abrsim.simulator import SessionConfig, SessionEventLog, open_log, run_session
 from abrsim.trace import BandwidthTrace
 from helpers import chunk_volume, constant_trace, make_ladder, make_manifest, monotone_rows, reference_ssim_rows
 
@@ -150,9 +150,10 @@ def test_the_types_reject_what_is_no_json_number(build, message):
     assert type(exc.value) is ValueError
 
 
-def config_from_header_with(field, value):
-    header = run_session(make_manifest(chunks=2), constant_trace(1000.0), SessionConfig())[0].header
-    return SessionConfig.from_header({**header, field: value})
+def open_log_with(field, value):
+    manifest = make_manifest(chunks=2)
+    header = run_session(manifest, constant_trace(1000.0), SessionConfig())[0].header
+    return open_log(SessionEventLog([{**header, field: value}]), manifest)
 
 
 # Each boundary a loaded or built value crosses: (the call that takes the value, what the message
@@ -177,12 +178,12 @@ JSON_BOUNDARIES = {
     "config-float": (lambda v: SessionConfig(buffer_capacity_s=v), "buffer_capacity_s", 0.0),
     "config-bool": (lambda v: SessionConfig(loop_trace=v), "loop_trace", False),
     "config-dict": (lambda v: SessionConfig(policy_params=v), "policy_params", {}),
-    "header-float": (lambda v: config_from_header_with("buffer_capacity_s", v),
+    "header-float": (lambda v: open_log_with("buffer_capacity_s", v),
                      "record 1 (session_start): buffer_capacity_s", 0.0),
-    "header-int": (lambda v: config_from_header_with("chunk_count", v), "record 1 (session_start): chunk_count", 0),
-    "header-string": (lambda v: config_from_header_with("policy", v), "record 1 (session_start): policy", ""),
-    "header-array": (lambda v: config_from_header_with("ladder_kbps", v), "record 1 (session_start): ladder_kbps", []),
-    "header-array-item": (lambda v: config_from_header_with("ladder_kbps", [v, 375.0]),
+    "header-int": (lambda v: open_log_with("chunk_count", v), "record 1 (session_start): chunk_count", 0),
+    "header-string": (lambda v: open_log_with("policy", v), "record 1 (session_start): policy", ""),
+    "header-array": (lambda v: open_log_with("ladder_kbps", v), "record 1 (session_start): ladder_kbps", []),
+    "header-array-item": (lambda v: open_log_with("ladder_kbps", [v, 375.0]),
                           "record 1 (session_start): ladder_kbps[1]", 0.0),
     "spec-trace-item": (lambda v: RunSpec([v], ["sba"], [[120, 12]], "out", "m.json"), "traces[1]", ""),
     "spec-policy-item": (lambda v: RunSpec(["*.csv"], [v], [[120, 12]], "out", "m.json"), "policies[1]", ""),

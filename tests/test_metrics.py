@@ -130,10 +130,12 @@ def test_a_time_that_is_no_number_is_named(event, value, n):
     assert str(raised.value) == f"record {n} ({event}): time_s must be a finite number, got {value!r}"
 
 
-def test_a_second_session_start_keeps_the_first_header():
+def test_a_second_session_start_is_refused():
+    # It was skipped, so the report kept the first header where replay calls the log a mismatch.
     log = log_of([1, 2], end_s=9.0)
-    log.records.insert(2, {**log.records[0], "policy": "bba"})
-    assert session_metrics(log, manifest3(2)).policy == "sba"
+    log.records.insert(2, {**log.records[0], "policy": "bba", "buffer_capacity_s": 999.0})
+    with pytest.raises(ValueError, match=r"^record 3 \(session_start\): only record 1 opens a session$"):
+        session_metrics(log, manifest3(2))
 
 
 def test_short_display_run_is_partial():
@@ -175,7 +177,7 @@ def test_stored_log_levels_stay_checked():
 def test_a_level_list_failing_the_range_check_raises_the_checked_lookup_error(levels, text):
     # These raised the manifest's IndexError, which names no record and is no ValueError.
     with pytest.raises(ValueError) as raised:
-        session_metrics(log_of(levels, end_s=9.0), manifest3(2))
+        session_metrics(log_of(levels, chunk_count=2, end_s=9.0), manifest3(2))
     assert str(raised.value) == text
 
 
@@ -232,6 +234,24 @@ def test_a_header_field_of_another_json_type_is_named(field, value, text):
     assert str(raised.value) == f"record 1 (session_start): {text}"
 
 
+@pytest.mark.parametrize("edit, grid, text", [
+    ({}, {"chunks": 5, "rates": (100.0, 200.0, 300.0)}, "chunk_count 3 is not the manifest's 5"),
+    ({}, {"duration": 2.0}, "chunk_duration_s 4.0 is not the manifest's 2.0"),
+    ({"chunk_duration_s": 4}, {}, "chunk_duration_s 4 is not the manifest's 4.0"),
+    ({}, {"rates": (100.0, 200.0, 300.0)},
+     "ladder_kbps [235.0, 375.0, 560.0] is not the manifest's [100.0, 200.0, 300.0]"),
+], ids=["chunk-count", "chunk-duration", "int-chunk-duration", "ladder"])
+def test_a_log_of_another_manifest_is_refused_at_its_header(edit, grid, text):
+    # The levels were priced by any manifest given: this 3-chunk log on (235, 375, 560), reduced against
+    # 5 chunks on (100, 200, 300), reported 100 kbps where the run gave 235, and no partial session.
+    log = log_of([1, 1, 1], end_s=13.0)
+    log.header.update(edit)
+    grid = {"chunks": 3, "rates": LADDER3, **grid}
+    with pytest.raises(ValueError) as raised:
+        session_metrics(log, make_manifest(**grid, ssim=monotone_rows(grid["chunks"], 3)))
+    assert str(raised.value) == f"record 1 (session_start): {text}"
+
+
 def test_a_truncation_record_is_checked_against_its_row():
     log = log_of([1], chunk_count=2, truncated_s=6.0)
     del log.records[-1]["diagnostic"]
@@ -266,7 +286,7 @@ def test_of_two_faulty_records_the_first_is_named(levels, display, other, displa
                                                   display_first):
     # The log is checked in the one walk the tally reads it in, so a bad
     # display is named before a later bad record of any other kind.
-    log = log_of(levels)
+    log = log_of(levels, chunk_count=2)
     log.records += [display, other] if display_first else [other, display]
     with pytest.raises(ValueError) as raised:
         session_metrics(log, manifest3(2))

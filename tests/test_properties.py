@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from abrsim import simulator
 from abrsim.abr import POLICIES, decide
 from abrsim.manifest import BitrateLadder, VideoManifest
-from abrsim.simulator import JsonlWriter, SessionConfig, SessionEventLog, replay_diff, run_session
+from abrsim.simulator import JsonlWriter, SessionConfig, SessionEventLog, open_log, replay_diff, run_session
 from abrsim.trace import BandwidthTrace, TraceExhaustedError, download_finish_time
 from helpers import constant_trace, events, make_manifest, reference_finish_time
 
@@ -115,7 +115,7 @@ def test_every_valid_session_completes_or_truncates(session):
 
     again = SessionEventLog.from_jsonl(log.to_jsonl())
     assert again.records == log.records
-    assert replay_diff(again, manifest, SessionConfig.from_header(again.header)) == []
+    assert replay_diff(again, manifest, open_log(again, manifest)) == []
 
 
 # Hand-picked sessions the writer property must cover whatever is drawn: a

@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 from abrsim import replay_diff, simulator
 from abrsim.simulator import (
-    SessionConfig,
     SessionEventLog,
     _diff_records,
     _drive,
     _ReplaySink,
+    open_log,
 )
 from helpers import events, replay_pool
 
@@ -83,9 +83,9 @@ def assert_same_diffs(original, regenerated):
     return expected
 
 
-def assert_replay_matches_reference(log, manifest, header):
-    """replay_diff on `log` against the reference diff of its regenerated records."""
-    config = SessionConfig.from_header(header)
+def assert_replay_matches_reference(log, manifest, opened):
+    """replay_diff on `log`, under the config `opened` holds, against the reference diff of its regenerated records."""
+    config = open_log(opened, manifest)
     try:
         regenerated = SessionEventLog()
         _drive(manifest, config, _ReplaySink(log.records).finish, regenerated)
@@ -102,7 +102,7 @@ def assert_replay_matches_reference(log, manifest, header):
 
 def test_clean_logs_diff_like_the_reference():
     for log, manifest in replay_pool():
-        assert assert_replay_matches_reference(log, manifest, log.header) == []
+        assert assert_replay_matches_reference(log, manifest, log) == []
 
 
 def tamper(value, rng):
@@ -126,7 +126,7 @@ def test_single_field_tampers_diff_like_the_reference():
                       if (i, key) != (0, "event")]
         i, key = candidates[rng.randrange(len(candidates))]
         tampered.records[i][key] = tamper(tampered.records[i][key], rng)
-        if assert_replay_matches_reference(tampered, manifest, log.header) is not None:
+        if assert_replay_matches_reference(tampered, manifest, log) is not None:
             compared += 1
     assert compared > 150
 
@@ -138,20 +138,20 @@ def test_jitter_nan_and_missing_keys_diff_like_the_reference():
         for key, value in rec.items():
             if isinstance(value, float):
                 rec[key] = value + 1e-12
-    assert assert_replay_matches_reference(jittered, manifest, log.header)[0] == (
+    assert assert_replay_matches_reference(jittered, manifest, log)[0] == (
         "record 2 (fetch_issued): time_s logged 1e-12, replay 0.0")
 
     for event, key in [("fetch_issued", "buffer_s"), ("chunk_display_start", "time_s"),
                        ("fetch_issued", "bandwidth_estimate_kbps")]:
         poisoned = SessionEventLog(copy.deepcopy(log.records))
         events(poisoned, event)[3][key] = float("nan")
-        assert assert_replay_matches_reference(poisoned, manifest, log.header)
+        assert assert_replay_matches_reference(poisoned, manifest, log)
 
     for event, key in [("fetch_issued", "reason"), ("chunk_display_start", "level"),
                        ("playback_start", "time_s")]:
         clipped = SessionEventLog(copy.deepcopy(log.records))
         del events(clipped, event)[0][key]
-        assert assert_replay_matches_reference(clipped, manifest, log.header)
+        assert assert_replay_matches_reference(clipped, manifest, log)
 
 
 def test_a_mismatch_before_an_engine_error_reports_the_error():
@@ -161,9 +161,9 @@ def test_a_mismatch_before_an_engine_error_reports_the_error():
     edited = SessionEventLog(copy.deepcopy(log.records))
     events(edited, "fetch_issued")[1]["reason"] = "edited"
     events(edited, "download_complete")[5]["chunk"] = 99
-    diffs = replay_diff(edited, manifest, SessionConfig.from_header(edited.header))
+    diffs = replay_diff(edited, manifest, open_log(edited, manifest))
     assert diffs == ["log is not replayable: record 16 (download_complete): chunk logged 99, replay 6"]
-    assert assert_replay_matches_reference(edited, manifest, log.header) is None
+    assert assert_replay_matches_reference(edited, manifest, log) is None
 
 
 def test_replay_drives_the_engine_once_whatever_the_outcome(monkeypatch):
@@ -180,7 +180,7 @@ def test_replay_drives_the_engine_once_whatever_the_outcome(monkeypatch):
     for records, verifies in ((log.records, True), (edited, False), (log.records[:-1], False),
                               (log.records + [{"event": "session_end", "time_s": 1.0}], False)):
         calls.clear()
-        diffs = replay_diff(SessionEventLog(records), manifest, SessionConfig.from_header(log.header))
+        diffs = replay_diff(SessionEventLog(records), manifest, open_log(log, manifest))
         assert (diffs == []) is verifies
         assert len(calls) == 1
 
@@ -189,7 +189,7 @@ def test_short_and_long_logs_diff_like_the_reference():
     log, manifest = replay_pool()[1]
     for records in (log.records[:-1], log.records + [{"event": "session_end", "time_s": 1.0}],
                     log.records[:1] + log.records[2:]):
-        diffs = assert_replay_matches_reference(SessionEventLog(copy.deepcopy(records)), manifest, log.header)
+        diffs = assert_replay_matches_reference(SessionEventLog(copy.deepcopy(records)), manifest, log)
         assert diffs and diffs[0].startswith("record count differs")
 
 
@@ -243,7 +243,7 @@ def test_infinite_tamper_is_reported():
     # json.dumps writes the infinities as the non-standard tokens the decoder reads back.
     tampered = SessionEventLog.from_jsonl("".join(json.dumps(r) + "\n" for r in edited))
     assert tampered.records[display]["time_s"] == math.inf
-    diffs = replay_diff(tampered, manifest, SessionConfig.from_header(tampered.header))
+    diffs = replay_diff(tampered, manifest, open_log(tampered, manifest))
     assert diffs == [
         f"record {display + 1} (chunk_display_start): time_s logged inf, "
         f"replay {log.records[display]['time_s']!r}",
@@ -343,7 +343,7 @@ def test_a_clean_log_verifies_in_one_pass(monkeypatch):
 
     monkeypatch.setattr(simulator, "_diff_records", no_second_pass)
     for log, manifest in replay_pool():
-        assert replay_diff(log, manifest, SessionConfig.from_header(log.header)) == []
+        assert replay_diff(log, manifest, open_log(log, manifest)) == []
 
 
 def test_engine_logs_decode_like_the_reference():

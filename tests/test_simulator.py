@@ -1,15 +1,19 @@
 import copy
 import dataclasses
+import glob
 import itertools
 import json
+import math
 import os
+import random
 import re
 
 import pytest
 
-from abrsim import POLICIES, SessionConfig, load_manifest, load_trace, replay_diff, run_session
+from abrsim import POLICIES, SessionConfig, load_manifest, load_runspec, load_trace, replay_diff, run_session
 from abrsim.abr import Decision, Policy
-from abrsim.simulator import SessionEventLog
+from abrsim.batch import validate_runspec
+from abrsim.simulator import SessionEventLog, open_log
 from abrsim.trace import BandwidthTrace, download_finish_time
 from helpers import chunk_volume, constant_trace, events, make_manifest, monotone_rows
 
@@ -67,9 +71,10 @@ def test_config_loop_trace_must_be_a_bool(value):
     # A truthy "no" would loop the trace and be written into the log header as "no".
     with pytest.raises(ValueError, match=f"^loop_trace must be true or false, got {re.escape(repr(value))}$"):
         SessionConfig(loop_trace=value)
-    header = run_session(make_manifest(chunks=2), constant_trace(1000.0), SessionConfig())[0].header
+    manifest = make_manifest(chunks=2)
+    header = run_session(manifest, constant_trace(1000.0), SessionConfig())[0].header
     with pytest.raises(ValueError, match="loop_trace must be true or false"):
-        SessionConfig.from_header({**header, "loop_trace": value})
+        open_log(SessionEventLog([{**header, "loop_trace": value}]), manifest)
 
 
 def test_run_rejects_capacity_below_chunk():
@@ -125,7 +130,7 @@ def test_replay_rejects_an_estimate_that_is_not_positive_and_finite():
     def replayed(time_s):
         tampered = SessionEventLog(copy.deepcopy(log.records))
         events(tampered, "download_complete")[0]["time_s"] = time_s
-        return replay_diff(tampered, manifest, SessionConfig.from_header(log.header))
+        return replay_diff(tampered, manifest, open_log(log, manifest))
 
     assert replayed(float("inf")) == [
         f"log is not replayable: record {n} (download_complete): time_s must be a finite number, got inf"]
@@ -142,7 +147,7 @@ def test_a_download_that_rounds_to_no_time_truncates_the_session():
     assert report.partial and report.diagnostic == (
         "trace delivers 1.0 kilobits from 1e+17s at its 1000.0 kbps rate there in less than the clock's rounding step")
     assert log.records[-1]["chunk"] == 2
-    assert replay_diff(log, manifest, SessionConfig.from_header(log.header)) == []
+    assert replay_diff(log, manifest, open_log(log, manifest)) == []
 
 
 # --- full-session walkthrough on a constant trace ---
@@ -278,7 +283,7 @@ def test_a_resume_at_a_large_clock_shows_every_chunk_at_or_behind_the_playhead()
     assert [shown_at(r) for r in events(log, "playback_resume")] == [[2], [3, 4], [5, 6]]
     assert sorted(r["chunk"] for r in events(log, "chunk_display_start")) == [1, 2, 3, 4, 5, 6]
     assert not report.partial
-    assert replay_diff(log, manifest, SessionConfig.from_header(log.header)) == []
+    assert replay_diff(log, manifest, open_log(log, manifest)) == []
 
 
 @pytest.mark.parametrize("policy, displayed", [("bba", (1, 1, 1, 2)), ("sba", (1, 2, 2, 2))])
@@ -437,14 +442,14 @@ def replayable_log():
 
 def test_replay_accepts_faithful_log():
     manifest, log = replayable_log()
-    assert not replay_diff(log, manifest, SessionConfig.from_header(log.header))
+    assert not replay_diff(log, manifest, open_log(log, manifest))
 
 
 def test_replay_accepts_truncated_log():
     manifest = make_manifest(chunks=2, rates=(235, 375))
     log, _ = run_session(manifest, constant_trace(100.0, until_s=10.0), sba_config())
     assert log.records[-1]["event"] == "session_truncated"
-    assert not replay_diff(log, manifest, SessionConfig.from_header(log.header))
+    assert not replay_diff(log, manifest, open_log(log, manifest))
 
 
 def test_replay_checks_a_truncation_shaped_like_a_completion():
@@ -456,7 +461,7 @@ def test_replay_checks_a_truncation_shaped_like_a_completion():
     assert (last["event"], len(log.records)) == ("session_truncated", 17)
     del last["diagnostic"]
     last["throughput_kbps"] = 3000.0
-    assert replay_diff(log, manifest, SessionConfig.from_header(log.header)) == [
+    assert replay_diff(log, manifest, open_log(log, manifest)) == [
         "log is not replayable: record 17 (session_truncated) lacks diagnostic"]
 
 
@@ -475,7 +480,7 @@ def test_replay_names_the_chunk_a_log_lacks_a_completion_for():
     last = events(log, "download_complete")[-1]
     assert last["chunk"] == 150 and not events(log, "session_truncated")
     log.records.remove(last)
-    assert replay_diff(log, manifest, SessionConfig.from_header(log.header)) == [
+    assert replay_diff(log, manifest, open_log(log, manifest)) == [
         "log is not replayable: log holds no completion for chunk 150"]
 
 
@@ -501,6 +506,51 @@ def test_replay_reports_a_value_of_another_json_type(kind, field, value):
         f"record {index} ({kind}): {field} logged {value!r}, replay {replayed!r}"]
 
 
+def one_step(value, rng):
+    """`value` one step off in its own JSON type: the next float either way, an int +-1, a string + "x"."""
+    if type(value) is float:
+        return math.nextafter(value, rng.choice((-math.inf, math.inf)))
+    if type(value) is int:
+        return value + rng.choice((-1, 1))
+    return value + "x"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_replay_refuses_every_one_step_edit_of_a_bundled_log(seed):
+    # Replay proves a log is what its header's config writes on the logged completion times, so a
+    # step on any value below the header must show, read as `abrsim replay` reads it: under the
+    # edited log's own header.  A step on the header's grid is refused as it opens, at record 1.
+    scenario = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios", "comparison")
+    manifest = load_manifest(os.path.join(scenario, "manifest.json"))
+    configs = validate_runspec(load_runspec(os.path.join(scenario, "runspec.json")))
+    traces = sorted(glob.glob(os.path.join(scenario, "traces", "trace_*.csv")))
+    rng = random.Random(seed)
+    passed = []
+    for _ in range(2):
+        config, path = rng.choice(configs), rng.choice(traces)
+        records = run_session(manifest, load_trace(path), config)[0].records
+        for _ in range(150):
+            n = rng.randrange(2, len(records) + 1)  # counted from 1, below the header
+            key = rng.choice(list(records[n - 1]))
+            log = SessionEventLog(records[:n - 1] + [{**records[n - 1], key: one_step(records[n - 1][key], rng)}]
+                                  + records[n:])
+            try:
+                caught = replay_diff(log, manifest, open_log(log, manifest)) != []
+            except ValueError as exc:
+                caught = str(exc).startswith("record ")
+            if not caught:
+                passed.append((config.policy, os.path.basename(path), n, key, log.records[n - 1][key]))
+        header = records[0]
+        ladder = list(header["ladder_kbps"])
+        k = rng.randrange(len(ladder))
+        ladder[k] = one_step(ladder[k], rng)
+        for key, value in (("chunk_count", one_step(header["chunk_count"], rng)),
+                           ("chunk_duration_s", one_step(header["chunk_duration_s"], rng)), ("ladder_kbps", ladder)):
+            with pytest.raises(ValueError, match=rf"^record 1 \(session_start\): {key} .* is not the manifest's "):
+                open_log(SessionEventLog([{**header, key: value}] + records[1:]), manifest)
+    assert passed == []
+
+
 @pytest.mark.parametrize("samples, rates", [
     (((0.0, 1e-300), (10.0, 1e-300)), (1e299, 1e300)),
     (((0.0, 1000.0), (5e-324, 1000.0)), (235.0, 375.0)),
@@ -511,7 +561,7 @@ def test_a_loop_count_past_the_float_range_truncates_the_session(samples, rates)
     assert report.partial
     assert log.records[-1]["event"] == "session_truncated"
     assert "the loop count overflows" in report.diagnostic
-    assert not replay_diff(log, manifest, SessionConfig.from_header(log.header))
+    assert not replay_diff(log, manifest, open_log(log, manifest))
 
 
 def test_only_a_looping_session_refuses_a_period_that_carries_no_volume():
@@ -528,7 +578,7 @@ def test_replay_flags_tampered_level():
     tampered = SessionEventLog(copy.deepcopy(log.records))
     fetch = events(tampered, "fetch_issued")[3]
     fetch["level"] += 1
-    diffs = replay_diff(tampered, manifest, SessionConfig.from_header(log.header))
+    diffs = replay_diff(tampered, manifest, open_log(log, manifest))
     assert diffs and any("level" in d for d in diffs)
 
 
@@ -536,7 +586,7 @@ def test_replay_flags_shifted_completion():
     manifest, log = replayable_log()
     tampered = SessionEventLog(copy.deepcopy(log.records))
     events(tampered, "download_complete")[2]["time_s"] += 0.5
-    assert replay_diff(tampered, manifest, SessionConfig.from_header(log.header))
+    assert replay_diff(tampered, manifest, open_log(log, manifest))
 
 
 def test_replay_reports_sub_nanosecond_jitter():
@@ -546,7 +596,7 @@ def test_replay_reports_sub_nanosecond_jitter():
     jittered = SessionEventLog(copy.deepcopy(log.records))
     rec = events(jittered, "download_complete")[2]
     rec["time_s"] += 1e-12
-    diffs = replay_diff(jittered, manifest, SessionConfig.from_header(log.header))
+    diffs = replay_diff(jittered, manifest, open_log(log, manifest))
     index = jittered.records.index(rec) + 1  # records are counted from 1
     assert diffs[0].startswith(f"record {index} (download_complete): throughput_kbps logged "
                                f"{rec['throughput_kbps']!r}, replay ")
@@ -559,7 +609,7 @@ def test_replay_verifies_startup_policy_header():
     manifest, log = replayable_log()
     edited = SessionEventLog(copy.deepcopy(log.records))
     edited.records[0]["startup_policy"] = "play_after_two_chunks"
-    diffs = replay_diff(edited, manifest, SessionConfig.from_header(log.header))
+    diffs = replay_diff(edited, manifest, open_log(log, manifest))
     assert diffs == [
         "record 1 (session_start): startup_policy logged 'play_after_two_chunks', "
         "replay 'play_after_first_chunk'"
@@ -569,7 +619,7 @@ def test_replay_verifies_startup_policy_header():
 def test_replay_flags_dropped_record():
     manifest, log = replayable_log()
     clipped = SessionEventLog(copy.deepcopy(log.records[:-1]))
-    diffs = replay_diff(clipped, manifest, SessionConfig.from_header(log.header))
+    diffs = replay_diff(clipped, manifest, open_log(log, manifest))
     assert diffs
 
 
@@ -578,7 +628,7 @@ def test_replay_reports_wrong_chunk_order():
     shuffled = SessionEventLog(copy.deepcopy(log.records))
     dones = events(shuffled, "download_complete")
     dones[0]["chunk"], dones[1]["chunk"] = dones[1]["chunk"], dones[0]["chunk"]
-    diffs = replay_diff(shuffled, manifest, SessionConfig.from_header(log.header))
+    diffs = replay_diff(shuffled, manifest, open_log(log, manifest))
     assert diffs and "chunk" in diffs[0]
 
 
